@@ -6,6 +6,11 @@ deterministic given the config and seed: no timestamps, sorted JSON keys, and
 17-significant-digit CSV floats so files round-trip exactly.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.
+
+Parallelism: ``NB_THREADS=n`` runs the ``simulate-mc`` runs on n threads
+(default 1), and BLAS runs on one thread inside ``simulate-mc``.
+``identify``, ``tune`` and ``frf`` leave BLAS threading as the environment
+sets it (for example ``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -317,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondnyq",
         description="Fast-rate FIR identification from slow-rate outputs",
+        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1), and BLAS "
+        "runs on one thread inside simulate-mc. identify, tune and frf leave BLAS "
+        "threading as the environment sets it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

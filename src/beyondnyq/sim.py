@@ -18,6 +18,7 @@ are bit-reproducible and runs can execute in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_threaded_blas
 from .estimator import (
     HyperparameterVector,
     RegularizedProblem,
@@ -226,8 +228,13 @@ class MonteCarloConfig:
     nominal: ContinuousPlant = NOMINAL_PLANT
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        for name in ("runs", "factor", "n_samples", "tune_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         if not self.orders:
             raise ValueError("orders must be non-empty")
         for p in self.orders:
@@ -426,6 +433,15 @@ def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[
 def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarloResult:
     """Execute all runs (optionally in parallel) and aggregate GoF statistics.
 
+    ``max_workers`` threads run the runs and are the study's only
+    parallelism: for the duration of the call every loaded OpenBLAS runs on
+    one thread.  At these problem sizes BLAS threads cost more than they
+    give, and under run-level workers they oversubscribe the cores.  The pin
+    is process-wide: BLAS calls from other threads of the process run on one
+    thread too until the call returns (the last to return, if calls
+    overlap), and the previous thread counts are then restored, also when
+    the call raises.
+
     Results are identical for any ``max_workers``: every run derives its RNG
     streams from ``(base_seed, run_index)`` alone and records are ordered by
     run index.  A failing run is recorded as a :class:`RunError` and does not
@@ -439,13 +455,14 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
         except Exception as exc:  # noqa: BLE001 - reported per run, never silent
             return RunError(run=run, message=f"{type(exc).__name__}: {exc}")
 
-    if max_workers <= 1:
-        for run in range(config.runs):
-            outcomes[run] = one(run)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for run, outcome in enumerate(pool.map(one, range(config.runs))):
-                outcomes[run] = outcome
+    with single_threaded_blas():
+        if max_workers <= 1:
+            for run in range(config.runs):
+                outcomes[run] = one(run)
+        else:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                for run, outcome in enumerate(pool.map(one, range(config.runs))):
+                    outcomes[run] = outcome
 
     records: list[RunRecord] = []
     errors: list[RunError] = []
