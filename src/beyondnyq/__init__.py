@@ -22,7 +22,6 @@ from .estimator import (
     marginal_likelihood,
     optimize_hyperparameters,
     predict_fast_output,
-    primal_check,
     regularized_fir,
     save_model,
 )

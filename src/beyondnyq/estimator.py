@@ -7,7 +7,8 @@ positive semidefinite ``K``, so a model of any order ``1 <= P <= N`` exists
 and is unique -- including ``P >= M``, where the unregularized least-squares
 problem has no unique answer.  Estimation always goes through this dual form:
 ``K`` itself is never inverted, so rank-deficient kernels (e.g. resonant-pole
-priors) are fine.
+priors) are fine, and for DC and resonant-pole terms it is never formed either:
+``Phi K Phi'`` and ``K v`` come from their factors ``K = L L'``.
 
 Hyperparameters are scored by the Gaussian-evidence objective
 ``y' (Phi K Phi' + gamma I)^{-1} y + log det(Phi K Phi' + gamma I)`` and tuned
@@ -21,14 +22,13 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidStartError, NumericalError, OracleInapplicableError
-from .kernels import KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
-from .kernels import _kernel_values
+from .errors import InvalidStartError, NumericalError
+from .kernels import DiagonalCorrelated, KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
 from .regressor import RegressorMatrix
 from .signals import FastSignal, FirModel, SlowSignal
 
@@ -37,7 +37,6 @@ __all__ = [
     "HyperparameterVector",
     "FitReport",
     "regularized_fir",
-    "primal_check",
     "marginal_likelihood",
     "optimize_hyperparameters",
     "apply_hyperparameters",
@@ -73,37 +72,118 @@ class RegularizedProblem:
             )
 
 
-def _resonant_gram_vectors(term: ResonantPole, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators of the rank-2 form ``k(i,j) = v1_i v1_j + v2_i v2_j``."""
+# columns per block of the first-order recursion behind the DC factor
+_AR1_BLOCK = 64
+
+
+def _ar1_suffix_sums(a: np.ndarray, c: float) -> np.ndarray:
+    """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``.
+
+    This is the backward first-order recursion ``g[:, j] = a[:, j] + c g[:, j+1]``
+    run over blocks of columns: inside a block it is one product with the
+    triangular matrix of powers of ``c``, and the block's first column
+    carries into the block before it as a rank-1 update.
+    """
+    order = a.shape[1]
+    width = min(_AR1_BLOCK, order)
+    powers = c ** np.arange(width + 1)
+    gaps = np.subtract.outer(np.arange(width), np.arange(width))
+    within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
+    sums = np.empty(a.shape)
+    carry = None
+    for stop in range(order, 0, -width):
+        start = max(stop - width, 0)
+        block = a[:, start:stop] @ within[: stop - start, : stop - start]
+        if carry is not None:
+            block += np.outer(carry, powers[stop - start : 0 : -1])
+        sums[:, start:stop] = block
+        carry = block[:, 0]
+    return sums
+
+
+def _dc_diagonals(term: DiagonalCorrelated, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``d`` and ``s`` of the DC factor ``K = scale (D U S)(D U S)'``.
+
+    ``D = diag(d)`` with ``d_i = decay^(i/2)``, ``U[i, j] = c^(i-j)`` for
+    ``i >= j`` (``c`` the correlation) and ``S = diag(s)`` with ``s_0 = 1``,
+    ``s_j = sqrt(1 - c^2)``: ``U S S U'`` is the Toeplitz matrix ``c^|i-j|``.
+    """
+    half = term.decay ** (np.arange(order, dtype=float) / 2.0)
+    weights = np.full(order, math.sqrt(1.0 - term.correlation**2))
+    weights[0] = 1.0
+    return half, weights
+
+
+def _resonant_factor(term: ResonantPole, order: int) -> np.ndarray:
+    """``L`` (``order`` x 2) with ``K = L L'``: ``k(i,j) = v1_i v1_j + v2_i v2_j``."""
     i = np.arange(order, dtype=float)
     envelope = term.decay ** (i / 2.0)
-    return (
-        term.sigma1 * envelope * np.cos(term.frequency * i),
-        term.sigma2 * envelope * np.sin(term.frequency * i),
+    return np.column_stack(
+        (
+            term.sigma1 * envelope * np.cos(term.frequency * i),
+            term.sigma2 * envelope * np.sin(term.frequency * i),
+        )
     )
 
 
-def _term_gram(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
-    """``Phi K_term Phi'`` for one kernel term.
+def _terms(spec: KernelSpec) -> tuple:
+    return spec.terms if isinstance(spec, KernelSum) else (spec,)
 
-    Resonant-pole terms use their rank-2 Gram form, which costs O(M*P)
-    instead of a dense P x P product; hyperparameter search depends on this.
+
+def _term_gram(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
+    """``Phi K_term Phi'`` for one kernel term (``Phi`` is M x P).
+
+    No P x P kernel matrix is formed for terms with a structured factor
+    ``K = L L'``; the Gram is then ``(Phi L)(Phi L)'``:
+
+    * DC: ``Phi D U`` is a first-order recursion over the columns of
+      ``Phi D`` (:func:`_ar1_suffix_sums`), O(M P), so the Gram costs one
+      O(M^2 P) product.  It is ``scale`` times the unit-scale Gram, which the
+      tuner caches.
+    * Resonant pole: ``L`` has two columns, so the Gram costs O(M P + M^2).
+    * Tikhonov and stable spline: the dense kernel matrix, O(M P^2 + M^2 P).
     """
     order = phi.shape[1]
+    if isinstance(term, DiagonalCorrelated):
+        half, weights = _dc_diagonals(term, order)
+        factored = _ar1_suffix_sums(phi * half, term.correlation)
+        factored *= weights
+        return term.scale * (factored @ factored.T)
     if isinstance(term, ResonantPole):
-        v1, v2 = _resonant_gram_vectors(term, order)
-        w1, w2 = phi @ v1, phi @ v2
-        return np.outer(w1, w1) + np.outer(w2, w2)
-    return phi @ (_kernel_values(term, order) @ phi.T)
+        factored = phi @ _resonant_factor(term, order)
+        return factored @ factored.T
+    return phi @ (build_kernel_matrix(term, order).entries @ phi.T)
 
 
 def _output_gram(phi: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """``Phi K Phi'`` accumulated over the terms of ``spec`` in order."""
-    terms = spec.terms if isinstance(spec, KernelSum) else (spec,)
-    gram = _term_gram(phi, terms[0]).copy()
+    """``Phi K Phi'`` accumulated over the terms of ``spec`` in order; a new array."""
+    terms = _terms(spec)
+    gram = _term_gram(phi, terms[0])
     for term in terms[1:]:
         gram += _term_gram(phi, term)
     return gram
+
+
+def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
+    """``K v`` from the same factors as :func:`_term_gram`.
+
+    For a DC term ``L' D v`` is the recursion of :func:`_term_gram` and
+    ``L x`` the same recursion run forward (on the reversed vector).
+    """
+    order = v.shape[0]
+    total = np.zeros(order)
+    for term in _terms(spec):
+        if isinstance(term, DiagonalCorrelated):
+            half, weights = _dc_diagonals(term, order)
+            x = weights * _ar1_suffix_sums((half * v)[None, :], term.correlation)[0]
+            lx = _ar1_suffix_sums((weights * x)[None, ::-1], term.correlation)[0, ::-1]
+            total += term.scale * half * lx
+        elif isinstance(term, ResonantPole):
+            factor = _resonant_factor(term, order)
+            total += factor @ (factor.T @ v)
+        else:
+            total += build_kernel_matrix(term, order).entries @ v
+    return total
 
 
 def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
@@ -120,33 +200,35 @@ def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
     return diagnostics
 
 
-def _shifted_cholesky(gram: np.ndarray, gamma: float):
-    """Cholesky factor of ``gram + gamma I``.
+def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
+    """Lower Cholesky factor of ``gram + gamma I``.
 
-    Raises :class:`NumericalError` with diagnostics when the shifted Gram is
-    not positive definite in floating point or holds non-finite entries.
+    Adds ``gamma`` to the diagonal of ``gram`` in place, so callers pass a
+    Gram they own.  Only the lower triangle of the returned factor is
+    meaningful.  Raises :class:`NumericalError` with diagnostics when the
+    shifted Gram is not positive definite in floating point or holds
+    non-finite entries.
     """
-    shifted = gram.copy()
-    shifted[np.diag_indices_from(shifted)] += gamma
+    gram[np.diag_indices_from(gram)] += gamma
     try:
         # skipping the finite scan matters because hyperparameter search
         # factorizes thousands of these; LAPACK factors inf/NaN entries
         # without complaint, so non-finite input is caught on the factor's
         # diagonal below, which any non-finite lower-triangle entry reaches
-        factor = scipy.linalg.cho_factor(shifted.copy(), lower=True, check_finite=False, overwrite_a=True)
+        lower, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"Cholesky factorization of the {shifted.shape[0]}x{shifted.shape[0]} "
+            f"Cholesky factorization of the {gram.shape[0]}x{gram.shape[0]} "
             f"regularized Gram matrix failed: {exc}",
-            diagnostics=_failure_diagnostics(shifted, gamma),
+            diagnostics=_failure_diagnostics(gram, gamma),
         ) from exc
-    if not np.all(np.isfinite(np.diagonal(factor[0]))):
+    if not np.all(np.isfinite(np.diagonal(lower))):
         raise NumericalError(
-            f"Cholesky factor of the {shifted.shape[0]}x{shifted.shape[0]} "
+            f"Cholesky factor of the {gram.shape[0]}x{gram.shape[0]} "
             f"regularized Gram matrix is not finite",
-            diagnostics=_failure_diagnostics(shifted, gamma),
+            diagnostics=_failure_diagnostics(gram, gamma),
         )
-    return shifted, factor
+    return lower
 
 
 def regularized_fir(problem: RegularizedProblem) -> FirModel:
@@ -155,12 +237,13 @@ def regularized_fir(problem: RegularizedProblem) -> FirModel:
     Defined for every order ``P`` in ``[1, N]`` and any input, including
     ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
     Cholesky factorization plus iterative refinement so the linear-system
-    residual stays near machine precision even for tiny ``gamma``.
+    residual stays near machine precision even for tiny ``gamma``.  The Gram
+    and ``K Phi' z`` come from the kernel terms' factors (:func:`_term_gram`).
     """
     phi = problem.phi.entries
     y = problem.y_l.samples
-    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order).entries
-    shifted, factor = _shifted_cholesky(phi @ (kernel_matrix @ phi.T), problem.gamma)
+    shifted = _output_gram(phi, problem.kernel)
+    factor = (_shifted_cholesky(shifted, problem.gamma), True)
     z = scipy.linalg.cho_solve(factor, y)
     # refinement recovers accuracy lost to the O(1/gamma) conditioning
     y_norm = float(np.linalg.norm(y))
@@ -169,27 +252,7 @@ def regularized_fir(problem: RegularizedProblem) -> FirModel:
         if np.linalg.norm(residual) <= 1e-13 * y_norm:
             break
         z = z + scipy.linalg.cho_solve(factor, residual)
-    theta = kernel_matrix @ (phi.T @ z)
-    return FirModel(theta=theta, period=problem.y_l.fast_period)
-
-
-def primal_check(problem: RegularizedProblem) -> FirModel:
-    """Independent primal-form solve ``(Phi'Phi + gamma K^{-1}) theta = Phi' y_l``.
-
-    Requires a strictly positive definite kernel matrix; intended as a test
-    oracle for :func:`regularized_fir`, not for production use.
-    """
-    phi = problem.phi.entries
-    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order).entries
-    try:
-        k_factor = scipy.linalg.cho_factor(kernel_matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise OracleInapplicableError(
-            "primal form needs a strictly positive definite kernel matrix"
-        ) from exc
-    k_inv = scipy.linalg.cho_solve(k_factor, np.eye(problem.phi.order))
-    normal = phi.T @ phi + problem.gamma * k_inv
-    theta = scipy.linalg.solve(normal, phi.T @ problem.y_l.samples, assume_a="sym")
+    theta = _kernel_times(problem.kernel, phi.T @ z)
     return FirModel(theta=theta, period=problem.y_l.fast_period)
 
 
@@ -212,10 +275,64 @@ def marginal_likelihood(
 
 
 def _evidence_from_gram(gram: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    _, factor = _shifted_cholesky(gram, gamma)
-    lower = np.tril(factor[0])
-    w = scipy.linalg.solve_triangular(lower, y, lower=True)
-    return float(w @ w + 2.0 * np.sum(np.log(np.diag(lower))))
+    """Evidence at ``gram + gamma I``; shifts ``gram`` in place."""
+    lower = _shifted_cholesky(gram, gamma)
+    w = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
+    return float(w @ w + 2.0 * np.sum(np.log(np.diagonal(lower))))
+
+
+def _scale_free(term: KernelSpec) -> tuple[KernelSpec, float]:
+    """``(unit, scale)`` with ``Phi K_term Phi' = scale * Phi K_unit Phi'``.
+
+    A DC Gram is linear in the DC scale (:func:`_term_gram` computes it as
+    ``scale`` times the unit-scale Gram, so both give the same bits).
+    """
+    if isinstance(term, DiagonalCorrelated):
+        return replace(term, scale=1.0), term.scale
+    return term, 1.0
+
+
+class _Rest(NamedTuple):
+    """``R = gamma I`` plus every kernel term's Gram but one, factored once
+    per coordinate so that probes of that one term need no factorization."""
+
+    index: int  # the term left out
+    lower: np.ndarray  # Cholesky factor of R (lower triangle)
+    alpha: np.ndarray  # lower^{-1} y
+    energy: float  # alpha'alpha
+    logdet: float  # log det R
+    bound: float  # the largest diagonal entry of R - gamma I
+
+
+# the rank-2 quadratic form is a difference alpha'alpha - beta'C^{-1}beta; a
+# probe where it falls below this share of alpha'alpha is factorized instead
+_CANCELLATION = 1e-6
+
+
+def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
+    """Evidence at ``R + W W'`` for an M x 2 ``W``, in O(M^2).
+
+    With ``V = lower^{-1} W``, ``C = I + V'V`` and ``beta = V' alpha``,
+    Woodbury and the determinant lemma give
+    ``alpha'alpha - beta' C^{-1} beta + log det R + log det C``.  Returns NaN
+    where an entry of the full Gram could overflow, an intermediate is not
+    finite, or the difference cancels more than six digits; the caller then
+    factorizes the full Gram instead.
+    """
+    top = float(np.max(np.abs(w)))
+    if not math.isfinite(rest.bound + 2.0 * top * top):
+        return math.nan
+    v = scipy.linalg.solve_triangular(rest.lower, w, lower=True, check_finite=False)
+    (a, b), (_, d) = (v.T @ v).tolist()
+    beta1, beta2 = (v.T @ rest.alpha).tolist()
+    det = (1.0 + a) * (1.0 + d) - b * b
+    if not det > 0.0:  # also NaN
+        return math.nan
+    quad = rest.energy - ((1.0 + d) * beta1 * beta1 - 2.0 * b * beta1 * beta2 + (1.0 + a) * beta2 * beta2) / det
+    if not quad > _CANCELLATION * rest.energy:
+        # digits lost to the difference; a nearly singular rest does this
+        return math.nan
+    return quad + rest.logdet + math.log(det)
 
 
 @dataclass(frozen=True)
@@ -338,37 +455,100 @@ def optimize_hyperparameters(
     is raised, chained (``__cause__``) to the factorization's
     :class:`NumericalError` when that was the reason.
 
+    Cost per probe, for M outputs and order P: the other terms' Grams at the
+    current best point are cached (a DC term's at unit scale), so a probe of
+    ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and a DC
+    ``decay`` probe adds its O(M^2 P) Gram.  A probe of a resonant-pole field
+    costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
+    on a factorization of ``gamma I`` plus the other terms, made once per
+    coordinate.  Such a probe is scored by the full factorization instead
+    where that rest cannot be factorized, where the full Gram could overflow,
+    or where the update's value is not finite or lost six digits to
+    cancellation, so it scores ``+inf`` where a non-finite Gram makes
+    :func:`marginal_likelihood` raise.  The best probe of a resonant
+    coordinate is scored again by the full factorization before it is
+    accepted: every accepted objective value is the one
+    :func:`marginal_likelihood` returns.
+
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
-    objective evaluation (for trace files), including ``inf`` ones.
+    objective evaluation (for trace files), including ``inf`` ones; the
+    second scoring of a coordinate's best probe is not a new evaluation.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
-    # cache Phi K_term Phi' per term spec: coordinate probes change one term
-    # at a time, so most pieces are reused across objective evaluations
-    piece_cache: dict[KernelSpec, np.ndarray] = {}
+    entries, y = phi.entries, y_l.samples
+    # Phi K_t Phi' per term index at the current best point, DC terms at unit
+    # scale: every probe of a coordinate changes one term, so the others are
+    # reused, and a DC scale probe is one multiply
+    best_pieces: dict[int, tuple[KernelSpec, np.ndarray]] = {}
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
-    def objective(vals: dict[str, float]) -> float:
-        nonlocal failure
-        g = vals.get("gamma", gamma)
+    def point(vals: dict[str, float]) -> tuple[float, tuple]:
         spec = apply_hyperparameters(template, {k: v for k, v in vals.items() if k != "gamma"})
-        terms = spec.terms if isinstance(spec, KernelSum) else (spec,)
-        gram = None
-        for term in terms:
-            piece = piece_cache.get(term)
-            if piece is None:
-                piece = _term_gram(phi.entries, term)
-                piece_cache[term] = piece
-            gram = piece.copy() if gram is None else gram + piece
+        return vals.get("gamma", gamma), _terms(spec)
+
+    def remember_best() -> None:
+        for index, term in enumerate(point(best)[1]):
+            unit, _ = _scale_free(term)
+            cached = best_pieces.get(index)
+            if cached is None or cached[0] != unit:
+                best_pieces[index] = (unit, _term_gram(entries, unit))
+
+    def summed(terms: tuple, skip: int | None = None) -> np.ndarray:
+        """``Phi K Phi'`` over ``terms`` but ``skip``, cached pieces where
+        they match; summed in term order, so it has ``_output_gram``'s bits."""
+        gram = np.zeros((len(y), len(y)))
+        for index, term in enumerate(terms):
+            if index != skip:
+                unit, scale = _scale_free(term)
+                cached = best_pieces.get(index)
+                piece = cached[1] if cached is not None and cached[0] == unit else _term_gram(entries, unit)
+                gram += scale * piece
+        return gram
+
+    def rest_for(name: str) -> _Rest | None:
+        """The factored rest when coordinate ``name`` moves a resonant term;
+        None for other coordinates and when the rest cannot be factorized."""
+        if name == "gamma":
+            return None
+        index = int(name.split(".")[1]) if name.startswith("terms.") else 0
+        g, terms = point(best)
+        if not isinstance(terms[index], ResonantPole):
+            return None
+        rest = summed(terms, skip=index)
+        # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
+        # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
+        bound = float(np.max(np.diagonal(rest)))
         try:
-            value = _evidence_from_gram(gram, y_l.samples, g)
+            lower = _shifted_cholesky(rest, g)
+        except NumericalError:
+            return None
+        alpha = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
+        logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+        return _Rest(index, lower, alpha, float(alpha @ alpha), logdet, bound)
+
+    def factorized(vals: dict[str, float]) -> float:
+        """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
+        nonlocal failure
+        g, terms = point(vals)
+        try:
+            return _evidence_from_gram(summed(terms), y, g)
         except NumericalError as exc:
             # the exact objective is +inf or beyond double range here; the
             # search must treat it as worse than anything, not abort
-            value, failure = math.inf, exc
+            failure = exc
+            return math.inf
+
+    def objective(vals: dict[str, float], rest: _Rest | None = None) -> float:
+        value = math.nan
+        if rest is not None:
+            term = point(vals)[1][rest.index]
+            value = _rank2_evidence(rest, entries @ _resonant_factor(term, entries.shape[1]))
+        if not math.isfinite(value):
+            value = factorized(vals)
         if on_evaluation is not None:
             on_evaluation(dict(vals), value)
         return value
@@ -382,6 +562,7 @@ def optimize_hyperparameters(
             apply_hyperparameters(template, {name: endpoint})
 
     best = dict(eta0.values)
+    remember_best()
     best_value = objective(best)
     evaluations = 1
     if not math.isfinite(best_value):
@@ -398,8 +579,12 @@ def optimize_hyperparameters(
             lo, hi = eta0.bounds[name]
             a = _to_search_space(name, lo)
             b = _to_search_space(name, hi)
+            remember_best()
+            rest = rest_for(name)
             # resonance frequencies carve narrow evidence dips, so they get a
-            # dense scan; probing them is cheap through the rank-2 Gram form
+            # dense scan; a resonant probe costs O(M P + M^2) through the
+            # rank-2 update on the rest's factor, against O(M^3) for a
+            # factorization
             grid_points = 25 if name.rsplit(".", 1)[-1] == "frequency" else 7
             coord_best_x = best[name]
             coord_best_f = best_value
@@ -407,7 +592,7 @@ def optimize_hyperparameters(
             def probe(t: float) -> float:
                 nonlocal evaluations, coord_best_x, coord_best_f
                 x = min(max(_from_search_space(name, t), lo), hi)
-                f = objective({**best, name: x})
+                f = objective({**best, name: x}, rest)
                 evaluations += 1
                 if f < coord_best_f:
                     coord_best_x, coord_best_f = x, f
@@ -441,6 +626,11 @@ def optimize_hyperparameters(
                         x1 = gb - _GOLDEN * (gb - ga)
                         f1 = probe(x1)
                     steps += 1
+            if rest is not None and coord_best_f < best_value:
+                # accept on the value marginal_likelihood gives, not the
+                # rank-2 one: they differ by rounding, and where the full
+                # Gram is too ill-conditioned to factorize, by +inf
+                coord_best_f = factorized({**best, name: coord_best_x})
             if coord_best_f < best_value - 1e-9 * abs(best_value):
                 best[name] = coord_best_x
                 best_value = coord_best_f

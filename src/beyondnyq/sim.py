@@ -203,6 +203,15 @@ def default_pk_kernel(period: float) -> KernelSum:
     )
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Settings for one study; defaults follow the benchmark configuration
@@ -229,16 +238,13 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         for name in ("runs", "factor", "n_samples", "tune_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, 0))
         if not self.orders:
             raise ValueError("orders must be non-empty")
-        for p in self.orders:
-            if not 1 <= p <= self.n_samples:
+        orders = tuple(_integer("orders", p, 1) for p in self.orders)
+        for p in orders:
+            if p > self.n_samples:
                 raise ValueError(f"order {p} outside [1, {self.n_samples}]")
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
@@ -247,7 +253,7 @@ class MonteCarloConfig:
         unknown = set(self.estimators) - {"ls", "dc", "pk"}
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
-        object.__setattr__(self, "orders", tuple(int(p) for p in self.orders))
+        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.dc_kernel is None:
             object.__setattr__(self, "dc_kernel", default_dc_kernel(self.period))
@@ -519,7 +525,7 @@ def monte_carlo_config_from_json(obj: dict) -> MonteCarloConfig:
     if "period_s" in obj:
         kwargs["period"] = float(obj["period_s"])
     if "orders" in obj:
-        kwargs["orders"] = tuple(int(p) for p in obj["orders"])
+        kwargs["orders"] = tuple(obj["orders"])
     if "snr_range" in obj:
         kwargs["snr_range"] = (float(obj["snr_range"][0]), float(obj["snr_range"][1]))
     if "band" in obj and obj["band"] is not None:

@@ -42,8 +42,15 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"factor": 2.5},
         {"n_samples": 90.5},
         {"tune_budget": 0},
+        {"orders": [10.7, 30]},
+        {"orders": [True, 30]},
+        {"base_seed": 2.5},
+        {"base_seed": -1},
     ],
-    ids=["runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero"],
+    ids=[
+        "runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero",
+        "orders-float", "orders-bool", "base_seed-float", "base_seed-negative",
+    ],
 )
 def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
     code, out = simulate_mc(tmp_path, "bad", {**TINY_MC, **settings})

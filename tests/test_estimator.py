@@ -5,6 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import beyondnyq.estimator as estimator
 
 from beyondnyq.errors import InvalidStartError, NumericalError, OracleInapplicableError
 from beyondnyq.estimator import (
@@ -18,7 +23,6 @@ from beyondnyq.estimator import (
     marginal_likelihood,
     optimize_hyperparameters,
     predict_fast_output,
-    primal_check,
     regularized_fir,
     save_model,
 )
@@ -28,6 +32,7 @@ from beyondnyq.kernels import (
     ResonantPole,
     StableSpline,
     Tikhonov,
+    _kernel_values,
     build_kernel_matrix,
 )
 from beyondnyq.regressor import build_regressor, least_squares_fir
@@ -49,6 +54,26 @@ def naive_marginal_likelihood(phi, y, kernel, gamma):
     k = build_kernel_matrix(kernel, phi.order).entries
     g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
     return float(y @ np.linalg.inv(g) @ y + math.log(np.linalg.det(g)))
+
+
+def primal_check(problem):
+    """Primal-form oracle ``(Phi'Phi + gamma K^{-1}) theta = Phi' y_l``.
+
+    Needs a strictly positive definite kernel matrix, unlike the dual form
+    that :func:`regularized_fir` solves.
+    """
+    phi = problem.phi.entries
+    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order).entries
+    try:
+        k_factor = scipy.linalg.cho_factor(kernel_matrix, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise OracleInapplicableError(
+            "primal form needs a strictly positive definite kernel matrix"
+        ) from exc
+    k_inv = scipy.linalg.cho_solve(k_factor, np.eye(problem.phi.order))
+    normal = phi.T @ phi + problem.gamma * k_inv
+    theta = scipy.linalg.solve(normal, phi.T @ problem.y_l.samples, assume_a="sym")
+    return FirModel(theta=theta, period=problem.y_l.fast_period)
 
 
 class TestRegularizedFir:
@@ -118,6 +143,84 @@ class TestRegularizedFir:
             make_problem(6, gamma=0.0)
         with pytest.raises(ValueError, match="gamma"):
             make_problem(6, gamma=-1.0)
+
+
+def dense_gram(phi, kernel):
+    """Oracle: ``Phi K Phi'`` through the dense P x P kernel matrix."""
+    return phi @ _kernel_values(kernel, phi.shape[1]) @ phi.T
+
+
+def assert_close_relative(actual, expected, tolerance):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= tolerance * scale
+
+
+# (order P, output length M): P < M, and P > M where P > 1 allows it; the
+# orders straddle the 64-column blocks of the DC recursion
+GRAM_SHAPES = [(p, p + 7) for p in (1, 2, 63, 64, 65, 600)] + [
+    (p, max(p // 3, 1)) for p in (2, 63, 64, 65, 600)
+]
+
+
+class TestFactoredGram:
+    @pytest.mark.parametrize("order, rows", GRAM_SHAPES, ids=[f"P{p}-M{m}" for p, m in GRAM_SHAPES])
+    @pytest.mark.parametrize("correlation", [-0.7, 0.3, 0.99999])
+    def test_dc_matches_dense(self, order, rows, correlation):
+        rng = np.random.default_rng(order)
+        phi = rng.normal(size=(rows, order))
+        v = rng.normal(size=order)
+        kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
+        assert_close_relative(estimator._term_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(
+            estimator._kernel_times(kernel, v), _kernel_values(kernel, order) @ v, 1e-12
+        )
+
+    @pytest.mark.parametrize("order", [5, 70])
+    def test_sum_of_every_kernel_matches_dense(self, order):
+        rng = np.random.default_rng(26)
+        phi = rng.normal(size=(40, order))
+        v = rng.normal(size=order)
+        kernel = KernelSum(
+            terms=(
+                Tikhonov(),
+                StableSpline(scale=0.5, decay=0.9),
+                DiagonalCorrelated(scale=2.0, decay=0.95, correlation=0.6),
+                ResonantPole(decay=0.9, frequency=0.7, sigma1=1.5, sigma2=0.3),
+            )
+        )
+        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(
+            estimator._kernel_times(kernel, v), _kernel_values(kernel, order) @ v, 1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        factor=st.integers(1, 4),
+        order=st.integers(1, 70),
+        log_gamma=st.floats(-2.0, 1.0),
+        correlation=st.floats(-0.9, 0.999),
+        resonant=st.booleans(),
+    )
+    def test_regularized_fir_matches_dense_dual(self, seed, factor, order, log_gamma, correlation, resonant):
+        rng = np.random.default_rng(seed)
+        u = FastSignal(samples=rng.normal(size=max(order, 40)), period=0.1)
+        phi = build_regressor(u, factor, order)
+        y = rng.normal(size=phi.output_length)
+        kernel = DiagonalCorrelated(scale=0.8, decay=0.95, correlation=correlation)
+        if resonant:
+            kernel = KernelSum(terms=(kernel, ResonantPole(decay=0.9, frequency=1.1)))
+        gamma = 10.0**log_gamma
+        theta = regularized_fir(
+            RegularizedProblem(
+                phi=phi, y_l=SlowSignal(samples=y, period=0.1 * factor, factor=factor),
+                kernel=kernel, gamma=gamma,
+            )
+        ).theta
+        k = _kernel_values(kernel, order)
+        g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
+        expected = k @ phi.entries.T @ np.linalg.solve(g, y)
+        assert np.linalg.norm(theta - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestPrimalCheck:
@@ -367,6 +470,114 @@ class TestOptimizeHyperparameters:
             problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30
         )
         assert "gamma" not in result.values
+
+
+class TestTunerFastEvidence:
+    """Probes of a resonant term are scored by a rank-2 update on a cached
+    factorization of the other terms, and fall back to the full one."""
+
+    def trace_with_rank2_spy(self, monkeypatch, problem, template, eta0, gamma, budget):
+        rank2 = []
+        score = estimator._rank2_evidence
+
+        def spy(rest, w):
+            rank2.append(score(rest, w))
+            return rank2[-1]
+
+        monkeypatch.setattr(estimator, "_rank2_evidence", spy)
+        trace = []
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, template, eta0, gamma=gamma, budget=budget,
+            on_evaluation=lambda values, ml: trace.append((values, ml)),
+        )
+        return trace, rank2
+
+    def evidence(self, problem, template, values, gamma):
+        spec = apply_hyperparameters(template, {k: v for k, v in values.items() if k != "gamma"})
+        return marginal_likelihood(problem.phi, problem.y_l, spec, values.get("gamma", gamma))
+
+    def well_conditioned(self):
+        problem = make_problem(27, n=150, factor=3, order=60)
+        template = KernelSum(
+            terms=(
+                DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5),
+                ResonantPole(decay=0.9, frequency=0.8),
+                ResonantPole(decay=0.85, frequency=2.0),
+            )
+        )
+        values = {
+            "gamma": 1e-2, "terms.0.scale": 1.0, "terms.1.frequency": 0.8,
+            "terms.1.sigma1": 1.0, "terms.2.decay": 0.85, "terms.2.sigma2": 1.0,
+        }
+        bounds = {name: default_bounds(name, value) for name, value in values.items()}
+        bounds["gamma"] = (1e-3, 1e1)
+        return problem, template, HyperparameterVector(values, bounds), 1e-2
+
+    def nearly_singular_rest(self):
+        # as unfactorizable_rest, but gamma=1e-12 lets the rest factorize
+        # with pivots near 1e-6: the rank-2 difference loses most digits there
+        problem = make_problem(3, n=60, factor=10, order=30)
+        template = KernelSum(
+            terms=tuple(ResonantPole(decay=0.9, frequency=w) for w in (0.5, 1.3, 2.4))
+        )
+        eta0 = HyperparameterVector({"terms.1.frequency": 1.3}, {"terms.1.frequency": (1.0, 1.6)})
+        return problem, template, eta0, 1e-12
+
+    @pytest.mark.parametrize("case, min_rank2", [("well_conditioned", 50), ("nearly_singular_rest", 0)])
+    def test_probes_match_marginal_likelihood(self, monkeypatch, case, min_rank2):
+        problem, template, eta0, gamma = getattr(self, case)()
+        trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 150)
+        assert len(rank2) > 50
+        assert sum(math.isfinite(value) for value in rank2) >= min_rank2
+        for values, value in trace:
+            assert value == pytest.approx(self.evidence(problem, template, values, gamma), rel=1e-9)
+        # the accepted point is scored by the full factorization, as
+        # marginal_likelihood scores it, so "never worse" holds bit for bit
+        best, best_value = trace[-1]
+        assert best_value == self.evidence(problem, template, best, gamma)
+
+    def overflowing_update(self):
+        # the huge DC scale keeps the rest's factor large, so W stays small
+        # after the triangular solve while W W' already overflows
+        problem = make_problem(27, n=150, factor=3, order=60)
+        template = KernelSum(
+            terms=(
+                DiagonalCorrelated(scale=1e290, decay=0.9, correlation=0.5),
+                ResonantPole(decay=0.9, frequency=0.8),
+            )
+        )
+        eta0 = HyperparameterVector({"terms.1.sigma1": 1.0}, {"terms.1.sigma1": (1.0, 1e240)})
+        return problem, template, eta0, 1e-2, True
+
+    def unfactorizable_rest(self):
+        # M=6: the three rank-2 terms make the Gram nonsingular, any two do
+        # not, so at gamma=1e-300 the rest of each term cannot be factorized;
+        # the grid's lower end makes terms 0 and 1 coincide
+        problem = make_problem(3, n=60, factor=10, order=30)
+        template = KernelSum(
+            terms=tuple(ResonantPole(decay=0.9, frequency=w) for w in (0.5, 1.3, 2.4))
+        )
+        eta0 = HyperparameterVector({"terms.1.frequency": 1.3}, {"terms.1.frequency": (0.5, 2.9)})
+        return problem, template, eta0, 1e-300, False
+
+    @pytest.mark.parametrize("case", ["overflowing_update", "unfactorizable_rest"])
+    def test_inf_exactly_where_marginal_likelihood_raises(self, monkeypatch, case):
+        problem, template, eta0, gamma, rank2_used = getattr(self, case)()
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 40)
+            raised = []
+            for values, value in trace:
+                try:
+                    expected = self.evidence(problem, template, values, gamma)
+                except NumericalError:
+                    expected = None
+                raised.append(expected is None)
+                if expected is None:
+                    assert value == math.inf
+                else:
+                    assert value == pytest.approx(expected, rel=1e-9)
+        assert any(raised) and not all(raised)
+        assert any(math.isfinite(value) for value in rank2) == rank2_used
 
 
 class TestApplyHyperparameters:
