@@ -17,6 +17,7 @@ from .estimator import (
     HyperparameterVector,
     RegularizedProblem,
     apply_hyperparameters,
+    fit_with_evidence,
     goodness_of_fit,
     load_model,
     marginal_likelihood,

@@ -31,18 +31,17 @@ from .estimator import (
     RegularizedProblem,
     apply_hyperparameters,
     default_bounds,
+    fit_with_evidence,
     goodness_of_fit,
     load_model,
-    marginal_likelihood,
     optimize_hyperparameters,
     predict_fast_output,
-    regularized_fir,
     save_model,
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
 from .signals import FastSignal, FirModel, SlowSignal, downsample, fir_frf, read_signal_csv
-from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
+from .sim import _integer, monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -72,14 +71,21 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
+def _integer_setting(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` >= ``minimum``; bools and non-integral numbers
+    are config errors, never truncated."""
+    try:
+        return _integer(name, value, minimum)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _sampling(config: dict) -> tuple[float, int]:
     sampling = _require(config, "sampling", "config")
     period = float(_require(sampling, "period_s", "sampling"))
-    factor = int(_require(sampling, "factor", "sampling"))
+    factor = _integer_setting("sampling.factor", _require(sampling, "factor", "sampling"), 1)
     if not period > 0:
         raise ConfigError(f"sampling.period_s must be positive, got {period}")
-    if factor < 1:
-        raise ConfigError(f"sampling.factor must be >= 1, got {factor}")
     return period, factor
 
 
@@ -148,9 +154,7 @@ def _write_theta_csv(model: FirModel, path: Path) -> None:
 
 def _frf_grid(config: dict, period: float) -> np.ndarray:
     frf = config.get("frf", {})
-    points = int(frf.get("points", 1000))
-    if points < 2:
-        raise ConfigError(f"frf.points must be >= 2, got {points}")
+    points = _integer_setting("frf.points", frf.get("points", 1000), 2)
     omega_min = float(frf.get("omega_min", 0.0))
     omega_max = float(frf.get("omega_max") or (math.pi / period))
     if not 0 <= omega_min < omega_max:
@@ -162,7 +166,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
     plan = _estimator_plan(config)
     u, y_l = _read_data(config, period, factor)
-    order = int(_require(config, "order", "config"))
+    order = _integer_setting("order", _require(config, "order", "config"), 1)
     phi = build_regressor(u, factor, order, len(y_l))
     omegas = _frf_grid(config, period)
 
@@ -173,8 +177,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
             ml_value = float("nan")
         else:
             problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
-            model = regularized_fir(problem)
-            ml_value = marginal_likelihood(phi, y_l, kernel, gamma)
+            model, ml_value = fit_with_evidence(problem)
         predicted = downsample(predict_fast_output(model, u), factor)
         residual = y_l.samples - predicted.samples[: len(y_l)]
         report = FitReport(
@@ -217,7 +220,7 @@ def cmd_simulate_mc(config: dict, out_dir: Path, threads: int) -> int:
         mc_obj.setdefault("period_s", period)
         mc_obj.setdefault("factor", factor)
     if "seed" in config:
-        mc_obj.setdefault("base_seed", int(config["seed"]))
+        mc_obj.setdefault("base_seed", config["seed"])
     try:
         mc_config = monte_carlo_config_from_json(mc_obj)
     except (ValueError, TypeError, KeyError) as exc:
@@ -247,7 +250,7 @@ def cmd_frf(config: dict, out_dir: Path) -> int:
 def cmd_tune(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
     u, y_l = _read_data(config, period, factor)
-    order = int(_require(config, "order", "config"))
+    order = _integer_setting("order", _require(config, "order", "config"), 1)
     phi = build_regressor(u, factor, order, len(y_l))
 
     tune = _require(config, "tune", "config")
@@ -259,7 +262,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     gamma = float(config.get("gamma", 1e-5))
     if not gamma > 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
-    budget = int(tune.get("budget", 100))
+    budget = _integer_setting("tune.budget", tune.get("budget", 100), 1)
 
     init = {str(k): float(v) for k, v in _require(tune, "init", "tune").items()}
     omega_max = min(math.pi * factor, 2.0 * math.pi)

@@ -36,6 +36,7 @@ __all__ = [
     "RegularizedProblem",
     "HyperparameterVector",
     "FitReport",
+    "fit_with_evidence",
     "regularized_fir",
     "marginal_likelihood",
     "optimize_hyperparameters",
@@ -231,19 +232,18 @@ def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
     return lower
 
 
-def regularized_fir(problem: RegularizedProblem) -> FirModel:
-    """Solve ``theta = K Phi' (Phi K Phi' + gamma I)^{-1} y_l``.
+def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
+    """The regularized model and its evidence from one Gram and one Cholesky factor.
 
-    Defined for every order ``P`` in ``[1, N]`` and any input, including
-    ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
-    Cholesky factorization plus iterative refinement so the linear-system
-    residual stays near machine precision even for tiny ``gamma``.  The Gram
-    and ``K Phi' z`` come from the kernel terms' factors (:func:`_term_gram`).
+    Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
+    return, bit for bit, for one factorization instead of two: the evidence
+    reuses the factor of ``Phi K Phi' + gamma I`` that the solve needs.
     """
     phi = problem.phi.entries
     y = problem.y_l.samples
     shifted = _output_gram(phi, problem.kernel)
-    factor = (_shifted_cholesky(shifted, problem.gamma), True)
+    lower = _shifted_cholesky(shifted, problem.gamma)
+    factor = (lower, True)
     z = scipy.linalg.cho_solve(factor, y)
     # refinement recovers accuracy lost to the O(1/gamma) conditioning
     y_norm = float(np.linalg.norm(y))
@@ -253,7 +253,21 @@ def regularized_fir(problem: RegularizedProblem) -> FirModel:
             break
         z = z + scipy.linalg.cho_solve(factor, residual)
     theta = _kernel_times(problem.kernel, phi.T @ z)
-    return FirModel(theta=theta, period=problem.y_l.fast_period)
+    return FirModel(theta=theta, period=problem.y_l.fast_period), _evidence_from_factor(lower, y)
+
+
+def regularized_fir(problem: RegularizedProblem) -> FirModel:
+    """Solve ``theta = K Phi' (Phi K Phi' + gamma I)^{-1} y_l``.
+
+    Defined for every order ``P`` in ``[1, N]`` and any input, including
+    ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
+    Cholesky factorization plus iterative refinement so the linear-system
+    residual stays near machine precision even for tiny ``gamma``.  The Gram
+    and ``K Phi' z`` come from the kernel terms' factors (:func:`_term_gram`).
+    A caller that also needs the evidence gets both from one factorization
+    with :func:`fit_with_evidence`.
+    """
+    return fit_with_evidence(problem)[0]
 
 
 def marginal_likelihood(
@@ -268,6 +282,8 @@ def marginal_likelihood(
     quadratic form via a triangular solve and the log-determinant as twice the
     sum of the log-diagonal.  The ``gamma I`` shift is included inside the
     log-determinant so the objective stays finite for rank-deficient kernels.
+    A caller that also needs the model gets both from one factorization with
+    :func:`fit_with_evidence`.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -276,7 +292,11 @@ def marginal_likelihood(
 
 def _evidence_from_gram(gram: np.ndarray, y: np.ndarray, gamma: float) -> float:
     """Evidence at ``gram + gamma I``; shifts ``gram`` in place."""
-    lower = _shifted_cholesky(gram, gamma)
+    return _evidence_from_factor(_shifted_cholesky(gram, gamma), y)
+
+
+def _evidence_from_factor(lower: np.ndarray, y: np.ndarray) -> float:
+    """``w'w + 2 sum log diag L`` with ``w = L^{-1} y``, for the lower factor ``L``."""
     w = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
     return float(w @ w + 2.0 * np.sum(np.log(np.diagonal(lower))))
 

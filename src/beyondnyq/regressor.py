@@ -8,8 +8,11 @@ decimated model output: row ``m`` holds the input samples
 
 A unique unregularized fit needs ``Phi`` to have full column rank, which fails
 whenever the model order reaches the number of output samples (``P >= M``) and
-for zero-order-hold inputs with ``P > 2`` (repeated columns).  Both conditions
-are surfaced by :func:`identifiability_check` before any solve is attempted.
+for zero-order-hold inputs with ``P > 2`` (repeated columns).
+:func:`identifiability_check` reports both from the singular values of
+``Phi``.  :func:`least_squares_fir` applies the same rank rule to the
+triangular factor of the one QR decomposition it solves with (``Phi`` and
+``R`` have the same singular values), and at ``P >= M`` it solves nothing.
 """
 
 from __future__ import annotations
@@ -109,15 +112,14 @@ def build_regressor(
     return RegressorMatrix(entries=entries, factor=factor, order=order)
 
 
-def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
-    """Numerical-rank report for ``Phi`` with the order/length rule applied.
+def _rank_report(singular_values: np.ndarray, m: int, p: int) -> IdentifiabilityReport:
+    """The verdict for an M x P ``Phi`` with these singular values.
 
     Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
     """
-    m, p = phi.entries.shape
-    sigma = scipy.linalg.svdvals(phi.entries)
-    tol = max(m, p) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
-    rank = int(np.count_nonzero(sigma > tol))
+    sigma_max = singular_values[0] if singular_values.size else 0.0
+    tol = max(m, p) * np.finfo(float).eps * sigma_max
+    rank = int(np.count_nonzero(singular_values > tol))
     null_dimension = p - rank
     if p >= m:
         reason = NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
@@ -133,11 +135,23 @@ def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
     )
 
 
+def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
+    """Numerical-rank report for ``Phi`` with the order/length rule applied.
+
+    Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
+    """
+    m, p = phi.entries.shape
+    return _rank_report(scipy.linalg.svdvals(phi.entries), m, p)
+
+
 def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
-    """Unique minimizer of ``||y_l - Phi theta||^2``, solved by thin QR.
+    """Unique minimizer of ``||y_l - Phi theta||^2``, solved by one QR decomposition.
 
     Raises :class:`NonUniqueModelError` (with the identifiability report)
     whenever the minimizer is not unique, including every ``P >= M`` instance.
+    For ``P < M`` one Householder QR, which never forms ``Q``, gives ``R``
+    and ``Q'y``: the rank test of :func:`identifiability_check` runs on the
+    singular values of ``R``, and ``theta`` solves ``R theta = Q'y``.
     """
     if len(y_l) != phi.output_length:
         raise ValueError(
@@ -147,13 +161,17 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
         raise ValueError(
             f"output downsampling factor {y_l.factor} does not match the regressor's {phi.factor}"
         )
-    report = identifiability_check(phi)
+    m, p = phi.entries.shape
+    if p >= m:
+        report = identifiability_check(phi)
+    else:
+        qty, r = scipy.linalg.qr_multiply(phi.entries, y_l.samples, mode="right")
+        report = _rank_report(scipy.linalg.svdvals(r), m, p)
     if not report.unique:
         raise NonUniqueModelError(
             f"no unique FIR model of order {phi.order} from {phi.output_length} "
             f"output samples ({report.reason.value})",
             report,
         )
-    q, r = np.linalg.qr(phi.entries)
-    theta = scipy.linalg.solve_triangular(r, q.T @ y_l.samples)
+    theta = scipy.linalg.solve_triangular(r, qty)
     return FirModel(theta=theta, period=y_l.fast_period)

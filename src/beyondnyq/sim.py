@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_threaded_blas
+from .errors import NonUniqueModelError
 from .estimator import (
     HyperparameterVector,
     RegularizedProblem,
@@ -46,8 +47,8 @@ from .kernels import (
     kernel_spec_from_json,
     kernel_spec_to_json,
 )
-from .regressor import RegressorMatrix, build_regressor, identifiability_check, least_squares_fir
-from .signals import FastSignal, FrfSample, downsample, random_multisine, random_noise
+from .regressor import RegressorMatrix, build_regressor, least_squares_fir
+from .signals import FastSignal, FirModel, FrfSample, SlowSignal, downsample, random_multisine, random_noise
 
 __all__ = [
     "ContinuousPlant",
@@ -240,6 +241,10 @@ class MonteCarloConfig:
         for name in ("runs", "factor", "n_samples", "tune_budget"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, 0))
+        if self.band is not None:
+            if len(self.band) != 2:
+                raise ValueError(f"band must be a pair of DFT bins, got {self.band}")
+            object.__setattr__(self, "band", tuple(_integer("band", k, 1) for k in self.band))
         if not self.orders:
             raise ValueError("orders must be non-empty")
         orders = tuple(_integer("orders", p, 1) for p in self.orders)
@@ -357,6 +362,17 @@ def _tuned_parameters(config, estimator, phi, y_l) -> tuple[KernelSpec, float]:
     return spec, gamma
 
 
+def _unique_least_squares(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
+    """The LS model, or None where it is not unique.  At ``P >= M`` it never
+    is, whatever the rank, so no decomposition runs there."""
+    if phi.order >= phi.output_length:
+        return None
+    try:
+        return least_squares_fir(phi, y_l)
+    except NonUniqueModelError:
+        return None
+
+
 def _execute_run(config: MonteCarloConfig, run: int) -> list[RunRecord]:
     streams = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(run,)).generate_state(5)
     rng_plant = np.random.Generator(np.random.PCG64(int(streams[0])))
@@ -401,12 +417,12 @@ def _execute_run(config: MonteCarloConfig, run: int) -> list[RunRecord]:
         )
         for estimator in config.estimators:
             if estimator == "ls":
-                if not identifiability_check(phi).unique:
+                model = _unique_least_squares(phi, y_l)
+                if model is None:
                     records.append(
                         RunRecord(run, int(streams[0]), estimator, order, "non_unique", None, snr, plant_params)
                     )
                     continue
-                model = least_squares_fir(phi, y_l)
             else:
                 spec, gamma = fitted[estimator]
                 model = regularized_fir(
@@ -529,7 +545,7 @@ def monte_carlo_config_from_json(obj: dict) -> MonteCarloConfig:
     if "snr_range" in obj:
         kwargs["snr_range"] = (float(obj["snr_range"][0]), float(obj["snr_range"][1]))
     if "band" in obj and obj["band"] is not None:
-        kwargs["band"] = (int(obj["band"][0]), int(obj["band"][1]))
+        kwargs["band"] = tuple(obj["band"])
     if "estimators" in obj:
         kwargs["estimators"] = tuple(obj["estimators"])
     if "dc_kernel" in obj:

@@ -1,10 +1,14 @@
-"""Tests for the command line: NB_THREADS and Monte Carlo config errors."""
+"""Tests for the command line: NB_THREADS and config errors."""
 
 import json
 
+import numpy as np
 import pytest
 
+from beyondnyq import estimator
 from beyondnyq.cli import EXIT_CONFIG, EXIT_OK, main
+from beyondnyq.estimator import save_model
+from beyondnyq.signals import FastSignal, FirModel, random_noise, write_signal_csv
 
 TINY_MC = {"runs": 2, "n_samples": 90, "orders": [10, 30], "tune": True, "tune_budget": 60}
 
@@ -57,3 +61,93 @@ def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
     assert code == EXIT_CONFIG
     assert next(iter(settings)) in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+def identify_config(tmp_path):
+    """A small identify/tune config whose data files exist (N=90, F=3, M=30)."""
+    u = random_noise(90, 0.1, 1.0, seed=5)
+    y = FastSignal(samples=np.convolve(u.samples, 0.8 ** np.arange(12))[:90][::3], period=0.3)
+    write_signal_csv(u, tmp_path / "u.csv")
+    write_signal_csv(y, tmp_path / "y.csv")
+    return {
+        "sampling": {"period_s": 0.1, "factor": 3},
+        "data": {"input_csv": str(tmp_path / "u.csv"), "output_csv": str(tmp_path / "y.csv")},
+        "order": 12,
+        "estimators": ["ls", "dc"],
+        "kernels": {"dc": {"type": "dc", "scale": 1.0, "decay": 0.9, "correlation": 0.5}},
+        "frf": {"points": 20},
+        "tune": {"estimator": "dc", "init": {"decay": 0.9}, "budget": 5},
+    }
+
+
+def frf_config(tmp_path):
+    save_model(FirModel(theta=np.array([1.0, 0.5]), period=0.1), tmp_path / "model.json")
+    return {"model_json": str(tmp_path / "model.json"), "frf": {"points": 20}}
+
+
+def mc_config(tmp_path):
+    return {"seed": 3, "monte_carlo": dict(TINY_MC)}
+
+
+def mc_sampling_config(tmp_path):
+    return {**mc_config(tmp_path), "sampling": {"period_s": 0.1, "factor": 3}}
+
+
+@pytest.mark.parametrize(
+    "command, make_config, path, value",
+    [
+        ("simulate-mc", mc_config, ("seed",), 2.5),
+        ("simulate-mc", mc_sampling_config, ("sampling", "factor"), 2.5),
+        ("simulate-mc", mc_sampling_config, ("sampling", "factor"), True),
+        ("simulate-mc", mc_config, ("monte_carlo", "band"), [1.5, 10]),
+        ("identify", identify_config, ("order",), 10.5),
+        ("identify", identify_config, ("frf", "points"), 20.5),
+        ("tune", identify_config, ("order",), True),
+        ("tune", identify_config, ("tune", "budget"), 5.5),
+        ("frf", frf_config, ("frf", "points"), 30.5),
+    ],
+    ids=[
+        "seed-float", "factor-float", "factor-bool", "band-float", "identify-order-float",
+        "points-float", "tune-order-bool", "budget-float", "frf-points-float",
+    ],
+)
+def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make_config, path, value):
+    """Each integer setting is checked, never truncated (2.5 used to run as 2)."""
+    config = make_config(tmp_path)
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert path[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, make_config", [("identify", identify_config), ("tune", identify_config), ("frf", frf_config)]
+)
+def test_integer_settings_accepted(tmp_path, command, make_config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(make_config(tmp_path)))
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
+    """The model and its evidence come from one Gram and one Cholesky factor."""
+    calls = {"_output_gram": 0, "_shifted_cholesky": 0}
+    for name in calls:
+        original = getattr(estimator, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(estimator, name, counted)
+    config = identify_config(tmp_path)
+    config["estimators"] = ["dc"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == {"_output_gram": 1, "_shifted_cholesky": 1}

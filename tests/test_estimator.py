@@ -18,6 +18,7 @@ from beyondnyq.estimator import (
     RegularizedProblem,
     apply_hyperparameters,
     default_bounds,
+    fit_with_evidence,
     goodness_of_fit,
     load_model,
     marginal_likelihood,
@@ -223,6 +224,35 @@ class TestFactoredGram:
         assert np.linalg.norm(theta - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
+class TestFitWithEvidence:
+    """One factorization gives what regularized_fir and marginal_likelihood
+    give from a factorization each, bit for bit."""
+
+    @pytest.mark.parametrize("order", [12, 45], ids=["P<M", "P>M"])  # M = 30
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4),
+            KernelSum(
+                terms=(
+                    DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4),
+                    ResonantPole(decay=0.9, frequency=0.7),
+                    ResonantPole(decay=0.85, frequency=2.1, sigma1=0.6, sigma2=1.3),
+                )
+            ),
+        ],
+        ids=["dc", "sum"],
+    )
+    def test_matches_separate_calls(self, kernel, order):
+        problem = make_problem(31, n=90, factor=3, order=order, kernel=kernel)
+        assert problem.phi.output_length == 30
+        model, evidence = fit_with_evidence(problem)
+        separate = regularized_fir(problem)
+        assert np.array_equal(model.theta, separate.theta)
+        assert model.period == separate.period
+        assert evidence == marginal_likelihood(problem.phi, problem.y_l, problem.kernel, problem.gamma)
+
+
 class TestPrimalCheck:
     def test_matches_dual_form(self):
         for seed in range(10):
@@ -324,8 +354,8 @@ class TestNonFiniteGram:
 
     @pytest.mark.parametrize(
         "fit",
-        [lambda p: marginal_likelihood(p.phi, p.y_l, p.kernel, p.gamma), regularized_fir],
-        ids=["marginal_likelihood", "regularized_fir"],
+        [lambda p: marginal_likelihood(p.phi, p.y_l, p.kernel, p.gamma), regularized_fir, fit_with_evidence],
+        ids=["marginal_likelihood", "regularized_fir", "fit_with_evidence"],
     )
     def test_raises_numerical_error(self, fit):
         kernel = DiagonalCorrelated(scale=1e308, decay=0.9, correlation=0.3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beyondnyq.errors import NonUniqueModelError
 from beyondnyq.regressor import (
@@ -23,6 +25,17 @@ def decimated_convolution(u, theta, factor, output_length):
 def zoh_input(levels, factor, period):
     """Fast-rate signal holding each slow-rate level for ``factor`` samples."""
     return FastSignal(samples=np.repeat(np.asarray(levels, dtype=float), factor), period=period)
+
+
+def ls_tolerance(a, y, theta):
+    """1e-10 relative, or the first-order perturbation bound of least squares
+    where the problem is too ill-conditioned for that (Golub & Van Loan,
+    *Matrix Computations*, section 5.3): two backward-stable solvers can then
+    differ by about ``eps * cond * (1 + cond * ||r|| / (||A|| ||theta||))``."""
+    cond = np.linalg.cond(a)
+    residual = np.linalg.norm(y - a @ theta)
+    bound = np.finfo(float).eps * cond * (1.0 + cond * residual / (np.linalg.norm(a, 2) * np.linalg.norm(theta)))
+    return max(1e-10, bound)
 
 
 class TestBuildRegressor:
@@ -191,6 +204,40 @@ class TestLeastSquaresFir:
         y = SlowSignal(samples=np.zeros(phi.output_length), period=0.3, factor=3)
         with pytest.raises(NonUniqueModelError):
             least_squares_fir(phi, y)
+
+
+class TestLeastSquaresAgreesWithCheck:
+    """least_squares_fir runs its rank test on R from its own QR; the verdict
+    must be identifiability_check's, which runs on the singular values of Phi."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        factor=st.integers(1, 4),
+        blocks=st.integers(2, 40),
+        zoh=st.booleans(),
+        order_share=st.floats(0.0, 1.0),
+    )
+    def test_raises_exactly_when_not_unique(self, seed, factor, blocks, zoh, order_share):
+        rng = np.random.default_rng(seed)
+        if zoh:
+            u = zoh_input(rng.normal(size=blocks), factor, 0.1)
+        else:
+            u = FastSignal(samples=rng.normal(size=blocks * factor), period=0.1)
+        # orders from 1 to N, so on both sides of M = blocks
+        order = 1 + round(order_share * (len(u) - 1))
+        phi = build_regressor(u, factor, order)
+        y = SlowSignal(samples=rng.normal(size=phi.output_length), period=0.1 * factor, factor=factor)
+        report = identifiability_check(phi)
+        if not report.unique:
+            with pytest.raises(NonUniqueModelError) as excinfo:
+                least_squares_fir(phi, y)
+            assert excinfo.value.report == report
+            return
+        theta = least_squares_fir(phi, y).theta
+        expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
+        tolerance = ls_tolerance(phi.entries, y.samples, expected)
+        assert np.linalg.norm(theta - expected) <= tolerance * np.linalg.norm(expected)
 
 
 class TestRegressorMatrixType:
