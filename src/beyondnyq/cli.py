@@ -40,8 +40,8 @@ from .estimator import (
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
-from .signals import FastSignal, FirModel, SlowSignal, downsample, fir_frf, read_signal_csv
-from .sim import _integer, monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
+from .signals import FastSignal, FirModel, SlowSignal, _integer, downsample, fir_frf, read_signal_csv
+from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -230,7 +230,8 @@ def cmd_simulate_mc(config: dict, out_dir: Path, threads: int) -> int:
     write_summary_csv(result, out_dir / "summary.csv")
     if result.errors:
         for error in result.errors:
-            print(f"run {error.run} failed: {error.message}", file=sys.stderr)
+            details = f" diagnostics={error.diagnostics}" if error.diagnostics else ""
+            print(f"run {error.run} failed: {error.error_type}: {error.message}{details}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -11,6 +11,7 @@ convention ``X(k) = sum_t x(t) exp(-j 2 pi k t / N)``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,15 @@ __all__ = [
     "read_signal_csv",
     "write_signal_csv",
 ]
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; bools and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -165,13 +175,18 @@ def random_multisine(
     """Random-phase multisine with a flat amplitude spectrum on ``band``.
 
     The signal is a sum of equal-amplitude cosines on the DFT bins
-    ``band[0] .. band[1]`` (inclusive), each with an independent uniform phase
-    in ``[0, 2 pi)``, rescaled so the sample RMS equals ``rms`` exactly.
-    Bin ``k`` sits at angular frequency ``2 pi k / (N * period)``.
+    ``band[0] .. band[1]`` (inclusive, integers), each with an independent
+    uniform phase in ``[0, 2 pi)``, rescaled so the sample RMS equals ``rms``
+    exactly.  Bin ``k`` sits at angular frequency ``2 pi k / (N * period)``.
 
     If the band includes the Nyquist bin ``N/2`` (even ``N``), that component
     gets a random sign instead of a continuous phase, since only the cosine
     part survives sampling there.
+
+    The sum is one inverse real DFT of the spectrum ``(N/2) e^{j phi_k}`` on
+    the band (``+-N`` at the Nyquist bin), O(N log N) time and O(N) memory
+    (Pintelon & Schoukens, *System Identification: A Frequency Domain
+    Approach*, 2nd ed., 2012).
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -179,20 +194,19 @@ def random_multisine(
         raise ValueError(f"rms must be positive, got {rms}")
     if band is None:
         band = full_band(n_samples)
-    lo, hi = int(band[0]), int(band[1])
+    lo, hi = (_integer("band", k, 1) for k in band)
     if lo > hi:
         raise ValueError(f"empty excitation band {band}")
-    if lo < 1 or hi > n_samples // 2:
+    if hi > n_samples // 2:
         raise ValueError(f"band {band} outside the admissible range [1, {n_samples // 2}]")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    bins = np.arange(lo, hi + 1)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=bins.size)
-    at_nyquist = (n_samples % 2 == 0) & (bins == n_samples // 2)
-    phases[at_nyquist] = np.where(rng.random(np.count_nonzero(at_nyquist)) < 0.5, 0.0, np.pi)
-
-    t = np.arange(n_samples)
-    x = np.cos(2.0 * np.pi * np.outer(bins, t) / n_samples + phases[:, None]).sum(axis=0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=hi - lo + 1)
+    spectrum = np.zeros(n_samples // 2 + 1, dtype=complex)
+    spectrum[lo : hi + 1] = (n_samples / 2.0) * np.exp(1j * phases)
+    if n_samples % 2 == 0 and hi == n_samples // 2:
+        spectrum[hi] = n_samples if rng.random() < 0.5 else -n_samples
+    x = np.fft.irfft(spectrum, n_samples)
     x *= rms / np.sqrt(np.mean(x**2))
     return FastSignal(samples=x, period=period)
 
@@ -212,10 +226,16 @@ def fir_frf(model: FirModel, omegas: Sequence[float]) -> list[FrfSample]:
 
     Valid at any frequency, including above the Nyquist frequency of a
     slow-rate output sampler; the response is ``2 pi / T_h``-periodic.
+
+    Horner's rule in ``z = exp(-j w T_h)`` over all ``K`` frequencies at once:
+    O(K P) time and O(K) memory for ``P`` coefficients.
     """
     w = np.asarray(omegas, dtype=float)
-    i = np.arange(model.order)
-    values = np.exp(-1j * np.outer(w, i) * model.period) @ model.theta
+    z = np.exp(-1j * w * model.period)
+    values = np.full(w.shape, model.theta[-1], dtype=complex)
+    for coefficient in model.theta[-2::-1]:
+        values *= z
+        values += coefficient
     return [FrfSample(float(wk), complex(vk)) for wk, vk in zip(w, values)]
 
 

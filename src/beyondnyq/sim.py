@@ -18,7 +18,6 @@ are bit-reproducible and runs can execute in parallel.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_threaded_blas
-from .errors import NonUniqueModelError
+from .errors import NonUniqueModelError, NumericalError
 from .estimator import (
     HyperparameterVector,
     RegularizedProblem,
@@ -48,7 +47,16 @@ from .kernels import (
     kernel_spec_to_json,
 )
 from .regressor import RegressorMatrix, build_regressor, least_squares_fir
-from .signals import FastSignal, FirModel, FrfSample, SlowSignal, downsample, random_multisine, random_noise
+from .signals import (
+    FastSignal,
+    FirModel,
+    FrfSample,
+    SlowSignal,
+    _integer,
+    downsample,
+    random_multisine,
+    random_noise,
+)
 
 __all__ = [
     "ContinuousPlant",
@@ -160,28 +168,69 @@ def zoh_discretize(plant: StateSpace, period: float) -> DiscretePlant:
     )
 
 
+_SIMULATION_BLOCK = 64
+
+
+def _doubled_powers(a: np.ndarray, b: np.ndarray, c: np.ndarray, count: int):
+    """``C A^k`` (rows) and ``A^k B`` (columns) for ``k < count``, and ``A^count``.
+
+    ``count`` is a power of two.  Each of the ``log2(count)`` doubling steps
+    extends both lists by one product with ``A^k`` and squares ``A^k``.
+    """
+    rows, columns, power = c.reshape(1, -1), b.reshape(-1, 1), a
+    while rows.shape[0] < count:
+        rows = np.vstack((rows, rows @ power))
+        columns = np.hstack((columns, power @ columns))
+        power = power @ power
+    return rows, columns, power
+
+
 def simulate(plant: DiscretePlant, u: FastSignal, x0: np.ndarray | None = None) -> FastSignal:
-    """State recursion ``x+ = Ax + Bu``, ``y = Cx + Du`` from ``x0`` (default zero)."""
+    """State recursion ``x+ = Ax + Bu``, ``y = Cx + Du`` from ``x0`` (default zero).
+
+    Runs as a convolution with the impulse response in blocks of ``L = 64``
+    samples: inside a block the output is the block's input times the lower
+    triangular Toeplitz matrix of ``D, CB, CAB, ...`` plus the free response
+    ``C A^k x`` of the state at the block's start, and the state carries into
+    the next block through ``A^L``.  The powers come from ``log2 L`` doublings
+    of the ``n x n`` matrix ``A``.  O(N (L + n)) time and O(N + L^2) memory for
+    ``N`` samples; the Python loop runs once per block.
+    """
     n = plant.A.shape[0]
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    a, b = plant.A, plant.B[:, 0]
-    c, d = plant.C[0, :], plant.D[0, 0]
-    y = np.empty(len(u))
-    for t, ut in enumerate(u.samples):
-        y[t] = c @ x + d * ut
-        x = a @ x + b * ut
-    return FastSignal(samples=y, period=u.period)
+    samples, width = len(u), _SIMULATION_BLOCK
+    free, forced, carry = _doubled_powers(plant.A, plant.B[:, 0], plant.C[0, :], width)
+    # impulse[k] = D for k = 0, C A^(k-1) B after it
+    impulse = np.concatenate(([plant.D[0, 0]], free[:-1] @ plant.B[:, 0]))
+    lags = np.subtract.outer(np.arange(width), np.arange(width))
+    toeplitz = np.where(lags >= 0, impulse[np.abs(lags)], 0.0)
+    blocks = -(-samples // width)
+    inputs = np.zeros(blocks * width)
+    inputs[:samples] = u.samples
+    inputs = inputs.reshape(blocks, width)
+    # state increment of a block: sum_j A^(L-1-j) B u_j
+    increments = inputs @ forced[:, ::-1].T
+    states = np.empty((blocks, n))
+    for block in range(blocks):
+        states[block] = x
+        x = carry @ x + increments[block]
+    y = inputs @ toeplitz.T + states @ free.T
+    return FastSignal(samples=y.reshape(-1)[:samples], period=u.period)
 
 
 def plant_frf(plant: DiscretePlant, omegas: Sequence[float]) -> list[FrfSample]:
-    """``C (e^{jwT} I - A)^{-1} B + D`` at each angular frequency ``w``."""
-    eye = np.eye(plant.A.shape[0])
-    out = []
-    for omega in np.asarray(omegas, dtype=float):
-        z = np.exp(1j * omega * plant.period)
-        resolvent = np.linalg.solve(z * eye - plant.A, plant.B)
-        out.append(FrfSample(float(omega), complex((plant.C @ resolvent)[0, 0] + plant.D[0, 0])))
-    return out
+    """``C (e^{jwT} I - A)^{-1} B + D`` at each angular frequency ``w``.
+
+    One batched solve over the stacked ``e^{jwT} I - A``: O(K n^3) time and
+    O(K n^2) memory for ``K`` frequencies and ``n`` states.
+    """
+    w = np.asarray(omegas, dtype=float)
+    z = np.exp(1j * w * plant.period)
+    n = plant.A.shape[0]
+    shifted = z[:, None, None] * np.eye(n) - plant.A
+    resolvents = np.linalg.solve(shifted, np.broadcast_to(plant.B, (w.size, *plant.B.shape)))
+    values = (plant.C @ resolvents)[:, 0, 0] + plant.D[0, 0]
+    return [FrfSample(float(wk), complex(vk)) for wk, vk in zip(w, values)]
 
 
 def default_dc_kernel(period: float) -> DiagonalCorrelated:
@@ -202,15 +251,6 @@ def default_pk_kernel(period: float) -> KernelSum:
             ResonantPole(decay=decay, frequency=2.0 * math.pi * 2.0 * period),
         )
     )
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int``; bools and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -244,7 +284,10 @@ class MonteCarloConfig:
         if self.band is not None:
             if len(self.band) != 2:
                 raise ValueError(f"band must be a pair of DFT bins, got {self.band}")
-            object.__setattr__(self, "band", tuple(_integer("band", k, 1) for k in self.band))
+            lo, hi = (_integer("band", k, 1) for k in self.band)
+            if not lo <= hi <= self.n_samples // 2:
+                raise ValueError(f"band {self.band} must satisfy 1 <= lo <= hi <= {self.n_samples // 2}")
+            object.__setattr__(self, "band", (lo, hi))
         if not self.orders:
             raise ValueError("orders must be non-empty")
         orders = tuple(_integer("orders", p, 1) for p in self.orders)
@@ -283,8 +326,13 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class RunError:
+    """A run that raised: the exception's type name, its message and, for a
+    :class:`NumericalError`, its ``diagnostics`` (empty for other types)."""
+
     run: int
     message: str
+    error_type: str = ""
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -475,7 +523,8 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
         try:
             return _execute_run(config, run)
         except Exception as exc:  # noqa: BLE001 - reported per run, never silent
-            return RunError(run=run, message=f"{type(exc).__name__}: {exc}")
+            diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
+            return RunError(run, str(exc), type(exc).__name__, diagnostics)
 
     with single_threaded_blas():
         if max_workers <= 1:

@@ -1,12 +1,18 @@
-"""Tests for the command line: NB_THREADS and config errors."""
+"""Tests for the command line: NB_THREADS, config errors, failed runs and import cost."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beyondnyq import estimator
-from beyondnyq.cli import EXIT_CONFIG, EXIT_OK, main
+import beyondnyq
+from beyondnyq import estimator, sim
+from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from beyondnyq.errors import NumericalError
 from beyondnyq.estimator import save_model
 from beyondnyq.signals import FastSignal, FirModel, random_noise, write_signal_csv
 
@@ -50,10 +56,13 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"orders": [True, 30]},
         {"base_seed": 2.5},
         {"base_seed": -1},
+        {"band": [5, 400]},
+        {"band": [10, 5]},
     ],
     ids=[
         "runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero",
         "orders-float", "orders-bool", "base_seed-float", "base_seed-negative",
+        "band-above-nyquist", "band-empty",
     ],
 )
 def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
@@ -61,6 +70,26 @@ def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
     assert code == EXIT_CONFIG
     assert next(iter(settings)) in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+def test_failed_run_reports_type_and_diagnostics(tmp_path, monkeypatch, capsys):
+    def fail(problem):
+        raise NumericalError("no factor", {"gamma": 1e-5})
+
+    monkeypatch.setattr(sim, "regularized_fir", fail)
+    code, _ = simulate_mc(tmp_path, "failed", {"runs": 1, "n_samples": 90, "orders": [10], "estimators": ["dc"]})
+    assert code == EXIT_NUMERICAL
+    assert "run 0 failed: NumericalError: no factor diagnostics={'gamma': 1e-05}" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """``scipy.signal`` costs most of a second to import: the program must
+    not load it, so ``import beyondnyq.cli`` stays cheap."""
+    src = str(Path(beyondnyq.__file__).resolve().parents[1])
+    code = "import sys, beyondnyq.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def identify_config(tmp_path):

@@ -61,6 +61,24 @@ class TestBuildRegressor:
             oracle = decimated_convolution(u.samples, theta, 3, phi.output_length)
             np.testing.assert_allclose(phi.entries @ theta, oracle, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        factor=st.integers(1, 6),
+        order_share=st.floats(0.0, 1.0),
+    )
+    def test_product_is_decimated_convolution(self, seed, n, factor, order_share):
+        """``Phi @ theta`` is ``u * theta`` kept at every F-th sample, for any
+        N and F and for orders on both sides of M."""
+        rng = np.random.default_rng(seed)
+        u = FastSignal(samples=rng.normal(size=n), period=0.1)
+        order = 1 + round(order_share * (n - 1))
+        phi = build_regressor(u, factor, order)
+        theta = rng.normal(size=order)
+        expected = np.convolve(u.samples, theta)[::factor][: phi.output_length]
+        assert np.linalg.norm(phi.entries @ theta - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_default_output_length_matches_downsample(self):
         for n, factor in ((30, 3), (31, 3), (32, 3), (600, 3), (17, 5)):
             u = random_noise(n, 0.1, 1.0, seed=n)

@@ -20,6 +20,28 @@ from beyondnyq.signals import (
 )
 
 
+def table_multisine(n, band, rms, seed):
+    """Oracle: the random-phase multisine as a sum over a ``bins x N`` cosine
+    table, drawing the phases and the Nyquist sign like :func:`random_multisine`.
+    ``k t`` is reduced modulo ``N`` in integers first: the cosine is periodic
+    in it, and the unreduced argument (up to about ``2 pi N / 2``) would add
+    rounding of its own."""
+    lo, hi = band
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bins = np.arange(lo, hi + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=bins.size)
+    at_nyquist = (n % 2 == 0) & (bins == n // 2)
+    phases[at_nyquist] = np.where(rng.random(np.count_nonzero(at_nyquist)) < 0.5, 0.0, np.pi)
+    t = np.arange(n)
+    x = np.cos(2.0 * np.pi * (np.outer(bins, t) % n) / n + phases[:, None]).sum(axis=0)
+    return x * rms / np.sqrt(np.mean(x**2))
+
+
+def table_fir_frf(theta, period, omegas):
+    """Oracle: ``sum_i theta_i exp(-j w T i)`` through the K x P exponential table."""
+    return np.exp(-1j * np.outer(omegas, np.arange(len(theta))) * period) @ theta
+
+
 def naive_dft(x):
     """O(N^2) summation oracle: X(k) = sum_t x(t) exp(-2j pi k t / N)."""
     n = len(x)
@@ -115,6 +137,31 @@ class TestRandomMultisine:
         sig = random_multisine(600, 0.1, rms=2.5, seed=9)
         assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(2.5, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 64, 65, 600, 601, 5999, 6000])
+    @pytest.mark.parametrize("with_nyquist", [False, True])
+    def test_matches_cosine_table(self, n, with_nyquist):
+        """With the band reaching bin N // 2 an even N excites its Nyquist bin
+        (random sign); an odd N has none, and its two bands are the same."""
+        band = (1, n // 2) if with_nyquist else full_band(n)
+        for seed in (0, 5):
+            x = random_multisine(n, 0.1, band, rms=1.7, seed=seed).samples
+            expected = table_multisine(n, band, 1.7, seed)
+            assert np.sqrt(np.mean((x - expected) ** 2)) <= 1e-12 * 1.7
+
+    def test_nyquist_sign_is_drawn(self):
+        signs = {np.sign(random_multisine(8, 0.1, (4, 4), seed=seed).samples[0]) for seed in range(8)}
+        assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("band", [(1.5, 10.9), (1, 10.0), (True, 10), ("1", 10)])
+    def test_non_integral_band_rejected(self, band):
+        with pytest.raises(TypeError, match="band"):
+            random_multisine(64, 0.1, band=band, rms=1.0, seed=0)
+
+    def test_numpy_integer_band_accepted(self):
+        a = random_multisine(64, 0.1, band=(np.int64(2), np.int32(9)), seed=1)
+        b = random_multisine(64, 0.1, band=(2, 9), seed=1)
+        assert np.array_equal(a.samples, b.samples)
+
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
             random_multisine(64, 0.1, band=(5, 4), rms=1.0, seed=0)
@@ -171,6 +218,17 @@ class TestFirFrf:
         base = [s.value for s in fir_frf(model, omegas)]
         wrap = [s.value for s in fir_frf(model, shifted)]
         np.testing.assert_allclose(wrap, base, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 63, 1000])
+    def test_matches_exponential_table(self, order):
+        rng = np.random.default_rng(order)
+        theta = rng.normal(size=order) * 0.99 ** np.arange(order)
+        period = 0.1
+        # up to twice the fast Nyquist frequency, so past one period of the response
+        omegas = np.linspace(0.0, 2.0 * np.pi / period, 1000)
+        values = np.array([s.value for s in fir_frf(FirModel(theta=theta, period=period), omegas)])
+        expected = table_fir_frf(theta, period, omegas)
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_evaluable_beyond_slow_nyquist(self):
         model = FirModel(theta=[1.0, -0.5, 0.25], period=0.1)

@@ -10,12 +10,14 @@ import scipy.linalg
 import scipy.signal
 
 from beyondnyq import _blas, sim
-from beyondnyq.signals import random_multisine
+from beyondnyq.errors import NumericalError
+from beyondnyq.signals import FastSignal, random_multisine
 from beyondnyq.sim import (
     NOMINAL_PLANT,
     ContinuousPlant,
     MonteCarloConfig,
     build_plant,
+    plant_frf,
     run_monte_carlo,
     simulate,
     zoh_discretize,
@@ -49,6 +51,29 @@ def assert_close_relative(actual, expected, tolerance):
     assert np.linalg.norm(actual - expected) <= tolerance * np.linalg.norm(expected)
 
 
+def loop_simulate(plant, u, x0=None):
+    """Oracle: the state recursion, one sample per Python iteration."""
+    n = plant.A.shape[0]
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    a, b = plant.A, plant.B[:, 0]
+    c, d = plant.C[0, :], plant.D[0, 0]
+    y = np.empty(len(u))
+    for t, ut in enumerate(u.samples):
+        y[t] = c @ x + d * ut
+        x = a @ x + b * ut
+    return y
+
+
+def solve_plant_frf(plant, omegas):
+    """Oracle: one ``(zI - A) r = B`` solve per frequency."""
+    eye = np.eye(plant.A.shape[0])
+    values = []
+    for omega in omegas:
+        z = np.exp(1j * omega * plant.period)
+        values.append((plant.C @ np.linalg.solve(z * eye - plant.A, plant.B))[0, 0] + plant.D[0, 0])
+    return np.array(values)
+
+
 @pytest.mark.parametrize("output_mass", [1, 2])
 @pytest.mark.parametrize("period", [0.1, 0.37])
 def test_zoh_discretize_matches_cont2discrete(period, output_mass):
@@ -72,6 +97,52 @@ def test_simulate_matches_dlsim(initial_state):
     y = simulate(plant, u, initial_state)
     assert y.period == u.period
     assert_close_relative(y.samples, expected[:, 0], 1e-12)
+
+
+@pytest.mark.parametrize("initial_state", [None, [0.3, -1.0, 0.5, 2.0]])
+@pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 10_000])
+def test_simulate_matches_loop_and_dlsim(n_samples, initial_state):
+    """Block lengths 1, L - 1, L, L + 1 and many blocks (L = 64), so that the
+    state carries across block boundaries; a nonzero D and a plant whose
+    impulse response has not died out within a block."""
+    plant = zoh_discretize(build_plant(ContinuousPlant(m1=1.3, m2=0.8, k1=12.0, k2=90.0, d1=0.5, d2=0.07)), 0.1)
+    plant = sim.DiscretePlant(A=plant.A, B=plant.B, C=plant.C, D=np.array([[0.25]]), period=plant.period)
+    u = FastSignal(samples=np.random.default_rng(n_samples).normal(size=n_samples), period=0.1)
+    y = simulate(plant, u, initial_state).samples
+    _, expected, _ = scipy.signal.dlsim(
+        (plant.A, plant.B, plant.C, plant.D, plant.period), u.samples, x0=initial_state
+    )
+    assert_close_relative(y, loop_simulate(plant, u, initial_state), 1e-12)
+    assert_close_relative(y, expected[:, 0], 1e-12)
+
+
+def test_plant_frf_matches_per_frequency_solve():
+    plant = zoh_discretize(build_plant(NOMINAL_PLANT), 0.1)
+    # past the fast Nyquist frequency pi / T and through both resonances
+    omegas = np.linspace(0.0, 2.0 * np.pi / plant.period, 1000)
+    samples = plant_frf(plant, omegas)
+    assert [s.omega for s in samples] == omegas.tolist()
+    values = np.array([s.value for s in samples])
+    expected = solve_plant_frf(plant, omegas)
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "exc, diagnostics",
+    [(NumericalError("no factor", {"gamma": 1e-5, "condition_estimate": 3e17}), {"gamma": 1e-5, "condition_estimate": 3e17}),
+     (ValueError("no factor"), {})],
+    ids=["numerical", "other"],
+)
+def test_run_error_keeps_type_and_diagnostics(monkeypatch, exc, diagnostics):
+    def fail(problem):
+        raise exc
+
+    monkeypatch.setattr(sim, "regularized_fir", fail)
+    result = run_monte_carlo(MonteCarloConfig(runs=2, n_samples=90, orders=(10, 30), estimators=("dc",)))
+    assert not result.records
+    assert result.errors == tuple(
+        sim.RunError(run, "no factor", type(exc).__name__, diagnostics) for run in range(2)
+    )
 
 
 def test_least_squares_status_follows_order_rule(monkeypatch):
