@@ -71,6 +71,20 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
+def _object(value, name: str) -> dict:
+    """``value`` when it is a JSON object; any other shape is a config error."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _integer_setting(name: str, value, minimum: int) -> int:
     """``value`` as an ``int`` >= ``minimum``; bools and non-integral numbers
     are config errors, never truncated."""
@@ -81,8 +95,8 @@ def _integer_setting(name: str, value, minimum: int) -> int:
 
 
 def _sampling(config: dict) -> tuple[float, int]:
-    sampling = _require(config, "sampling", "config")
-    period = float(_require(sampling, "period_s", "sampling"))
+    sampling = _object(_require(config, "sampling", "config"), "sampling")
+    period = _number("sampling.period_s", _require(sampling, "period_s", "sampling"))
     factor = _integer_setting("sampling.factor", _require(sampling, "factor", "sampling"), 1)
     if not period > 0:
         raise ConfigError(f"sampling.period_s must be positive, got {period}")
@@ -97,7 +111,9 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
     data is touched.
     """
     names = config.get("estimators", ["ls", "dc", "pk"])
-    kernels = config.get("kernels", {})
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"estimators must be a list of estimator names, got {names!r}")
+    kernels = _object(config.get("kernels", {}), "kernels")
     plan = []
     for name in names:
         if name == "ls":
@@ -105,7 +121,7 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
             continue
         if name not in kernels:
             raise ConfigError(f"estimator {name!r} has no kernel under 'kernels'")
-        gamma = float(config.get("gamma", 1e-5))
+        gamma = _number("gamma", config.get("gamma", 1e-5))
         if not gamma > 0:
             raise ConfigError(f"gamma must be > 0 for regularized estimation, got {gamma}")
         plan.append((name, kernel_spec_from_json(kernels[name]), gamma))
@@ -115,7 +131,7 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
 
 
 def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal]:
-    data = _require(config, "data", "config")
+    data = _object(_require(config, "data", "config"), "data")
     input_path = Path(_require(data, "input_csv", "data"))
     output_path = Path(_require(data, "output_csv", "data"))
     for p in (input_path, output_path):
@@ -153,12 +169,14 @@ def _write_theta_csv(model: FirModel, path: Path) -> None:
 
 
 def _frf_grid(config: dict, period: float) -> np.ndarray:
-    frf = config.get("frf", {})
+    frf = _object(config.get("frf", {}), "frf")
     points = _integer_setting("frf.points", frf.get("points", 1000), 2)
-    omega_min = float(frf.get("omega_min", 0.0))
-    omega_max = float(frf.get("omega_max") or (math.pi / period))
+    omega_min = _number("frf.omega_min", frf.get("omega_min", 0.0))
+    # null, like a missing value, means the fast Nyquist frequency
+    omega_max = frf.get("omega_max")
+    omega_max = math.pi / period if omega_max is None else _number("frf.omega_max", omega_max)
     if not 0 <= omega_min < omega_max:
-        raise ConfigError(f"invalid FRF grid [{omega_min}, {omega_max}]")
+        raise ConfigError(f"invalid FRF grid: need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]")
     return np.linspace(omega_min, omega_max, points)
 
 
@@ -214,7 +232,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
 
 
 def cmd_simulate_mc(config: dict, out_dir: Path, threads: int) -> int:
-    mc_obj = dict(_require(config, "monte_carlo", "config"))
+    mc_obj = dict(_object(_require(config, "monte_carlo", "config"), "monte_carlo"))
     if "sampling" in config:
         period, factor = _sampling(config)
         mc_obj.setdefault("period_s", period)
@@ -254,24 +272,28 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     order = _integer_setting("order", _require(config, "order", "config"), 1)
     phi = build_regressor(u, factor, order, len(y_l))
 
-    tune = _require(config, "tune", "config")
+    tune = _object(_require(config, "tune", "config"), "tune")
     estimator = _require(tune, "estimator", "tune")
-    kernels = config.get("kernels", {})
-    if estimator not in kernels:
+    kernels = _object(config.get("kernels", {}), "kernels")
+    if not isinstance(estimator, str) or estimator not in kernels:
         raise ConfigError(f"tune.estimator {estimator!r} has no kernel under 'kernels'")
     template = kernel_spec_from_json(kernels[estimator])
-    gamma = float(config.get("gamma", 1e-5))
+    gamma = _number("gamma", config.get("gamma", 1e-5))
     if not gamma > 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
     budget = _integer_setting("tune.budget", tune.get("budget", 100), 1)
 
-    init = {str(k): float(v) for k, v in _require(tune, "init", "tune").items()}
+    init_obj = _object(_require(tune, "init", "tune"), "tune.init")
+    init = {str(k): _number(f"tune.init.{k}", v) for k, v in init_obj.items()}
     omega_max = min(math.pi * factor, 2.0 * math.pi)
-    bounds_obj = tune.get("bounds", {})
+    bounds_obj = _object(tune.get("bounds", {}), "tune.bounds")
     bounds = {}
     for name, value in init.items():
         if name in bounds_obj:
-            bounds[name] = (float(bounds_obj[name][0]), float(bounds_obj[name][1]))
+            pair = bounds_obj[name]
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ConfigError(f"tune.bounds.{name} must be a [low, high] pair, got {pair!r}")
+            bounds[name] = (_number(f"tune.bounds.{name}", pair[0]), _number(f"tune.bounds.{name}", pair[1]))
         else:
             bounds[name] = default_bounds(name, value, omega_max)
     eta0 = HyperparameterVector(values=init, bounds=bounds)

@@ -5,10 +5,23 @@ has minimizer ``theta = K Phi' (Phi K Phi' + gamma I)^{-1} y_l``.  The M x M
 matrix being inverted is positive definite for any ``gamma > 0`` and any
 positive semidefinite ``K``, so a model of any order ``1 <= P <= N`` exists
 and is unique -- including ``P >= M``, where the unregularized least-squares
-problem has no unique answer.  Estimation always goes through this dual form:
-``K`` itself is never inverted, so rank-deficient kernels (e.g. resonant-pole
-priors) are fine, and for DC and resonant-pole terms it is never formed either:
-``Phi K Phi'`` and ``K v`` come from their factors ``K = L L'``.
+problem has no unique answer.  ``K`` itself is never inverted, so
+rank-deficient kernels (e.g. resonant-pole priors) are fine, and for DC and
+resonant-pole terms it is never formed either: they enter through their
+factors ``K_t = L_t L_t'``.
+
+A fit solves in the smaller of two spaces, chosen from the shapes alone:
+
+* feature space, when every kernel term has a structured factor (DC,
+  resonant pole, Tikhonov) and ``X = [Phi L_t]`` has ``n < M`` columns (P
+  per DC or Tikhonov term, 2 per resonant pole): the n x n ``X'X + gamma I``
+  gives ``w``, the model ``theta = sum_t L_t w_t`` and the evidence (through
+  the push-through and Sylvester determinant identities);
+* output space (dual) otherwise, for every stable-spline kernel and every
+  ``n >= M``: the M x M ``Phi K Phi' + gamma I``.
+
+Both give the same model and evidence up to rounding; ``X'X + gamma I`` is
+never worse conditioned than the dual's Gram.
 
 Hyperparameters are scored by the Gaussian-evidence objective
 ``y' (Phi K Phi' + gamma I)^{-1} y + log det(Phi K Phi' + gamma I)`` and tuned
@@ -28,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidStartError, NumericalError
-from .kernels import DiagonalCorrelated, KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
+from .kernels import DiagonalCorrelated, KernelSpec, KernelSum, ResonantPole, Tikhonov, build_kernel_matrix
 from .regressor import RegressorMatrix
 from .signals import FastSignal, FirModel, SlowSignal
 
@@ -131,57 +144,161 @@ def _terms(spec: KernelSpec) -> tuple:
     return spec.terms if isinstance(spec, KernelSum) else (spec,)
 
 
+def _factor_width(term: KernelSpec, order: int) -> int | None:
+    """Columns of the structured factor ``L`` of ``K = L L'``; None without one."""
+    if isinstance(term, (DiagonalCorrelated, Tikhonov)):
+        return order
+    if isinstance(term, ResonantPole):
+        return 2
+    return None
+
+
+def _term_factor(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
+    """``Phi L`` for a term with a structured factor; a DC term at unit scale.
+
+    * DC: ``Phi D U S`` is a first-order recursion over the columns of
+      ``Phi D`` (:func:`_ar1_suffix_sums`), O(M P) per 64-column block.
+    * Resonant pole: ``L`` has two columns, O(M P).
+    * Tikhonov: ``L = I``, so ``Phi`` itself.
+    """
+    if isinstance(term, DiagonalCorrelated):
+        half, weights = _dc_diagonals(term, phi.shape[1])
+        factored = _ar1_suffix_sums(phi * half, term.correlation)
+        factored *= weights
+        return factored
+    if isinstance(term, ResonantPole):
+        return phi @ _resonant_factor(term, phi.shape[1])
+    return phi
+
+
+def _factor_times(term: KernelSpec, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
+    """``L w`` (length ``order``) for the factor of :func:`_term_factor`,
+    times ``multiplier`` for a DC term (its scale or its square root).
+
+    For a DC term ``U x`` is :func:`_term_factor`'s recursion run forward,
+    on the reversed vector.
+    """
+    if isinstance(term, DiagonalCorrelated):
+        half, weights = _dc_diagonals(term, order)
+        forward = _ar1_suffix_sums((weights * w)[None, ::-1], term.correlation)[0, ::-1]
+        return multiplier * half * forward
+    if isinstance(term, ResonantPole):
+        return _resonant_factor(term, order) @ w
+    return w
+
+
 def _term_gram(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
     """``Phi K_term Phi'`` for one kernel term (``Phi`` is M x P).
 
-    No P x P kernel matrix is formed for terms with a structured factor
-    ``K = L L'``; the Gram is then ``(Phi L)(Phi L)'``:
-
-    * DC: ``Phi D U`` is a first-order recursion over the columns of
-      ``Phi D`` (:func:`_ar1_suffix_sums`), O(M P), so the Gram costs one
-      O(M^2 P) product.  It is ``scale`` times the unit-scale Gram, which the
-      tuner caches.
-    * Resonant pole: ``L`` has two columns, so the Gram costs O(M P + M^2).
-    * Tikhonov and stable spline: the dense kernel matrix, O(M P^2 + M^2 P).
+    No P x P kernel matrix is formed for DC and resonant-pole terms: the
+    Gram is ``(Phi L)(Phi L)'`` from :func:`_term_factor`, one O(M^2 P)
+    product for DC (``scale`` times the unit-scale Gram, which the tuner
+    caches) and O(M P + M^2) for a resonant pole.  Tikhonov and stable
+    spline use the dense kernel matrix, O(M P^2 + M^2 P).
     """
-    order = phi.shape[1]
     if isinstance(term, DiagonalCorrelated):
-        half, weights = _dc_diagonals(term, order)
-        factored = _ar1_suffix_sums(phi * half, term.correlation)
-        factored *= weights
+        factored = _term_factor(phi, term)
         return term.scale * (factored @ factored.T)
     if isinstance(term, ResonantPole):
-        factored = phi @ _resonant_factor(term, order)
+        factored = _term_factor(phi, term)
         return factored @ factored.T
-    return phi @ (build_kernel_matrix(term, order).entries @ phi.T)
+    return phi @ (build_kernel_matrix(term, phi.shape[1]).entries @ phi.T)
 
 
-def _output_gram(phi: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """``Phi K Phi'`` accumulated over the terms of ``spec`` in order; a new array."""
-    terms = _terms(spec)
-    gram = _term_gram(phi, terms[0])
-    for term in terms[1:]:
-        gram += _term_gram(phi, term)
+def _scale_free(term: KernelSpec) -> tuple[KernelSpec, float]:
+    """``(unit, scale)`` with ``K_term = scale * K_unit``.
+
+    A DC Gram is ``scale`` times the unit-scale Gram (:func:`_term_gram`
+    computes it that way, so both give the same bits), and a DC factor is
+    ``sqrt(scale)`` times the unit-scale factor.
+    """
+    if isinstance(term, DiagonalCorrelated):
+        return replace(term, scale=1.0), term.scale
+    return term, 1.0
+
+
+def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
+    """Whether a fit solves with the n x n ``X'X`` rather than the M x M
+    ``Phi K Phi'``: every term has a structured factor and ``n < M`` columns."""
+    widths = [_factor_width(term, order) for term in terms]
+    return None not in widths and sum(widths) < m
+
+
+# a unit-scale piece per term index: (the unit term, its Phi L in the feature
+# space or its Phi K Phi' in the dual); the tuner keeps those of its best point
+_Pieces = Mapping[int, tuple[KernelSpec, np.ndarray]]
+
+
+def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
+    return _term_factor(phi, unit) if feature else _term_gram(phi, unit)
+
+
+def _scaled_pieces(phi, terms, feature, pieces, skip):
+    """``(scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
+    ``pieces`` where their unit term matches."""
+    for index, term in enumerate(terms):
+        if index == skip:
+            continue
+        unit, scale = _scale_free(term)
+        cached = pieces.get(index) if pieces else None
+        if cached is not None and cached[0] == unit:
+            yield scale, cached[1]
+        else:
+            yield scale, _unit_piece(phi, unit, feature)
+
+
+def _output_gram(
+    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None, skip: int | None = None
+) -> np.ndarray:
+    """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
+    term order, from the unit Grams ``pieces`` where they match; a new array."""
+    gram = np.zeros((phi.shape[0], phi.shape[0]))
+    for scale, piece in _scaled_pieces(phi, _terms(spec), False, pieces, skip):
+        gram += scale * piece
     return gram
 
 
-def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
-    """``K v`` from the same factors as :func:`_term_gram`.
+def _feature_matrix(
+    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None, skip: int | None = None
+) -> np.ndarray:
+    """``X = [Phi L_t]`` over the terms of ``spec`` but ``skip``, with
+    ``sqrt(scale)`` inside a DC block, so ``X X' = Phi K Phi'``."""
+    blocks = list(_scaled_pieces(phi, _terms(spec), True, pieces, skip))
+    x = np.empty((phi.shape[0], sum(block.shape[1] for _, block in blocks)))
+    start = 0
+    for scale, block in blocks:
+        columns = x[:, start : start + block.shape[1]]
+        columns[...] = block
+        if scale != 1.0:
+            columns *= math.sqrt(scale)
+        start += block.shape[1]
+    return x
 
-    For a DC term ``L' D v`` is the recursion of :func:`_term_gram` and
-    ``L x`` the same recursion run forward (on the reversed vector).
+
+def _gram(
+    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Gram a fit factors and, in the feature space, its ``X``.
+
+    ``X'X`` (n x n) and ``X`` where :func:`_in_feature_space` holds,
+    ``Phi K Phi'`` (M x M) and None otherwise.
     """
+    if _in_feature_space(_terms(spec), *phi.shape):
+        x = _feature_matrix(phi, spec, pieces)
+        return x.T @ x, x
+    return _output_gram(phi, spec, pieces), None
+
+
+def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
+    """``K v`` from the same factors as :func:`_term_gram`: ``L (L' v)``,
+    where ``L' v`` is :func:`_term_factor` on the row ``v'``."""
     order = v.shape[0]
     total = np.zeros(order)
     for term in _terms(spec):
         if isinstance(term, DiagonalCorrelated):
-            half, weights = _dc_diagonals(term, order)
-            x = weights * _ar1_suffix_sums((half * v)[None, :], term.correlation)[0]
-            lx = _ar1_suffix_sums((weights * x)[None, ::-1], term.correlation)[0, ::-1]
-            total += term.scale * half * lx
+            total += _factor_times(term, _term_factor(v[None, :], term)[0], order, term.scale)
         elif isinstance(term, ResonantPole):
-            factor = _resonant_factor(term, order)
-            total += factor @ (factor.T @ v)
+            total += _factor_times(term, _resonant_factor(term, order).T @ v, order)
         else:
             total += build_kernel_matrix(term, order).entries @ v
     return total
@@ -232,28 +349,91 @@ def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
     return lower
 
 
+class _Solution(NamedTuple):
+    """A factored fit: its evidence, and its coefficients on request."""
+
+    evidence: float
+    theta: Callable[[], np.ndarray]
+
+
+def _refined_solve(shifted: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``shifted^{-1} rhs`` from its lower Cholesky factor, refined up to
+    three times to recover accuracy lost to the O(1/gamma) conditioning."""
+    factor = (lower, True)
+    # no finite scans: rhs comes from a SlowSignal's finite samples, and
+    # _shifted_cholesky has checked the factor's diagonal
+    z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    rhs_norm = float(np.linalg.norm(rhs))
+    for _ in range(3):
+        residual = rhs - shifted @ z
+        if np.linalg.norm(residual) <= 1e-13 * rhs_norm:
+            break
+        z = z + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+    return z
+
+
+def _solve(
+    phi: np.ndarray, y: np.ndarray, spec: KernelSpec, gamma: float, pieces: _Pieces | None = None
+) -> _Solution:
+    """The regularized fit and its evidence from one Gram and one Cholesky factor.
+
+    The space comes from the shapes (:func:`_gram`).  In the output space
+    (dual) ``S = Phi K Phi' + gamma I`` gives the evidence ``a'a + log det S``
+    with ``a = L^{-1} y`` and the model ``K Phi' S^{-1} y``.  In the feature
+    space ``X = [Phi L_t]`` has n < M columns and ``A = X'X + gamma I`` gives
+    ``w = A^{-1} X'y`` and the model ``sum_t L_t w_t``; the push-through and
+    Sylvester determinant identities turn the dual evidence into
+    ``(||y - X w||^2 + gamma ||w||^2) / gamma + (M - n) log gamma + log det A``.
+    Its quadratic term comes from the residual, never as ``y'y - y'X w``,
+    a difference that cancels.
+    """
+    gram, x = _gram(phi, spec, pieces)
+    lower = _shifted_cholesky(gram, gamma)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
+    if x is None:
+        w = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
+        return _Solution(
+            float(w @ w + logdet), lambda: _kernel_times(spec, phi.T @ _refined_solve(gram, lower, y))
+        )
+    w = _refined_solve(gram, lower, x.T @ y)
+    residual = y - x @ w
+    m, n = x.shape
+    quadratic = (residual @ residual + gamma * (w @ w)) / gamma
+    return _Solution(
+        float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: _feature_theta(spec, w, phi.shape[1])
+    )
+
+
+def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
+    """``theta = sum_t L_t w_t`` for the blocks of :func:`_feature_matrix`."""
+    theta = np.zeros(order)
+    start = 0
+    for term in _terms(spec):
+        width = _factor_width(term, order)
+        theta += _factor_times(term, w[start : start + width], order, math.sqrt(_scale_free(term)[1]))
+        start += width
+    return theta
+
+
 def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     """The regularized model and its evidence from one Gram and one Cholesky factor.
 
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
-    return, bit for bit, for one factorization instead of two: the evidence
-    reuses the factor of ``Phi K Phi' + gamma I`` that the solve needs.
+    return, bit for bit, for one factorization instead of two.  For M outputs,
+    order P and n kernel-factor columns (P per DC or Tikhonov term, 2 per
+    resonant pole):
+
+    * feature space, where every term is DC, resonant pole or Tikhonov and
+      n < M: ``X = Phi L`` (M x n), O(M P) per term, then ``X'X`` in
+      O(M n^2) and its Cholesky factor in O(n^3);
+    * output space (dual) otherwise: ``Phi K Phi'`` in O(M^2 P), plus
+      O(M P^2) per stable-spline or Tikhonov term, and its Cholesky factor
+      in O(M^3).
+
+    Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
     """
-    phi = problem.phi.entries
-    y = problem.y_l.samples
-    shifted = _output_gram(phi, problem.kernel)
-    lower = _shifted_cholesky(shifted, problem.gamma)
-    factor = (lower, True)
-    z = scipy.linalg.cho_solve(factor, y)
-    # refinement recovers accuracy lost to the O(1/gamma) conditioning
-    y_norm = float(np.linalg.norm(y))
-    for _ in range(3):
-        residual = y - shifted @ z
-        if np.linalg.norm(residual) <= 1e-13 * y_norm:
-            break
-        z = z + scipy.linalg.cho_solve(factor, residual)
-    theta = _kernel_times(problem.kernel, phi.T @ z)
-    return FirModel(theta=theta, period=problem.y_l.fast_period), _evidence_from_factor(lower, y)
+    solution = _solve(problem.phi.entries, problem.y_l.samples, problem.kernel, problem.gamma)
+    return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
 
 
 def regularized_fir(problem: RegularizedProblem) -> FirModel:
@@ -262,10 +442,9 @@ def regularized_fir(problem: RegularizedProblem) -> FirModel:
     Defined for every order ``P`` in ``[1, N]`` and any input, including
     ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
     Cholesky factorization plus iterative refinement so the linear-system
-    residual stays near machine precision even for tiny ``gamma``.  The Gram
-    and ``K Phi' z`` come from the kernel terms' factors (:func:`_term_gram`).
-    A caller that also needs the evidence gets both from one factorization
-    with :func:`fit_with_evidence`.
+    residual stays near machine precision even for tiny ``gamma``.  The
+    method and its cost are :func:`fit_with_evidence`'s, which also returns
+    the evidence from the same factorization.
     """
     return fit_with_evidence(problem)[0]
 
@@ -278,38 +457,20 @@ def marginal_likelihood(
 ) -> float:
     """Evidence objective ``y'(Phi K Phi' + gamma I)^{-1} y + log det(Phi K Phi' + gamma I)``.
 
-    Lower is better.  A single Cholesky factorization provides both terms: the
-    quadratic form via a triangular solve and the log-determinant as twice the
-    sum of the log-diagonal.  The ``gamma I`` shift is included inside the
+    Lower is better.  The ``gamma I`` shift is included inside the
     log-determinant so the objective stays finite for rank-deficient kernels.
-    A caller that also needs the model gets both from one factorization with
-    :func:`fit_with_evidence`.
+    One Cholesky factorization gives both terms, in the space
+    :func:`fit_with_evidence` uses and with its value, bit for bit:
+
+    * feature space (every term DC, resonant pole or Tikhonov, and n < M
+      factor columns): the n x n ``X'X + gamma I``, O(M n^2 + n^3), plus the
+      refined solve its quadratic term needs, O(M n + n^2);
+    * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
+      O(M^2 P + M^3), with the quadratic form from one triangular solve.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return _evidence_from_gram(_output_gram(phi.entries, kernel), y_l.samples, gamma)
-
-
-def _evidence_from_gram(gram: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """Evidence at ``gram + gamma I``; shifts ``gram`` in place."""
-    return _evidence_from_factor(_shifted_cholesky(gram, gamma), y)
-
-
-def _evidence_from_factor(lower: np.ndarray, y: np.ndarray) -> float:
-    """``w'w + 2 sum log diag L`` with ``w = L^{-1} y``, for the lower factor ``L``."""
-    w = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
-    return float(w @ w + 2.0 * np.sum(np.log(np.diagonal(lower))))
-
-
-def _scale_free(term: KernelSpec) -> tuple[KernelSpec, float]:
-    """``(unit, scale)`` with ``Phi K_term Phi' = scale * Phi K_unit Phi'``.
-
-    A DC Gram is linear in the DC scale (:func:`_term_gram` computes it as
-    ``scale`` times the unit-scale Gram, so both give the same bits).
-    """
-    if isinstance(term, DiagonalCorrelated):
-        return replace(term, scale=1.0), term.scale
-    return term, 1.0
+    return _solve(phi.entries, y_l.samples, kernel, gamma).evidence
 
 
 class _Rest(NamedTuple):
@@ -475,10 +636,14 @@ def optimize_hyperparameters(
     is raised, chained (``__cause__``) to the factorization's
     :class:`NumericalError` when that was the reason.
 
-    Cost per probe, for M outputs and order P: the other terms' Grams at the
-    current best point are cached (a DC term's at unit scale), so a probe of
-    ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and a DC
-    ``decay`` probe adds its O(M^2 P) Gram.  A probe of a resonant-pole field
+    A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
+    Cost per probe, for M outputs and order P: the other terms' pieces at the
+    current best point are cached (a DC term's at unit scale).  In the
+    output space (dual) they are Grams, so a probe of ``gamma`` or of a DC
+    ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
+    O(M^2 P) Gram.  In the feature space (n < M factor columns) they are the
+    factors ``Phi L_t``, so such a probe is O(M n^2 + n^3), plus O(M P) for a
+    DC ``decay``.  A probe of a resonant-pole field
     costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
     on a factorization of ``gamma I`` plus the other terms, made once per
     coordinate.  Such a probe is scored by the full factorization instead
@@ -499,35 +664,24 @@ def optimize_hyperparameters(
         raise ValueError(f"budget must be >= 1, got {budget}")
 
     entries, y = phi.entries, y_l.samples
-    # Phi K_t Phi' per term index at the current best point, DC terms at unit
-    # scale: every probe of a coordinate changes one term, so the others are
-    # reused, and a DC scale probe is one multiply
+    feature = _in_feature_space(_terms(template), *entries.shape)
+    # each term's piece at the current best point, a DC term's at unit scale:
+    # every probe of a coordinate changes one term, so the others are reused,
+    # and a DC scale probe is one multiply
     best_pieces: dict[int, tuple[KernelSpec, np.ndarray]] = {}
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
-    def point(vals: dict[str, float]) -> tuple[float, tuple]:
+    def point(vals: dict[str, float]) -> tuple[float, KernelSpec]:
         spec = apply_hyperparameters(template, {k: v for k, v in vals.items() if k != "gamma"})
-        return vals.get("gamma", gamma), _terms(spec)
+        return vals.get("gamma", gamma), spec
 
     def remember_best() -> None:
-        for index, term in enumerate(point(best)[1]):
+        for index, term in enumerate(_terms(point(best)[1])):
             unit, _ = _scale_free(term)
             cached = best_pieces.get(index)
             if cached is None or cached[0] != unit:
-                best_pieces[index] = (unit, _term_gram(entries, unit))
-
-    def summed(terms: tuple, skip: int | None = None) -> np.ndarray:
-        """``Phi K Phi'`` over ``terms`` but ``skip``, cached pieces where
-        they match; summed in term order, so it has ``_output_gram``'s bits."""
-        gram = np.zeros((len(y), len(y)))
-        for index, term in enumerate(terms):
-            if index != skip:
-                unit, scale = _scale_free(term)
-                cached = best_pieces.get(index)
-                piece = cached[1] if cached is not None and cached[0] == unit else _term_gram(entries, unit)
-                gram += scale * piece
-        return gram
+                best_pieces[index] = (unit, _unit_piece(entries, unit, feature))
 
     def rest_for(name: str) -> _Rest | None:
         """The factored rest when coordinate ``name`` moves a resonant term;
@@ -535,10 +689,14 @@ def optimize_hyperparameters(
         if name == "gamma":
             return None
         index = int(name.split(".")[1]) if name.startswith("terms.") else 0
-        g, terms = point(best)
-        if not isinstance(terms[index], ResonantPole):
+        g, spec = point(best)
+        if not isinstance(_terms(spec)[index], ResonantPole):
             return None
-        rest = summed(terms, skip=index)
+        if feature:
+            x = _feature_matrix(entries, spec, best_pieces, skip=index)
+            rest = x @ x.T
+        else:
+            rest = _output_gram(entries, spec, best_pieces, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))
@@ -553,9 +711,9 @@ def optimize_hyperparameters(
     def factorized(vals: dict[str, float]) -> float:
         """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
         nonlocal failure
-        g, terms = point(vals)
+        g, spec = point(vals)
         try:
-            return _evidence_from_gram(summed(terms), y, g)
+            return _solve(entries, y, spec, g, best_pieces).evidence
         except NumericalError as exc:
             # the exact objective is +inf or beyond double range here; the
             # search must treat it as worse than anything, not abort
@@ -565,8 +723,7 @@ def optimize_hyperparameters(
     def objective(vals: dict[str, float], rest: _Rest | None = None) -> float:
         value = math.nan
         if rest is not None:
-            term = point(vals)[1][rest.index]
-            value = _rank2_evidence(rest, entries @ _resonant_factor(term, entries.shape[1]))
+            value = _rank2_evidence(rest, _term_factor(entries, _terms(point(vals)[1])[rest.index]))
         if not math.isfinite(value):
             value = factorized(vals)
         if on_evaluation is not None:

@@ -243,9 +243,23 @@ def validate_psd(k: KernelMatrix, relative_tolerance: float = 1e-9) -> PsdReport
     )
 
 
+def _field(obj: dict, key: str, context: str):
+    if key not in obj:
+        raise ValueError(f"{context} needs {key!r}, got {obj!r}")
+    return obj[key]
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _decay_from_json(value, name: str) -> float:
     if isinstance(value, dict):
-        return math.exp(-float(value["rate"]) * float(value["period_s"]))
+        rate = _number(_field(value, "rate", name), f"{name}.rate")
+        return math.exp(-rate * _number(_field(value, "period_s", name), f"{name}.period_s"))
     if isinstance(value, (int, float)):
         return float(value)
     raise ValueError(f"{name} must be a number or {{'rate': c, 'period_s': T}}, got {value!r}")
@@ -253,14 +267,19 @@ def _decay_from_json(value, name: str) -> float:
 
 def _frequency_from_json(value) -> float:
     if isinstance(value, dict):
-        return 2.0 * math.pi * float(value["freq_hz"]) * float(value["period_s"])
+        hertz = _number(_field(value, "freq_hz", "frequency"), "frequency.freq_hz")
+        return 2.0 * math.pi * hertz * _number(_field(value, "period_s", "frequency"), "frequency.period_s")
     if isinstance(value, (int, float)):
         return float(value)
     raise ValueError(f"frequency must be a number or {{'freq_hz': f, 'period_s': T}}, got {value!r}")
 
 
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
-    """Parse the kernel JSON schema: ``{"type": ..., <parameters>}``."""
+    """Parse the kernel JSON schema: ``{"type": ..., <parameters>}``.
+
+    Raises :class:`ValueError` naming the field for an unknown type, an
+    unknown or missing parameter, or a parameter of the wrong shape.
+    """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"kernel spec must be an object with a 'type' key, got {obj!r}")
     kind = obj["type"]
@@ -276,27 +295,31 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
     extra = set(obj) - set(known[kind]) - {"type"}
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)} for kernel type {kind!r}")
+    context = f"kernel type {kind!r}"
     if kind == "tikhonov":
         return Tikhonov()
     if kind == "dc":
         return DiagonalCorrelated(
-            scale=float(obj.get("scale", 1.0)),
+            scale=_number(obj.get("scale", 1.0), "scale"),
             decay=_decay_from_json(obj.get("decay", 0.9), "decay"),
             correlation=_decay_from_json(obj.get("correlation", 0.5), "correlation"),
         )
     if kind == "ss":
         return StableSpline(
-            scale=float(obj.get("scale", 1.0)),
+            scale=_number(obj.get("scale", 1.0), "scale"),
             decay=_decay_from_json(obj.get("decay", 0.9), "decay"),
         )
     if kind == "pk":
         return ResonantPole(
-            decay=_decay_from_json(obj["decay"], "decay"),
-            frequency=_frequency_from_json(obj["frequency"]),
-            sigma1=float(obj.get("sigma1", 1.0)),
-            sigma2=float(obj.get("sigma2", 1.0)),
+            decay=_decay_from_json(_field(obj, "decay", context), "decay"),
+            frequency=_frequency_from_json(_field(obj, "frequency", context)),
+            sigma1=_number(obj.get("sigma1", 1.0), "sigma1"),
+            sigma2=_number(obj.get("sigma2", 1.0), "sigma2"),
         )
-    return KernelSum(terms=tuple(kernel_spec_from_json(term) for term in obj["terms"]))
+    terms = _field(obj, "terms", context)
+    if not isinstance(terms, list):
+        raise ValueError(f"{context} needs 'terms' as a list of kernel specs, got {terms!r}")
+    return KernelSum(terms=tuple(kernel_spec_from_json(term) for term in terms))
 
 
 def kernel_spec_to_json(spec: KernelSpec) -> dict:

@@ -18,10 +18,12 @@ triangular factor of the one QR decomposition it solves with (``Phi`` and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NonUniqueModelError
 from .signals import FastSignal, FirModel, SlowSignal
@@ -112,14 +114,8 @@ def build_regressor(
     return RegressorMatrix(entries=entries, factor=factor, order=order)
 
 
-def _rank_report(singular_values: np.ndarray, m: int, p: int) -> IdentifiabilityReport:
-    """The verdict for an M x P ``Phi`` with these singular values.
-
-    Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
-    """
-    sigma_max = singular_values[0] if singular_values.size else 0.0
-    tol = max(m, p) * np.finfo(float).eps * sigma_max
-    rank = int(np.count_nonzero(singular_values > tol))
+def _report(rank: int, m: int, p: int) -> IdentifiabilityReport:
+    """The verdict for an M x P ``Phi`` of this numerical rank."""
     null_dimension = p - rank
     if p >= m:
         reason = NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
@@ -133,6 +129,50 @@ def _rank_report(singular_values: np.ndarray, m: int, p: int) -> Identifiability
         unique=reason is NonUniqueReason.OK,
         reason=reason,
     )
+
+
+def _rank_report(singular_values: np.ndarray, m: int, p: int) -> IdentifiabilityReport:
+    """The verdict for an M x P ``Phi`` with these singular values.
+
+    Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
+    """
+    sigma_max = singular_values[0] if singular_values.size else 0.0
+    tol = max(m, p) * np.finfo(float).eps * sigma_max
+    return _report(int(np.count_nonzero(singular_values > tol)), m, p)
+
+
+# Safety factor c of the full-rank certificate in _triangular_report.  For
+# the inverse X of a P x P triangular R, trtri's methods have a residual
+# bound ||X R - I||_F <= c_P u ||X||_F ||R||_F with c_P = O(P) (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.2);
+# take c_P <= 4 P and u = eps / 2.  With k = max(M, P) >= P, the certificate
+# ||X||_F ||R||_F < 1 / (c k eps) makes that residual phi <= 2 / c = 1/8, so
+# sigma_min(R) >= (1 - phi) / ||X||_2 >= (7/8) / ||X||_F > 14 k eps ||R||_F
+# >= 14 k eps sigma_max(R).  A backward-stable SVD moves each singular value
+# by at most a small multiple of u sigma_max, far inside the remaining
+# margin, so svdvals(R) then counts every singular value above its
+# tolerance k eps sigma_max: the SVD rule's verdict, full rank.  The norms'
+# own rounding (relative P u) fits in the same margin.
+_CERTIFICATE_FACTOR = 16.0
+
+
+def _triangular_report(r: np.ndarray, m: int) -> IdentifiabilityReport:
+    """:func:`_rank_report` for the P x P triangular factor ``r`` of an
+    M x P ``Phi`` with P < M, without an SVD where ``r`` is well conditioned.
+
+    Full rank is certified from the inverse (``sigma_min >= 1/||R^{-1}||_F``
+    and ``sigma_max <= ||R||_F``), O(P^3 / 3); where the certificate does
+    not hold, or trtri reports a zero pivot or a non-finite inverse, the
+    singular values of ``r`` decide, O(P^3) with a larger constant.
+    """
+    p = r.shape[0]
+    inverse, info = scipy.linalg.lapack.dtrtri(r, lower=0)
+    if info == 0:
+        inverse_norm = float(np.linalg.norm(inverse))
+        bound = _CERTIFICATE_FACTOR * max(m, p) * np.finfo(float).eps * float(np.linalg.norm(r))
+        if math.isfinite(inverse_norm) and 1.0 / inverse_norm > bound:
+            return _report(p, m, p)
+    return _rank_report(scipy.linalg.svdvals(r), m, p)
 
 
 def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
@@ -149,9 +189,15 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
 
     Raises :class:`NonUniqueModelError` (with the identifiability report)
     whenever the minimizer is not unique, including every ``P >= M`` instance.
-    For ``P < M`` one Householder QR, which never forms ``Q``, gives ``R``
-    and ``Q'y``: the rank test of :func:`identifiability_check` runs on the
-    singular values of ``R``, and ``theta`` solves ``R theta = Q'y``.
+
+    * ``P >= M``: no decomposition solves anything; the report is
+      :func:`identifiability_check`'s, an SVD of ``Phi``.
+    * ``P < M``: one Householder QR, which never forms ``Q``, gives ``R``
+      and ``Q'y`` in O(M P^2).  The rank test of :func:`identifiability_check`
+      runs on ``R`` (``Phi`` and ``R`` have the same singular values): full
+      rank is certified from ``R^{-1}`` (trtri, O(P^3 / 3)), and only where
+      that certificate fails do the singular values of ``R`` decide.
+      ``theta`` solves ``R theta = Q'y`` in O(P^2).
     """
     if len(y_l) != phi.output_length:
         raise ValueError(
@@ -166,12 +212,13 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
         report = identifiability_check(phi)
     else:
         qty, r = scipy.linalg.qr_multiply(phi.entries, y_l.samples, mode="right")
-        report = _rank_report(scipy.linalg.svdvals(r), m, p)
+        report = _triangular_report(r, m)
     if not report.unique:
         raise NonUniqueModelError(
             f"no unique FIR model of order {phi.order} from {phi.output_length} "
             f"output samples ({report.reason.value})",
             report,
         )
-    theta = scipy.linalg.solve_triangular(r, qty)
+    # qr_multiply has already rejected non-finite entries of Phi and y_l
+    theta = scipy.linalg.solve_triangular(r, qty, check_finite=False)
     return FirModel(theta=theta, period=y_l.fast_period)

@@ -155,6 +155,44 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
 
 
 @pytest.mark.parametrize(
+    "command, path, value, named",
+    [
+        ("tune", ("tune", "bounds"), {"decay": 5}, "tune.bounds.decay"),
+        ("tune", ("tune", "bounds"), {"decay": [1]}, "tune.bounds.decay"),
+        ("tune", ("tune", "init"), [1], "tune.init"),
+        ("identify", ("sampling",), 3, "sampling"),
+        ("identify", ("kernels", "dc"), {"type": "pk"}, "'decay'"),
+        ("identify", ("kernels", "dc"), {"type": "sum"}, "'terms'"),
+        ("identify", ("kernels", "dc"), {"type": "sum", "terms": 3}, "'terms'"),
+        ("identify", ("frf", "omega_max"), 0, "omega_max"),
+        ("identify", ("estimators",), "dc", "estimators"),
+        ("identify", ("gamma",), [1e-5], "gamma"),
+        ("identify", ("sampling", "period_s"), [0.1], "period_s"),
+        ("identify", ("kernels", "dc", "scale"), [1.0], "scale"),
+    ],
+    ids=[
+        "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
+        "sum-without-terms", "sum-terms-number", "omega_max-zero", "estimators-string", "gamma-list",
+        "period-list", "scale-list",
+    ],
+)
+def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
+    """A config value of the wrong shape exits 2 and names the setting; it
+    neither raises (exit 1 means a numerical failure) nor runs with a
+    default in its place."""
+    config = identify_config(tmp_path)
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, make_config", [("identify", identify_config), ("tune", identify_config), ("frf", frf_config)]
 )
 def test_integer_settings_accepted(tmp_path, command, make_config):
@@ -164,8 +202,9 @@ def test_integer_settings_accepted(tmp_path, command, make_config):
 
 
 def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
-    """The model and its evidence come from one Gram and one Cholesky factor."""
-    calls = {"_output_gram": 0, "_shifted_cholesky": 0}
+    """The model and its evidence come from one Gram and one Cholesky factor
+    (here the feature-space X'X: P=12 < M=30)."""
+    calls = {"_gram": 0, "_shifted_cholesky": 0}
     for name in calls:
         original = getattr(estimator, name)
 
@@ -179,4 +218,4 @@ def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert calls == {"_output_gram": 1, "_shifted_cholesky": 1}
+    assert calls == {"_gram": 1, "_shifted_cholesky": 1}

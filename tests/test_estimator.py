@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,78 @@ class TestFitWithEvidence:
         assert evidence == marginal_likelihood(problem.phi, problem.y_l, problem.kernel, problem.gamma)
 
 
+def dense_dual_fit(phi, y, kernel, gamma):
+    """Oracle: the dual formula through the dense P x P kernel matrix."""
+    k = _kernel_values(kernel, phi.shape[1])
+    gram = phi @ k @ phi.T + gamma * np.eye(phi.shape[0])
+    return k @ phi.T @ np.linalg.solve(gram, y)
+
+
+TWO_RESONANCES = (
+    ResonantPole(decay=0.9, frequency=0.7),
+    ResonantPole(decay=0.85, frequency=2.1, sigma1=0.6, sigma2=1.3),
+)
+
+# (kernel, factor columns beyond the order): n = P + extra
+FEATURE_KERNELS = {
+    "dc": (DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4), 0),
+    "dc+2pk": (KernelSum(terms=(DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4),) + TWO_RESONANCES), 4),
+    "tikhonov": (Tikhonov(), 0),
+}
+
+
+class TestFeatureSpace:
+    """Where every term has a structured factor and n < M, the fit solves with
+    the n x n X'X + gamma I; it must match the dense dual formula and the
+    naive evidence on both sides of n = M (M = 30 here)."""
+
+    def check(self, problem, feature):
+        phi, y = problem.phi.entries, problem.y_l.samples
+        assert estimator._in_feature_space(estimator._terms(problem.kernel), *phi.shape) == feature
+        model, evidence = fit_with_evidence(problem)
+        expected = dense_dual_fit(phi, y, problem.kernel, problem.gamma)
+        assert np.linalg.norm(model.theta - expected) <= 1e-10 * np.linalg.norm(expected)
+        naive = naive_marginal_likelihood(problem.phi, y, problem.kernel, problem.gamma)
+        assert evidence == pytest.approx(naive, rel=1e-10)
+        assert evidence == marginal_likelihood(problem.phi, problem.y_l, problem.kernel, problem.gamma)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["n=M-1", "n=M", "n=M+1"])
+    @pytest.mark.parametrize("name", sorted(FEATURE_KERNELS))
+    def test_matches_dense_dual(self, name, offset, gamma):
+        kernel, extra = FEATURE_KERNELS[name]
+        order = 30 + offset - extra
+        problem = make_problem(41, n=90, factor=3, order=order, gamma=gamma, kernel=kernel)
+        self.check(problem, feature=offset < 0)
+
+    @pytest.mark.parametrize("order", [30, 45])
+    def test_pure_resonant_kernel_at_order_beyond_m(self, order):
+        # n = 2 columns whatever the order
+        problem = make_problem(42, n=90, factor=3, order=order, gamma=1e-3, kernel=TWO_RESONANCES[0])
+        self.check(problem, feature=True)
+
+    @pytest.mark.parametrize("order", [29, 30, 31])
+    def test_stable_spline_stays_dual(self, order):
+        problem = make_problem(43, n=90, factor=3, order=order, gamma=1e-3, kernel=StableSpline(scale=1.0, decay=0.8))
+        self.check(problem, feature=False)
+
+    @pytest.mark.parametrize("kernel", [FEATURE_KERNELS["dc"][0], FEATURE_KERNELS["dc+2pk"][0]], ids=["dc", "dc+2pk"])
+    def test_allocates_no_output_gram(self, kernel):
+        """At M = 2000 and P = 200 no M x M array is allocated: the peak of
+        the fit and of the evidence stays below the size of one."""
+        problem = make_problem(44, n=6000, factor=3, order=200, gamma=1e-3, kernel=kernel)
+        m = problem.phi.output_length
+        assert m == 2000
+        tracemalloc.start()
+        try:
+            fit_with_evidence(problem)
+            marginal_likelihood(problem.phi, problem.y_l, problem.kernel, problem.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
+
+
 class TestPrimalCheck:
     def test_matches_dual_form(self):
         for seed in range(10):
@@ -427,8 +500,12 @@ class TestOptimizeHyperparameters:
     def test_nonfinite_start_rejected(self):
         # with P=12 < M=30 the Gram Phi K Phi' has rank at most 12, so adding
         # gamma=1e-300 leaves it singular in floating point: the factorization
-        # fails, and the exact objective (about 1e380 / 1e-300) is +inf
-        problem, template, _ = self.setup_problem()
+        # fails, and the exact objective (about 1e380 / 1e-300) is +inf.  A
+        # stable spline keeps the fit in the output space; a DC kernel would
+        # put it in the feature space, whose 12 x 12 X'X + gamma I is positive
+        # definite here and whose objective overflows to +inf without failing
+        problem, _, _ = self.setup_problem()
+        template = StableSpline(scale=1.0, decay=0.9)
         eta0 = HyperparameterVector(
             values={"scale": 1e-2}, bounds={"scale": (1e-2, 1e2)}
         )
@@ -454,23 +531,29 @@ class TestOptimizeHyperparameters:
         assert excinfo.value.__cause__ is None
 
     @pytest.mark.parametrize(
-        "eta0, nonfinite_gram",
+        "eta0, nonfinite_gram, template",
         [
-            # the gamma grid reaches 1e-300, where the shifted Gram is singular
+            # the gamma grid reaches 1e-300, where the shifted output-space Gram
+            # (rank 12 < M=30) is singular; a stable spline keeps the fit there
             (
                 HyperparameterVector(
                     values={"gamma": 1e-3, "scale": 1.0},
                     bounds={"gamma": (1e-300, 1e3), "scale": (1e-2, 1e2)},
                 ),
                 False,
+                StableSpline(scale=1.0, decay=0.9),
             ),
             # the scale grid reaches 1e308, where the Gram overflows to inf/NaN
-            (HyperparameterVector(values={"scale": 1.0}, bounds={"scale": (1e-2, 1e308)}), True),
+            (
+                HyperparameterVector(values={"scale": 1.0}, bounds={"scale": (1e-2, 1e308)}),
+                True,
+                DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.3),
+            ),
         ],
         ids=["singular", "nonfinite"],
     )
-    def test_failed_probe_rejected(self, eta0, nonfinite_gram):
-        problem, template, _ = self.setup_problem()
+    def test_failed_probe_rejected(self, eta0, nonfinite_gram, template):
+        problem, _, _ = self.setup_problem()
 
         def evidence(values):
             spec = apply_hyperparameters(template, {k: v for k, v in values.items() if k != "gamma"})
@@ -553,7 +636,16 @@ class TestTunerFastEvidence:
         eta0 = HyperparameterVector({"terms.1.frequency": 1.3}, {"terms.1.frequency": (1.0, 1.6)})
         return problem, template, eta0, 1e-12
 
-    @pytest.mark.parametrize("case, min_rank2", [("well_conditioned", 50), ("nearly_singular_rest", 0)])
+    def feature_space(self):
+        # as well_conditioned, but with M = 100 > n = 64 factor columns
+        _, template, eta0, gamma = self.well_conditioned()
+        problem = make_problem(27, n=300, factor=3, order=60)
+        assert estimator._in_feature_space(template.terms, problem.phi.output_length, 60)
+        return problem, template, eta0, gamma
+
+    @pytest.mark.parametrize(
+        "case, min_rank2", [("well_conditioned", 50), ("nearly_singular_rest", 0), ("feature_space", 50)]
+    )
     def test_probes_match_marginal_likelihood(self, monkeypatch, case, min_rank2):
         problem, template, eta0, gamma = getattr(self, case)()
         trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 150)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,6 +258,53 @@ class TestLeastSquaresAgreesWithCheck:
         expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
         tolerance = ls_tolerance(phi.entries, y.samples, expected)
         assert np.linalg.norm(theta - expected) <= tolerance * np.linalg.norm(expected)
+
+
+class TestRankCertificate:
+    """Below M, least_squares_fir certifies full rank from R^{-1} and runs an
+    SVD of R only where that certificate fails."""
+
+    def spy_svdvals(self, monkeypatch):
+        shapes = []
+        svdvals = scipy.linalg.svdvals
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svdvals(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", spy)
+        return shapes
+
+    def white_noise_problem(self):
+        u = random_noise(150, 0.1, 1.0, seed=13)
+        phi = build_regressor(u, factor=3, order=10)  # M=50, P=10
+        y = SlowSignal(samples=random_noise(50, 0.3, 1.0, seed=14).samples, period=0.3, factor=3)
+        return phi, y
+
+    def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
+        phi, y = self.white_noise_problem()
+        shapes = self.spy_svdvals(monkeypatch)
+        least_squares_fir(phi, y)
+        assert shapes == []
+
+    def test_zoh_input_falls_back_to_svd(self, monkeypatch):
+        u = zoh_input(np.random.default_rng(15).normal(size=30), factor=3, period=0.1)
+        phi = build_regressor(u, factor=3, order=5)  # M=30, P=5, repeated columns
+        y = SlowSignal(samples=np.ones(phi.output_length), period=0.3, factor=3)
+        shapes = self.spy_svdvals(monkeypatch)
+        with pytest.raises(NonUniqueModelError) as excinfo:
+            least_squares_fir(phi, y)
+        assert shapes == [(5, 5)]
+        assert excinfo.value.report == identifiability_check(phi)
+
+    def test_failed_inverse_falls_back_to_svd(self, monkeypatch):
+        phi, y = self.white_noise_problem()
+        expected = least_squares_fir(phi, y).theta
+        shapes = self.spy_svdvals(monkeypatch)
+        # trtri reports a zero pivot (info > 0)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kwargs: (c, 3))
+        assert np.array_equal(least_squares_fir(phi, y).theta, expected)
+        assert shapes == [(10, 10)]
 
 
 class TestRegressorMatrixType:

@@ -2,6 +2,7 @@
 scipy.signal, LS statuses, the paper's ordering, worker-count invariance and
 the BLAS pin."""
 
+import json
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.signal
 
 from beyondnyq import _blas, sim
 from beyondnyq.errors import NumericalError
+from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole
 from beyondnyq.signals import FastSignal, random_multisine
 from beyondnyq.sim import (
     NOMINAL_PLANT,
@@ -146,25 +148,52 @@ def test_run_error_keeps_type_and_diagnostics(monkeypatch, exc, diagnostics):
 
 
 def test_least_squares_status_follows_order_rule(monkeypatch):
-    """LS is non_unique exactly at P >= M, and no SVD runs there: only the
-    P x P triangular factor of each order below M is decomposed."""
+    """LS is non_unique exactly at P >= M, and no SVD runs there: below M
+    only the P x P triangular factor of each order is inverted, and an SVD,
+    if any, sees only that factor."""
     config = MonteCarloConfig(runs=2, n_samples=90, orders=(10, 29, 30, 45), estimators=("ls",))
     m = 30
-    shapes = []
-    svdvals = scipy.linalg.svdvals
+    shapes = {"svdvals": [], "dtrtri": []}
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svdvals(a, *args, **kwargs)
+    def spy(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(scipy.linalg, "svdvals", spy)
+        def counted(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(scipy.linalg, "svdvals")
+    spy(scipy.linalg.lapack, "dtrtri")
     serial = run_monte_carlo(config, max_workers=1)
     assert not serial.errors
     assert [(r.order, r.status) for r in serial.records] == [
         (p, "ok" if p < m else "non_unique") for p in config.orders
     ] * config.runs
-    assert sorted(shapes) == sorted([(p, p) for p in config.orders if p < m] * config.runs)
+    factors = [(p, p) for p in config.orders if p < m] * config.runs
+    assert sorted(shapes["dtrtri"]) == sorted(factors)
+    assert set(shapes["svdvals"]) <= set(factors)
     assert run_monte_carlo(config, max_workers=2).records == serial.records
+
+
+def test_config_json_round_trip():
+    """``monte_carlo_config_from_json`` inverts ``monte_carlo_config_to_json``,
+    through JSON text, for every field: band, tuning, a kernel sum and the
+    nominal plant."""
+    config = MonteCarloConfig(
+        runs=3, orders=(20, 60), base_seed=7, period=0.05, factor=2, n_samples=240, perturbation=0.05,
+        snr_range=(30.0, 45.0), input_rms=0.5, band=(2, 40), gamma=1e-4, estimators=("ls", "pk"),
+        dc_kernel=DiagonalCorrelated(scale=0.3, decay=0.95, correlation=0.7),
+        pk_kernel=KernelSum(terms=(
+            DiagonalCorrelated(scale=2.0, decay=0.9, correlation=0.5),
+            ResonantPole(decay=0.97, frequency=0.4, sigma1=0.2, sigma2=1.5),
+        )),
+        tune=True, tune_budget=80,
+        nominal=ContinuousPlant(m1=1.1, m2=0.9, k1=10.0, k2=80.0, d1=0.3, d2=0.05),
+    )
+    text = json.dumps(sim.monte_carlo_config_to_json(config))
+    assert sim.monte_carlo_config_from_json(json.loads(text)) == config
 
 
 def test_paper_ordering():
