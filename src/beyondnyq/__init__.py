@@ -10,7 +10,6 @@ from .errors import (
     InvalidStartError,
     NonUniqueModelError,
     NumericalError,
-    OracleInapplicableError,
 )
 from .estimator import (
     FitReport,
@@ -28,17 +27,14 @@ from .estimator import (
 )
 from .kernels import (
     DiagonalCorrelated,
-    KernelMatrix,
     KernelSpec,
     KernelSum,
     ResonantPole,
     StableSpline,
     Tikhonov,
     build_kernel_matrix,
-    kernel_entry,
     kernel_spec_from_json,
     kernel_spec_to_json,
-    validate_psd,
 )
 from .regressor import (
     IdentifiabilityReport,
@@ -53,13 +49,11 @@ from .signals import (
     FirModel,
     FrfSample,
     SlowSignal,
-    dft,
     downsample,
     fir_frf,
     full_band,
     random_multisine,
     random_noise,
-    snr_variance_ratio,
 )
 from .sim import (
     NOMINAL_PLANT,

@@ -78,6 +78,12 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _path(name: str, value) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _number(name: str, value) -> float:
     try:
         return float(value)
@@ -132,8 +138,8 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
 
 def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal]:
     data = _object(_require(config, "data", "config"), "data")
-    input_path = Path(_require(data, "input_csv", "data"))
-    output_path = Path(_require(data, "output_csv", "data"))
+    input_path = _path("data.input_csv", _require(data, "input_csv", "data"))
+    output_path = _path("data.output_csv", _require(data, "output_csv", "data"))
     for p in (input_path, output_path):
         if not p.exists():
             raise ConfigError(f"data file not found: {p}")
@@ -255,7 +261,7 @@ def cmd_simulate_mc(config: dict, out_dir: Path, threads: int) -> int:
 
 
 def cmd_frf(config: dict, out_dir: Path) -> int:
-    model_path = Path(_require(config, "model_json", "config"))
+    model_path = _path("model_json", _require(config, "model_json", "config"))
     if not model_path.exists():
         raise ConfigError(f"model file not found: {model_path}")
     try:
@@ -372,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        out_dir = Path(args.out or config.get("output_dir", "."))
+        out_dir = Path(args.out) if args.out else _path("output_dir", config.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "identify":
             return cmd_identify(config, out_dir)

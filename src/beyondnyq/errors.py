@@ -28,10 +28,6 @@ class NumericalError(RuntimeError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class OracleInapplicableError(RuntimeError):
-    """The primal-form check requires a strictly positive definite kernel."""
-
-
 class InvalidStartError(ValueError):
     """Hyperparameter search started at a point with a non-finite objective.
 

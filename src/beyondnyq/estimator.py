@@ -6,9 +6,10 @@ matrix being inverted is positive definite for any ``gamma > 0`` and any
 positive semidefinite ``K``, so a model of any order ``1 <= P <= N`` exists
 and is unique -- including ``P >= M``, where the unregularized least-squares
 problem has no unique answer.  ``K`` itself is never inverted, so
-rank-deficient kernels (e.g. resonant-pole priors) are fine, and for DC and
-resonant-pole terms it is never formed either: they enter through their
-factors ``K_t = L_t L_t'``.
+rank-deficient kernels (e.g. resonant-pole priors) are fine, and for DC,
+resonant-pole and Tikhonov terms it is never formed either: they enter through
+their factors ``K_t = L_t L_t'``, which the kernel classes of
+:mod:`beyondnyq.kernels` own; this module sums the terms and solves.
 
 A fit solves in the smaller of two spaces, chosen from the shapes alone:
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -41,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidStartError, NumericalError
-from .kernels import DiagonalCorrelated, KernelSpec, KernelSum, ResonantPole, Tikhonov, build_kernel_matrix
+from .kernels import KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
 from .regressor import RegressorMatrix
 from .signals import FastSignal, FirModel, SlowSignal
 
@@ -86,141 +87,29 @@ class RegularizedProblem:
             )
 
 
-# columns per block of the first-order recursion behind the DC factor
-_AR1_BLOCK = 64
-
-
-def _ar1_suffix_sums(a: np.ndarray, c: float) -> np.ndarray:
-    """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``.
-
-    This is the backward first-order recursion ``g[:, j] = a[:, j] + c g[:, j+1]``
-    run over blocks of columns: inside a block it is one product with the
-    triangular matrix of powers of ``c``, and the block's first column
-    carries into the block before it as a rank-1 update.
-    """
-    order = a.shape[1]
-    width = min(_AR1_BLOCK, order)
-    powers = c ** np.arange(width + 1)
-    gaps = np.subtract.outer(np.arange(width), np.arange(width))
-    within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
-    sums = np.empty(a.shape)
-    carry = None
-    for stop in range(order, 0, -width):
-        start = max(stop - width, 0)
-        block = a[:, start:stop] @ within[: stop - start, : stop - start]
-        if carry is not None:
-            block += np.outer(carry, powers[stop - start : 0 : -1])
-        sums[:, start:stop] = block
-        carry = block[:, 0]
-    return sums
-
-
-def _dc_diagonals(term: DiagonalCorrelated, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``d`` and ``s`` of the DC factor ``K = scale (D U S)(D U S)'``.
-
-    ``D = diag(d)`` with ``d_i = decay^(i/2)``, ``U[i, j] = c^(i-j)`` for
-    ``i >= j`` (``c`` the correlation) and ``S = diag(s)`` with ``s_0 = 1``,
-    ``s_j = sqrt(1 - c^2)``: ``U S S U'`` is the Toeplitz matrix ``c^|i-j|``.
-    """
-    half = term.decay ** (np.arange(order, dtype=float) / 2.0)
-    weights = np.full(order, math.sqrt(1.0 - term.correlation**2))
-    weights[0] = 1.0
-    return half, weights
-
-
-def _resonant_factor(term: ResonantPole, order: int) -> np.ndarray:
-    """``L`` (``order`` x 2) with ``K = L L'``: ``k(i,j) = v1_i v1_j + v2_i v2_j``."""
-    i = np.arange(order, dtype=float)
-    envelope = term.decay ** (i / 2.0)
-    return np.column_stack(
-        (
-            term.sigma1 * envelope * np.cos(term.frequency * i),
-            term.sigma2 * envelope * np.sin(term.frequency * i),
-        )
-    )
-
-
 def _terms(spec: KernelSpec) -> tuple:
     return spec.terms if isinstance(spec, KernelSum) else (spec,)
-
-
-def _factor_width(term: KernelSpec, order: int) -> int | None:
-    """Columns of the structured factor ``L`` of ``K = L L'``; None without one."""
-    if isinstance(term, (DiagonalCorrelated, Tikhonov)):
-        return order
-    if isinstance(term, ResonantPole):
-        return 2
-    return None
-
-
-def _term_factor(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
-    """``Phi L`` for a term with a structured factor; a DC term at unit scale.
-
-    * DC: ``Phi D U S`` is a first-order recursion over the columns of
-      ``Phi D`` (:func:`_ar1_suffix_sums`), O(M P) per 64-column block.
-    * Resonant pole: ``L`` has two columns, O(M P).
-    * Tikhonov: ``L = I``, so ``Phi`` itself.
-    """
-    if isinstance(term, DiagonalCorrelated):
-        half, weights = _dc_diagonals(term, phi.shape[1])
-        factored = _ar1_suffix_sums(phi * half, term.correlation)
-        factored *= weights
-        return factored
-    if isinstance(term, ResonantPole):
-        return phi @ _resonant_factor(term, phi.shape[1])
-    return phi
-
-
-def _factor_times(term: KernelSpec, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
-    """``L w`` (length ``order``) for the factor of :func:`_term_factor`,
-    times ``multiplier`` for a DC term (its scale or its square root).
-
-    For a DC term ``U x`` is :func:`_term_factor`'s recursion run forward,
-    on the reversed vector.
-    """
-    if isinstance(term, DiagonalCorrelated):
-        half, weights = _dc_diagonals(term, order)
-        forward = _ar1_suffix_sums((weights * w)[None, ::-1], term.correlation)[0, ::-1]
-        return multiplier * half * forward
-    if isinstance(term, ResonantPole):
-        return _resonant_factor(term, order) @ w
-    return w
 
 
 def _term_gram(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
     """``Phi K_term Phi'`` for one kernel term (``Phi`` is M x P).
 
-    No P x P kernel matrix is formed for DC and resonant-pole terms: the
-    Gram is ``(Phi L)(Phi L)'`` from :func:`_term_factor`, one O(M^2 P)
-    product for DC (``scale`` times the unit-scale Gram, which the tuner
-    caches) and O(M P + M^2) for a resonant pole.  Tikhonov and stable
-    spline use the dense kernel matrix, O(M P^2 + M^2 P).
+    A term with a structured factor forms no P x P kernel matrix: its Gram is
+    ``scale (Phi L)(Phi L)'`` from the unit-scale factor, O(M^2 P) for DC and
+    Tikhonov and O(M P + M^2) for a resonant pole.  A stable spline uses the
+    dense kernel matrix, O(M P^2 + M^2 P).
     """
-    if isinstance(term, DiagonalCorrelated):
-        factored = _term_factor(phi, term)
-        return term.scale * (factored @ factored.T)
-    if isinstance(term, ResonantPole):
-        factored = _term_factor(phi, term)
-        return factored @ factored.T
-    return phi @ (build_kernel_matrix(term, phi.shape[1]).entries @ phi.T)
-
-
-def _scale_free(term: KernelSpec) -> tuple[KernelSpec, float]:
-    """``(unit, scale)`` with ``K_term = scale * K_unit``.
-
-    A DC Gram is ``scale`` times the unit-scale Gram (:func:`_term_gram`
-    computes it that way, so both give the same bits), and a DC factor is
-    ``sqrt(scale)`` times the unit-scale factor.
-    """
-    if isinstance(term, DiagonalCorrelated):
-        return replace(term, scale=1.0), term.scale
-    return term, 1.0
+    if term.width(phi.shape[1]) is None:
+        return phi @ (build_kernel_matrix(term, phi.shape[1]) @ phi.T)
+    unit, scale = term.unit()
+    factored = unit.factor(phi)
+    return scale * (factored @ factored.T)
 
 
 def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     """Whether a fit solves with the n x n ``X'X`` rather than the M x M
     ``Phi K Phi'``: every term has a structured factor and ``n < M`` columns."""
-    widths = [_factor_width(term, order) for term in terms]
+    widths = [term.width(order) for term in terms]
     return None not in widths and sum(widths) < m
 
 
@@ -230,7 +119,7 @@ _Pieces = Mapping[int, tuple[KernelSpec, np.ndarray]]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
-    return _term_factor(phi, unit) if feature else _term_gram(phi, unit)
+    return unit.factor(phi) if feature else _term_gram(phi, unit)
 
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
@@ -239,7 +128,7 @@ def _scaled_pieces(phi, terms, feature, pieces, skip):
     for index, term in enumerate(terms):
         if index == skip:
             continue
-        unit, scale = _scale_free(term)
+        unit, scale = term.unit()
         cached = pieces.get(index) if pieces else None
         if cached is not None and cached[0] == unit:
             yield scale, cached[1]
@@ -290,17 +179,16 @@ def _gram(
 
 
 def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
-    """``K v`` from the same factors as :func:`_term_gram`: ``L (L' v)``,
-    where ``L' v`` is :func:`_term_factor` on the row ``v'``."""
+    """``K v`` from the same factors as :func:`_term_gram`: ``scale L (L' v)``,
+    where ``L' v`` is the unit-scale factor of the row ``v'``."""
     order = v.shape[0]
     total = np.zeros(order)
     for term in _terms(spec):
-        if isinstance(term, DiagonalCorrelated):
-            total += _factor_times(term, _term_factor(v[None, :], term)[0], order, term.scale)
-        elif isinstance(term, ResonantPole):
-            total += _factor_times(term, _resonant_factor(term, order).T @ v, order)
+        if term.width(order) is None:
+            total += build_kernel_matrix(term, order) @ v
         else:
-            total += build_kernel_matrix(term, order).entries @ v
+            unit, scale = term.unit()
+            total += unit.factor_times(unit.factor(v[None, :])[0], order, scale)
     return total
 
 
@@ -409,8 +297,9 @@ def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
     theta = np.zeros(order)
     start = 0
     for term in _terms(spec):
-        width = _factor_width(term, order)
-        theta += _factor_times(term, w[start : start + width], order, math.sqrt(_scale_free(term)[1]))
+        unit, scale = term.unit()
+        width = unit.width(order)
+        theta += unit.factor_times(w[start : start + width], order, math.sqrt(scale))
         start += width
     return theta
 
@@ -427,8 +316,7 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
       n < M: ``X = Phi L`` (M x n), O(M P) per term, then ``X'X`` in
       O(M n^2) and its Cholesky factor in O(n^3);
     * output space (dual) otherwise: ``Phi K Phi'`` in O(M^2 P), plus
-      O(M P^2) per stable-spline or Tikhonov term, and its Cholesky factor
-      in O(M^3).
+      O(M P^2) per stable-spline term, and its Cholesky factor in O(M^3).
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
     """
@@ -569,12 +457,20 @@ def apply_hyperparameters(spec: KernelSpec, values: Mapping[str, float]) -> Kern
         if direct:
             raise ValueError(f"a kernel sum has no direct fields, got {sorted(direct)}")
         terms = list(spec.terms)
-        for index, fields in nested.items():
+        for index, named in nested.items():
             if not 0 <= index < len(terms):
                 raise ValueError(f"term index {index} out of range for {len(terms)} terms")
-            terms[index] = replace(terms[index], **fields)
+            terms[index] = _replace_fields(terms[index], named, f"terms.{index}.")
         return KernelSum(terms=tuple(terms))
-    return replace(spec, **direct)
+    return _replace_fields(spec, direct, "")
+
+
+def _replace_fields(term: KernelSpec, values: dict[str, float], prefix: str) -> KernelSpec:
+    known = {field.name for field in fields(term)}
+    for name in values:
+        if name not in known:
+            raise ValueError(f"hyperparameter path {prefix + name!r} names no field of {type(term).__name__}")
+    return replace(term, **values)
 
 
 def default_bounds(name: str, value: float, omega_max: float = 2.0 * math.pi) -> tuple[float, float]:
@@ -678,7 +574,7 @@ def optimize_hyperparameters(
 
     def remember_best() -> None:
         for index, term in enumerate(_terms(point(best)[1])):
-            unit, _ = _scale_free(term)
+            unit, _ = term.unit()
             cached = best_pieces.get(index)
             if cached is None or cached[0] != unit:
                 best_pieces[index] = (unit, _unit_piece(entries, unit, feature))
@@ -723,7 +619,7 @@ def optimize_hyperparameters(
     def objective(vals: dict[str, float], rest: _Rest | None = None) -> float:
         value = math.nan
         if rest is not None:
-            value = _rank2_evidence(rest, _term_factor(entries, _terms(point(vals)[1])[rest.index]))
+            value = _rank2_evidence(rest, _terms(point(vals)[1])[rest.index].factor(entries))
         if not math.isfinite(value):
             value = factorized(vals)
         if on_evaluation is not None:

@@ -16,6 +16,10 @@ impulse-response coefficients:
 * :class:`KernelSum` -- sum of the above, e.g. a decaying base plus one
   resonant term per expected pole pair.
 
+Each kernel class owns its dense ``matrix``, its tunables, its JSON type tag
+and, except the stable spline, the structured factor ``K = L L'`` the
+estimator works with instead (``width``, ``factor``, ``factor_times``).
+
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never
 inverts ``K`` (see :mod:`beyondnyq.estimator`).
@@ -28,8 +32,8 @@ and frequencies accept ``{"freq_hz": f, "period_s": T}`` meaning ``2*pi*f*T``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -40,11 +44,7 @@ __all__ = [
     "ResonantPole",
     "KernelSum",
     "KernelSpec",
-    "KernelMatrix",
-    "PsdReport",
-    "kernel_entry",
     "build_kernel_matrix",
-    "validate_psd",
     "kernel_spec_to_json",
     "kernel_spec_from_json",
 ]
@@ -59,54 +59,196 @@ def _check_range(name: str, value: float, lo: float, hi: float, *, lo_open=False
         raise ValueError(f"{name} must be in {lo_b}{lo}, {hi}{hi_b}, got {value}")
 
 
-@dataclass(frozen=True)
-class Tikhonov:
-    """Identity kernel: ``k(i, j) = 1`` if ``i == j`` else 0."""
+class _Kernel:
+    """Defaults for a kernel term: a P-column factor, no separable scale, no
+    tunables, and its dataclass fields as JSON."""
+
+    tunables: ClassVar[tuple[str, ...]] = ()
+
+    def width(self, order: int) -> int | None:
+        """Columns of the structured factor ``L`` of ``K = L L'``; None without one."""
+        return order
+
+    def unit(self) -> tuple[_Kernel, float]:
+        """``(unit, scale)`` with ``K = scale * K_unit``."""
+        return self, 1.0
+
+    def tunable_values(self) -> dict[str, float]:
+        """The tunable hyperparameters by the paths ``apply_hyperparameters`` reads."""
+        return {name: getattr(self, name) for name in self.tunables}
+
+    def to_json(self) -> dict:
+        return {"type": self.type, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
-class DiagonalCorrelated:
+class Tikhonov(_Kernel):
+    """Identity kernel: ``k(i, j) = 1`` if ``i == j`` else 0, so ``L = I``."""
+
+    type: ClassVar[str] = "tikhonov"
+
+    def factor(self, phi: np.ndarray) -> np.ndarray:
+        return phi
+
+    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
+        return multiplier * w
+
+    def matrix(self, order: int) -> np.ndarray:
+        return np.eye(order)
+
+
+# columns per block of the first-order recursion behind the DC factor
+_AR1_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class DiagonalCorrelated(_Kernel):
     scale: float = 1.0
     decay: float = 0.9
     correlation: float = 0.5
+    type: ClassVar[str] = "dc"
+    tunables: ClassVar[tuple[str, ...]] = ("scale", "decay")
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_range("scale", self.scale, 0.0, math.inf, lo_open=True)
         _check_range("decay", self.decay, 0.0, 1.0)
         _check_range("correlation", self.correlation, -1.0, 1.0, lo_open=True)
 
+    def unit(self) -> tuple[DiagonalCorrelated, float]:
+        """The factor is ``sqrt(scale)`` times the unit-scale factor."""
+        return replace(self, scale=1.0), self.scale
+
+    def _diagonals(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """``d`` and ``s`` of the factor ``K = scale (D U S)(D U S)'``.
+
+        ``D = diag(d)`` with ``d_i = decay^(i/2)``, ``U[i, j] = c^(i-j)`` for
+        ``i >= j`` (``c`` the correlation) and ``S = diag(s)`` with ``s_0 = 1``,
+        ``s_j = sqrt(1 - c^2)``: ``U S S U'`` is the Toeplitz matrix ``c^|i-j|``.
+        """
+        half = self.decay ** (np.arange(order, dtype=float) / 2.0)
+        weights = np.full(order, math.sqrt(1.0 - self.correlation**2))
+        weights[0] = 1.0
+        return half, weights
+
+    def _suffix_sums(self, a: np.ndarray) -> np.ndarray:
+        """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``.
+
+        This is the backward first-order recursion ``g[:, j] = a[:, j] + c g[:, j+1]``
+        run over blocks of columns: inside a block it is one product with the
+        triangular matrix of powers of ``c``, and the block's first column
+        carries into the block before it as a rank-1 update.
+        """
+        order = a.shape[1]
+        width = min(_AR1_BLOCK, order)
+        powers = self.correlation ** np.arange(width + 1)
+        gaps = np.subtract.outer(np.arange(width), np.arange(width))
+        within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
+        sums = np.empty(a.shape)
+        carry = None
+        for stop in range(order, 0, -width):
+            start = max(stop - width, 0)
+            block = a[:, start:stop] @ within[: stop - start, : stop - start]
+            if carry is not None:
+                block += np.outer(carry, powers[stop - start : 0 : -1])
+            sums[:, start:stop] = block
+            carry = block[:, 0]
+        return sums
+
+    def factor(self, phi: np.ndarray) -> np.ndarray:
+        """``Phi D U S``: a first-order recursion over the columns of ``Phi D``,
+        O(M P) per 64-column block."""
+        half, weights = self._diagonals(phi.shape[1])
+        factored = self._suffix_sums(phi * half)
+        factored *= weights
+        return factored
+
+    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
+        """``multiplier * D U S w``: ``U x`` is :meth:`factor`'s recursion run
+        forward, on the reversed vector."""
+        half, weights = self._diagonals(order)
+        forward = self._suffix_sums((weights * w)[None, ::-1])[0, ::-1]
+        return multiplier * half * forward
+
+    def matrix(self, order: int) -> np.ndarray:
+        idx = np.arange(order, dtype=float)
+        half = self.decay ** (idx / 2.0)
+        gaps = np.abs(np.arange(order)[:, None] - np.arange(order)[None, :])
+        return self.scale * (half[:, None] * half[None, :]) * (self.correlation**idx)[gaps]
+
 
 @dataclass(frozen=True)
-class StableSpline:
+class StableSpline(_Kernel):
     scale: float = 1.0
     decay: float = 0.9
+    type: ClassVar[str] = "ss"
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_range("scale", self.scale, 0.0, math.inf, lo_open=True)
         _check_range("decay", self.decay, 0.0, 1.0, lo_open=True)
+
+    def width(self, order: int) -> None:
+        return None
+
+    def matrix(self, order: int) -> np.ndarray:
+        idx = np.arange(order, dtype=float)
+        single = self.decay**idx
+        triple = self.decay ** (3.0 * idx)
+        peak = np.maximum(np.arange(order)[:, None], np.arange(order)[None, :])
+        cube = (single[:, None] * single[None, :]) * single[peak]
+        return self.scale * (cube / 2.0 - triple[peak] / 6.0)
 
 
 @dataclass(frozen=True)
-class ResonantPole:
+class ResonantPole(_Kernel):
     decay: float
     frequency: float
     sigma1: float = 1.0
     sigma2: float = 1.0
+    type: ClassVar[str] = "pk"
+    tunables: ClassVar[tuple[str, ...]] = ("frequency", "decay", "sigma1", "sigma2")
 
     def __post_init__(self):
         _check_range("decay", self.decay, 0.0, 1.0, lo_open=True)
         _check_range("frequency", self.frequency, 0.0, 2.0 * math.pi)
-        if not (np.isfinite(self.sigma1) and self.sigma1 >= 0):
-            raise ValueError(f"sigma1 must be nonnegative, got {self.sigma1}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        _check_range("sigma1", self.sigma1, 0.0, math.inf)
+        _check_range("sigma2", self.sigma2, 0.0, math.inf)
+
+    def width(self, order: int) -> int:
+        return 2
+
+    def _columns(self, order: int) -> np.ndarray:
+        """``L`` (``order`` x 2) with ``K = L L'``: ``k(i,j) = v1_i v1_j + v2_i v2_j``."""
+        i = np.arange(order, dtype=float)
+        envelope = self.decay ** (i / 2.0)
+        return np.column_stack(
+            (
+                self.sigma1 * envelope * np.cos(self.frequency * i),
+                self.sigma2 * envelope * np.sin(self.frequency * i),
+            )
+        )
+
+    def factor(self, phi: np.ndarray) -> np.ndarray:
+        return phi @ self._columns(phi.shape[1])
+
+    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
+        return multiplier * (self._columns(order) @ w)
+
+    def matrix(self, order: int) -> np.ndarray:
+        g1 = (self.sigma1**2 + self.sigma2**2) / 2.0
+        g2 = (self.sigma1**2 - self.sigma2**2) / 2.0
+        idx = np.arange(order, dtype=float)
+        half = self.decay ** (idx / 2.0)
+        i = idx[:, None]
+        j = idx[None, :]
+        return (half[:, None] * half[None, :]) * (
+            g1 * np.cos(self.frequency * (i - j)) + g2 * np.cos(self.frequency * (i + j))
+        )
 
 
 @dataclass(frozen=True)
 class KernelSum:
     terms: tuple
+    type: ClassVar[str] = "sum"
 
     def __post_init__(self):
         flat = []
@@ -119,128 +261,35 @@ class KernelSum:
             raise ValueError("a kernel sum needs at least one term")
         object.__setattr__(self, "terms", tuple(flat))
 
+    def matrix(self, order: int) -> np.ndarray:
+        total = self.terms[0].matrix(order).copy()
+        for term in self.terms[1:]:
+            total += term.matrix(order)
+        return total
+
+    def tunable_values(self) -> dict[str, float]:
+        return {
+            f"terms.{index}.{name}": value
+            for index, term in enumerate(self.terms)
+            for name, value in term.tunable_values().items()
+        }
+
+    def to_json(self) -> dict:
+        return {"type": self.type, "terms": [term.to_json() for term in self.terms]}
+
 
 KernelSpec = Union[Tikhonov, DiagonalCorrelated, StableSpline, ResonantPole, KernelSum]
 
-
-def _evaluate(spec: KernelSpec, i, j):
-    """Kernel function on (broadcastable) nonnegative indices.
-
-    The formulas are factored so every power has a single index in its
-    exponent (e.g. ``decay^((i+j)/2)`` as ``decay^(i/2) * decay^(j/2)``);
-    :func:`_kernel_values` exploits this to evaluate whole matrices from
-    per-index vectors with bitwise-identical results.
-    """
-    if isinstance(spec, Tikhonov):
-        return np.where(i == j, 1.0, 0.0)
-    if isinstance(spec, DiagonalCorrelated):
-        half = spec.decay ** (i / 2.0) * spec.decay ** (j / 2.0)
-        return spec.scale * half * spec.correlation ** np.abs(j - i)
-    if isinstance(spec, StableSpline):
-        m = np.maximum(i, j)
-        cube = spec.decay**i * spec.decay**j * spec.decay**m
-        return spec.scale * (cube / 2.0 - spec.decay ** (3.0 * m) / 6.0)
-    if isinstance(spec, ResonantPole):
-        g1 = (spec.sigma1**2 + spec.sigma2**2) / 2.0
-        g2 = (spec.sigma1**2 - spec.sigma2**2) / 2.0
-        envelope = spec.decay ** (i / 2.0) * spec.decay ** (j / 2.0)
-        return envelope * (
-            g1 * np.cos(spec.frequency * (i - j)) + g2 * np.cos(spec.frequency * (i + j))
-        )
-    if isinstance(spec, KernelSum):
-        return sum(_evaluate(term, i, j) for term in spec.terms)
-    raise TypeError(f"not a kernel spec: {spec!r}")
+_TYPES = {cls.type: cls for cls in (Tikhonov, DiagonalCorrelated, StableSpline, ResonantPole, KernelSum)}
 
 
-def _kernel_values(spec: KernelSpec, order: int) -> np.ndarray:
-    """Dense kernel matrix equal to ``_evaluate`` on the index grid.
-
-    Powers are taken per index (length-P vectors) and spread by outer
-    products or difference/maximum indexing, which keeps construction cheap
-    for large P.  All sub-expressions are symmetric functions of (i, j), so
-    the result is bitwise symmetric.
-    """
-    idx = np.arange(order, dtype=float)
-    if isinstance(spec, Tikhonov):
-        return np.eye(order)
-    if isinstance(spec, DiagonalCorrelated):
-        half = spec.decay ** (idx / 2.0)
-        gaps = np.abs(np.arange(order)[:, None] - np.arange(order)[None, :])
-        return spec.scale * (half[:, None] * half[None, :]) * (spec.correlation**idx)[gaps]
-    if isinstance(spec, StableSpline):
-        single = spec.decay**idx
-        triple = spec.decay ** (3.0 * idx)
-        peak = np.maximum(np.arange(order)[:, None], np.arange(order)[None, :])
-        cube = (single[:, None] * single[None, :]) * single[peak]
-        return spec.scale * (cube / 2.0 - triple[peak] / 6.0)
-    if isinstance(spec, ResonantPole):
-        g1 = (spec.sigma1**2 + spec.sigma2**2) / 2.0
-        g2 = (spec.sigma1**2 - spec.sigma2**2) / 2.0
-        half = spec.decay ** (idx / 2.0)
-        i = idx[:, None]
-        j = idx[None, :]
-        return (half[:, None] * half[None, :]) * (
-            g1 * np.cos(spec.frequency * (i - j)) + g2 * np.cos(spec.frequency * (i + j))
-        )
-    if isinstance(spec, KernelSum):
-        total = _kernel_values(spec.terms[0], order).copy()
-        for term in spec.terms[1:]:
-            total += _kernel_values(term, order)
-        return total
-    raise TypeError(f"not a kernel spec: {spec!r}")
-
-
-def kernel_entry(spec: KernelSpec, i: int, j: int) -> float:
-    """Single kernel value ``k(i, j)`` for nonnegative integer indices."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
-    return float(_evaluate(spec, float(i), float(j)))
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric P x P kernel matrix; PSD for every in-range spec."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 1:
-            raise ValueError(f"kernel matrix must be square and non-empty, got {entries.shape}")
-        scale = np.max(np.abs(entries)) or 1.0
-        if np.max(np.abs(entries - entries.T)) > 1e-12 * scale:
-            raise ValueError("kernel matrix is not symmetric")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-def build_kernel_matrix(spec: KernelSpec, order: int) -> KernelMatrix:
-    """Evaluate ``k`` on the index grid ``0..order-1``, exactly symmetric."""
+def build_kernel_matrix(spec: KernelSpec, order: int) -> np.ndarray:
+    """Evaluate ``k`` on the index grid ``0..order-1``, bitwise symmetric:
+    each ``matrix`` takes powers per index and spreads them by outer products
+    or difference/maximum indexing, symmetric functions of (i, j)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return KernelMatrix(entries=_kernel_values(spec, order))
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    min_eigenvalue: float
-    max_eigenvalue: float
-    is_psd: bool
-
-
-def validate_psd(k: KernelMatrix, relative_tolerance: float = 1e-9) -> PsdReport:
-    """Smallest eigenvalue of ``K`` and the PSD verdict at a relative tolerance."""
-    eigs = np.linalg.eigvalsh(k.entries)
-    low, high = float(eigs[0]), float(eigs[-1])
-    return PsdReport(
-        min_eigenvalue=low,
-        max_eigenvalue=high,
-        is_psd=low >= -relative_tolerance * max(high, 0.0),
-    )
+    return spec.matrix(order)
 
 
 def _field(obj: dict, key: str, context: str):
@@ -256,92 +305,61 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from exc
 
 
-def _decay_from_json(value, name: str) -> float:
-    if isinstance(value, dict):
-        rate = _number(_field(value, "rate", name), f"{name}.rate")
-        return math.exp(-rate * _number(_field(value, "period_s", name), f"{name}.period_s"))
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ValueError(f"{name} must be a number or {{'rate': c, 'period_s': T}}, got {value!r}")
+def _per_period(key: str, formula):
+    """Parser of a number, or of ``{key: x, "period_s": T}`` meaning ``formula(x, T)``."""
+
+    def parse(value, name: str) -> float:
+        if isinstance(value, dict):
+            x = _number(_field(value, key, name), f"{name}.{key}")
+            return formula(x, _number(_field(value, "period_s", name), f"{name}.period_s"))
+        if isinstance(value, (int, float)):
+            return float(value)
+        raise ValueError(f"{name} must be a number or {{{key!r}: x, 'period_s': T}}, got {value!r}")
+
+    return parse
 
 
-def _frequency_from_json(value) -> float:
-    if isinstance(value, dict):
-        hertz = _number(_field(value, "freq_hz", "frequency"), "frequency.freq_hz")
-        return 2.0 * math.pi * hertz * _number(_field(value, "period_s", "frequency"), "frequency.period_s")
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ValueError(f"frequency must be a number or {{'freq_hz': f, 'period_s': T}}, got {value!r}")
+def _terms_from_json(value, name: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"kernel type 'sum' needs {name!r} as a list of kernel specs, got {value!r}")
+    return tuple(kernel_spec_from_json(term) for term in value)
+
+
+_decay_from_json = _per_period("rate", lambda rate, period: math.exp(-rate * period))
+# how a JSON value becomes a field value; fields not named here are plain numbers
+_FIELD_PARSERS = {
+    "decay": _decay_from_json,
+    "correlation": _decay_from_json,
+    "frequency": _per_period("freq_hz", lambda hertz, period: 2.0 * math.pi * hertz * period),
+    "terms": _terms_from_json,
+}
 
 
 def kernel_spec_from_json(obj: dict) -> KernelSpec:
     """Parse the kernel JSON schema: ``{"type": ..., <parameters>}``.
 
-    Raises :class:`ValueError` naming the field for an unknown type, an
-    unknown or missing parameter, or a parameter of the wrong shape.
+    The parameters are the type's class fields; those with a default may be
+    left out.  Raises :class:`ValueError` naming the field for an unknown
+    type, an unknown or missing parameter, or a parameter of the wrong shape.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"kernel spec must be an object with a 'type' key, got {obj!r}")
     kind = obj["type"]
-    known = {
-        "tikhonov": (),
-        "dc": ("scale", "decay", "correlation"),
-        "ss": ("scale", "decay"),
-        "pk": ("decay", "frequency", "sigma1", "sigma2"),
-        "sum": ("terms",),
-    }
-    if kind not in known:
-        raise ValueError(f"unknown kernel type {kind!r}; expected one of {sorted(known)}")
-    extra = set(obj) - set(known[kind]) - {"type"}
+    if not (isinstance(kind, str) and kind in _TYPES):
+        raise ValueError(f"unknown kernel type {kind!r}; expected one of {sorted(_TYPES)}")
+    cls = _TYPES[kind]
+    params = fields(cls)
+    extra = set(obj) - {f.name for f in params} - {"type"}
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)} for kernel type {kind!r}")
-    context = f"kernel type {kind!r}"
-    if kind == "tikhonov":
-        return Tikhonov()
-    if kind == "dc":
-        return DiagonalCorrelated(
-            scale=_number(obj.get("scale", 1.0), "scale"),
-            decay=_decay_from_json(obj.get("decay", 0.9), "decay"),
-            correlation=_decay_from_json(obj.get("correlation", 0.5), "correlation"),
-        )
-    if kind == "ss":
-        return StableSpline(
-            scale=_number(obj.get("scale", 1.0), "scale"),
-            decay=_decay_from_json(obj.get("decay", 0.9), "decay"),
-        )
-    if kind == "pk":
-        return ResonantPole(
-            decay=_decay_from_json(_field(obj, "decay", context), "decay"),
-            frequency=_frequency_from_json(_field(obj, "frequency", context)),
-            sigma1=_number(obj.get("sigma1", 1.0), "sigma1"),
-            sigma2=_number(obj.get("sigma2", 1.0), "sigma2"),
-        )
-    terms = _field(obj, "terms", context)
-    if not isinstance(terms, list):
-        raise ValueError(f"{context} needs 'terms' as a list of kernel specs, got {terms!r}")
-    return KernelSum(terms=tuple(kernel_spec_from_json(term) for term in terms))
+    values = {}
+    for param in params:
+        if param.name in obj:
+            values[param.name] = _FIELD_PARSERS.get(param.name, _number)(obj[param.name], param.name)
+        elif param.default is MISSING:
+            raise ValueError(f"kernel type {kind!r} needs {param.name!r}, got {obj!r}")
+    return cls(**values)
 
 
 def kernel_spec_to_json(spec: KernelSpec) -> dict:
-    if isinstance(spec, Tikhonov):
-        return {"type": "tikhonov"}
-    if isinstance(spec, DiagonalCorrelated):
-        return {
-            "type": "dc",
-            "scale": spec.scale,
-            "decay": spec.decay,
-            "correlation": spec.correlation,
-        }
-    if isinstance(spec, StableSpline):
-        return {"type": "ss", "scale": spec.scale, "decay": spec.decay}
-    if isinstance(spec, ResonantPole):
-        return {
-            "type": "pk",
-            "decay": spec.decay,
-            "frequency": spec.frequency,
-            "sigma1": spec.sigma1,
-            "sigma2": spec.sigma2,
-        }
-    if isinstance(spec, KernelSum):
-        return {"type": "sum", "terms": [kernel_spec_to_json(term) for term in spec.terms]}
-    raise TypeError(f"not a kernel spec: {spec!r}")
+    return spec.to_json()

@@ -27,8 +27,6 @@ __all__ = [
     "random_multisine",
     "random_noise",
     "fir_frf",
-    "dft",
-    "snr_variance_ratio",
     "full_band",
     "read_signal_csv",
     "write_signal_csv",
@@ -237,26 +235,6 @@ def fir_frf(model: FirModel, omegas: Sequence[float]) -> list[FrfSample]:
         values *= z
         values += coefficient
     return [FrfSample(float(wk), complex(vk)) for wk, vk in zip(w, values)]
-
-
-def dft(x: FastSignal | SlowSignal | Sequence[float]) -> np.ndarray:
-    """Unnormalized DFT ``X(k) = sum_t x(t) exp(-j 2 pi k t / N)``, k = 0..N-1."""
-    samples = x.samples if isinstance(x, (FastSignal, SlowSignal)) else np.asarray(x, dtype=float)
-    if samples.size < 1:
-        raise ValueError("dft needs at least one sample")
-    return np.fft.fft(samples)
-
-
-def snr_variance_ratio(y: FastSignal, e: FastSignal) -> float:
-    """Signal-to-noise ratio as the population-variance ratio var(y) / var(e)."""
-    if len(y) != len(e):
-        raise ValueError(f"signals must have equal length, got {len(y)} and {len(e)}")
-    if len(y) < 2:
-        raise ValueError("need at least 2 samples to estimate variances")
-    var_e = float(np.var(e.samples))
-    if var_e == 0.0:
-        raise ValueError("noise variance is zero; the ratio is undefined")
-    return float(np.var(y.samples)) / var_e
 
 
 def write_signal_csv(x: FastSignal | SlowSignal, path: str | Path) -> None:

@@ -359,31 +359,13 @@ def _perturbed_plant(nominal: ContinuousPlant, rng: np.random.Generator, bound: 
     return ContinuousPlant(**values)
 
 
-def _term_tunables(term, prefix: str) -> dict[str, float]:
-    if isinstance(term, ResonantPole):
-        return {
-            f"{prefix}frequency": term.frequency,
-            f"{prefix}decay": term.decay,
-            f"{prefix}sigma1": term.sigma1,
-            f"{prefix}sigma2": term.sigma2,
-        }
-    if isinstance(term, DiagonalCorrelated):
-        return {f"{prefix}scale": term.scale, f"{prefix}decay": term.decay}
-    return {}
-
-
 def _tuning_start(config: MonteCarloConfig, estimator: str) -> HyperparameterVector:
     """Tunable parameters per estimator: the regularization weight plus every
-    kernel term's scale, decay, and (for resonant terms) frequency and
-    amplitudes.  Bounds come from :func:`default_bounds` around the inits."""
-    spec = config.kernel_for(estimator)
+    kernel term's ``tunables`` (a DC term's scale and decay, a resonant term's
+    frequency, decay and amplitudes).  Bounds come from :func:`default_bounds`
+    around the inits."""
     omega_max = min(math.pi * config.factor, 2.0 * math.pi)
-    values = {"gamma": config.gamma}
-    if isinstance(spec, KernelSum):
-        for index, term in enumerate(spec.terms):
-            values.update(_term_tunables(term, f"terms.{index}."))
-    else:
-        values.update(_term_tunables(spec, ""))
+    values = {"gamma": config.gamma, **config.kernel_for(estimator).tunable_values()}
     bounds = {name: default_bounds(name, value, omega_max) for name, value in values.items()}
     return HyperparameterVector(values=values, bounds=bounds)
 

@@ -169,11 +169,17 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("identify", ("gamma",), [1e-5], "gamma"),
         ("identify", ("sampling", "period_s"), [0.1], "period_s"),
         ("identify", ("kernels", "dc", "scale"), [1.0], "scale"),
+        ("identify", ("data", "input_csv"), 3, "data.input_csv"),
+        ("identify", ("data", "output_csv"), ["y.csv"], "data.output_csv"),
+        ("frf", ("model_json",), 5, "model_json"),
+        ("tune", ("tune", "init"), {"sigma1": 1.0}, "'sigma1'"),
+        ("identify", ("kernels", "dc", "type"), [], "kernel type []"),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
         "sum-without-terms", "sum-terms-number", "omega_max-zero", "estimators-string", "gamma-list",
-        "period-list", "scale-list",
+        "period-list", "scale-list", "input_csv-number", "output_csv-list", "model_json-number",
+        "init-foreign-field", "type-list",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
@@ -190,6 +196,18 @@ def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, pa
     code = main([command, "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+def test_non_string_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    """Without ``--out`` the output directory comes from the config."""
+    config = identify_config(tmp_path)
+    config["output_dir"] = 3
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    assert main(["identify", "--config", str(config_path)]) == EXIT_CONFIG
+    assert "output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "3").exists()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import beyondnyq.estimator as estimator
 
-from beyondnyq.errors import InvalidStartError, NumericalError, OracleInapplicableError
+from beyondnyq.errors import InvalidStartError, NumericalError
 from beyondnyq.estimator import (
     FitReport,
     HyperparameterVector,
@@ -34,7 +34,6 @@ from beyondnyq.kernels import (
     ResonantPole,
     StableSpline,
     Tikhonov,
-    _kernel_values,
     build_kernel_matrix,
 )
 from beyondnyq.regressor import build_regressor, least_squares_fir
@@ -53,9 +52,13 @@ def make_problem(seed, n=60, factor=3, order=10, gamma=1e-3, kernel=None, y=None
 
 def naive_marginal_likelihood(phi, y, kernel, gamma):
     """Dense oracle: explicit inverse and determinant."""
-    k = build_kernel_matrix(kernel, phi.order).entries
+    k = build_kernel_matrix(kernel, phi.order)
     g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
     return float(y @ np.linalg.inv(g) @ y + math.log(np.linalg.det(g)))
+
+
+class OracleInapplicableError(RuntimeError):
+    """The primal-form check requires a strictly positive definite kernel."""
 
 
 def primal_check(problem):
@@ -65,7 +68,7 @@ def primal_check(problem):
     that :func:`regularized_fir` solves.
     """
     phi = problem.phi.entries
-    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order).entries
+    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order)
     try:
         k_factor = scipy.linalg.cho_factor(kernel_matrix, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -86,7 +89,7 @@ class TestRegularizedFir:
     def test_huge_gamma_shrinks_to_zero(self):
         problem = make_problem(1, gamma=1e12)
         theta = regularized_fir(problem).theta
-        k = build_kernel_matrix(problem.kernel, problem.phi.order).entries
+        k = build_kernel_matrix(problem.kernel, problem.phi.order)
         bound = np.linalg.norm(k @ problem.phi.entries.T @ problem.y_l.samples) / 1e12
         assert np.linalg.norm(theta) <= bound * (1 + 1e-9)
 
@@ -149,7 +152,7 @@ class TestRegularizedFir:
 
 def dense_gram(phi, kernel):
     """Oracle: ``Phi K Phi'`` through the dense P x P kernel matrix."""
-    return phi @ _kernel_values(kernel, phi.shape[1]) @ phi.T
+    return phi @ build_kernel_matrix(kernel, phi.shape[1]) @ phi.T
 
 
 def assert_close_relative(actual, expected, tolerance):
@@ -174,7 +177,7 @@ class TestFactoredGram:
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
         assert_close_relative(estimator._term_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
-            estimator._kernel_times(kernel, v), _kernel_values(kernel, order) @ v, 1e-12
+            estimator._kernel_times(kernel, v), build_kernel_matrix(kernel, order) @ v, 1e-12
         )
 
     @pytest.mark.parametrize("order", [5, 70])
@@ -192,7 +195,7 @@ class TestFactoredGram:
         )
         assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
-            estimator._kernel_times(kernel, v), _kernel_values(kernel, order) @ v, 1e-12
+            estimator._kernel_times(kernel, v), build_kernel_matrix(kernel, order) @ v, 1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -219,7 +222,7 @@ class TestFactoredGram:
                 kernel=kernel, gamma=gamma,
             )
         ).theta
-        k = _kernel_values(kernel, order)
+        k = build_kernel_matrix(kernel, order)
         g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
         expected = k @ phi.entries.T @ np.linalg.solve(g, y)
         assert np.linalg.norm(theta - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -256,7 +259,7 @@ class TestFitWithEvidence:
 
 def dense_dual_fit(phi, y, kernel, gamma):
     """Oracle: the dual formula through the dense P x P kernel matrix."""
-    k = _kernel_values(kernel, phi.shape[1])
+    k = build_kernel_matrix(kernel, phi.shape[1])
     gram = phi @ k @ phi.T + gamma * np.eye(phi.shape[0])
     return k @ phi.T @ np.linalg.solve(gram, y)
 
@@ -404,7 +407,7 @@ class TestMarginalLikelihood:
         true_scale = 0.05
         kernel_true = DiagonalCorrelated(scale=true_scale, decay=0.95, correlation=0.5)
         order = 25
-        k = build_kernel_matrix(kernel_true, order).entries
+        k = build_kernel_matrix(kernel_true, order)
         theta_true = np.linalg.cholesky(k + 1e-12 * np.eye(order)) @ rng.normal(size=order)
         u = FastSignal(samples=rng.normal(size=300), period=0.1)
         phi = build_regressor(u, 2, order)
@@ -726,6 +729,11 @@ class TestApplyHyperparameters:
             apply_hyperparameters(spec, {"terms.0": 1.0})
         with pytest.raises(ValueError):
             apply_hyperparameters(spec, {"terms.0.decay": 1.0})
+        with pytest.raises(ValueError, match="'decay'"):
+            apply_hyperparameters(spec, {"decay": 0.5})
+        pair = KernelSum(terms=(DiagonalCorrelated(), ResonantPole(decay=0.9, frequency=0.4)))
+        with pytest.raises(ValueError, match="'terms.0.sigma1'"):
+            apply_hyperparameters(pair, {"terms.0.sigma1": 0.5})
 
     def test_out_of_range_value_propagates(self):
         spec = DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.3)

@@ -4,23 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from kernel_oracle import kernel_entry, validate_psd
 
+import beyondnyq
 from beyondnyq.kernels import (
     DiagonalCorrelated,
-    KernelMatrix,
     KernelSum,
     ResonantPole,
     StableSpline,
     Tikhonov,
     build_kernel_matrix,
-    kernel_entry,
     kernel_spec_from_json,
     kernel_spec_to_json,
-    validate_psd,
 )
 
 
 def random_spec(rng, kind):
+    if kind == "tikhonov":
+        return Tikhonov()
     if kind == "dc":
         return DiagonalCorrelated(
             scale=float(rng.uniform(0.1, 10.0)),
@@ -115,11 +116,11 @@ class TestKernelEntry:
 class TestBuildKernelMatrix:
     def test_single_entry_dc(self):
         k = build_kernel_matrix(DiagonalCorrelated(scale=2.0, decay=0.5, correlation=0.3), 1)
-        np.testing.assert_array_equal(k.entries, [[2.0]])
+        np.testing.assert_array_equal(k, [[2.0]])
 
     def test_tikhonov_is_identity_matrix(self):
         k = build_kernel_matrix(Tikhonov(), 3)
-        np.testing.assert_array_equal(k.entries, np.eye(3))
+        np.testing.assert_array_equal(k, np.eye(3))
 
     def test_matches_entrywise_evaluation(self):
         rng = np.random.default_rng(0)
@@ -127,12 +128,12 @@ class TestBuildKernelMatrix:
             spec = random_spec(rng, kind)
             k = build_kernel_matrix(spec, 25)
             entries = np.array([[kernel_entry(spec, i, j) for j in range(25)] for i in range(25)])
-            np.testing.assert_allclose(k.entries, entries, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(k, entries, rtol=1e-13, atol=1e-300)
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(1)
         for kind in ("dc", "ss", "pk", "sum"):
-            k = build_kernel_matrix(random_spec(rng, kind), 40).entries
+            k = build_kernel_matrix(random_spec(rng, kind), 40)
             assert np.array_equal(k, k.T)
 
     def test_benchmark_pk_matrix_is_psd(self):
@@ -142,18 +143,18 @@ class TestBuildKernelMatrix:
 
     def test_dc_diagonal_nonincreasing(self):
         spec = DiagonalCorrelated(scale=1.3, decay=0.85, correlation=0.4)
-        diag = np.diag(build_kernel_matrix(spec, 30).entries)
+        diag = np.diag(build_kernel_matrix(spec, 30))
         assert np.all(np.diff(diag) <= 0)
 
 
 class TestValidatePsd:
     def test_identity(self):
-        report = validate_psd(KernelMatrix(entries=np.eye(4)))
+        report = validate_psd(np.eye(4))
         assert report.is_psd
         assert report.min_eigenvalue == pytest.approx(1.0)
 
     def test_known_indefinite_matrix(self):
-        report = validate_psd(KernelMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]])))
+        report = validate_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert not report.is_psd
         assert report.min_eigenvalue == pytest.approx(-1.0)
         assert report.max_eigenvalue == pytest.approx(3.0)
@@ -177,7 +178,7 @@ class TestPkGramStructure:
         # k(i,j) = s1^2 e_i e_j cos(wi)cos(wj) + s2^2 e_i e_j sin(wi)sin(wj)
         spec = ResonantPole(decay=0.9, frequency=1.1, sigma1=0.8, sigma2=1.4)
         order = 35
-        k = build_kernel_matrix(spec, order).entries
+        k = build_kernel_matrix(spec, order)
         i = np.arange(order, dtype=float)
         envelope = spec.decay ** (i / 2)
         v1 = spec.sigma1 * envelope * np.cos(spec.frequency * i)
@@ -186,12 +187,66 @@ class TestPkGramStructure:
         assert np.linalg.matrix_rank(k, tol=1e-10) <= 2
 
 
+class TestFactor:
+    """Each factored kernel's ``L`` (from ``factor`` on the identity and from
+    ``factor_times`` on unit vectors) gives ``scale L L' = K``."""
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "dc", "pk"])
+    @pytest.mark.parametrize("order", [1, 7, 130])
+    def test_factor_reproduces_matrix(self, kind, order):
+        spec = random_spec(np.random.default_rng(order), kind)
+        unit, scale = spec.unit()
+        factor = unit.factor(np.eye(order))
+        assert factor.shape == (order, spec.width(order))
+        k = build_kernel_matrix(spec, order)
+        np.testing.assert_allclose(scale * factor @ factor.T, k, rtol=0, atol=1e-12 * np.max(np.abs(k)))
+        columns = np.column_stack([unit.factor_times(e, order) for e in np.eye(spec.width(order))])
+        np.testing.assert_allclose(columns, factor, rtol=0, atol=1e-12 * np.max(np.abs(factor)))
+
+    def test_unit_separates_dc_scale_only(self):
+        dc = DiagonalCorrelated(scale=2.5, decay=0.8, correlation=0.3)
+        assert dc.unit() == (DiagonalCorrelated(scale=1.0, decay=0.8, correlation=0.3), 2.5)
+        for spec in (Tikhonov(), StableSpline(scale=2.5), ResonantPole(decay=0.9, frequency=1.0, sigma1=2.0)):
+            assert spec.unit() == (spec, 1.0)
+
+    def test_stable_spline_has_no_factor(self):
+        assert StableSpline().width(10) is None
+
+    def test_leaf_kernels_have_no_terms(self):
+        for kind in ("tikhonov", "dc", "ss", "pk"):
+            assert not hasattr(random_spec(np.random.default_rng(0), kind), "terms")
+
+
+def test_oracles_are_not_exported():
+    """The test oracles live in the tests, not in the package."""
+    for name in ("kernel_entry", "KernelMatrix", "PsdReport", "validate_psd", "OracleInapplicableError",
+                 "dft", "snr_variance_ratio"):
+        assert not hasattr(beyondnyq, name), name
+
+
 class TestKernelJson:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
-        for kind in ("dc", "ss", "pk", "sum"):
+        for kind in ("tikhonov", "dc", "ss", "pk", "sum"):
             spec = random_spec(rng, kind)
             assert kernel_spec_from_json(kernel_spec_to_json(spec)) == spec
+
+    def test_nested_sum_round_trip(self):
+        rng = np.random.default_rng(5)
+        inner = KernelSum(terms=(Tikhonov(), random_spec(rng, "pk")))
+        spec = KernelSum(terms=(random_spec(rng, "dc"), inner, Tikhonov()))
+        nested = {
+            "type": "sum",
+            "terms": [kernel_spec_to_json(spec.terms[0]), kernel_spec_to_json(inner), {"type": "tikhonov"}],
+        }
+        assert kernel_spec_from_json(nested) == spec
+        assert [term["type"] for term in kernel_spec_to_json(spec)["terms"]] == ["dc", "tikhonov", "pk", "tikhonov"]
+        assert kernel_spec_from_json(kernel_spec_to_json(spec)) == spec
+
+    def test_non_string_type_rejected(self):
+        for kind in ([], {"dc": 1}, 3, None):
+            with pytest.raises(ValueError, match="unknown kernel type"):
+                kernel_spec_from_json({"type": kind})
 
     def test_rate_period_form(self):
         obj = {

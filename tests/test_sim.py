@@ -12,7 +12,8 @@ import scipy.signal
 
 from beyondnyq import _blas, sim
 from beyondnyq.errors import NumericalError
-from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole
+from beyondnyq.estimator import default_bounds
+from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole, StableSpline, Tikhonov
 from beyondnyq.signals import FastSignal, random_multisine
 from beyondnyq.sim import (
     NOMINAL_PLANT,
@@ -194,6 +195,58 @@ def test_config_json_round_trip():
     )
     text = json.dumps(sim.monte_carlo_config_to_json(config))
     assert sim.monte_carlo_config_from_json(json.loads(text)) == config
+
+
+@pytest.mark.parametrize(
+    "config, estimator, expected",
+    [
+        (
+            MonteCarloConfig(),
+            "pk",
+            [
+                ("gamma", 1e-5),
+                ("terms.0.scale", 1.0),
+                ("terms.0.decay", np.exp(-0.05)),
+                ("terms.1.frequency", 2 * np.pi * 0.4 * 0.1),
+                ("terms.1.decay", np.exp(-0.05)),
+                ("terms.1.sigma1", 1.0),
+                ("terms.1.sigma2", 1.0),
+                ("terms.2.frequency", 2 * np.pi * 2.0 * 0.1),
+                ("terms.2.decay", np.exp(-0.05)),
+                ("terms.2.sigma1", 1.0),
+                ("terms.2.sigma2", 1.0),
+            ],
+        ),
+        (MonteCarloConfig(gamma=1e-3), "dc", [("gamma", 1e-3), ("scale", 1.0), ("decay", np.exp(-0.05))]),
+        (
+            MonteCarloConfig(pk_kernel=KernelSum(terms=(
+                StableSpline(scale=2.0, decay=0.8),
+                DiagonalCorrelated(scale=1.5, decay=0.7, correlation=0.2),
+                Tikhonov(),
+                ResonantPole(decay=0.9, frequency=1.2, sigma1=0.5, sigma2=2.0),
+            ))),
+            "pk",
+            [
+                ("gamma", 1e-5),
+                ("terms.1.scale", 1.5),
+                ("terms.1.decay", 0.7),
+                ("terms.3.frequency", 1.2),
+                ("terms.3.decay", 0.9),
+                ("terms.3.sigma1", 0.5),
+                ("terms.3.sigma2", 2.0),
+            ],
+        ),
+    ],
+    ids=["default-pk", "default-dc", "sum-with-ss-and-tikhonov"],
+)
+def test_tuning_start_names_and_values(config, estimator, expected):
+    """The tuner starts from gamma plus each term's tunables, in term order:
+    scale and decay for DC; frequency, decay and both amplitudes for a
+    resonant pole; none for stable spline and Tikhonov."""
+    eta0 = sim._tuning_start(config, estimator)
+    assert list(eta0.values) == [name for name, _ in expected]
+    np.testing.assert_array_equal(list(eta0.values.values()), [value for _, value in expected])
+    assert eta0.bounds == {name: default_bounds(name, value, 2 * np.pi) for name, value in expected}
 
 
 def test_paper_ordering():
