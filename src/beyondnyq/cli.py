@@ -7,6 +7,9 @@ deterministic given the config and seed: no timestamps, sorted JSON keys, and
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.
 
+Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
+else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
+
 Parallelism: ``NB_THREADS=n`` runs the ``simulate-mc`` runs on n threads
 (default 1), and BLAS runs on one thread inside ``simulate-mc``.
 ``identify``, ``tune`` and ``frf`` leave BLAS threading as the environment
@@ -40,7 +43,9 @@ from .estimator import (
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
-from .signals import FastSignal, FirModel, SlowSignal, _integer, downsample, fir_frf, read_signal_csv
+from .signals import (
+    FastSignal, FirModel, SlowSignal, _integer, _number, _pair, _positive, downsample, fir_frf, read_signal_csv
+)
 from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
 EXIT_OK = 0
@@ -84,13 +89,6 @@ def _path(name: str, value) -> Path:
     return Path(value)
 
 
-def _number(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-
-
 def _integer_setting(name: str, value, minimum: int) -> int:
     """``value`` as an ``int`` >= ``minimum``; bools and non-integral numbers
     are config errors, never truncated."""
@@ -102,10 +100,8 @@ def _integer_setting(name: str, value, minimum: int) -> int:
 
 def _sampling(config: dict) -> tuple[float, int]:
     sampling = _object(_require(config, "sampling", "config"), "sampling")
-    period = _number("sampling.period_s", _require(sampling, "period_s", "sampling"))
+    period = _positive("sampling.period_s", _require(sampling, "period_s", "sampling"))
     factor = _integer_setting("sampling.factor", _require(sampling, "factor", "sampling"), 1)
-    if not period > 0:
-        raise ConfigError(f"sampling.period_s must be positive, got {period}")
     return period, factor
 
 
@@ -127,10 +123,7 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
             continue
         if name not in kernels:
             raise ConfigError(f"estimator {name!r} has no kernel under 'kernels'")
-        gamma = _number("gamma", config.get("gamma", 1e-5))
-        if not gamma > 0:
-            raise ConfigError(f"gamma must be > 0 for regularized estimation, got {gamma}")
-        plan.append((name, kernel_spec_from_json(kernels[name]), gamma))
+        plan.append((name, kernel_spec_from_json(kernels[name]), _positive("gamma", config.get("gamma", 1e-5))))
     if not plan:
         raise ConfigError("no estimators configured")
     return plan
@@ -237,17 +230,19 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_mc(config: dict, out_dir: Path, threads: int) -> int:
+def cmd_simulate_mc(config: dict, out_dir: Path, threads: int, seed: int | None) -> int:
     mc_obj = dict(_object(_require(config, "monte_carlo", "config"), "monte_carlo"))
     if "sampling" in config:
         period, factor = _sampling(config)
         mc_obj.setdefault("period_s", period)
         mc_obj.setdefault("factor", factor)
-    if "seed" in config:
+    if seed is not None:
+        mc_obj["base_seed"] = seed
+    elif "seed" in config:
         mc_obj.setdefault("base_seed", config["seed"])
     try:
         mc_config = monte_carlo_config_from_json(mc_obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid monte_carlo config: {exc}") from exc
     result = run_monte_carlo(mc_config, max_workers=threads)
     write_records_csv(result, out_dir / "runs.csv")
@@ -284,9 +279,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     if not isinstance(estimator, str) or estimator not in kernels:
         raise ConfigError(f"tune.estimator {estimator!r} has no kernel under 'kernels'")
     template = kernel_spec_from_json(kernels[estimator])
-    gamma = _number("gamma", config.get("gamma", 1e-5))
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    gamma = _positive("gamma", config.get("gamma", 1e-5))
     budget = _integer_setting("tune.budget", tune.get("budget", 100), 1)
 
     init_obj = _object(_require(tune, "init", "tune"), "tune.init")
@@ -296,10 +289,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     bounds = {}
     for name, value in init.items():
         if name in bounds_obj:
-            pair = bounds_obj[name]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"tune.bounds.{name} must be a [low, high] pair, got {pair!r}")
-            bounds[name] = (_number(f"tune.bounds.{name}", pair[0]), _number(f"tune.bounds.{name}", pair[1]))
+            bounds[name] = _pair(f"tune.bounds.{name}", bounds_obj[name], _number)
         else:
             bounds[name] = default_bounds(name, value, omega_max)
     eta0 = HyperparameterVector(values=init, bounds=bounds)
@@ -367,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the config output directory")
+        if name == "simulate-mc":
+            cmd.add_argument("--seed", type=int, help="base seed; wins over the config's base_seed and seed")
     return parser
 
 
@@ -376,14 +367,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
         out_dir = Path(args.out) if args.out else _path("output_dir", config.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "identify":
             return cmd_identify(config, out_dir)
         if args.command == "simulate-mc":
-            return cmd_simulate_mc(config, out_dir, _thread_count())
+            return cmd_simulate_mc(config, out_dir, _thread_count(), args.seed)
         if args.command == "frf":
             return cmd_frf(config, out_dir)
         return cmd_tune(config, out_dir)

@@ -37,6 +37,8 @@ from typing import ClassVar, Union
 
 import numpy as np
 
+from .signals import _number
+
 __all__ = [
     "Tikhonov",
     "DiagonalCorrelated",
@@ -298,28 +300,19 @@ def _field(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a number, got {value!r}") from exc
-
-
 def _per_period(key: str, formula):
     """Parser of a number, or of ``{key: x, "period_s": T}`` meaning ``formula(x, T)``."""
 
-    def parse(value, name: str) -> float:
+    def parse(name: str, value) -> float:
         if isinstance(value, dict):
-            x = _number(_field(value, key, name), f"{name}.{key}")
-            return formula(x, _number(_field(value, "period_s", name), f"{name}.period_s"))
-        if isinstance(value, (int, float)):
-            return float(value)
-        raise ValueError(f"{name} must be a number or {{{key!r}: x, 'period_s': T}}, got {value!r}")
+            x = _number(f"{name}.{key}", _field(value, key, name))
+            return formula(x, _number(f"{name}.period_s", _field(value, "period_s", name)))
+        return _number(name, value)
 
     return parse
 
 
-def _terms_from_json(value, name: str) -> tuple:
+def _terms_from_json(name: str, value) -> tuple:
     if not isinstance(value, list):
         raise ValueError(f"kernel type 'sum' needs {name!r} as a list of kernel specs, got {value!r}")
     return tuple(kernel_spec_from_json(term) for term in value)
@@ -355,7 +348,7 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
     values = {}
     for param in params:
         if param.name in obj:
-            values[param.name] = _FIELD_PARSERS.get(param.name, _number)(obj[param.name], param.name)
+            values[param.name] = _FIELD_PARSERS.get(param.name, _number)(param.name, obj[param.name])
         elif param.default is MISSING:
             raise ValueError(f"kernel type {kind!r} needs {param.name!r}, got {obj!r}")
     return cls(**values)

@@ -11,6 +11,7 @@ convention ``X(k) = sum_t x(t) exp(-j 2 pi k t / N)``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,13 +34,35 @@ __all__ = [
 ]
 
 
-def _integer(name: str, value, minimum: int) -> int:
+def _integer(name: str, value, minimum: int = 1) -> int:
     """``value`` as an ``int``; bools and non-integral numbers are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a ``float``; bools and non-numbers, strings included, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive(name: str, value) -> float:
+    """:func:`_number` in ``(0, inf)``."""
+    value = _number(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive number, got {value}")
+    return value
+
+
+def _pair(name: str, value, item) -> tuple:
+    """``value``, a list or tuple of two, as the tuple of ``item(name, v)``."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise ValueError(f"{name} must be a pair, got {value!r}")
+    return tuple(item(name, v) for v in value)
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -192,7 +215,7 @@ def random_multisine(
         raise ValueError(f"rms must be positive, got {rms}")
     if band is None:
         band = full_band(n_samples)
-    lo, hi = (_integer("band", k, 1) for k in band)
+    lo, hi = _pair("band", band, _integer)
     if lo > hi:
         raise ValueError(f"empty excitation band {band}")
     if hi > n_samples // 2:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +53,9 @@ from .signals import (
     FrfSample,
     SlowSignal,
     _integer,
+    _number,
+    _pair,
+    _positive,
     downsample,
     random_multisine,
     random_noise,
@@ -94,10 +97,8 @@ class ContinuousPlant:
     d2: float
 
     def __post_init__(self):
-        for name in ("m1", "m2", "k1", "k2", "d1", "d2"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+        for param in fields(self):
+            object.__setattr__(self, param.name, _positive(param.name, getattr(self, param.name)))
 
 
 NOMINAL_PLANT = ContinuousPlant(m1=1.0, m2=1.0, k1=15.0, k2=100.0, d1=0.45, d2=0.06)
@@ -253,11 +254,15 @@ def default_pk_kernel(period: float) -> KernelSum:
     )
 
 
+_JSON_NAMES = {"period": "period_s"}
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Settings for one study; defaults follow the benchmark configuration
     (fast period 0.1 s, factor 3, 600 input samples, variance-ratio SNR in
-    [40, 60], parameters perturbed within +/-10%)."""
+    [40, 60], parameters perturbed within +/-10%).  Its JSON names are its
+    field names, with ``period_s`` for ``period``."""
 
     runs: int = 100
     orders: tuple[int, ...] = (50, 100, 150, 200, 300, 450, 600)
@@ -281,28 +286,32 @@ class MonteCarloConfig:
         for name in ("runs", "factor", "n_samples", "tune_budget"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, 0))
+        for name in ("period", "input_rms", "gamma"):
+            object.__setattr__(self, name, _positive(_JSON_NAMES.get(name, name), getattr(self, name)))
         if self.band is not None:
-            if len(self.band) != 2:
-                raise ValueError(f"band must be a pair of DFT bins, got {self.band}")
-            lo, hi = (_integer("band", k, 1) for k in self.band)
+            lo, hi = _pair("band", self.band, _integer)
             if not lo <= hi <= self.n_samples // 2:
                 raise ValueError(f"band {self.band} must satisfy 1 <= lo <= hi <= {self.n_samples // 2}")
             object.__setattr__(self, "band", (lo, hi))
-        if not self.orders:
-            raise ValueError("orders must be non-empty")
-        orders = tuple(_integer("orders", p, 1) for p in self.orders)
-        for p in orders:
-            if p > self.n_samples:
-                raise ValueError(f"order {p} outside [1, {self.n_samples}]")
+        if not (isinstance(self.orders, (tuple, list)) and self.orders):
+            raise ValueError(f"orders must be a non-empty list of model orders, got {self.orders!r}")
+        object.__setattr__(self, "orders", tuple(_integer("orders", p, 1) for p in self.orders))
+        if max(self.orders) > self.n_samples:
+            raise ValueError(f"orders {self.orders} must not exceed n_samples {self.n_samples}")
+        object.__setattr__(self, "perturbation", _number("perturbation", self.perturbation))
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
+        object.__setattr__(self, "snr_range", _pair("snr_range", self.snr_range, _number))
         if not 0 < self.snr_range[0] <= self.snr_range[1]:
             raise ValueError(f"invalid snr_range {self.snr_range}")
-        unknown = set(self.estimators) - {"ls", "dc", "pk"}
-        if unknown:
-            raise ValueError(f"unknown estimators {sorted(unknown)}")
-        object.__setattr__(self, "orders", orders)
+        known = ("ls", "dc", "pk")
+        if not (isinstance(self.estimators, (tuple, list)) and all(e in known for e in self.estimators)):
+            raise ValueError(f"estimators must be a list of names from {known}, got {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not isinstance(self.tune, bool):
+            raise ValueError(f"tune must be true or false, got {self.tune!r}")
+        if not isinstance(self.nominal, ContinuousPlant):
+            raise ValueError(f"nominal must be a ContinuousPlant, got {self.nominal!r}")
         if self.dc_kernel is None:
             object.__setattr__(self, "dc_kernel", default_dc_kernel(self.period))
         if self.pk_kernel is None:
@@ -353,8 +362,8 @@ class MonteCarloResult:
 
 def _perturbed_plant(nominal: ContinuousPlant, rng: np.random.Generator, bound: float) -> ContinuousPlant:
     values = {
-        name: getattr(nominal, name) * (1.0 + rng.uniform(-bound, bound))
-        for name in ("m1", "m2", "k1", "k2", "d1", "d2")
+        param.name: getattr(nominal, param.name) * (1.0 + rng.uniform(-bound, bound))
+        for param in fields(nominal)
     }
     return ContinuousPlant(**values)
 
@@ -553,58 +562,34 @@ def write_summary_csv(result: MonteCarloResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# (from JSON, to JSON) per field; other fields are their JSON values, tuples written as lists
+_CONVERTERS = {
+    "dc_kernel": (kernel_spec_from_json, kernel_spec_to_json),
+    "pk_kernel": (kernel_spec_from_json, kernel_spec_to_json),
+    "nominal": (lambda obj: ContinuousPlant(**obj), asdict),
+}
+_PLAIN = (lambda value: value, lambda value: list(value) if isinstance(value, tuple) else value)
+
+
 def monte_carlo_config_from_json(obj: dict) -> MonteCarloConfig:
-    known = {
-        "runs", "orders", "base_seed", "period_s", "factor", "n_samples",
-        "perturbation", "snr_range", "input_rms", "band", "gamma",
-        "estimators", "dc_kernel", "pk_kernel", "tune", "tune_budget", "nominal",
-    }
-    extra = set(obj) - known
+    """Settings left out keep their defaults; an error (``ValueError``, or
+    ``TypeError`` for a non-integral count) names the setting."""
+    names = {_JSON_NAMES.get(f.name, f.name): f.name for f in fields(MonteCarloConfig)}
+    extra = set(obj) - set(names)
     if extra:
         raise ValueError(f"unknown Monte Carlo settings {sorted(extra)}")
     kwargs = {}
-    for src, dst in (("runs", "runs"), ("base_seed", "base_seed"), ("factor", "factor"),
-                     ("n_samples", "n_samples"), ("perturbation", "perturbation"),
-                     ("input_rms", "input_rms"), ("gamma", "gamma"), ("tune", "tune"),
-                     ("tune_budget", "tune_budget")):
-        if src in obj:
-            kwargs[dst] = obj[src]
-    if "period_s" in obj:
-        kwargs["period"] = float(obj["period_s"])
-    if "orders" in obj:
-        kwargs["orders"] = tuple(obj["orders"])
-    if "snr_range" in obj:
-        kwargs["snr_range"] = (float(obj["snr_range"][0]), float(obj["snr_range"][1]))
-    if "band" in obj and obj["band"] is not None:
-        kwargs["band"] = tuple(obj["band"])
-    if "estimators" in obj:
-        kwargs["estimators"] = tuple(obj["estimators"])
-    if "dc_kernel" in obj:
-        kwargs["dc_kernel"] = kernel_spec_from_json(obj["dc_kernel"])
-    if "pk_kernel" in obj:
-        kwargs["pk_kernel"] = kernel_spec_from_json(obj["pk_kernel"])
-    if "nominal" in obj:
-        kwargs["nominal"] = ContinuousPlant(**{k: float(v) for k, v in obj["nominal"].items()})
+    for key, value in obj.items():
+        try:
+            kwargs[names[key]] = _CONVERTERS.get(names[key], _PLAIN)[0](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     return MonteCarloConfig(**kwargs)
 
 
 def monte_carlo_config_to_json(config: MonteCarloConfig) -> dict:
+    """The JSON object that :func:`monte_carlo_config_from_json` reads back to ``config``."""
     return {
-        "runs": config.runs,
-        "orders": list(config.orders),
-        "base_seed": config.base_seed,
-        "period_s": config.period,
-        "factor": config.factor,
-        "n_samples": config.n_samples,
-        "perturbation": config.perturbation,
-        "snr_range": list(config.snr_range),
-        "input_rms": config.input_rms,
-        "band": list(config.band) if config.band is not None else None,
-        "gamma": config.gamma,
-        "estimators": list(config.estimators),
-        "dc_kernel": kernel_spec_to_json(config.dc_kernel),
-        "pk_kernel": kernel_spec_to_json(config.pk_kernel),
-        "tune": config.tune,
-        "tune_budget": config.tune_budget,
-        "nominal": {k: getattr(config.nominal, k) for k in ("m1", "m2", "k1", "k2", "d1", "d2")},
+        _JSON_NAMES.get(f.name, f.name): _CONVERTERS.get(f.name, _PLAIN)[1](getattr(config, f.name))
+        for f in fields(config)
     }

@@ -13,7 +13,8 @@ import beyondnyq
 from beyondnyq import estimator, sim
 from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from beyondnyq.errors import NumericalError
-from beyondnyq.estimator import save_model
+from beyondnyq.estimator import apply_hyperparameters, save_model
+from beyondnyq.kernels import kernel_spec_from_json
 from beyondnyq.signals import FastSignal, FirModel, random_noise, write_signal_csv
 
 TINY_MC = {"runs": 2, "n_samples": 90, "orders": [10, 30], "tune": True, "tune_budget": 60}
@@ -58,11 +59,26 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"base_seed": -1},
         {"band": [5, 400]},
         {"band": [10, 5]},
+        {"snr_range": [40]},
+        {"nominal": 3},
+        {"gamma": -1},
+        {"gamma": "1e-5"},
+        {"input_rms": -1},
+        {"tune": "no"},
+        {"tune": 1},
+        {"period_s": "0.1"},
+        {"snr_range": [True, 50]},
+        {"dc_kernel": {"type": "dc", "scale": True}},
+        {"orders": 5},
+        {"estimators": "dc"},
+        {"period_s": 0},
     ],
     ids=[
         "runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero",
         "orders-float", "orders-bool", "base_seed-float", "base_seed-negative",
-        "band-above-nyquist", "band-empty",
+        "band-above-nyquist", "band-empty", "snr_range-short", "nominal-number", "gamma-negative",
+        "gamma-string", "input_rms-negative", "tune-string", "tune-number", "period-string",
+        "snr_range-bool", "kernel-scale-bool", "orders-number", "estimators-string", "period-zero",
     ],
 )
 def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
@@ -70,6 +86,24 @@ def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
     assert code == EXIT_CONFIG
     assert next(iter(settings)) in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+def test_seed_option_wins_over_base_seed(tmp_path):
+    """``--seed 9`` on a config with ``"base_seed": 7`` runs base seed 9; the
+    commands that draw no random numbers have no ``--seed``."""
+    mc = {"runs": 1, "n_samples": 60, "orders": [10]}
+    code, expected = simulate_mc(tmp_path, "nine", {**mc, "base_seed": 9})
+    assert code == EXIT_OK
+    config = tmp_path / "seven.json"
+    config.write_text(json.dumps({"seed": 3, "monte_carlo": {**mc, "base_seed": 7}}))
+    out = tmp_path / "overridden"
+    assert main(["simulate-mc", "--config", str(config), "--seed", "9", "--out", str(out)]) == EXIT_OK
+    for name in ("runs.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
+    for command in ("identify", "tune", "frf"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(config), "--seed", "9"])
+        assert exit_info.value.code == 2  # argparse's usage error
 
 
 def test_failed_run_reports_type_and_diagnostics(tmp_path, monkeypatch, capsys):
@@ -168,6 +202,8 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("identify", ("estimators",), "dc", "estimators"),
         ("identify", ("gamma",), [1e-5], "gamma"),
         ("identify", ("sampling", "period_s"), [0.1], "period_s"),
+        ("identify", ("sampling", "period_s"), "0.1", "period_s"),
+        ("identify", ("gamma",), True, "gamma"),
         ("identify", ("kernels", "dc", "scale"), [1.0], "scale"),
         ("identify", ("data", "input_csv"), 3, "data.input_csv"),
         ("identify", ("data", "output_csv"), ["y.csv"], "data.output_csv"),
@@ -178,8 +214,8 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
         "sum-without-terms", "sum-terms-number", "omega_max-zero", "estimators-string", "gamma-list",
-        "period-list", "scale-list", "input_csv-number", "output_csv-list", "model_json-number",
-        "init-foreign-field", "type-list",
+        "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
+        "model_json-number", "init-foreign-field", "type-list",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
@@ -237,3 +273,26 @@ def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
     config_path.write_text(json.dumps(config))
     assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert calls == {"_gram": 1, "_shifted_cholesky": 1}
+
+
+def test_tuned_kernel_json_reads_back_to_tuned_values(tmp_path):
+    """The ``kernel`` in ``tuned_hyperparameters.json`` reads back with
+    ``kernel_spec_from_json`` to the template with the file's ``values``
+    applied, bit for bit."""
+    config = identify_config(tmp_path)
+    pole = {"type": "pk", "decay": 0.95, "frequency": {"freq_hz": 2.0, "period_s": 0.1}}
+    config["kernels"]["pk"] = {"type": "sum", "terms": [config["kernels"]["dc"], pole]}
+    config["tune"] = {
+        "estimator": "pk",
+        "init": {"gamma": 1e-5, "terms.0.scale": 1.0, "terms.1.frequency": 1.2, "terms.1.sigma2": 1.0},
+        "budget": 30,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["tune", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    tuned = json.loads((tmp_path / "out" / "tuned_hyperparameters.json").read_text())
+    template = kernel_spec_from_json(config["kernels"]["pk"])
+    spec = apply_hyperparameters(template, {k: v for k, v in tuned["values"].items() if k != "gamma"})
+    assert spec != template
+    assert kernel_spec_from_json(tuned["kernel"]) == spec
+    assert tuned["gamma"] == tuned["values"]["gamma"]

@@ -270,6 +270,22 @@ class TestKernelJson:
         with pytest.raises(ValueError, match="unknown parameters"):
             kernel_spec_from_json({"type": "dc", "rho": 0.5})
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"scale": True}, "scale"),
+            ({"scale": "0.9"}, "scale"),
+            ({"correlation": False}, "correlation"),
+            ({"decay": "0.9"}, "decay"),
+            ({"decay": {"rate": "0.5", "period_s": 0.1}}, "decay.rate"),
+        ],
+        ids=["scale-bool", "scale-string", "correlation-bool", "decay-string", "rate-string"],
+    )
+    def test_non_numbers_rejected(self, params, named):
+        """Booleans and numeric strings are not numbers, plain or in the per-period form."""
+        with pytest.raises(ValueError, match=f"{named} must be a number"):
+            kernel_spec_from_json({"type": "dc", **params})
+
     def test_out_of_range_parameter_named(self):
         with pytest.raises(ValueError, match="decay"):
             kernel_spec_from_json({"type": "dc", "decay": 1.5})

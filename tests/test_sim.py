@@ -2,6 +2,7 @@
 scipy.signal, LS statuses, the paper's ordering, worker-count invariance and
 the BLAS pin."""
 
+import csv
 import json
 import os
 
@@ -176,6 +177,44 @@ def test_least_squares_status_follows_order_rule(monkeypatch):
     assert sorted(shapes["dtrtri"]) == sorted(factors)
     assert set(shapes["svdvals"]) <= set(factors)
     assert run_monte_carlo(config, max_workers=2).records == serial.records
+
+
+def test_records_and_summary_csv_read_back_bit_for_bit(tmp_path):
+    """``runs.csv`` and ``summary.csv`` read back through ``csv`` to every
+    field of every record, floats bit for bit, and ``None`` as an empty field
+    (LS at P = M = 30 has no unique answer, so no GoF and no statistics)."""
+    result = run_monte_carlo(MonteCarloConfig(runs=2, n_samples=90, orders=(10, 30), estimators=("ls", "dc")))
+    sim.write_records_csv(result, tmp_path / "runs.csv")
+    sim.write_summary_csv(result, tmp_path / "summary.csv")
+
+    def read(name):
+        with open(tmp_path / name, newline="") as f:
+            return list(csv.DictReader(f))
+
+    def bits(value):
+        return "" if value is None else float(value).hex()
+
+    def field_bits(row, names):
+        return [float(row[name]).hex() if row[name] else "" for name in names]
+
+    rows = read("runs.csv")
+    assert [(int(r["run"]), int(r["seed"]), r["estimator"], int(r["order"]), r["status"]) for r in rows] == [
+        (r.run, r.seed, r.estimator, r.order, r.status) for r in result.records
+    ]
+    plant = ("m1", "m2", "k1", "k2", "d1", "d2")
+    assert [field_bits(row, ("gof", "snr", *plant)) for row in rows] == [
+        [bits(r.gof), bits(r.snr), *(bits(getattr(r.plant, name)) for name in plant)] for r in result.records
+    ]
+    assert any(r.gof is None for r in result.records)
+
+    rows = read("summary.csv")
+    assert [(r["estimator"], int(r["order"]), int(r["count"])) for r in rows] == [
+        (s.estimator, s.order, s.count) for s in result.summary
+    ]
+    assert [field_bits(row, ("mean_gof", "std_gof")) for row in rows] == [
+        [bits(s.mean_gof), bits(s.std_gof)] for s in result.summary
+    ]
+    assert any(s.mean_gof is None for s in result.summary)
 
 
 def test_config_json_round_trip():
