@@ -5,7 +5,10 @@ under ``--out`` (or the config's ``output_dir``).  All outputs are
 deterministic given the config and seed: no timestamps, sorted JSON keys, and
 17-significant-digit CSV floats so files round-trip exactly.
 
-Exit codes: 0 success, 1 numerical failure, 2 input/config error.
+Exit codes: 0 success, 1 numerical failure, 2 input/config error.  An
+unknown config key is a config error: the top level takes the keys any
+command reads, and ``sampling``, ``data``, ``frf`` and ``tune`` take only
+their own (each ``tune.bounds`` key names a ``tune.init`` entry).
 
 Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
 else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
@@ -44,13 +47,20 @@ from .estimator import (
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
 from .signals import (
-    FastSignal, FirModel, SlowSignal, _integer, _number, _pair, _positive, downsample, fir_frf, read_signal_csv
+    FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, downsample, fir_frf,
+    read_signal_csv,
 )
 from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
+
+# the keys any command reads, so that one config can serve identify and tune
+_CONFIG_KEYS = (
+    "sampling", "data", "order", "estimators", "kernels", "gamma", "frf", "tune",
+    "model_json", "output_dir", "seed", "monte_carlo",
+)
 
 
 class ConfigError(ValueError):
@@ -67,6 +77,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
+    _known_keys("config keys", obj, _CONFIG_KEYS)
     return obj
 
 
@@ -76,10 +87,13 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
-def _object(value, name: str) -> dict:
-    """``value`` when it is a JSON object; any other shape is a config error."""
+def _object(value, name: str, known=None) -> dict:
+    """``value`` when it is a JSON object whose keys are in ``known`` (any
+    keys where ``known`` is None); anything else is a config error."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    if known is not None:
+        _known_keys(f"{name} keys", value, known)
     return value
 
 
@@ -99,7 +113,7 @@ def _integer_setting(name: str, value, minimum: int) -> int:
 
 
 def _sampling(config: dict) -> tuple[float, int]:
-    sampling = _object(_require(config, "sampling", "config"), "sampling")
+    sampling = _object(_require(config, "sampling", "config"), "sampling", ("period_s", "factor"))
     period = _positive("sampling.period_s", _require(sampling, "period_s", "sampling"))
     factor = _integer_setting("sampling.factor", _require(sampling, "factor", "sampling"), 1)
     return period, factor
@@ -130,7 +144,7 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
 
 
 def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal]:
-    data = _object(_require(config, "data", "config"), "data")
+    data = _object(_require(config, "data", "config"), "data", ("input_csv", "output_csv"))
     input_path = _path("data.input_csv", _require(data, "input_csv", "data"))
     output_path = _path("data.output_csv", _require(data, "output_csv", "data"))
     for p in (input_path, output_path):
@@ -168,7 +182,7 @@ def _write_theta_csv(model: FirModel, path: Path) -> None:
 
 
 def _frf_grid(config: dict, period: float) -> np.ndarray:
-    frf = _object(config.get("frf", {}), "frf")
+    frf = _object(config.get("frf", {}), "frf", ("points", "omega_min", "omega_max"))
     points = _integer_setting("frf.points", frf.get("points", 1000), 2)
     omega_min = _number("frf.omega_min", frf.get("omega_min", 0.0))
     # null, like a missing value, means the fast Nyquist frequency
@@ -273,7 +287,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     order = _integer_setting("order", _require(config, "order", "config"), 1)
     phi = build_regressor(u, factor, order, len(y_l))
 
-    tune = _object(_require(config, "tune", "config"), "tune")
+    tune = _object(_require(config, "tune", "config"), "tune", ("estimator", "init", "bounds", "budget"))
     estimator = _require(tune, "estimator", "tune")
     kernels = _object(config.get("kernels", {}), "kernels")
     if not isinstance(estimator, str) or estimator not in kernels:
@@ -285,7 +299,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     init_obj = _object(_require(tune, "init", "tune"), "tune.init")
     init = {str(k): _number(f"tune.init.{k}", v) for k, v in init_obj.items()}
     omega_max = min(math.pi * factor, 2.0 * math.pi)
-    bounds_obj = _object(tune.get("bounds", {}), "tune.bounds")
+    bounds_obj = _object(tune.get("bounds", {}), "tune.bounds", init)
     bounds = {}
     for name, value in init.items():
         if name in bounds_obj:

@@ -44,7 +44,7 @@ import scipy.linalg
 from .errors import InvalidStartError, NumericalError
 from .kernels import KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
 from .regressor import RegressorMatrix
-from .signals import FastSignal, FirModel, SlowSignal
+from .signals import FastSignal, FirModel, SlowSignal, _integer, _positive
 
 __all__ = [
     "RegularizedProblem",
@@ -73,18 +73,8 @@ class RegularizedProblem:
     gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if len(self.y_l) != self.phi.output_length:
-            raise ValueError(
-                f"output has {len(self.y_l)} samples but the regressor expects "
-                f"{self.phi.output_length}"
-            )
-        if self.y_l.factor != self.phi.factor:
-            raise ValueError(
-                f"output downsampling factor {self.y_l.factor} does not match "
-                f"the regressor's {self.phi.factor}"
-            )
+        object.__setattr__(self, "gamma", _positive("gamma", self.gamma))
+        self.phi.check_output(self.y_l)
 
 
 def _terms(spec: KernelSpec) -> tuple:
@@ -356,9 +346,8 @@ def marginal_likelihood(
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 P + M^3), with the quadratic form from one triangular solve.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return _solve(phi.entries, y_l.samples, kernel, gamma).evidence
+    problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
+    return _solve(phi.entries, y_l.samples, kernel, problem.gamma).evidence
 
 
 class _Rest(NamedTuple):
@@ -556,8 +545,8 @@ def optimize_hyperparameters(
     objective evaluation (for trace files), including ``inf`` ones; the
     second scoring of a coordinate's best probe is not a new evaluation.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget, gamma = _integer("budget", budget), _positive("gamma", gamma)
+    phi.check_output(y_l)
 
     entries, y = phi.entries, y_l.samples
     feature = _in_feature_space(_terms(template), *entries.shape)

@@ -37,7 +37,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .signals import _number
+from .signals import _integer, _known_keys, _number
 
 __all__ = [
     "Tikhonov",
@@ -289,9 +289,7 @@ def build_kernel_matrix(spec: KernelSpec, order: int) -> np.ndarray:
     """Evaluate ``k`` on the index grid ``0..order-1``, bitwise symmetric:
     each ``matrix`` takes powers per index and spreads them by outer products
     or difference/maximum indexing, symmetric functions of (i, j)."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return spec.matrix(order)
+    return spec.matrix(_integer("order", order))
 
 
 def _field(obj: dict, key: str, context: str):
@@ -342,9 +340,7 @@ def kernel_spec_from_json(obj: dict) -> KernelSpec:
         raise ValueError(f"unknown kernel type {kind!r}; expected one of {sorted(_TYPES)}")
     cls = _TYPES[kind]
     params = fields(cls)
-    extra = set(obj) - {f.name for f in params} - {"type"}
-    if extra:
-        raise ValueError(f"unknown parameters {sorted(extra)} for kernel type {kind!r}")
+    _known_keys(f"parameters for kernel type {kind!r}", obj, {f.name for f in params} | {"type"})
     values = {}
     for param in params:
         if param.name in obj:

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import NonUniqueModelError
-from .signals import FastSignal, FirModel, SlowSignal
+from .signals import FastSignal, FirModel, SlowSignal, _integer
 
 __all__ = [
     "RegressorMatrix",
@@ -65,6 +65,14 @@ class RegressorMatrix:
     def output_length(self) -> int:
         return self.entries.shape[0]
 
+    def check_output(self, y_l: SlowSignal) -> None:
+        """Raise ``ValueError`` unless ``y_l`` is this matrix's output: ``M``
+        samples at factor ``F``."""
+        if len(y_l) != self.output_length:
+            raise ValueError(f"output has {len(y_l)} samples but the regressor expects {self.output_length}")
+        if y_l.factor != self.factor:
+            raise ValueError(f"output downsampling factor {y_l.factor} does not match the regressor's {self.factor}")
+
 
 @dataclass(frozen=True)
 class IdentifiabilityReport:
@@ -95,15 +103,12 @@ def build_regressor(
     slow-rate samples obtained by decimating an ``N``-sample fast signal.
     """
     n = len(u)
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if not (1 <= order <= n):
+    factor, order = _integer("factor", factor), _integer("order", order)
+    if order > n:
         raise ValueError(f"order must be within [1, {n}], got {order}")
     if output_length is None:
         output_length = (n - 1) // factor + 1
-    if output_length < 1:
-        raise ValueError(f"output_length must be >= 1, got {output_length}")
+    output_length = _integer("output_length", output_length)
     if (output_length - 1) * factor > n - 1:
         raise ValueError(
             f"output_length {output_length} needs input sample "
@@ -199,14 +204,7 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
       that certificate fails do the singular values of ``R`` decide.
       ``theta`` solves ``R theta = Q'y`` in O(P^2).
     """
-    if len(y_l) != phi.output_length:
-        raise ValueError(
-            f"output has {len(y_l)} samples but the regressor expects {phi.output_length}"
-        )
-    if y_l.factor != phi.factor:
-        raise ValueError(
-            f"output downsampling factor {y_l.factor} does not match the regressor's {phi.factor}"
-        )
+    phi.check_output(y_l)
     m, p = phi.entries.shape
     if p >= m:
         report = identifiability_check(phi)

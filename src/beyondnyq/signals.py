@@ -58,6 +58,13 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _known_keys(what: str, obj: dict, known) -> None:
+    """Raise ``ValueError`` naming the keys of ``obj`` outside ``known``."""
+    extra = set(obj) - set(known)
+    if extra:
+        raise ValueError(f"unknown {what}: {sorted(extra)}")
+
+
 def _pair(name: str, value, item) -> tuple:
     """``value``, a list or tuple of two, as the tuple of ``item(name, v)``."""
     if not (isinstance(value, (tuple, list)) and len(value) == 2):
@@ -89,8 +96,7 @@ class FastSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_array(self.samples, "samples"))
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
+        object.__setattr__(self, "period", _positive("period", self.period))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -112,11 +118,8 @@ class SlowSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_array(self.samples, "samples"))
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
-        if int(self.factor) != self.factor or self.factor < 1:
-            raise ValueError(f"factor must be a positive integer, got {self.factor}")
-        object.__setattr__(self, "factor", int(self.factor))
+        object.__setattr__(self, "period", _positive("period", self.period))
+        object.__setattr__(self, "factor", _integer("factor", self.factor))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -136,8 +139,7 @@ class FirModel:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen_array(self.theta, "theta"))
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
+        object.__setattr__(self, "period", _positive("period", self.period))
 
     @property
     def order(self) -> int:
@@ -163,9 +165,7 @@ def downsample(x: FastSignal | SlowSignal, factor: int) -> SlowSignal:
     output has ``floor((N - 1) / factor) + 1`` samples and sample 0 is always
     retained.  Downsampling a :class:`SlowSignal` compounds the factors.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"downsampling factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    factor = _integer("downsampling factor", factor)
     base_factor = x.factor if isinstance(x, SlowSignal) else 1
     return SlowSignal(
         samples=x.samples[::factor],
@@ -209,10 +209,7 @@ def random_multisine(
     (Pintelon & Schoukens, *System Identification: A Frequency Domain
     Approach*, 2nd ed., 2012).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (rms > 0):
-        raise ValueError(f"rms must be positive, got {rms}")
+    n_samples, rms = _integer("n_samples", n_samples), _positive("rms", rms)
     if band is None:
         band = full_band(n_samples)
     lo, hi = _pair("band", band, _integer)
@@ -234,10 +231,7 @@ def random_multisine(
 
 def random_noise(n_samples: int, period: float, rms: float, seed: int = 0) -> FastSignal:
     """I.i.d. zero-mean Gaussian samples with standard deviation ``rms``."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (rms > 0):
-        raise ValueError(f"rms must be positive, got {rms}")
+    n_samples, rms = _integer("n_samples", n_samples), _positive("rms", rms)
     rng = np.random.Generator(np.random.PCG64(seed))
     return FastSignal(samples=rng.normal(0.0, rms, size=n_samples), period=period)
 

@@ -72,6 +72,7 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"orders": 5},
         {"estimators": "dc"},
         {"period_s": 0},
+        {"runz": 2},
     ],
     ids=[
         "runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero",
@@ -79,6 +80,7 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         "band-above-nyquist", "band-empty", "snr_range-short", "nominal-number", "gamma-negative",
         "gamma-string", "input_rms-negative", "tune-string", "tune-number", "period-string",
         "snr_range-bool", "kernel-scale-bool", "orders-number", "estimators-string", "period-zero",
+        "unknown-setting",
     ],
 )
 def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
@@ -210,12 +212,20 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("frf", ("model_json",), 5, "model_json"),
         ("tune", ("tune", "init"), {"sigma1": 1.0}, "'sigma1'"),
         ("identify", ("kernels", "dc", "type"), [], "kernel type []"),
+        ("identify", ("gama",), 1e-3, "unknown config keys: ['gama']"),
+        ("identify", ("sampling", "perod_s"), 0.1, "unknown sampling keys: ['perod_s']"),
+        ("identify", ("data", "input"), "u.csv", "unknown data keys: ['input']"),
+        ("identify", ("frf", "point"), 20, "unknown frf keys: ['point']"),
+        ("tune", ("tune", "budjet"), 5, "unknown tune keys: ['budjet']"),
+        ("tune", ("tune", "bounds"), {"decya": [0.5, 0.95]}, "unknown tune.bounds keys: ['decya']"),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
         "sum-without-terms", "sum-terms-number", "omega_max-zero", "estimators-string", "gamma-list",
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
+        "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
+        "bounds-without-init",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):

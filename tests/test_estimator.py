@@ -81,6 +81,35 @@ def primal_check(problem):
     return FirModel(theta=theta, period=problem.y_l.fast_period)
 
 
+def _tune(phi, y_l, kernel, gamma):
+    eta0 = HyperparameterVector(values={"decay": 0.9}, bounds={"decay": (0.5, 0.99)})
+    return optimize_hyperparameters(phi, y_l, kernel, eta0, gamma=gamma, budget=5)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda phi, y_l, kernel, gamma: RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma),
+        lambda phi, y_l, kernel, gamma: least_squares_fir(phi, y_l),
+        marginal_likelihood,
+        _tune,
+    ],
+    ids=["RegularizedProblem", "least_squares_fir", "marginal_likelihood", "optimize_hyperparameters"],
+)
+@pytest.mark.parametrize(
+    "factor, length, named",
+    [(2, 20, "factor 2 does not match the regressor's 3"), (3, 19, "19 samples but the regressor expects 20")],
+    ids=["factor", "length"],
+)
+def test_output_must_match_regressor(entry, factor, length, named):
+    """Every entry point that pairs ``Phi`` with an output takes only an
+    output of ``Phi``'s own length M and factor F."""
+    problem = make_problem(4, n=60, factor=3, order=10)
+    y_l = SlowSignal(samples=np.random.default_rng(4).normal(size=length), period=0.1 * factor, factor=factor)
+    with pytest.raises(ValueError, match=named):
+        entry(problem.phi, y_l, problem.kernel, problem.gamma)
+
+
 class TestRegularizedFir:
     def test_zero_output_gives_zero_model(self):
         problem = make_problem(0, y=np.zeros(20))
@@ -148,6 +177,10 @@ class TestRegularizedFir:
             make_problem(6, gamma=0.0)
         with pytest.raises(ValueError, match="gamma"):
             make_problem(6, gamma=-1.0)
+        problem = make_problem(6)
+        for gamma in (-1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="gamma must be a positive number"):
+                _tune(problem.phi, problem.y_l, problem.kernel, gamma)
 
 
 def dense_gram(phi, kernel):
@@ -578,6 +611,23 @@ class TestOptimizeHyperparameters:
         assert any(f.diagnostics["nonfinite_entries"] > 0 for f in failures) == nonfinite_gram
         assert math.isfinite(evidence(result.values))
         assert evidence(result.values) <= evidence(eta0.values)
+
+    @pytest.mark.parametrize("name, bounds, per_sweep", [("decay", (0.5, 0.99), 15), ("frequency", (0.1, 3.0), 33)])
+    def test_evaluations_per_coordinate_sweep(self, name, bounds, per_sweep):
+        """One sweep of a coordinate spends its scan (25 points for a
+        frequency, 7 otherwise), 2 bracketing probes and 6 golden steps,
+        and every sweep starts its scan at the lower bound."""
+        problem = make_problem(5, n=90, factor=3, order=12)
+        template = ResonantPole(decay=0.9, frequency=0.4)
+        eta0 = HyperparameterVector(values={name: getattr(template, name)}, bounds={name: bounds})
+        trace = []
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=1000,
+            on_evaluation=lambda values, ml: trace.append(values[name]),
+        )
+        probes = trace[1:-1]  # without the start and the terminal entry
+        assert len(probes) >= per_sweep
+        assert [i for i, x in enumerate(probes) if x == bounds[0]] == list(range(0, len(probes), per_sweep))
 
     def test_gamma_tuned_only_when_present(self):
         problem, template, _ = self.setup_problem()

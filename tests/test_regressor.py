@@ -94,6 +94,12 @@ class TestBuildRegressor:
         with pytest.raises(ValueError):
             build_regressor(u, factor=2, order=11)
 
+    def test_factor_must_be_integer(self):
+        u = random_noise(10, 0.1, 1.0, seed=0)
+        for factor in (True, 1.5):
+            with pytest.raises(TypeError, match="factor"):
+                build_regressor(u, factor=factor, order=2)
+
     def test_inconsistent_output_length(self):
         u = random_noise(10, 0.1, 1.0, seed=0)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for signal containers, excitation generation, and spectra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,10 @@ def naive_dft(x):
     return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in range(n)])
 
 
+# an infinite, a string and a boolean period: none is a positive number
+BAD_PERIODS = (math.inf, "0.1", True)
+
+
 class TestContainers:
     def test_fast_signal_validation(self):
         with pytest.raises(ValueError):
@@ -62,12 +68,26 @@ class TestContainers:
             FastSignal(samples=[1.0, np.nan], period=0.1)
         with pytest.raises(ValueError):
             FastSignal(samples=[1.0], period=0.0)
+        for period in BAD_PERIODS:
+            with pytest.raises(ValueError, match="period"):
+                FastSignal(samples=[1.0], period=period)
 
     def test_slow_signal_validation(self):
         with pytest.raises(ValueError):
             SlowSignal(samples=[1.0], period=0.3, factor=0)
+        for period in BAD_PERIODS:
+            with pytest.raises(ValueError, match="period"):
+                SlowSignal(samples=[1.0], period=period, factor=3)
+        for factor in (True, 1.5):
+            with pytest.raises(TypeError, match="factor"):
+                SlowSignal(samples=[1.0], period=0.3, factor=factor)
         sig = SlowSignal(samples=[1.0, 2.0], period=0.3, factor=3)
         assert sig.fast_period == pytest.approx(0.1)
+
+    def test_fir_model_validation(self):
+        for period in (0.0, *BAD_PERIODS):
+            with pytest.raises(ValueError, match="period"):
+                FirModel(theta=[1.0], period=period)
 
     def test_samples_are_immutable(self):
         sig = FastSignal(samples=[1.0, 2.0], period=0.1)
@@ -110,6 +130,9 @@ class TestDownsample:
         x = FastSignal(samples=[1.0, 2.0], period=0.1)
         with pytest.raises(ValueError):
             downsample(x, 0)
+        for factor in (True, 1.5):
+            with pytest.raises(TypeError, match="factor"):
+                downsample(x, factor)
 
 
 class TestRandomMultisine:

@@ -91,6 +91,12 @@ def test_zoh_discretize_matches_cont2discrete(period, output_mass):
     np.testing.assert_array_equal(discrete.D, d)
 
 
+@pytest.mark.parametrize("period", [0.0, np.inf, "0.1", True])
+def test_zoh_discretize_rejects_bad_period(period):
+    with pytest.raises(ValueError, match="period"):
+        zoh_discretize(build_plant(NOMINAL_PLANT), period)
+
+
 @pytest.mark.parametrize("initial_state", [None, [0.3, -1.0, 0.5, 2.0]])
 def test_simulate_matches_dlsim(initial_state):
     plant = zoh_discretize(build_plant(NOMINAL_PLANT), 0.1)
