@@ -6,20 +6,19 @@ matrix being inverted is positive definite for any ``gamma > 0`` and any
 positive semidefinite ``K``, so a model of any order ``1 <= P <= N`` exists
 and is unique -- including ``P >= M``, where the unregularized least-squares
 problem has no unique answer.  ``K`` itself is never inverted, so
-rank-deficient kernels (e.g. resonant-pole priors) are fine, and for DC,
-resonant-pole and Tikhonov terms it is never formed either: they enter through
-their factors ``K_t = L_t L_t'``, which the kernel classes of
-:mod:`beyondnyq.kernels` own; this module sums the terms and solves.
+rank-deficient kernels (e.g. resonant-pole priors) are fine, and it is never
+formed either: every term enters through its factor ``K_t = L_t L_t'``, which
+the kernel classes of :mod:`beyondnyq.kernels` own; this module sums the
+terms and solves.
 
-A fit solves in the smaller of two spaces, chosen from the shapes alone:
+A fit solves in the smaller of two spaces, chosen from the shapes alone.
+``X = [Phi L_t]`` has n columns: P per DC or Tikhonov term, 2P per stable
+spline and 2 per resonant pole.
 
-* feature space, when every kernel term has a structured factor (DC,
-  resonant pole, Tikhonov) and ``X = [Phi L_t]`` has ``n < M`` columns (P
-  per DC or Tikhonov term, 2 per resonant pole): the n x n ``X'X + gamma I``
-  gives ``w``, the model ``theta = sum_t L_t w_t`` and the evidence (through
-  the push-through and Sylvester determinant identities);
-* output space (dual) otherwise, for every stable-spline kernel and every
-  ``n >= M``: the M x M ``Phi K Phi' + gamma I``.
+* feature space iff ``n < M``: the n x n ``X'X + gamma I`` gives ``w``, the
+  model ``theta = sum_t L_t w_t`` and the evidence (through the push-through
+  and Sylvester determinant identities);
+* output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``.
 
 Both give the same model and evidence up to rounding; ``X'X + gamma I`` is
 never worse conditioned than the dual's Gram.
@@ -42,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidStartError, NumericalError
-from .kernels import KernelSpec, KernelSum, ResonantPole, build_kernel_matrix
+from .kernels import KernelSpec, KernelSum, ResonantPole
 from .regressor import RegressorMatrix
 from .signals import FastSignal, FirModel, SlowSignal, _integer, _positive
 
@@ -81,26 +80,10 @@ def _terms(spec: KernelSpec) -> tuple:
     return spec.terms if isinstance(spec, KernelSum) else (spec,)
 
 
-def _term_gram(phi: np.ndarray, term: KernelSpec) -> np.ndarray:
-    """``Phi K_term Phi'`` for one kernel term (``Phi`` is M x P).
-
-    A term with a structured factor forms no P x P kernel matrix: its Gram is
-    ``scale (Phi L)(Phi L)'`` from the unit-scale factor, O(M^2 P) for DC and
-    Tikhonov and O(M P + M^2) for a resonant pole.  A stable spline uses the
-    dense kernel matrix, O(M P^2 + M^2 P).
-    """
-    if term.width(phi.shape[1]) is None:
-        return phi @ (build_kernel_matrix(term, phi.shape[1]) @ phi.T)
-    unit, scale = term.unit()
-    factored = unit.factor(phi)
-    return scale * (factored @ factored.T)
-
-
 def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     """Whether a fit solves with the n x n ``X'X`` rather than the M x M
-    ``Phi K Phi'``: every term has a structured factor and ``n < M`` columns."""
-    widths = [term.width(order) for term in terms]
-    return None not in widths and sum(widths) < m
+    ``Phi K Phi'``: the terms' factors have ``n < M`` columns in all."""
+    return sum(term.width(order) for term in terms) < m
 
 
 # a unit-scale piece per term index: (the unit term, its Phi L in the feature
@@ -109,7 +92,8 @@ _Pieces = Mapping[int, tuple[KernelSpec, np.ndarray]]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
-    return unit.factor(phi) if feature else _term_gram(phi, unit)
+    factored = unit.factor(phi)
+    return factored if feature else factored @ factored.T
 
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
@@ -169,17 +153,9 @@ def _gram(
 
 
 def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
-    """``K v`` from the same factors as :func:`_term_gram`: ``scale L (L' v)``,
-    where ``L' v`` is the unit-scale factor of the row ``v'``."""
-    order = v.shape[0]
-    total = np.zeros(order)
-    for term in _terms(spec):
-        if term.width(order) is None:
-            total += build_kernel_matrix(term, order) @ v
-        else:
-            unit, scale = term.unit()
-            total += unit.factor_times(unit.factor(v[None, :])[0], order, scale)
-    return total
+    """``K v = sum_t L_t (L_t' v)``: the feature space's model formula, with
+    ``w`` the one row of ``X`` built from ``v'`` in place of ``Phi``."""
+    return _feature_theta(spec, _feature_matrix(v[None, :], spec)[0], len(v))
 
 
 def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
@@ -299,14 +275,14 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
 
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
     return, bit for bit, for one factorization instead of two.  For M outputs,
-    order P and n kernel-factor columns (P per DC or Tikhonov term, 2 per
-    resonant pole):
+    order P and n kernel-factor columns (P per DC or Tikhonov term, 2P per
+    stable spline, 2 per resonant pole), ``X = Phi L`` (M x n) costs O(M P)
+    per term, and then:
 
-    * feature space, where every term is DC, resonant pole or Tikhonov and
-      n < M: ``X = Phi L`` (M x n), O(M P) per term, then ``X'X`` in
-      O(M n^2) and its Cholesky factor in O(n^3);
-    * output space (dual) otherwise: ``Phi K Phi'`` in O(M^2 P), plus
-      O(M P^2) per stable-spline term, and its Cholesky factor in O(M^3).
+    * feature space iff n < M: ``X'X`` in O(M n^2) and its Cholesky factor
+      in O(n^3);
+    * output space (dual) otherwise: ``Phi K Phi' = X X'`` in O(M^2 n) and
+      its Cholesky factor in O(M^3).
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
     """
@@ -340,11 +316,12 @@ def marginal_likelihood(
     One Cholesky factorization gives both terms, in the space
     :func:`fit_with_evidence` uses and with its value, bit for bit:
 
-    * feature space (every term DC, resonant pole or Tikhonov, and n < M
-      factor columns): the n x n ``X'X + gamma I``, O(M n^2 + n^3), plus the
-      refined solve its quadratic term needs, O(M n + n^2);
+    * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
+      per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``,
+      O(M n^2 + n^3), plus the refined solve its quadratic term needs,
+      O(M n + n^2);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
-      O(M^2 P + M^3), with the quadratic form from one triangular solve.
+      O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
     problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
     return _solve(phi.entries, y_l.samples, kernel, problem.gamma).evidence
@@ -400,6 +377,8 @@ class HyperparameterVector:
     Keys address kernel fields by path (``"decay"``, ``"terms.1.frequency"``,
     ...) plus the optional ``"gamma"``.  Every value must lie inside its
     bounds, and bounds must stay inside the kernel's own parameter ranges.
+    An entry searched in log space (``gamma``, ``scale``, ``sigma1``,
+    ``sigma2``) needs a positive lower bound.
     """
 
     values: Mapping[str, float]
@@ -419,6 +398,8 @@ class HyperparameterVector:
                 raise ValueError(f"{name}={value} is outside its bounds [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"{name} has an empty interval [{lo}, {hi}]")
+            if not lo > 0.0 and _in_log_space(name):
+                raise ValueError(f"{name} is searched in log space, so its lower bound must be positive, got {lo}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", bounds)
 
@@ -488,12 +469,16 @@ _LOG_SPACE_FIELDS = ("gamma", "scale", "sigma1", "sigma2")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _in_log_space(name: str) -> bool:
+    return name.rsplit(".", 1)[-1] in _LOG_SPACE_FIELDS
+
+
 def _to_search_space(name: str, x: float) -> float:
-    return math.log(x) if name.rsplit(".", 1)[-1] in _LOG_SPACE_FIELDS else x
+    return math.log(x) if _in_log_space(name) else x
 
 
 def _from_search_space(name: str, t: float) -> float:
-    return math.exp(t) if name.rsplit(".", 1)[-1] in _LOG_SPACE_FIELDS else t
+    return math.exp(t) if _in_log_space(name) else t
 
 
 def optimize_hyperparameters(
@@ -522,13 +507,14 @@ def optimize_hyperparameters(
     :class:`NumericalError` when that was the reason.
 
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
-    Cost per probe, for M outputs and order P: the other terms' pieces at the
-    current best point are cached (a DC term's at unit scale).  In the
-    output space (dual) they are Grams, so a probe of ``gamma`` or of a DC
-    ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
-    O(M^2 P) Gram.  In the feature space (n < M factor columns) they are the
-    factors ``Phi L_t``, so such a probe is O(M n^2 + n^3), plus O(M P) for a
-    DC ``decay``.  A probe of a resonant-pole field
+    Cost per probe, for M outputs, order P and n factor columns (P per DC or
+    Tikhonov term, 2P per stable spline, 2 per resonant pole): the other
+    terms' pieces at the current best point are cached (a DC term's at unit
+    scale).  In the output space (dual, n >= M) they are Grams, so a probe of
+    ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and a DC
+    ``decay`` probe adds its O(M^2 P) Gram.  In the feature space (n < M)
+    they are the factors ``Phi L_t``, so such a probe is O(M n^2 + n^3), plus
+    O(M P) for a DC ``decay``.  A probe of a resonant-pole field
     costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
     on a factorization of ``gamma I`` plus the other terms, made once per
     coordinate.  Such a probe is scored by the full factorization instead

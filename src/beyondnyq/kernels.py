@@ -17,8 +17,10 @@ impulse-response coefficients:
   resonant term per expected pole pair.
 
 Each kernel class owns its dense ``matrix``, its tunables, its JSON type tag
-and, except the stable spline, the structured factor ``K = L L'`` the
-estimator works with instead (``width``, ``factor``, ``factor_times``).
+and the structured factor ``K = L L'`` the estimator works with instead
+(``width``, ``factor``, ``factor_times``): P columns per DC or Tikhonov term,
+2P per stable spline, 2 per resonant pole.  A fit of M outputs solves in the
+feature space iff these n columns number fewer than M.
 
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never
@@ -67,8 +69,8 @@ class _Kernel:
 
     tunables: ClassVar[tuple[str, ...]] = ()
 
-    def width(self, order: int) -> int | None:
-        """Columns of the structured factor ``L`` of ``K = L L'``; None without one."""
+    def width(self, order: int) -> int:
+        """Columns of the structured factor ``L`` of ``K = L L'``."""
         return order
 
     def unit(self) -> tuple[_Kernel, float]:
@@ -188,8 +190,43 @@ class StableSpline(_Kernel):
         _check_range("scale", self.scale, 0.0, math.inf, lo_open=True)
         _check_range("decay", self.decay, 0.0, 1.0, lo_open=True)
 
-    def width(self, order: int) -> None:
-        return None
+    def width(self, order: int) -> int:
+        return 2 * order
+
+    def _gaps(self, order: int) -> tuple[np.ndarray, ...]:
+        """``d_l = s_l - s_{l+1}`` for the times ``s_l = decay^l`` (``d_{P-1} = s_{P-1}``),
+        and ``sqrt(scale)`` times ``sqrt(d_l)``, ``d_l^(3/2) / 2`` and ``d_l^(3/2) / sqrt(12)``."""
+        times = self.decay ** np.arange(order, dtype=float)
+        gaps = times.copy()
+        gaps[:-1] -= times[1:]
+        root = math.sqrt(self.scale) * np.sqrt(gaps)
+        return gaps, root, root * gaps / 2.0, root * gaps / math.sqrt(12.0)
+
+    def factor(self, phi: np.ndarray) -> np.ndarray:
+        """``Phi L`` for ``K = L L'`` with 2P columns, every entry of ``L`` ``>= 0``.
+
+        ``k(i, j)`` is the covariance of integrated Brownian motion at the
+        times ``s_i`` and ``s_j``.  Split at the ``s_l``, gap ``l`` adds on the
+        rows ``i <= l`` the columns ``l`` and ``P + l``:
+        ``sqrt(d_l) (s_i - s_l) + d_l^(3/2) / 2`` and ``d_l^(3/2) / sqrt(12)``.
+        So ``Phi L`` is two prefix sums, O(M P), with no difference of large
+        terms: ``S_l = sum_{i <= l} Phi_i`` and
+        ``R_l = sum_{i <= l} Phi_i (s_i - s_l) = R_{l-1} + d_{l-1} S_{l-1}``.
+        """
+        gaps, root, half, twelfth = self._gaps(phi.shape[1])
+        sums = np.cumsum(phi, axis=1)
+        ramps = np.zeros(phi.shape)
+        np.cumsum(sums[:, :-1] * gaps[:-1], axis=1, out=ramps[:, 1:])
+        return np.hstack((root * ramps + half * sums, twelfth * sums))
+
+    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
+        """``multiplier * L w``: :meth:`factor`'s prefix sums run backward."""
+        gaps, root, half, twelfth = self._gaps(order)
+        slopes = np.cumsum((root * w[:order])[::-1])[::-1]
+        total = np.cumsum((half * w[:order] + twelfth * w[order:])[::-1])[::-1]
+        # with a = root * w[:P]: sum_{l >= i} (s_i - s_l) a_l = sum_{k >= i} d_k sum_{l > k} a_l
+        total[:-1] += np.cumsum((gaps[:-1] * slopes[1:])[::-1])[::-1]
+        return multiplier * total
 
     def matrix(self, order: int) -> np.ndarray:
         idx = np.arange(order, dtype=float)
@@ -288,7 +325,8 @@ _TYPES = {cls.type: cls for cls in (Tikhonov, DiagonalCorrelated, StableSpline, 
 def build_kernel_matrix(spec: KernelSpec, order: int) -> np.ndarray:
     """Evaluate ``k`` on the index grid ``0..order-1``, bitwise symmetric:
     each ``matrix`` takes powers per index and spreads them by outer products
-    or difference/maximum indexing, symmetric functions of (i, j)."""
+    or difference/maximum indexing, symmetric functions of (i, j).  No fit,
+    evidence or tuner path calls this: it is the factors' dense reference."""
     return spec.matrix(_integer("order", order))
 
 

@@ -53,6 +53,8 @@ class RegressorMatrix:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "factor", _integer("factor", self.factor))
+        object.__setattr__(self, "order", _integer("order", self.order))
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] < 1:
             raise ValueError(f"entries must be a non-empty 2-D matrix, got shape {entries.shape}")

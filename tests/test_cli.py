@@ -218,6 +218,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("identify", ("frf", "point"), 20, "unknown frf keys: ['point']"),
         ("tune", ("tune", "budjet"), 5, "unknown tune keys: ['budjet']"),
         ("tune", ("tune", "bounds"), {"decya": [0.5, 0.95]}, "unknown tune.bounds keys: ['decya']"),
+        ("tune", ("tune",), {"estimator": "dc", "init": {"gamma": 1e-5}, "bounds": {"gamma": [0, 1]}}, "gamma"),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
@@ -225,7 +226,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
-        "bounds-without-init",
+        "bounds-without-init", "log-bound-zero",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):

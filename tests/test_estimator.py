@@ -208,7 +208,7 @@ class TestFactoredGram:
         phi = rng.normal(size=(rows, order))
         v = rng.normal(size=order)
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
-        assert_close_relative(estimator._term_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
             estimator._kernel_times(kernel, v), build_kernel_matrix(kernel, order) @ v, 1e-12
         )
@@ -340,10 +340,18 @@ class TestFeatureSpace:
         problem = make_problem(42, n=90, factor=3, order=order, gamma=1e-3, kernel=TWO_RESONANCES[0])
         self.check(problem, feature=True)
 
-    @pytest.mark.parametrize("order", [29, 30, 31])
-    def test_stable_spline_stays_dual(self, order):
+    @pytest.mark.parametrize("order", [14, 15, 16, 29, 30, 31])
+    def test_stable_spline_switches_at_2p_equals_m(self, order):
+        # n = 2P: feature space at P = 14, dual from P = 15 (n = M) on
         problem = make_problem(43, n=90, factor=3, order=order, gamma=1e-3, kernel=StableSpline(scale=1.0, decay=0.8))
-        self.check(problem, feature=False)
+        self.check(problem, feature=2 * order < 30)
+
+    @pytest.mark.parametrize("order", [12, 13])
+    def test_stable_spline_with_resonances(self, order):
+        # n = 2P + 4: feature space at P = 12, dual at P = 13
+        kernel = KernelSum(terms=(StableSpline(scale=1.5, decay=0.9),) + TWO_RESONANCES)
+        problem = make_problem(46, n=90, factor=3, order=order, gamma=1e-3, kernel=kernel)
+        self.check(problem, feature=order == 12)
 
     @pytest.mark.parametrize("kernel", [FEATURE_KERNELS["dc"][0], FEATURE_KERNELS["dc+2pk"][0]], ids=["dc", "dc+2pk"])
     def test_allocates_no_output_gram(self, kernel):
@@ -534,12 +542,12 @@ class TestOptimizeHyperparameters:
         )
 
     def test_nonfinite_start_rejected(self):
-        # with P=12 < M=30 the Gram Phi K Phi' has rank at most 12, so adding
-        # gamma=1e-300 leaves it singular in floating point: the factorization
-        # fails, and the exact objective (about 1e380 / 1e-300) is +inf.  A
-        # stable spline keeps the fit in the output space; a DC kernel would
-        # put it in the feature space, whose 12 x 12 X'X + gamma I is positive
-        # definite here and whose objective overflows to +inf without failing
+        # with P=12 < M=30 a stable spline's X = Phi L (2P = 24 columns) has
+        # rank at most 12, so adding gamma=1e-300 leaves the 24 x 24 X'X
+        # singular in floating point: the factorization fails, and the exact
+        # objective (about 1e380 / 1e-300) is +inf.  A DC kernel's 12 x 12
+        # X'X + gamma I would be positive definite here, and its objective
+        # overflows to +inf without failing
         problem, _, _ = self.setup_problem()
         template = StableSpline(scale=1.0, decay=0.9)
         eta0 = HyperparameterVector(
@@ -569,8 +577,8 @@ class TestOptimizeHyperparameters:
     @pytest.mark.parametrize(
         "eta0, nonfinite_gram, template",
         [
-            # the gamma grid reaches 1e-300, where the shifted output-space Gram
-            # (rank 12 < M=30) is singular; a stable spline keeps the fit there
+            # the gamma grid reaches 1e-300, where a stable spline's shifted
+            # 24 x 24 X'X (rank 12, from P=12 < M=30) is singular
             (
                 HyperparameterVector(
                     values={"gamma": 1e-3, "scale": 1.0},
@@ -799,6 +807,16 @@ class TestHyperparameterVector:
     def test_names_must_match(self):
         with pytest.raises(ValueError):
             HyperparameterVector(values={"decay": 0.8}, bounds={"scale": (0.1, 1.0)})
+
+    @pytest.mark.parametrize("name", ["gamma", "scale", "terms.1.sigma1", "terms.1.sigma2"])
+    @pytest.mark.parametrize("lower", [0.0, -1.0])
+    def test_log_space_lower_bound_must_be_positive(self, name, lower):
+        """Its logarithm starts the search, so a bound <= 0 is named here,
+        not met later as a math domain error."""
+        with pytest.raises(ValueError, match=f"{name} is searched in log space"):
+            HyperparameterVector(values={name: 0.5}, bounds={name: (lower, 1.0)})
+        # a linear-space entry may start at zero
+        HyperparameterVector(values={"frequency": 0.5}, bounds={"frequency": (lower, 1.0)})
 
     def test_default_bounds_respect_ranges(self):
         lo, hi = default_bounds("decay", 0.95)

@@ -191,7 +191,7 @@ class TestFactor:
     """Each factored kernel's ``L`` (from ``factor`` on the identity and from
     ``factor_times`` on unit vectors) gives ``scale L L' = K``."""
 
-    @pytest.mark.parametrize("kind", ["tikhonov", "dc", "pk"])
+    @pytest.mark.parametrize("kind", ["tikhonov", "dc", "ss", "pk"])
     @pytest.mark.parametrize("order", [1, 7, 130])
     def test_factor_reproduces_matrix(self, kind, order):
         spec = random_spec(np.random.default_rng(order), kind)
@@ -209,8 +209,19 @@ class TestFactor:
         for spec in (Tikhonov(), StableSpline(scale=2.5), ResonantPole(decay=0.9, frequency=1.0, sigma1=2.0)):
             assert spec.unit() == (spec, 1.0)
 
-    def test_stable_spline_has_no_factor(self):
-        assert StableSpline().width(10) is None
+    @pytest.mark.parametrize("order", [1, 2, 63, 64, 65, 600])
+    @pytest.mark.parametrize("decay", [1e-3, 0.05, 0.5, 0.9, 0.99, 0.9999, 1 - 1e-7])
+    def test_stable_spline_factor_grid(self, decay, order):
+        """The gap factor, and ``L (L' e_j)`` through ``factor_times``, give the
+        dense matrix at decays near 0 and 1; every entry of ``L`` is >= 0."""
+        spec = StableSpline(scale=2.5, decay=decay)
+        k = build_kernel_matrix(spec, order)
+        tolerance = 1e-12 * np.max(np.abs(k))
+        factor = spec.factor(np.eye(order))
+        assert factor.shape == (order, 2 * order) and np.all(factor >= 0.0)
+        np.testing.assert_allclose(factor @ factor.T, k, rtol=0, atol=tolerance)
+        columns = np.column_stack([spec.factor_times(row, order) for row in factor])
+        np.testing.assert_allclose(columns, k, rtol=0, atol=tolerance)
 
     def test_leaf_kernels_have_no_terms(self):
         for kind in ("tikhonov", "dc", "ss", "pk"):

@@ -317,3 +317,11 @@ class TestRegressorMatrixType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RegressorMatrix(entries=np.zeros((3, 4)), factor=2, order=5)
+
+    @pytest.mark.parametrize("name", ["factor", "order"])
+    @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+    def test_integers_checked(self, name, value):
+        """A bool or float factor or order is rejected, not kept (``True``
+        would pass as factor 1)."""
+        with pytest.raises(TypeError, match=name):
+            RegressorMatrix(entries=np.zeros((3, 2)), **{"factor": 2, "order": 2, name: value})
