@@ -10,6 +10,11 @@ unknown config key is a config error: the top level takes the keys any
 command reads, and ``sampling``, ``data``, ``frf`` and ``tune`` take only
 their own (each ``tune.bounds`` key names a ``tune.init`` entry).
 
+Tuning: ``tune`` and a tuned ``simulate-mc`` (``"tune": true``) start from
+:func:`~beyondnyq.estimator.tuning_start`, ``tune`` with ``tune.init`` and
+``tune.bounds``.  A start that cannot be built is a config error, before the
+first run of ``simulate-mc``.
+
 Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
 else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
 
@@ -33,16 +38,15 @@ import numpy as np
 from .errors import InvalidStartError, NonUniqueModelError, NumericalError
 from .estimator import (
     FitReport,
-    HyperparameterVector,
     RegularizedProblem,
-    apply_hyperparameters,
-    default_bounds,
     fit_with_evidence,
     goodness_of_fit,
+    kernel_and_gamma,
     load_model,
     optimize_hyperparameters,
     predict_fast_output,
     save_model,
+    tuning_start,
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
@@ -298,15 +302,9 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
 
     init_obj = _object(_require(tune, "init", "tune"), "tune.init")
     init = {str(k): _number(f"tune.init.{k}", v) for k, v in init_obj.items()}
-    omega_max = min(math.pi * factor, 2.0 * math.pi)
     bounds_obj = _object(tune.get("bounds", {}), "tune.bounds", init)
-    bounds = {}
-    for name, value in init.items():
-        if name in bounds_obj:
-            bounds[name] = _pair(f"tune.bounds.{name}", bounds_obj[name], _number)
-        else:
-            bounds[name] = default_bounds(name, value, omega_max)
-    eta0 = HyperparameterVector(values=init, bounds=bounds)
+    bounds = {name: _pair(f"tune.bounds.{name}", pair, _number) for name, pair in bounds_obj.items()}
+    eta0 = tuning_start(template, gamma, factor, init, bounds)
 
     names = sorted(init)
     trace_lines = ["evaluation," + ",".join(names) + ",marginal_likelihood"]
@@ -322,10 +320,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     )
     (out_dir / "ml_trace.csv").write_text("\n".join(trace_lines) + "\n")
 
-    tuned_gamma = tuned.values.get("gamma", gamma)
-    tuned_spec = apply_hyperparameters(
-        template, {k: v for k, v in tuned.values.items() if k != "gamma"}
-    )
+    tuned_spec, tuned_gamma = kernel_and_gamma(template, tuned.values, gamma)
     (out_dir / "tuned_hyperparameters.json").write_text(
         json.dumps(
             {

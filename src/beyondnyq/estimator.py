@@ -43,7 +43,7 @@ import scipy.linalg
 from .errors import InvalidStartError, NumericalError
 from .kernels import KernelSpec, KernelSum, ResonantPole
 from .regressor import RegressorMatrix
-from .signals import FastSignal, FirModel, SlowSignal, _integer, _positive
+from .signals import FastSignal, FirModel, SlowSignal, _integer, _number, _positive
 
 __all__ = [
     "RegularizedProblem",
@@ -54,7 +54,10 @@ __all__ = [
     "marginal_likelihood",
     "optimize_hyperparameters",
     "apply_hyperparameters",
+    "kernel_and_gamma",
     "default_bounds",
+    "tuning_start",
+    "tuning_budget",
     "goodness_of_fit",
     "predict_fast_output",
     "save_model",
@@ -375,10 +378,10 @@ class HyperparameterVector:
     """Named hyperparameter values with per-entry closed search intervals.
 
     Keys address kernel fields by path (``"decay"``, ``"terms.1.frequency"``,
-    ...) plus the optional ``"gamma"``.  Every value must lie inside its
-    bounds, and bounds must stay inside the kernel's own parameter ranges.
-    An entry searched in log space (``gamma``, ``scale``, ``sigma1``,
-    ``sigma2``) needs a positive lower bound.
+    ...) plus the optional ``"gamma"``; each field needs a tuning rule.
+    Every value must lie inside its bounds, and bounds must be finite and stay
+    inside the kernel's own parameter ranges.  An entry searched in log space
+    (``gamma``, ``scale``, ``sigma1``, ``sigma2``) needs a positive lower bound.
     """
 
     values: Mapping[str, float]
@@ -394,11 +397,12 @@ class HyperparameterVector:
             )
         for name, value in values.items():
             lo, hi = bounds[name]
+            log_space = _rule(name).log_space
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{name} needs finite bounds lo < hi, got [{lo}, {hi}]")
             if not (lo <= value <= hi):
                 raise ValueError(f"{name}={value} is outside its bounds [{lo}, {hi}]")
-            if not lo < hi:
-                raise ValueError(f"{name} has an empty interval [{lo}, {hi}]")
-            if not lo > 0.0 and _in_log_space(name):
+            if not lo > 0.0 and log_space:
                 raise ValueError(f"{name} is searched in log space, so its lower bound must be positive, got {lo}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bounds", bounds)
@@ -409,7 +413,7 @@ def apply_hyperparameters(spec: KernelSpec, values: Mapping[str, float]) -> Kern
 
     Paths are plain field names, or ``terms.<index>.<field>`` inside a
     :class:`~beyondnyq.kernels.KernelSum`.  ``"gamma"`` is not a kernel field
-    and is rejected here; callers strip it first.
+    and is rejected here; :func:`kernel_and_gamma` strips it.
     """
     direct: dict[str, float] = {}
     nested: dict[int, dict[str, float]] = {}
@@ -443,42 +447,97 @@ def _replace_fields(term: KernelSpec, values: dict[str, float], prefix: str) -> 
     return replace(term, **values)
 
 
+def kernel_and_gamma(template: KernelSpec, values: Mapping[str, float], gamma: float) -> tuple[KernelSpec, float]:
+    """The kernel and weight that hyperparameter ``values`` name: ``template``
+    with every entry but ``"gamma"`` applied, and ``values.get("gamma", gamma)``."""
+    spec = apply_hyperparameters(template, {k: v for k, v in values.items() if k != "gamma"})
+    return spec, values.get("gamma", gamma)
+
+
+class _FieldRule(NamedTuple):
+    """How the tuner treats one field, the same in every kernel class."""
+
+    log_space: bool  # searched over log(x), so its lower bound must be positive
+    scan: int  # points of the uniform scan that opens each sweep
+    sweeps: int  # sweeps that tuning_budget grants a vector holding the field
+    bounds: Callable[[float, float], tuple[float, float]]  # (value, omega_max) -> default interval
+
+
+_DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value * 1e2))
+_RATES = _FieldRule(False, 7, 2, lambda value, omega_max: (value**2, min(value**0.0625, 1.0 - 1e-9)))
+# resonance frequencies carve narrow evidence dips, so they get a dense scan and
+# a third sweep; a resonant probe costs O(M P + M^2) (rank-2 update), not O(M^3)
+_FIELD_RULES = {
+    "gamma": _FieldRule(True, 7, 2, lambda value, omega_max: (min(1e-9, value), max(1e3, value))),
+    "scale": _DECADES,
+    "sigma1": _DECADES,
+    "sigma2": _DECADES,
+    "decay": _RATES,
+    "correlation": _RATES,
+    "frequency": _FieldRule(False, 25, 3, lambda value, omega_max: (0.7 * value, min(1.3 * value, 0.999 * omega_max))),
+}
+
+
+def _rule(name: str) -> _FieldRule:
+    """The rule of the field a path ends in (``terms.2.frequency``: ``frequency``)."""
+    field = name.rsplit(".", 1)[-1]
+    if field not in _FIELD_RULES:
+        raise ValueError(f"no tuning rule for hyperparameter {name!r}")
+    return _FIELD_RULES[field]
+
+
 def default_bounds(name: str, value: float, omega_max: float = 2.0 * math.pi) -> tuple[float, float]:
     """Reasonable search interval around an initial hyperparameter value.
 
-    The regularization weight gets a wide absolute range (it must absorb any
-    mismatch between the kernel's scale and the data's); other scale-type
-    parameters get two decades each way; decay values in (0, 1) move between
-    double and one sixteenth of the initial rate (priors that die too fast
-    are far more harmful than slow ones); frequencies get a +/-30% window
-    clipped to ``[0, omega_max)``.
+    The regularization weight gets a wide absolute range that holds
+    ``value`` (it must absorb any mismatch between the kernel's scale and
+    the data's); other scale-type parameters get two decades each way; decay
+    values in (0, 1) move between double and one sixteenth of the initial
+    rate (priors that die too fast are far more harmful than slow ones);
+    frequencies get a +/-30% window clipped to ``[0, omega_max)``.
     """
-    field = name.rsplit(".", 1)[-1]
-    if field == "gamma":
-        return (1e-9, 1e3)
-    if field in ("scale", "sigma1", "sigma2"):
-        return (value * 1e-2, value * 1e2)
-    if field in ("decay", "correlation"):
-        return (value**2, min(value**0.0625, 1.0 - 1e-9))
-    if field == "frequency":
-        return (0.7 * value, min(1.3 * value, 0.999 * omega_max))
-    raise ValueError(f"no default bounds rule for hyperparameter {name!r}")
+    return _rule(name).bounds(value, omega_max)
 
 
-_LOG_SPACE_FIELDS = ("gamma", "scale", "sigma1", "sigma2")
+def tuning_start(
+    template: KernelSpec, gamma: float, factor: int, init: Mapping[str, float] | None = None,
+    bounds: Mapping[str, tuple[float, float]] | None = None,
+) -> HyperparameterVector:
+    """The tuner's start: ``init``, by default ``gamma`` plus every kernel
+    term's ``tunables`` by the paths :func:`apply_hyperparameters` reads, and
+    ``bounds``, by default :func:`default_bounds` at ``omega_max = min(pi * factor, 2 pi)``."""
+    if init is None:
+        prefix = "terms.{}." if isinstance(template, KernelSum) else ""
+        init = {"gamma": gamma} | {
+            prefix.format(index) + name: getattr(term, name)
+            for index, term in enumerate(_terms(template))
+            for name in term.tunables
+        }
+    values, given = dict(init), bounds or {}
+    omega_max = min(math.pi * factor, 2.0 * math.pi)
+    defaults = {name: default_bounds(name, value, omega_max) for name, value in values.items() if name not in given}
+    return HyperparameterVector(values=values, bounds={**defaults, **given})
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 6
 
 
-def _in_log_space(name: str) -> bool:
-    return name.rsplit(".", 1)[-1] in _LOG_SPACE_FIELDS
-
-
-def _to_search_space(name: str, x: float) -> float:
-    return math.log(x) if _in_log_space(name) else x
-
-
-def _from_search_space(name: str, t: float) -> float:
-    return math.exp(t) if _in_log_space(name) else t
+def tuning_budget(eta0: HyperparameterVector, cap: int) -> int:
+    """The Monte Carlo's tuner budget for the start ``eta0``: ``1 + sweeps *
+    cost``, with three sweeps where ``eta0`` has a resonance frequency and
+    two otherwise, capped by ``cap``.  ``cost`` is the budget share of one
+    coordinate sweep: 31 evaluations per frequency, 13 per other coordinate.
+    The optimizer spends 33 and 15 (a scan of 25 or 7 points, 2 bracketing
+    probes and 6 golden steps), so this share falls 2 short per coordinate,
+    and the last sweep is cut short: the benchmark pk kernel's 538
+    evaluations stop inside ``terms.2.decay`` of the third sweep, and the dc
+    kernel's 79 stop 3 probes into ``scale`` of the second.  A search that
+    improves nothing in a sweep stops earlier.
+    """
+    sweeps = max(_rule(name).sweeps for name in eta0.values)
+    cost = sum(_rule(name).scan + _GOLDEN_STEPS for name in eta0.values)
+    return min(cap, sweeps * cost + 1)
 
 
 def optimize_hyperparameters(
@@ -543,12 +602,8 @@ def optimize_hyperparameters(
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
-    def point(vals: dict[str, float]) -> tuple[float, KernelSpec]:
-        spec = apply_hyperparameters(template, {k: v for k, v in vals.items() if k != "gamma"})
-        return vals.get("gamma", gamma), spec
-
     def remember_best() -> None:
-        for index, term in enumerate(_terms(point(best)[1])):
+        for index, term in enumerate(_terms(kernel_and_gamma(template, best, gamma)[0])):
             unit, _ = term.unit()
             cached = best_pieces.get(index)
             if cached is None or cached[0] != unit:
@@ -560,7 +615,7 @@ def optimize_hyperparameters(
         if name == "gamma":
             return None
         index = int(name.split(".")[1]) if name.startswith("terms.") else 0
-        g, spec = point(best)
+        spec, g = kernel_and_gamma(template, best, gamma)
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
         if feature:
@@ -582,7 +637,7 @@ def optimize_hyperparameters(
     def factorized(vals: dict[str, float]) -> float:
         """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
         nonlocal failure
-        g, spec = point(vals)
+        spec, g = kernel_and_gamma(template, vals, gamma)
         try:
             return _solve(entries, y, spec, g, best_pieces).evidence
         except NumericalError as exc:
@@ -594,7 +649,7 @@ def optimize_hyperparameters(
     def objective(vals: dict[str, float], rest: _Rest | None = None) -> float:
         value = math.nan
         if rest is not None:
-            value = _rank2_evidence(rest, _terms(point(vals)[1])[rest.index].factor(entries))
+            value = _rank2_evidence(rest, _terms(kernel_and_gamma(template, vals, gamma)[0])[rest.index].factor(entries))
         if not math.isfinite(value):
             value = factorized(vals)
         if on_evaluation is not None:
@@ -604,10 +659,8 @@ def optimize_hyperparameters(
     names = sorted(eta0.values)
     # fail fast on bounds that violate kernel parameter ranges
     for name in names:
-        if name == "gamma":
-            continue
         for endpoint in eta0.bounds[name]:
-            apply_hyperparameters(template, {name: endpoint})
+            kernel_and_gamma(template, {name: endpoint}, gamma)
 
     best = dict(eta0.values)
     remember_best()
@@ -618,28 +671,22 @@ def optimize_hyperparameters(
             f"objective is {best_value} at the initial hyperparameters"
         ) from failure
 
-    golden_steps = 6
     while evaluations < budget:
         improved = False
         for name in names:
             if evaluations >= budget:
                 break
             lo, hi = eta0.bounds[name]
-            a = _to_search_space(name, lo)
-            b = _to_search_space(name, hi)
+            rule = _rule(name)
+            a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
             remember_best()
             rest = rest_for(name)
-            # resonance frequencies carve narrow evidence dips, so they get a
-            # dense scan; a resonant probe costs O(M P + M^2) through the
-            # rank-2 update on the rest's factor, against O(M^3) for a
-            # factorization
-            grid_points = 25 if name.rsplit(".", 1)[-1] == "frequency" else 7
             coord_best_x = best[name]
             coord_best_f = best_value
 
             def probe(t: float) -> float:
                 nonlocal evaluations, coord_best_x, coord_best_f
-                x = min(max(_from_search_space(name, t), lo), hi)
+                x = min(max(math.exp(t) if rule.log_space else t, lo), hi)
                 f = objective({**best, name: x}, rest)
                 evaluations += 1
                 if f < coord_best_f:
@@ -649,7 +696,7 @@ def optimize_hyperparameters(
             # coarse uniform scan first: the objective can be multimodal in a
             # coordinate (resonance frequencies especially), and pure
             # golden-section would slide into whichever basin touches the start
-            grid = [a + (b - a) * k / (grid_points - 1) for k in range(grid_points)]
+            grid = [a + (b - a) * k / (rule.scan - 1) for k in range(rule.scan)]
             values = []
             for t in grid:
                 if evaluations >= budget:
@@ -664,7 +711,7 @@ def optimize_hyperparameters(
                 f1 = probe(x1) if evaluations < budget else math.inf
                 f2 = probe(x2) if evaluations < budget else math.inf
                 steps = 0
-                while evaluations < budget and steps < golden_steps:
+                while evaluations < budget and steps < _GOLDEN_STEPS:
                     if f1 > f2:
                         ga, x1, f1 = x1, x2, f2
                         x2 = ga + _GOLDEN * (gb - ga)
@@ -742,8 +789,11 @@ def save_model(model: FirModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FirModel:
+    """Read a model that :func:`save_model` wrote; ``period_s`` and every
+    ``theta`` entry must be JSON numbers, as everywhere in a config."""
     try:
         payload = json.loads(Path(path).read_text())
-        return FirModel(theta=np.asarray(payload["theta"], dtype=float), period=float(payload["period_s"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        period = _positive("period_s", payload["period_s"])
+        return FirModel(theta=[_number(f"theta[{i}]", v) for i, v in enumerate(payload["theta"])], period=period)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid model file ({exc})") from exc

@@ -77,10 +77,6 @@ class _Kernel:
         """``(unit, scale)`` with ``K = scale * K_unit``."""
         return self, 1.0
 
-    def tunable_values(self) -> dict[str, float]:
-        """The tunable hyperparameters by the paths ``apply_hyperparameters`` reads."""
-        return {name: getattr(self, name) for name in self.tunables}
-
     def to_json(self) -> dict:
         return {"type": self.type, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
@@ -305,13 +301,6 @@ class KernelSum:
         for term in self.terms[1:]:
             total += term.matrix(order)
         return total
-
-    def tunable_values(self) -> dict[str, float]:
-        return {
-            f"terms.{index}.{name}": value
-            for index, term in enumerate(self.terms)
-            for name, value in term.tunable_values().items()
-        }
 
     def to_json(self) -> dict:
         return {"type": self.type, "terms": [term.to_json() for term in self.terms]}

@@ -29,14 +29,14 @@ import scipy.linalg
 from ._blas import single_threaded_blas
 from .errors import NonUniqueModelError, NumericalError
 from .estimator import (
-    HyperparameterVector,
     RegularizedProblem,
-    apply_hyperparameters,
-    default_bounds,
     goodness_of_fit,
+    kernel_and_gamma,
     optimize_hyperparameters,
     predict_fast_output,
     regularized_fir,
+    tuning_budget,
+    tuning_start,
 )
 from .kernels import (
     DiagonalCorrelated,
@@ -368,43 +368,18 @@ def _perturbed_plant(nominal: ContinuousPlant, rng: np.random.Generator, bound: 
     return ContinuousPlant(**values)
 
 
-def _tuning_start(config: MonteCarloConfig, estimator: str) -> HyperparameterVector:
-    """Tunable parameters per estimator: the regularization weight plus every
-    kernel term's ``tunables`` (a DC term's scale and decay, a resonant term's
-    frequency, decay and amplitudes).  Bounds come from :func:`default_bounds`
-    around the inits."""
-    omega_max = min(math.pi * config.factor, 2.0 * math.pi)
-    values = {"gamma": config.gamma, **config.kernel_for(estimator).tunable_values()}
-    bounds = {name: default_bounds(name, value, omega_max) for name, value in values.items()}
-    return HyperparameterVector(values=values, bounds=bounds)
-
-
-def _sweep_cost(names) -> int:
-    """The budget share of one coordinate sweep: 31 evaluations per
-    frequency, 13 per other coordinate.  The optimizer spends 33 and 15 (a
-    scan of 25 or 7 points, 2 bracketing probes and 6 golden steps), so this
-    share falls 2 short per coordinate."""
-    return sum(31 if name.rsplit(".", 1)[-1] == "frequency" else 13 for name in names)
-
-
-def _tuned_parameters(config, estimator, phi, y_l) -> tuple[KernelSpec, float]:
-    """Marginal-likelihood tuning for one run.
-
-    The budget is ``1 + sweeps * _sweep_cost``, with three sweeps where the
-    kernel has resonant terms and two otherwise, capped by ``tune_budget``.
-    Since :func:`_sweep_cost` undercounts, the last sweep is cut short: the
-    benchmark pk kernel's 538 evaluations stop inside ``terms.2.decay`` of
-    the third sweep, and the dc kernel's 79 stop 3 probes into ``scale`` of
-    the second.  A search that improves nothing in a sweep stops earlier.
-    """
-    template = config.kernel_for(estimator)
-    eta0 = _tuning_start(config, estimator)
-    sweeps = 3 if any("frequency" in name for name in eta0.values) else 2
-    budget = min(config.tune_budget, sweeps * _sweep_cost(eta0.values) + 1)
-    eta = optimize_hyperparameters(phi, y_l, template, eta0, gamma=config.gamma, budget=budget)
-    gamma = eta.values.get("gamma", config.gamma)
-    spec = apply_hyperparameters(template, {k: v for k, v in eta.values.items() if k != "gamma"})
-    return spec, gamma
+def _tuning(config: MonteCarloConfig) -> dict:
+    """The tuner's start and budget per regularized estimator of a tuned
+    study, from :func:`tuning_start` and :func:`tuning_budget`."""
+    tuning = {}
+    for estimator in config.estimators if config.tune else ():
+        if estimator != "ls":
+            try:
+                eta0 = tuning_start(config.kernel_for(estimator), config.gamma, config.factor)
+            except ValueError as exc:
+                raise ValueError(f"cannot tune {estimator}: {exc}") from exc
+            tuning[estimator] = (eta0, tuning_budget(eta0, config.tune_budget))
+    return tuning
 
 
 def _unique_least_squares(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
@@ -418,7 +393,7 @@ def _unique_least_squares(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | N
         return None
 
 
-def _execute_run(config: MonteCarloConfig, run: int) -> list[RunRecord]:
+def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRecord]:
     streams = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(run,)).generate_state(5)
     rng_plant = np.random.Generator(np.random.PCG64(int(streams[0])))
     rng_snr = np.random.Generator(np.random.PCG64(int(streams[4])))
@@ -446,13 +421,11 @@ def _execute_run(config: MonteCarloConfig, run: int) -> list[RunRecord]:
     # scale), not the model order: tune once per run at the largest order
     max_order = max(config.orders)
     phi_max = build_regressor(u_train, config.factor, max_order)
-    fitted: dict[str, tuple[KernelSpec, float]] = {}
-    for estimator in config.estimators:
-        if estimator != "ls":
-            if config.tune:
-                fitted[estimator] = _tuned_parameters(config, estimator, phi_max, y_l)
-            else:
-                fitted[estimator] = (config.kernel_for(estimator), config.gamma)
+    fitted = {e: (config.kernel_for(e), config.gamma) for e in config.estimators if e != "ls"}
+    for estimator, (eta0, budget) in tuning.items():
+        template = config.kernel_for(estimator)
+        eta = optimize_hyperparameters(phi_max, y_l, template, eta0, gamma=config.gamma, budget=budget)
+        fitted[estimator] = kernel_and_gamma(template, eta.values, config.gamma)
 
     records = []
     for order in config.orders:
@@ -512,11 +485,14 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     Results are identical for any ``max_workers``: every run derives its RNG
     streams from ``(base_seed, run_index)`` alone and records are ordered by
     run index.  A failing run is recorded as a :class:`RunError` and does not
-    abort the study.
+    abort the study.  A tuned study whose tuning start cannot be built raises
+    ``ValueError`` before the first run.
     """
+    tuning = _tuning(config)
+
     def one(run: int):
         try:
-            return _execute_run(config, run)
+            return _execute_run(config, run, tuning)
         except Exception as exc:  # noqa: BLE001 - reported per run, never silent
             diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
             return RunError(run, str(exc), type(exc).__name__, diagnostics)

@@ -1,6 +1,7 @@
 """Tests for the command line: NB_THREADS, config errors, failed runs and import cost."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import beyondnyq
 from beyondnyq import estimator, sim
 from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from beyondnyq.errors import NumericalError
-from beyondnyq.estimator import apply_hyperparameters, save_model
+from beyondnyq.estimator import kernel_and_gamma, save_model, tuning_start
 from beyondnyq.kernels import kernel_spec_from_json
 from beyondnyq.signals import FastSignal, FirModel, random_noise, write_signal_csv
 
@@ -219,6 +220,10 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("tune", ("tune", "budjet"), 5, "unknown tune keys: ['budjet']"),
         ("tune", ("tune", "bounds"), {"decya": [0.5, 0.95]}, "unknown tune.bounds keys: ['decya']"),
         ("tune", ("tune",), {"estimator": "dc", "init": {"gamma": 1e-5}, "bounds": {"gamma": [0, 1]}}, "gamma"),
+        (
+            "tune", ("tune",), {"estimator": "dc", "init": {"gamma": 1e-5}, "bounds": {"gamma": [1e-9, math.inf]}},
+            "gamma needs finite bounds",
+        ),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
@@ -226,7 +231,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
-        "bounds-without-init", "log-bound-zero",
+        "bounds-without-init", "log-bound-zero", "bound-infinite",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
@@ -303,7 +308,68 @@ def test_tuned_kernel_json_reads_back_to_tuned_values(tmp_path):
     assert main(["tune", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
     tuned = json.loads((tmp_path / "out" / "tuned_hyperparameters.json").read_text())
     template = kernel_spec_from_json(config["kernels"]["pk"])
-    spec = apply_hyperparameters(template, {k: v for k, v in tuned["values"].items() if k != "gamma"})
+    spec, gamma = kernel_and_gamma(template, tuned["values"], 1e-5)
     assert spec != template
     assert kernel_spec_from_json(tuned["kernel"]) == spec
-    assert tuned["gamma"] == tuned["values"]["gamma"]
+    assert tuned["gamma"] == gamma == tuned["values"]["gamma"]
+
+
+def test_tune_default_bounds_are_the_tuning_start(tmp_path):
+    """Without ``tune.bounds``, ``tune`` searches and writes exactly the
+    bounds of :func:`tuning_start`, the start the tuned Monte Carlo uses."""
+    config = identify_config(tmp_path)
+    pole = {"type": "pk", "decay": 0.95, "frequency": 5.0}
+    config["kernels"]["pk"] = {"type": "sum", "terms": [config["kernels"]["dc"], pole]}
+    init = {"gamma": 1e-12, "terms.0.scale": 2.0, "terms.0.decay": 0.9, "terms.1.frequency": 5.0, "terms.1.sigma1": 1.0}
+    config["tune"] = {"estimator": "pk", "init": init, "budget": 5}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["tune", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    tuned = json.loads((tmp_path / "out" / "tuned_hyperparameters.json").read_text())
+    expected = tuning_start(kernel_spec_from_json(config["kernels"]["pk"]), 1e-5, 3, init).bounds
+    assert tuned["bounds"] == {name: list(pair) for name, pair in sorted(expected.items())}
+    # gamma's range holds its start; the frequency stays below 0.999 * 2 pi
+    assert tuned["bounds"]["gamma"] == [1e-12, 1e3]
+    assert tuned["bounds"]["terms.1.frequency"] == [0.7 * 5.0, 0.999 * 2 * math.pi]
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [({"period_s": "0.1", "theta": ["1", True]}, "period_s"), ({"period_s": 0.1, "theta": [1.0, True]}, "theta[1]")],
+    ids=["period-string", "theta-bool"],
+)
+def test_model_file_numbers_follow_the_number_rule(tmp_path, capsys, payload, named):
+    """A model file's period and coefficients must be JSON numbers, as in
+    every config section: a string or a boolean is a config error."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(frf_config(tmp_path)))
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    assert main(["frf", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings, code",
+    [({"pk_kernel": {"type": "sum", "terms": [{"type": "dc"}, {"type": "pk", "decay": 0.9, "frequency": 0.4,
+                                                             "sigma1": 0}]}}, EXIT_CONFIG),
+     ({"gamma": 1e-12}, EXIT_OK)],
+    ids=["zero-amplitude", "tiny-gamma"],
+)
+def test_tuned_mc_start_is_checked_before_any_run(tmp_path, capsys, monkeypatch, settings, code):
+    """A tuned study whose start cannot be built exits 2 before its first
+    run; gamma = 1e-12 lies inside its widened default range and tunes."""
+    runs = []
+    execute = sim._execute_run
+
+    def spy(*args):
+        runs.append(args[1])
+        return execute(*args)
+
+    monkeypatch.setattr(sim, "_execute_run", spy)
+    mc = {"runs": 2, "n_samples": 60, "orders": [10, 30], "tune": True, **settings}
+    assert simulate_mc(tmp_path, "tuned", mc)[0] == code
+    if code == EXIT_CONFIG:
+        assert runs == []
+        assert "cannot tune pk: terms.1.sigma1" in capsys.readouterr().err
+    else:
+        assert sorted(runs) == [0, 1]

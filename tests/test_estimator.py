@@ -21,6 +21,7 @@ from beyondnyq.estimator import (
     default_bounds,
     fit_with_evidence,
     goodness_of_fit,
+    kernel_and_gamma,
     load_model,
     marginal_likelihood,
     optimize_hyperparameters,
@@ -600,8 +601,7 @@ class TestOptimizeHyperparameters:
         problem, _, _ = self.setup_problem()
 
         def evidence(values):
-            spec = apply_hyperparameters(template, {k: v for k, v in values.items() if k != "gamma"})
-            return marginal_likelihood(problem.phi, problem.y_l, spec, values.get("gamma", 1e-3))
+            return marginal_likelihood(problem.phi, problem.y_l, *kernel_and_gamma(template, values, 1e-3))
 
         trace = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -667,8 +667,7 @@ class TestTunerFastEvidence:
         return trace, rank2
 
     def evidence(self, problem, template, values, gamma):
-        spec = apply_hyperparameters(template, {k: v for k, v in values.items() if k != "gamma"})
-        return marginal_likelihood(problem.phi, problem.y_l, spec, values.get("gamma", gamma))
+        return marginal_likelihood(problem.phi, problem.y_l, *kernel_and_gamma(template, values, gamma))
 
     def well_conditioned(self):
         problem = make_problem(27, n=150, factor=3, order=60)
@@ -818,11 +817,21 @@ class TestHyperparameterVector:
         # a linear-space entry may start at zero
         HyperparameterVector(values={"frequency": 0.5}, bounds={"frequency": (lower, 1.0)})
 
+    @pytest.mark.parametrize("bound", [(1e-9, math.inf), (-math.inf, 1.0), (1e-9, math.nan)])
+    def test_bounds_must_be_finite(self, bound):
+        """An infinite bound used to send the search to probe inf and nan."""
+        with pytest.raises(ValueError, match="gamma needs finite bounds"):
+            HyperparameterVector(values={"gamma": 1e-5}, bounds={"gamma": bound})
+
     def test_default_bounds_respect_ranges(self):
         lo, hi = default_bounds("decay", 0.95)
         assert 0.0 < lo < hi < 1.0
         lo, hi = default_bounds("terms.2.frequency", 1.2, omega_max=2 * math.pi)
         assert hi < 2 * math.pi
+        # gamma's range widens to hold its start
+        assert default_bounds("gamma", 1e-5) == (1e-9, 1e3)
+        assert default_bounds("gamma", 1e-12) == (1e-12, 1e3)
+        assert default_bounds("gamma", 1e4) == (1e-9, 1e4)
         with pytest.raises(ValueError):
             default_bounds("mystery", 1.0)
 

@@ -13,7 +13,7 @@ import scipy.signal
 
 from beyondnyq import _blas, sim
 from beyondnyq.errors import NumericalError
-from beyondnyq.estimator import default_bounds
+from beyondnyq.estimator import default_bounds, tuning_start
 from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole, StableSpline, Tikhonov
 from beyondnyq.signals import FastSignal, random_multisine
 from beyondnyq.sim import (
@@ -288,10 +288,32 @@ def test_tuning_start_names_and_values(config, estimator, expected):
     """The tuner starts from gamma plus each term's tunables, in term order:
     scale and decay for DC; frequency, decay and both amplitudes for a
     resonant pole; none for stable spline and Tikhonov."""
-    eta0 = sim._tuning_start(config, estimator)
+    eta0 = tuning_start(config.kernel_for(estimator), config.gamma, config.factor)
     assert list(eta0.values) == [name for name, _ in expected]
     np.testing.assert_array_equal(list(eta0.values.values()), [value for _, value in expected])
     assert eta0.bounds == {name: default_bounds(name, value, 2 * np.pi) for name, value in expected}
+
+
+def test_tuning_start_built_once_per_study(monkeypatch):
+    """Every run tunes from the one start per estimator that the study
+    builds with :func:`tuning_start`, within the budgets 538 (pk) and 79 (dc)."""
+    built, used = [], []
+
+    def start(*args):
+        built.append(tuning_start(*args))
+        return built[-1]
+
+    def optimize(phi, y_l, template, eta0, *, gamma, budget):
+        used.append((eta0, budget))
+        return eta0
+
+    monkeypatch.setattr(sim, "tuning_start", start)
+    monkeypatch.setattr(sim, "optimize_hyperparameters", optimize)
+    result = run_monte_carlo(TUNED, max_workers=2)
+    assert not result.errors
+    assert built == [tuning_start(TUNED.kernel_for(e), TUNED.gamma, TUNED.factor) for e in TUNED.estimators]
+    assert sorted(id(eta0) for eta0, _ in used) == sorted(map(id, built * TUNED.runs))
+    assert sorted(budget for _, budget in used) == [79, 79, 538, 538]
 
 
 def test_paper_ordering():
@@ -337,9 +359,9 @@ def test_runs_see_single_threaded_blas(monkeypatch, blas_at_two, max_workers):
     seen = []
     execute = sim._execute_run
 
-    def spy(config, run):
+    def spy(*args):
         seen.append(thread_counts())
-        return execute(config, run)
+        return execute(*args)
 
     monkeypatch.setattr(sim, "_execute_run", spy)
     result = run_monte_carlo(FIXED, max_workers=max_workers)
