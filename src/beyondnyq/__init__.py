@@ -12,7 +12,6 @@ from .errors import (
     NumericalError,
 )
 from .estimator import (
-    FitReport,
     HyperparameterVector,
     RegularizedProblem,
     apply_hyperparameters,
@@ -47,7 +46,6 @@ from .regressor import (
 from .signals import (
     FastSignal,
     FirModel,
-    FrfSample,
     SlowSignal,
     downsample,
     fir_frf,

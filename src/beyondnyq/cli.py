@@ -1,9 +1,14 @@
 """Command line front end: identify | simulate-mc | frf | tune.
 
 Every command is driven by a JSON config (``--config``) and writes its outputs
-under ``--out`` (or the config's ``output_dir``).  All outputs are
-deterministic given the config and seed: no timestamps, sorted JSON keys, and
-17-significant-digit CSV floats so files round-trip exactly.
+under ``--out`` (or the config's ``output_dir``): ``identify`` writes
+``model_<e>.json``, ``theta_<e>.csv``, ``frf_<e>.csv`` and ``report_<e>.json``
+per estimator ``e``, and ``reports.csv`` with a row per report; ``simulate-mc``
+``runs.csv`` and ``summary.csv``; ``frf`` ``frf.csv``; ``tune`` ``ml_trace.csv``
+and ``tuned_hyperparameters.json``.  All are deterministic given the config
+and seed, with no timestamps, in one format: CSV floats to 17 significant
+digits (they read back exactly), an empty cell for a missing value, and JSON
+with sorted keys and an indent of 2.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.  An
 unknown config key is a config error: the top level takes the keys any
@@ -37,7 +42,6 @@ import numpy as np
 
 from .errors import InvalidStartError, NonUniqueModelError, NumericalError
 from .estimator import (
-    FitReport,
     RegularizedProblem,
     fit_with_evidence,
     goodness_of_fit,
@@ -51,8 +55,8 @@ from .estimator import (
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import build_regressor, least_squares_fir
 from .signals import (
-    FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, downsample, fir_frf,
-    read_signal_csv,
+    FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, _write_csv, _write_json,
+    downsample, fir_frf, read_signal_csv,
 )
 from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
@@ -165,24 +169,12 @@ def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, Sl
     return u, y
 
 
-def _float_csv(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_frf_csv(model: FirModel, path: Path, omegas: np.ndarray) -> None:
-    lines = ["omega_rad_s,freq_hz,magnitude,phase_rad"]
-    for sample in fir_frf(model, omegas):
-        lines.append(
-            f"{_float_csv(sample.omega)},{_float_csv(sample.omega / (2.0 * math.pi))},"
-            f"{_float_csv(abs(sample.value))},{_float_csv(float(np.angle(sample.value)))}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_theta_csv(model: FirModel, path: Path) -> None:
-    lines = ["index,value"]
-    lines += [f"{i},{_float_csv(v)}" for i, v in enumerate(model.theta)]
-    path.write_text("\n".join(lines) + "\n")
+    values = fir_frf(model, omegas)
+    # hypot, not np.abs: it rounds each magnitude as abs(complex) does
+    magnitudes = np.hypot(values.real, values.imag)
+    rows = zip(omegas, omegas / (2.0 * math.pi), magnitudes, np.angle(values))
+    _write_csv(path, ("omega_rad_s", "freq_hz", "magnitude", "phase_rad"), rows)
 
 
 def _frf_grid(config: dict, period: float) -> np.ndarray:
@@ -205,46 +197,30 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     phi = build_regressor(u, factor, order, len(y_l))
     omegas = _frf_grid(config, period)
 
-    report_lines = ["estimator,order,gof,rmse,marginal_likelihood,model_file"]
+    reports = []
     for name, kernel, gamma in plan:
         if name == "ls":
-            model = least_squares_fir(phi, y_l)
-            ml_value = float("nan")
+            model, ml_value = least_squares_fir(phi, y_l), math.nan
         else:
             problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
             model, ml_value = fit_with_evidence(problem)
-        predicted = downsample(predict_fast_output(model, u), factor)
-        residual = y_l.samples - predicted.samples[: len(y_l)]
-        report = FitReport(
-            model=model,
-            gof=goodness_of_fit(y_l.samples, predicted.samples[: len(y_l)]),
-            rmse=float(np.sqrt(np.mean(residual**2))),
-            marginal_likelihood=ml_value,
-        )
+        predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
         model_file = out_dir / f"model_{name}.json"
         save_model(model, model_file)
-        _write_theta_csv(model, out_dir / f"theta_{name}.csv")
+        _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta))
         _write_frf_csv(model, out_dir / f"frf_{name}.csv", omegas)
-        (out_dir / f"report_{name}.json").write_text(
-            json.dumps(
-                {
-                    "estimator": name,
-                    "order": order,
-                    "gof": report.gof,
-                    "rmse": report.rmse,
-                    "marginal_likelihood": None if math.isnan(ml_value) else ml_value,
-                    "model_file": model_file.name,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
-        ml_text = "" if math.isnan(ml_value) else _float_csv(ml_value)
-        report_lines.append(
-            f"{name},{order},{_float_csv(report.gof)},{_float_csv(report.rmse)},{ml_text},{model_file.name}"
-        )
-    (out_dir / "reports.csv").write_text("\n".join(report_lines) + "\n")
+        # the key order is the column order of reports.csv
+        report = {
+            "estimator": name,
+            "order": order,
+            "gof": goodness_of_fit(y_l.samples, predicted),
+            "rmse": float(np.sqrt(np.mean((y_l.samples - predicted) ** 2))),
+            "marginal_likelihood": None if math.isnan(ml_value) else ml_value,
+            "model_file": model_file.name,
+        }
+        _write_json(out_dir / f"report_{name}.json", report)
+        reports.append(report)
+    _write_csv(out_dir / "reports.csv", list(reports[0]), (r.values() for r in reports))
     return EXIT_OK
 
 
@@ -277,10 +253,7 @@ def cmd_frf(config: dict, out_dir: Path) -> int:
     model_path = _path("model_json", _require(config, "model_json", "config"))
     if not model_path.exists():
         raise ConfigError(f"model file not found: {model_path}")
-    try:
-        model = load_model(model_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = load_model(model_path)
     _write_frf_csv(model, out_dir / "frf.csv", _frf_grid(config, model.period))
     return EXIT_OK
 
@@ -307,46 +280,37 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     eta0 = tuning_start(template, gamma, factor, init, bounds)
 
     names = sorted(init)
-    trace_lines = ["evaluation," + ",".join(names) + ",marginal_likelihood"]
+    trace = []
 
     def record(values: dict, ml_value: float) -> None:
-        row = [str(len(trace_lines))]
-        row += [_float_csv(values[name]) for name in names]
-        row.append(_float_csv(ml_value))
-        trace_lines.append(",".join(row))
+        trace.append([len(trace) + 1, *(values[name] for name in names), ml_value])
 
     tuned = optimize_hyperparameters(
         phi, y_l, template, eta0, gamma=gamma, budget=budget, on_evaluation=record
     )
-    (out_dir / "ml_trace.csv").write_text("\n".join(trace_lines) + "\n")
+    _write_csv(out_dir / "ml_trace.csv", ["evaluation", *names, "marginal_likelihood"], trace)
 
     tuned_spec, tuned_gamma = kernel_and_gamma(template, tuned.values, gamma)
-    (out_dir / "tuned_hyperparameters.json").write_text(
-        json.dumps(
-            {
-                "estimator": estimator,
-                "gamma": tuned_gamma,
-                "values": dict(sorted(tuned.values.items())),
-                "bounds": {k: list(v) for k, v in sorted(tuned.bounds.items())},
-                "kernel": kernel_spec_to_json(tuned_spec),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        out_dir / "tuned_hyperparameters.json",
+        {
+            "estimator": estimator,
+            "gamma": tuned_gamma,
+            "values": tuned.values,
+            "bounds": {k: list(v) for k, v in tuned.bounds.items()},
+            "kernel": kernel_spec_to_json(tuned_spec),
+        },
     )
     return EXIT_OK
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("NB_THREADS", "")
-    if not raw:
-        return 1
+    raw = os.environ.get("NB_THREADS") or "1"
     try:
         threads = int(raw)
     except ValueError as exc:
         raise ConfigError(f"NB_THREADS must be an integer, got {raw!r}") from exc
-    return max(threads, 1)
+    return _integer_setting("NB_THREADS", threads, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

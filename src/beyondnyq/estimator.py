@@ -43,12 +43,11 @@ import scipy.linalg
 from .errors import InvalidStartError, NumericalError
 from .kernels import KernelSpec, KernelSum, ResonantPole
 from .regressor import RegressorMatrix
-from .signals import FastSignal, FirModel, SlowSignal, _integer, _number, _positive
+from .signals import FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _positive, _write_json
 
 __all__ = [
     "RegularizedProblem",
     "HyperparameterVector",
-    "FitReport",
     "fit_with_evidence",
     "regularized_fir",
     "marginal_likelihood",
@@ -742,20 +741,6 @@ def optimize_hyperparameters(
     return HyperparameterVector(values=best, bounds=eta0.bounds)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Summary of one fitted model against reference data."""
-
-    model: FirModel
-    gof: float
-    rmse: float
-    marginal_likelihood: float
-
-    def __post_init__(self):
-        if self.gof > 100.0:
-            raise ValueError(f"goodness of fit cannot exceed 100, got {self.gof}")
-
-
 def _as_samples(x) -> np.ndarray:
     if isinstance(x, (FastSignal, SlowSignal)):
         return x.samples
@@ -784,15 +769,18 @@ def predict_fast_output(model: FirModel, u: FastSignal) -> FastSignal:
 
 def save_model(model: FirModel, path: str | Path) -> None:
     """Write the model JSON ``{"period_s": ..., "theta": [...]}``."""
-    payload = {"period_s": model.period, "theta": [float(v) for v in model.theta]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(path, {"period_s": model.period, "theta": [float(v) for v in model.theta]})
 
 
 def load_model(path: str | Path) -> FirModel:
     """Read a model that :func:`save_model` wrote; ``period_s`` and every
-    ``theta`` entry must be JSON numbers, as everywhere in a config."""
+    ``theta`` entry must be JSON numbers, as everywhere in a config, and any
+    other key is rejected."""
     try:
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {payload!r}")
+        _known_keys("model keys", payload, ("period_s", "theta"))
         period = _positive("period_s", payload["period_s"])
         return FirModel(theta=[_number(f"theta[{i}]", v) for i, v in enumerate(payload["theta"])], period=period)
     except (KeyError, TypeError, ValueError) as exc:

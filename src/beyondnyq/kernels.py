@@ -54,13 +54,16 @@ __all__ = [
 ]
 
 
-def _check_range(name: str, value: float, lo: float, hi: float, *, lo_open=False, hi_open=True):
+def _check_range(kernel, name: str, lo: float, hi: float, *, lo_open=False, hi_open=True) -> None:
+    """Store ``kernel.name`` as a float in the interval, else raise ``ValueError`` naming it."""
+    value = _number(name, getattr(kernel, name))
     ok_lo = value > lo if lo_open else value >= lo
     ok_hi = value < hi if hi_open else value <= hi
-    if not (np.isfinite(value) and ok_lo and ok_hi):
+    if not (math.isfinite(value) and ok_lo and ok_hi):
         lo_b = "(" if lo_open else "["
         hi_b = ")" if hi_open else "]"
         raise ValueError(f"{name} must be in {lo_b}{lo}, {hi}{hi_b}, got {value}")
+    object.__setattr__(kernel, name, value)
 
 
 class _Kernel:
@@ -110,9 +113,9 @@ class DiagonalCorrelated(_Kernel):
     tunables: ClassVar[tuple[str, ...]] = ("scale", "decay")
 
     def __post_init__(self):
-        _check_range("scale", self.scale, 0.0, math.inf, lo_open=True)
-        _check_range("decay", self.decay, 0.0, 1.0)
-        _check_range("correlation", self.correlation, -1.0, 1.0, lo_open=True)
+        _check_range(self, "scale", 0.0, math.inf, lo_open=True)
+        _check_range(self, "decay", 0.0, 1.0)
+        _check_range(self, "correlation", -1.0, 1.0, lo_open=True)
 
     def unit(self) -> tuple[DiagonalCorrelated, float]:
         """The factor is ``sqrt(scale)`` times the unit-scale factor."""
@@ -183,8 +186,8 @@ class StableSpline(_Kernel):
     type: ClassVar[str] = "ss"
 
     def __post_init__(self):
-        _check_range("scale", self.scale, 0.0, math.inf, lo_open=True)
-        _check_range("decay", self.decay, 0.0, 1.0, lo_open=True)
+        _check_range(self, "scale", 0.0, math.inf, lo_open=True)
+        _check_range(self, "decay", 0.0, 1.0, lo_open=True)
 
     def width(self, order: int) -> int:
         return 2 * order
@@ -243,10 +246,10 @@ class ResonantPole(_Kernel):
     tunables: ClassVar[tuple[str, ...]] = ("frequency", "decay", "sigma1", "sigma2")
 
     def __post_init__(self):
-        _check_range("decay", self.decay, 0.0, 1.0, lo_open=True)
-        _check_range("frequency", self.frequency, 0.0, 2.0 * math.pi)
-        _check_range("sigma1", self.sigma1, 0.0, math.inf)
-        _check_range("sigma2", self.sigma2, 0.0, math.inf)
+        _check_range(self, "decay", 0.0, 1.0, lo_open=True)
+        _check_range(self, "frequency", 0.0, 2.0 * math.pi)
+        _check_range(self, "sigma1", 0.0, math.inf)
+        _check_range(self, "sigma2", 0.0, math.inf)
 
     def width(self, order: int) -> int:
         return 2

@@ -6,11 +6,13 @@ sampling metadata around: :class:`FastSignal` and :class:`SlowSignal`.  All
 values are immutable after construction and safe to share across threads.
 
 Frequencies are angular (rad/s) throughout.  The DFT follows the unnormalized
-convention ``X(k) = sum_t x(t) exp(-j 2 pi k t / N)``.
+convention ``X(k) = sum_t x(t) exp(-j 2 pi k t / N)``.  Every output file of
+the program is written by :func:`_write_csv` or :func:`_write_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ __all__ = [
     "FastSignal",
     "SlowSignal",
     "FirModel",
-    "FrfSample",
     "downsample",
     "random_multisine",
     "random_noise",
@@ -146,18 +147,6 @@ class FirModel:
         return self.theta.size
 
 
-@dataclass(frozen=True)
-class FrfSample:
-    """One frequency-response value at angular frequency ``omega`` (rad/s)."""
-
-    omega: float
-    value: complex
-
-    def __post_init__(self):
-        if not (self.omega >= 0):
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
-
-
 def downsample(x: FastSignal | SlowSignal, factor: int) -> SlowSignal:
     """Keep every ``factor``-th sample of ``x`` (an ideal decimator).
 
@@ -236,10 +225,11 @@ def random_noise(n_samples: int, period: float, rms: float, seed: int = 0) -> Fa
     return FastSignal(samples=rng.normal(0.0, rms, size=n_samples), period=period)
 
 
-def fir_frf(model: FirModel, omegas: Sequence[float]) -> list[FrfSample]:
-    """Frequency response ``sum_i theta_i exp(-j w T_h i)`` at each ``w``.
+def fir_frf(model: FirModel, omegas: Sequence[float]) -> np.ndarray:
+    """Frequency response ``sum_i theta_i exp(-j w T_h i)`` at each ``w``, as a
+    complex array aligned with ``omegas``.
 
-    Valid at any frequency, including above the Nyquist frequency of a
+    Valid at any real frequency, including above the Nyquist frequency of a
     slow-rate output sampler; the response is ``2 pi / T_h``-periodic.
 
     Horner's rule in ``z = exp(-j w T_h)`` over all ``K`` frequencies at once:
@@ -251,14 +241,32 @@ def fir_frf(model: FirModel, omegas: Sequence[float]) -> list[FrfSample]:
     for coefficient in model.theta[-2::-1]:
         values *= z
         values += coefficient
-    return [FrfSample(float(wk), complex(vk)) for wk, vk in zip(w, values)]
+    return values
+
+
+def _cell(value) -> str:
+    """One CSV cell: a float to 17 significant digits, ``None`` empty,
+    anything else through ``str``."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write the ``header`` line, then one line of :func:`_cell` per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, an indent of 2 and a trailing newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_signal_csv(x: FastSignal | SlowSignal, path: str | Path) -> None:
     """Write samples as ``index,value`` rows; the period travels in the config."""
-    lines = ["index,value"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(x.samples)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("index", "value"), enumerate(x.samples))
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:

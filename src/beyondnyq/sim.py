@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -50,13 +50,13 @@ from .regressor import RegressorMatrix, build_regressor, least_squares_fir
 from .signals import (
     FastSignal,
     FirModel,
-    FrfSample,
     SlowSignal,
     _integer,
     _known_keys,
     _number,
     _pair,
     _positive,
+    _write_csv,
     downsample,
     random_multisine,
     random_noise,
@@ -219,8 +219,9 @@ def simulate(plant: DiscretePlant, u: FastSignal, x0: np.ndarray | None = None) 
     return FastSignal(samples=y.reshape(-1)[:samples], period=u.period)
 
 
-def plant_frf(plant: DiscretePlant, omegas: Sequence[float]) -> list[FrfSample]:
-    """``C (e^{jwT} I - A)^{-1} B + D`` at each angular frequency ``w``.
+def plant_frf(plant: DiscretePlant, omegas: Sequence[float]) -> np.ndarray:
+    """``C (e^{jwT} I - A)^{-1} B + D`` at each angular frequency ``w``, as a
+    complex array aligned with ``omegas``; any real frequency is accepted.
 
     One batched solve over the stacked ``e^{jwT} I - A``: O(K n^3) time and
     O(K n^2) memory for ``K`` frequencies and ``n`` states.
@@ -230,8 +231,7 @@ def plant_frf(plant: DiscretePlant, omegas: Sequence[float]) -> list[FrfSample]:
     n = plant.A.shape[0]
     shifted = z[:, None, None] * np.eye(n) - plant.A
     resolvents = np.linalg.solve(shifted, np.broadcast_to(plant.B, (w.size, *plant.B.shape)))
-    values = (plant.C @ resolvents)[:, 0, 0] + plant.D[0, 0]
-    return [FrfSample(float(wk), complex(vk)) for wk, vk in zip(w, values)]
+    return (plant.C @ resolvents)[:, 0, 0] + plant.D[0, 0]
 
 
 def default_dc_kernel(period: float) -> DiagonalCorrelated:
@@ -514,26 +514,15 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     )
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def write_records_csv(result: MonteCarloResult, path: str | Path) -> None:
-    lines = ["run,seed,estimator,order,status,gof,snr,m1,m2,k1,k2,d1,d2"]
-    for r in result.records:
-        p = r.plant
-        lines.append(
-            f"{r.run},{r.seed},{r.estimator},{r.order},{r.status},{_fmt(r.gof)},{_fmt(r.snr)},"
-            f"{_fmt(p.m1)},{_fmt(p.m2)},{_fmt(p.k1)},{_fmt(p.k2)},{_fmt(p.d1)},{_fmt(p.d2)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """A row per record: its fields, the last one, ``plant``, spread into its own."""
+    header = [f.name for f in fields(RunRecord)[:-1] + fields(ContinuousPlant)]
+    _write_csv(path, header, ((*row[:-1], *row[-1]) for row in map(astuple, result.records)))
 
 
 def write_summary_csv(result: MonteCarloResult, path: str | Path) -> None:
-    lines = ["estimator,order,mean_gof,std_gof,count"]
-    for s in result.summary:
-        lines.append(f"{s.estimator},{s.order},{_fmt(s.mean_gof)},{_fmt(s.std_gof)},{s.count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per :class:`SummaryEntry`, its fields as the columns."""
+    _write_csv(path, [f.name for f in fields(SummaryEntry)], map(astuple, result.summary))
 
 
 # (from JSON, to JSON) per field; other fields are their JSON values, tuples written as lists

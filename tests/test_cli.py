@@ -1,5 +1,6 @@
-"""Tests for the command line: NB_THREADS, config errors, failed runs and import cost."""
+"""Tests for the command line: NB_THREADS, config errors, failed runs, output files and import cost."""
 
+import csv
 import json
 import math
 import os
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import beyondnyq
-from beyondnyq import estimator, sim
+from beyondnyq import cli, estimator, sim
 from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from beyondnyq.errors import NumericalError
 from beyondnyq.estimator import kernel_and_gamma, save_model, tuning_start
 from beyondnyq.kernels import kernel_spec_from_json
-from beyondnyq.signals import FastSignal, FirModel, random_noise, write_signal_csv
+from beyondnyq.signals import FastSignal, FirModel, fir_frf, random_noise, read_signal_csv, write_signal_csv
 
 TINY_MC = {"runs": 2, "n_samples": 90, "orders": [10, 30], "tune": True, "tune_budget": 60}
 
@@ -40,10 +41,13 @@ def test_nb_threads_leaves_outputs_unchanged(tmp_path, monkeypatch):
 
 
 def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NB_THREADS", "abc")
-    code, _ = simulate_mc(tmp_path, "bad")
-    assert code == EXIT_CONFIG
-    assert "NB_THREADS" in capsys.readouterr().err
+    """A worker count that is not an integer >= 1 exits 2; it never runs one worker."""
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("NB_THREADS", raw)
+        code, out = simulate_mc(tmp_path, f"bad{raw}")
+        assert code == EXIT_CONFIG
+        assert "NB_THREADS" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -202,6 +206,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("identify", ("kernels", "dc"), {"type": "sum"}, "'terms'"),
         ("identify", ("kernels", "dc"), {"type": "sum", "terms": 3}, "'terms'"),
         ("identify", ("frf", "omega_max"), 0, "omega_max"),
+        ("identify", ("frf", "omega_min"), -1, "omega_min"),
         ("identify", ("estimators",), "dc", "estimators"),
         ("identify", ("gamma",), [1e-5], "gamma"),
         ("identify", ("sampling", "period_s"), [0.1], "period_s"),
@@ -227,7 +232,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
-        "sum-without-terms", "sum-terms-number", "omega_max-zero", "estimators-string", "gamma-list",
+        "sum-without-terms", "sum-terms-number", "omega_max-zero", "omega_min-negative", "estimators-string", "gamma-list",
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
@@ -373,3 +378,78 @@ def test_tuned_mc_start_is_checked_before_any_run(tmp_path, capsys, monkeypatch,
         assert "cannot tune pk: terms.1.sigma1" in capsys.readouterr().err
     else:
         assert sorted(runs) == [0, 1]
+
+
+def test_model_file_unknown_key_is_config_error(tmp_path, capsys):
+    """A misspelt key in a model file exits 2 and is named, not ignored."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(frf_config(tmp_path)))
+    (tmp_path / "model.json").write_text(json.dumps({"period_s": 0.1, "perod_s": 3, "theta": [1, 2]}))
+    assert main(["frf", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "perod_s" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "frf.csv").exists()
+
+
+def identify_outputs(tmp_path, monkeypatch):
+    """Run ``identify`` on the small config; return the output directory and
+    the models it saved, by estimator name."""
+    models = {}
+    save = cli.save_model
+
+    def spy(model, path):
+        models[Path(path).stem.removeprefix("model_")] = model
+        save(model, path)
+
+    monkeypatch.setattr(cli, "save_model", spy)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(identify_config(tmp_path)))
+    out = tmp_path / "out"
+    assert main(["identify", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    assert sorted(models) == ["dc", "ls"]
+    return out, models
+
+
+def read_rows(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_theta_csv_reads_back_bit_for_bit(tmp_path, monkeypatch):
+    out, models = identify_outputs(tmp_path, monkeypatch)
+    for name, model in models.items():
+        assert np.array_equal(read_signal_csv(out / f"theta_{name}.csv"), model.theta)
+
+
+def test_frf_csv_magnitude_is_abs_of_fir_frf(tmp_path, monkeypatch):
+    """The magnitude column is ``abs(complex(v))`` of :func:`fir_frf`, bit for
+    bit, and the phase column its angle."""
+    out, models = identify_outputs(tmp_path, monkeypatch)
+    for name, model in models.items():
+        rows = read_rows(out / f"frf_{name}.csv")
+        assert len(rows) == 20
+        omegas = np.array([float(row["omega_rad_s"]) for row in rows])
+        values = fir_frf(model, omegas)
+        assert [float(row["magnitude"]) for row in rows] == [abs(complex(v)) for v in values]
+        assert [float(row["phase_rad"]) for row in rows] == np.angle(values).tolist()
+        assert [float(row["freq_hz"]) for row in rows] == (omegas / (2 * math.pi)).tolist()
+
+
+def test_reports_csv_rows_equal_report_json(tmp_path, monkeypatch):
+    """Each ``reports.csv`` row holds its ``report_<name>.json``: the same
+    keys, numbers that read back equal and an empty cell for ``null``."""
+    out, _ = identify_outputs(tmp_path, monkeypatch)
+    rows = read_rows(out / "reports.csv")
+    assert [row["estimator"] for row in rows] == ["ls", "dc"]
+    for row in rows:
+        report = json.loads((out / f"report_{row['estimator']}.json").read_text())
+        assert list(row) == ["estimator", "order", "gof", "rmse", "marginal_likelihood", "model_file"]
+        assert set(row) == set(report)
+        for key, cell in row.items():
+            value = report[key]
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value
+    assert json.loads((out / "report_ls.json").read_text())["marginal_likelihood"] is None

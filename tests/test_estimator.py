@@ -14,7 +14,6 @@ import beyondnyq.estimator as estimator
 
 from beyondnyq.errors import InvalidStartError, NumericalError
 from beyondnyq.estimator import (
-    FitReport,
     HyperparameterVector,
     RegularizedProblem,
     apply_hyperparameters,
@@ -890,11 +889,6 @@ class TestPredictFastOutput:
 
 
 class TestFitReportAndModelIo:
-    def test_gof_cap_enforced(self):
-        model = FirModel(theta=[1.0], period=0.1)
-        with pytest.raises(ValueError):
-            FitReport(model=model, gof=101.0, rmse=0.0, marginal_likelihood=0.0)
-
     def test_model_json_round_trip(self, tmp_path):
         model = FirModel(theta=np.random.default_rng(25).normal(size=12), period=0.05)
         path = tmp_path / "model.json"
@@ -916,4 +910,15 @@ class TestFitReportAndModelIo:
         path = tmp_path / "bad.json"
         path.write_text("{\"theta\": [1.0]}")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_unknown_model_key_rejected(self, tmp_path):
+        """A misspelt key next to a valid model, or a file that is not a JSON
+        object, is an error, not ignored."""
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"period_s": 0.1, "perod_s": 3, "theta": [1, 2]}))
+        with pytest.raises(ValueError, match="perod_s"):
+            load_model(path)
+        path.write_text(json.dumps("period_s"))
+        with pytest.raises(ValueError, match="expected a JSON object"):
             load_model(path)

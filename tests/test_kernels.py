@@ -60,6 +60,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="decay"):
             ResonantPole(decay=0.0, frequency=1.0)
 
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (DiagonalCorrelated, "scale"), (DiagonalCorrelated, "decay"), (DiagonalCorrelated, "correlation"),
+            (StableSpline, "scale"), (StableSpline, "decay"),
+            (ResonantPole, "decay"), (ResonantPole, "frequency"), (ResonantPole, "sigma1"), (ResonantPole, "sigma2"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+    def test_non_numbers_rejected_by_constructor(self, cls, name, value):
+        """The number rule holds for the constructors too: a boolean or a
+        string is a ``ValueError`` naming the field, never a kernel."""
+        fields = {"decay": 0.5, "frequency": 1.0} if cls is ResonantPole else {}
+        with pytest.raises(ValueError, match=name):
+            cls(**{**fields, name: value})
+
+    def test_constructor_stores_floats(self):
+        assert type(DiagonalCorrelated(scale=2, decay=np.float64(0.5)).scale) is float
+        assert type(ResonantPole(decay=np.float64(0.5), frequency=1).decay) is float
+
     def test_sum_must_be_nonempty_and_flattens(self):
         with pytest.raises(ValueError):
             KernelSum(terms=())

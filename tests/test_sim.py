@@ -130,9 +130,8 @@ def test_plant_frf_matches_per_frequency_solve():
     plant = zoh_discretize(build_plant(NOMINAL_PLANT), 0.1)
     # past the fast Nyquist frequency pi / T and through both resonances
     omegas = np.linspace(0.0, 2.0 * np.pi / plant.period, 1000)
-    samples = plant_frf(plant, omegas)
-    assert [s.omega for s in samples] == omegas.tolist()
-    values = np.array([s.value for s in samples])
+    values = plant_frf(plant, omegas)
+    assert values.shape == omegas.shape
     expected = solve_plant_frf(plant, omegas)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
