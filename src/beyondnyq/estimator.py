@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidStartError, NumericalError
-from .kernels import KernelSpec, KernelSum, ResonantPole
+from .kernels import KernelSpec, KernelSum, ResonantPole, _terms
 from .regressor import RegressorMatrix
 from .signals import FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _positive, _write_json
 
@@ -76,10 +76,6 @@ class RegularizedProblem:
     def __post_init__(self):
         object.__setattr__(self, "gamma", _positive("gamma", self.gamma))
         self.phi.check_output(self.y_l)
-
-
-def _terms(spec: KernelSpec) -> tuple:
-    return spec.terms if isinstance(spec, KernelSum) else (spec,)
 
 
 def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
@@ -265,9 +261,8 @@ def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
     theta = np.zeros(order)
     start = 0
     for term in _terms(spec):
-        unit, scale = term.unit()
-        width = unit.width(order)
-        theta += unit.factor_times(w[start : start + width], order, math.sqrt(scale))
+        width = term.width(order)
+        theta += term.factor_times(w[start : start + width], order)
         start += width
     return theta
 
@@ -462,8 +457,20 @@ class _FieldRule(NamedTuple):
     bounds: Callable[[float, float], tuple[float, float]]  # (value, omega_max) -> default interval
 
 
+def _rate_bounds(value: float, omega_max: float) -> tuple[float, float]:
+    """``[v^2, v^(1/16)]`` for a start ``v`` in (0, 1), its top capped at
+    ``1 - 1e-9`` but never below ``v``; a negative start (a correlation) gets
+    the mirror of its magnitude's interval, and a start of 0 the interval
+    ``[0, 1e-9^(1/16)]``."""
+    magnitude = abs(value)
+    if magnitude == 0.0:
+        return 0.0, 1e-9**0.0625
+    lo, hi = magnitude**2, max(magnitude, min(magnitude**0.0625, 1.0 - 1e-9))
+    return (lo, hi) if value > 0.0 else (-hi, -lo)
+
+
 _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value * 1e2))
-_RATES = _FieldRule(False, 7, 2, lambda value, omega_max: (value**2, min(value**0.0625, 1.0 - 1e-9)))
+_RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
 # a third sweep; a resonant probe costs O(M P + M^2) (rank-2 update), not O(M^3)
 _FIELD_RULES = {
@@ -491,9 +498,11 @@ def default_bounds(name: str, value: float, omega_max: float = 2.0 * math.pi) ->
     The regularization weight gets a wide absolute range that holds
     ``value`` (it must absorb any mismatch between the kernel's scale and
     the data's); other scale-type parameters get two decades each way; decay
-    values in (0, 1) move between double and one sixteenth of the initial
-    rate (priors that die too fast are far more harmful than slow ones);
-    frequencies get a +/-30% window clipped to ``[0, omega_max)``.
+    and correlation values in (0, 1) move between double and one sixteenth of
+    the initial rate (priors that die too fast are far more harmful than
+    slow ones), negative ones within the mirror of that interval, and a start
+    of 0 up to ``1e-9^(1/16)``; frequencies get a +/-30% window clipped to
+    ``[0, omega_max)``.
     """
     return _rule(name).bounds(value, omega_max)
 

@@ -16,11 +16,11 @@ impulse-response coefficients:
 * :class:`KernelSum` -- sum of the above, e.g. a decaying base plus one
   resonant term per expected pole pair.
 
-Each kernel class owns its dense ``matrix``, its tunables, its JSON type tag
-and the structured factor ``K = L L'`` the estimator works with instead
-(``width``, ``factor``, ``factor_times``): P columns per DC or Tikhonov term,
-2P per stable spline, 2 per resonant pole.  A fit of M outputs solves in the
-feature space iff these n columns number fewer than M.
+Each kernel class writes its formula once, as the exact factor ``K = L L'``
+with its scale inside (``width``, ``factor``, ``factor_times``): P columns per
+DC or Tikhonov term, 2P per stable spline, 2 per resonant pole.  It also owns
+its tunables and its JSON type tag.  A fit of M outputs solves in the feature
+space iff these n columns number fewer than M.
 
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never
@@ -93,11 +93,8 @@ class Tikhonov(_Kernel):
     def factor(self, phi: np.ndarray) -> np.ndarray:
         return phi
 
-    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
-        return multiplier * w
-
-    def matrix(self, order: int) -> np.ndarray:
-        return np.eye(order)
+    def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
+        return w
 
 
 # columns per block of the first-order recursion behind the DC factor
@@ -122,13 +119,14 @@ class DiagonalCorrelated(_Kernel):
         return replace(self, scale=1.0), self.scale
 
     def _diagonals(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """``d`` and ``s`` of the factor ``K = scale (D U S)(D U S)'``.
+        """``d`` and ``s`` of the factor ``K = (D U S)(D U S)'``.
 
-        ``D = diag(d)`` with ``d_i = decay^(i/2)``, ``U[i, j] = c^(i-j)`` for
-        ``i >= j`` (``c`` the correlation) and ``S = diag(s)`` with ``s_0 = 1``,
-        ``s_j = sqrt(1 - c^2)``: ``U S S U'`` is the Toeplitz matrix ``c^|i-j|``.
+        ``D = diag(d)`` with ``d_i = sqrt(scale) decay^(i/2)``, ``U[i, j] =
+        c^(i-j)`` for ``i >= j`` (``c`` the correlation) and ``S = diag(s)``
+        with ``s_0 = 1``, ``s_j = sqrt(1 - c^2)``: ``U S S U'`` is the
+        Toeplitz matrix ``c^|i-j|``.
         """
-        half = self.decay ** (np.arange(order, dtype=float) / 2.0)
+        half = math.sqrt(self.scale) * self.decay ** (np.arange(order, dtype=float) / 2.0)
         weights = np.full(order, math.sqrt(1.0 - self.correlation**2))
         weights[0] = 1.0
         return half, weights
@@ -165,18 +163,12 @@ class DiagonalCorrelated(_Kernel):
         factored *= weights
         return factored
 
-    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
-        """``multiplier * D U S w``: ``U x`` is :meth:`factor`'s recursion run
-        forward, on the reversed vector."""
+    def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
+        """``D U S w``: ``U x`` is :meth:`factor`'s recursion run forward, on
+        the reversed vector."""
         half, weights = self._diagonals(order)
         forward = self._suffix_sums((weights * w)[None, ::-1])[0, ::-1]
-        return multiplier * half * forward
-
-    def matrix(self, order: int) -> np.ndarray:
-        idx = np.arange(order, dtype=float)
-        half = self.decay ** (idx / 2.0)
-        gaps = np.abs(np.arange(order)[:, None] - np.arange(order)[None, :])
-        return self.scale * (half[:, None] * half[None, :]) * (self.correlation**idx)[gaps]
+        return half * forward
 
 
 @dataclass(frozen=True)
@@ -218,22 +210,14 @@ class StableSpline(_Kernel):
         np.cumsum(sums[:, :-1] * gaps[:-1], axis=1, out=ramps[:, 1:])
         return np.hstack((root * ramps + half * sums, twelfth * sums))
 
-    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
-        """``multiplier * L w``: :meth:`factor`'s prefix sums run backward."""
+    def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
+        """``L w``: :meth:`factor`'s prefix sums run backward."""
         gaps, root, half, twelfth = self._gaps(order)
         slopes = np.cumsum((root * w[:order])[::-1])[::-1]
         total = np.cumsum((half * w[:order] + twelfth * w[order:])[::-1])[::-1]
         # with a = root * w[:P]: sum_{l >= i} (s_i - s_l) a_l = sum_{k >= i} d_k sum_{l > k} a_l
         total[:-1] += np.cumsum((gaps[:-1] * slopes[1:])[::-1])[::-1]
-        return multiplier * total
-
-    def matrix(self, order: int) -> np.ndarray:
-        idx = np.arange(order, dtype=float)
-        single = self.decay**idx
-        triple = self.decay ** (3.0 * idx)
-        peak = np.maximum(np.arange(order)[:, None], np.arange(order)[None, :])
-        cube = (single[:, None] * single[None, :]) * single[peak]
-        return self.scale * (cube / 2.0 - triple[peak] / 6.0)
+        return total
 
 
 @dataclass(frozen=True)
@@ -268,19 +252,8 @@ class ResonantPole(_Kernel):
     def factor(self, phi: np.ndarray) -> np.ndarray:
         return phi @ self._columns(phi.shape[1])
 
-    def factor_times(self, w: np.ndarray, order: int, multiplier: float = 1.0) -> np.ndarray:
-        return multiplier * (self._columns(order) @ w)
-
-    def matrix(self, order: int) -> np.ndarray:
-        g1 = (self.sigma1**2 + self.sigma2**2) / 2.0
-        g2 = (self.sigma1**2 - self.sigma2**2) / 2.0
-        idx = np.arange(order, dtype=float)
-        half = self.decay ** (idx / 2.0)
-        i = idx[:, None]
-        j = idx[None, :]
-        return (half[:, None] * half[None, :]) * (
-            g1 * np.cos(self.frequency * (i - j)) + g2 * np.cos(self.frequency * (i + j))
-        )
+    def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
+        return self._columns(order) @ w
 
 
 @dataclass(frozen=True)
@@ -299,14 +272,12 @@ class KernelSum:
             raise ValueError("a kernel sum needs at least one term")
         object.__setattr__(self, "terms", tuple(flat))
 
-    def matrix(self, order: int) -> np.ndarray:
-        total = self.terms[0].matrix(order).copy()
-        for term in self.terms[1:]:
-            total += term.matrix(order)
-        return total
-
     def to_json(self) -> dict:
         return {"type": self.type, "terms": [term.to_json() for term in self.terms]}
+
+
+def _terms(spec: KernelSpec) -> tuple:
+    return spec.terms if isinstance(spec, KernelSum) else (spec,)
 
 
 KernelSpec = Union[Tikhonov, DiagonalCorrelated, StableSpline, ResonantPole, KernelSum]
@@ -315,11 +286,13 @@ _TYPES = {cls.type: cls for cls in (Tikhonov, DiagonalCorrelated, StableSpline, 
 
 
 def build_kernel_matrix(spec: KernelSpec, order: int) -> np.ndarray:
-    """Evaluate ``k`` on the index grid ``0..order-1``, bitwise symmetric:
-    each ``matrix`` takes powers per index and spreads them by outer products
-    or difference/maximum indexing, symmetric functions of (i, j).  No fit,
-    evidence or tuner path calls this: it is the factors' dense reference."""
-    return spec.matrix(_integer("order", order))
+    """The dense ``order x order`` kernel matrix ``K = X X'``, with ``X`` the
+    terms' factors ``L_t`` side by side; bitwise symmetric, since numpy forms
+    ``X X'`` as one triangle (BLAS ``syrk``) and mirrors it.  No fit, evidence
+    or tuner path calls this."""
+    identity = np.eye(_integer("order", order))
+    x = np.hstack([term.factor(identity) for term in _terms(spec)])
+    return x @ x.T
 
 
 def _field(obj: dict, key: str, context: str):

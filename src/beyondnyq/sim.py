@@ -473,10 +473,11 @@ def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[
 def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarloResult:
     """Execute all runs (optionally in parallel) and aggregate GoF statistics.
 
-    ``max_workers`` threads run the runs and are the study's only
-    parallelism: for the duration of the call every loaded OpenBLAS runs on
-    one thread.  At these problem sizes BLAS threads cost more than they
-    give, and under run-level workers they oversubscribe the cores.  The pin
+    ``max_workers`` threads (an integer >= 1, checked before any run) run
+    the runs and are the study's only parallelism: for the duration of the
+    call every loaded OpenBLAS runs on one thread.  At these problem sizes
+    BLAS threads cost more than they give, and under run-level workers they
+    oversubscribe the cores.  The pin
     is process-wide: BLAS calls from other threads of the process run on one
     thread too until the call returns (the last to return, if calls
     overlap), and the previous thread counts are then restored, also when
@@ -488,6 +489,7 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     abort the study.  A tuned study whose tuning start cannot be built raises
     ``ValueError`` before the first run.
     """
+    max_workers = _integer("max_workers", max_workers, 1)
     tuning = _tuning(config)
 
     def one(run: int):
@@ -497,7 +499,7 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
             diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
             return RunError(run, str(exc), type(exc).__name__, diagnostics)
 
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=max(max_workers, 1)) as pool:
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=max_workers) as pool:
         outcomes = list(pool.map(one, range(config.runs)))
 
     records: list[RunRecord] = []

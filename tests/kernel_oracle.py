@@ -1,8 +1,9 @@
-"""Test oracles for kernels: entrywise formulas and a PSD check.
+"""Test oracles for kernels: the kernel formulas and a PSD check.
 
-``kernel_entry`` evaluates each kernel's formula at one index pair with its
-own ``isinstance`` chain, independent of the kernel classes' ``matrix`` and
-factor methods that the tests check against it.
+``_evaluate`` writes each kernel's formula ``k(i, j)`` with its own
+``isinstance`` chain, independent of the kernel classes' factors that the
+tests check against it: ``kernel_entry`` evaluates it at one index pair and
+``dense_kernel`` on the whole index grid.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from beyondnyq.kernels import (
 )
 
 
-def _evaluate(spec, i: float, j: float) -> float:
+def _evaluate(spec, i, j):
+    """``k(i, j)`` for float indices, scalars or arrays that broadcast."""
     if isinstance(spec, Tikhonov):
-        return 1.0 if i == j else 0.0
+        return np.where(i == j, 1.0, 0.0)
     if isinstance(spec, DiagonalCorrelated):
         half = spec.decay ** (i / 2.0) * spec.decay ** (j / 2.0)
-        return spec.scale * half * spec.correlation ** abs(j - i)
+        return spec.scale * half * spec.correlation ** np.abs(j - i)
     if isinstance(spec, StableSpline):
-        m = max(i, j)
+        m = np.maximum(i, j)
         cube = spec.decay**i * spec.decay**j * spec.decay**m
         return spec.scale * (cube / 2.0 - spec.decay ** (3.0 * m) / 6.0)
     if isinstance(spec, ResonantPole):
@@ -45,6 +47,13 @@ def kernel_entry(spec, i: int, j: int) -> float:
     if i < 0 or j < 0:
         raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
     return float(_evaluate(spec, float(i), float(j)))
+
+
+def dense_kernel(spec, order: int) -> np.ndarray:
+    """The ``order x order`` matrix ``k(i, j)``: the formulas on the index
+    grid, a column of ``i`` against a row of ``j``."""
+    i = np.arange(order, dtype=float)[:, None]
+    return _evaluate(spec, i, i.T)
 
 
 @dataclass(frozen=True)

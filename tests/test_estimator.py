@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import dense_kernel
 
 import beyondnyq.estimator as estimator
 
@@ -27,6 +28,7 @@ from beyondnyq.estimator import (
     predict_fast_output,
     regularized_fir,
     save_model,
+    tuning_start,
 )
 from beyondnyq.kernels import (
     DiagonalCorrelated,
@@ -34,7 +36,6 @@ from beyondnyq.kernels import (
     ResonantPole,
     StableSpline,
     Tikhonov,
-    build_kernel_matrix,
 )
 from beyondnyq.regressor import build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, FirModel, SlowSignal, random_noise
@@ -52,7 +53,7 @@ def make_problem(seed, n=60, factor=3, order=10, gamma=1e-3, kernel=None, y=None
 
 def naive_marginal_likelihood(phi, y, kernel, gamma):
     """Dense oracle: explicit inverse and determinant."""
-    k = build_kernel_matrix(kernel, phi.order)
+    k = dense_kernel(kernel, phi.order)
     g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
     return float(y @ np.linalg.inv(g) @ y + math.log(np.linalg.det(g)))
 
@@ -68,7 +69,7 @@ def primal_check(problem):
     that :func:`regularized_fir` solves.
     """
     phi = problem.phi.entries
-    kernel_matrix = build_kernel_matrix(problem.kernel, problem.phi.order)
+    kernel_matrix = dense_kernel(problem.kernel, problem.phi.order)
     try:
         k_factor = scipy.linalg.cho_factor(kernel_matrix, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -118,7 +119,7 @@ class TestRegularizedFir:
     def test_huge_gamma_shrinks_to_zero(self):
         problem = make_problem(1, gamma=1e12)
         theta = regularized_fir(problem).theta
-        k = build_kernel_matrix(problem.kernel, problem.phi.order)
+        k = dense_kernel(problem.kernel, problem.phi.order)
         bound = np.linalg.norm(k @ problem.phi.entries.T @ problem.y_l.samples) / 1e12
         assert np.linalg.norm(theta) <= bound * (1 + 1e-9)
 
@@ -185,7 +186,7 @@ class TestRegularizedFir:
 
 def dense_gram(phi, kernel):
     """Oracle: ``Phi K Phi'`` through the dense P x P kernel matrix."""
-    return phi @ build_kernel_matrix(kernel, phi.shape[1]) @ phi.T
+    return phi @ dense_kernel(kernel, phi.shape[1]) @ phi.T
 
 
 def assert_close_relative(actual, expected, tolerance):
@@ -210,7 +211,7 @@ class TestFactoredGram:
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
         assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
-            estimator._kernel_times(kernel, v), build_kernel_matrix(kernel, order) @ v, 1e-12
+            estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
 
     @pytest.mark.parametrize("order", [5, 70])
@@ -228,7 +229,7 @@ class TestFactoredGram:
         )
         assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
-            estimator._kernel_times(kernel, v), build_kernel_matrix(kernel, order) @ v, 1e-12
+            estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
 
     @settings(max_examples=60, deadline=None)
@@ -255,7 +256,7 @@ class TestFactoredGram:
                 kernel=kernel, gamma=gamma,
             )
         ).theta
-        k = build_kernel_matrix(kernel, order)
+        k = dense_kernel(kernel, order)
         g = phi.entries @ k @ phi.entries.T + gamma * np.eye(phi.output_length)
         expected = k @ phi.entries.T @ np.linalg.solve(g, y)
         assert np.linalg.norm(theta - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -292,7 +293,7 @@ class TestFitWithEvidence:
 
 def dense_dual_fit(phi, y, kernel, gamma):
     """Oracle: the dual formula through the dense P x P kernel matrix."""
-    k = build_kernel_matrix(kernel, phi.shape[1])
+    k = dense_kernel(kernel, phi.shape[1])
     gram = phi @ k @ phi.T + gamma * np.eye(phi.shape[0])
     return k @ phi.T @ np.linalg.solve(gram, y)
 
@@ -448,7 +449,7 @@ class TestMarginalLikelihood:
         true_scale = 0.05
         kernel_true = DiagonalCorrelated(scale=true_scale, decay=0.95, correlation=0.5)
         order = 25
-        k = build_kernel_matrix(kernel_true, order)
+        k = dense_kernel(kernel_true, order)
         theta_true = np.linalg.cholesky(k + 1e-12 * np.eye(order)) @ rng.normal(size=order)
         u = FastSignal(samples=rng.normal(size=300), period=0.1)
         phi = build_regressor(u, 2, order)
@@ -833,6 +834,37 @@ class TestHyperparameterVector:
         assert default_bounds("gamma", 1e4) == (1e-9, 1e4)
         with pytest.raises(ValueError):
             default_bounds("mystery", 1.0)
+
+
+class TestRateBounds:
+    """The default ``decay`` and ``correlation`` intervals."""
+
+    @pytest.mark.parametrize("name", ["decay", "correlation"])
+    @pytest.mark.parametrize("start", [1e-9, 0.3, 0.95, 1 - 1e-9])
+    def test_unchanged_inside_unit_interval(self, name, start):
+        assert default_bounds(name, start) == (start**2, min(start**0.0625, 1.0 - 1e-9))
+
+    @pytest.mark.parametrize(
+        "name, start", [("correlation", -0.3), ("decay", 0.0), ("correlation", 0.0), ("decay", 1 - 1e-10)]
+    )
+    def test_every_in_range_start_tunes(self, name, start):
+        """A start the DC kernel admits gets a non-empty interval inside the
+        kernel's range that holds it, and the tuner runs from it.  Used to be
+        a complex power (a TypeError) or an empty interval (a ValueError)."""
+        template = DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4)
+        eta0 = tuning_start(template, 1e-3, 3, {"gamma": 1e-3, "scale": 1.5, name: start})
+        lo, hi = eta0.bounds[name]
+        assert lo < hi and lo <= start <= hi
+        for endpoint in (lo, hi):
+            apply_hyperparameters(template, {name: endpoint})
+        problem = make_problem(18, n=90, factor=3, order=20, kernel=template)
+        tuned = optimize_hyperparameters(problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30)
+
+        def evidence(values):
+            return marginal_likelihood(problem.phi, problem.y_l, *kernel_and_gamma(template, values, 1e-3))
+
+        assert lo <= tuned.values[name] <= hi
+        assert evidence(tuned.values) <= evidence(eta0.values)
 
 
 class TestGoodnessOfFit:

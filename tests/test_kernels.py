@@ -1,10 +1,10 @@
-"""Tests for kernel specs, matrices, and positive semidefiniteness."""
+"""Tests for kernel specs, factors, matrices, and positive semidefiniteness."""
 
 import math
 
 import numpy as np
 import pytest
-from kernel_oracle import kernel_entry, validate_psd
+from kernel_oracle import dense_kernel, kernel_entry, validate_psd
 
 import beyondnyq
 from beyondnyq.kernels import (
@@ -133,38 +133,53 @@ class TestKernelEntry:
             kernel_entry(Tikhonov(), -1, 0)
 
 
-class TestBuildKernelMatrix:
+class TestDenseKernel:
+    """The test oracle ``dense_kernel``: the formulas on the index grid."""
+
     def test_single_entry_dc(self):
-        k = build_kernel_matrix(DiagonalCorrelated(scale=2.0, decay=0.5, correlation=0.3), 1)
+        k = dense_kernel(DiagonalCorrelated(scale=2.0, decay=0.5, correlation=0.3), 1)
         np.testing.assert_array_equal(k, [[2.0]])
+
+    def test_matches_entrywise_evaluation(self):
+        rng = np.random.default_rng(0)
+        for kind in ("tikhonov", "dc", "ss", "pk", "sum"):
+            spec = random_spec(rng, kind)
+            k = dense_kernel(spec, 25)
+            entries = np.array([[kernel_entry(spec, i, j) for j in range(25)] for i in range(25)])
+            np.testing.assert_allclose(k, entries, rtol=1e-13, atol=1e-300)
+
+    def test_benchmark_pk_matrix_is_psd(self):
+        spec = ResonantPole(decay=math.exp(-0.05), frequency=0.4, sigma1=1.0, sigma2=1.0)
+        report = validate_psd(dense_kernel(spec, 50))
+        assert report.is_psd
+
+    def test_dc_diagonal_nonincreasing(self):
+        spec = DiagonalCorrelated(scale=1.3, decay=0.85, correlation=0.4)
+        diag = np.diag(dense_kernel(spec, 30))
+        assert np.all(np.diff(diag) <= 0)
+
+
+class TestBuildKernelMatrix:
+    """``build_kernel_matrix`` forms ``X X'`` from the terms' factors."""
 
     def test_tikhonov_is_identity_matrix(self):
         k = build_kernel_matrix(Tikhonov(), 3)
         np.testing.assert_array_equal(k, np.eye(3))
 
-    def test_matches_entrywise_evaluation(self):
-        rng = np.random.default_rng(0)
-        for kind in ("dc", "ss", "pk", "sum"):
-            spec = random_spec(rng, kind)
-            k = build_kernel_matrix(spec, 25)
-            entries = np.array([[kernel_entry(spec, i, j) for j in range(25)] for i in range(25)])
-            np.testing.assert_allclose(k, entries, rtol=1e-13, atol=1e-300)
+    @pytest.mark.parametrize("kind", ["tikhonov", "dc", "ss", "pk", "sum"])
+    @pytest.mark.parametrize("order", [1, 7, 130, 600])
+    def test_matches_dense_kernel(self, kind, order):
+        spec = random_spec(np.random.default_rng(order), kind)
+        expected = dense_kernel(spec, order)
+        k = build_kernel_matrix(spec, order)
+        np.testing.assert_allclose(k, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(1)
         for kind in ("dc", "ss", "pk", "sum"):
-            k = build_kernel_matrix(random_spec(rng, kind), 40)
-            assert np.array_equal(k, k.T)
-
-    def test_benchmark_pk_matrix_is_psd(self):
-        spec = ResonantPole(decay=math.exp(-0.05), frequency=0.4, sigma1=1.0, sigma2=1.0)
-        report = validate_psd(build_kernel_matrix(spec, 50))
-        assert report.is_psd
-
-    def test_dc_diagonal_nonincreasing(self):
-        spec = DiagonalCorrelated(scale=1.3, decay=0.85, correlation=0.4)
-        diag = np.diag(build_kernel_matrix(spec, 30))
-        assert np.all(np.diff(diag) <= 0)
+            for order in (1, 40, 600):
+                k = build_kernel_matrix(random_spec(rng, kind), order)
+                assert np.array_equal(k, k.T)
 
 
 class TestValidatePsd:
@@ -183,14 +198,14 @@ class TestValidatePsd:
         rng = np.random.default_rng(2)
         for _ in range(100):
             spec = random_spec(rng, "dc")
-            report = validate_psd(build_kernel_matrix(spec, 40))
+            report = validate_psd(dense_kernel(spec, 40))
             assert report.is_psd, spec
 
     def test_sum_of_psd_is_psd(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             spec = random_spec(rng, "sum")
-            assert validate_psd(build_kernel_matrix(spec, 30)).is_psd, spec
+            assert validate_psd(dense_kernel(spec, 30)).is_psd, spec
 
 
 class TestPkGramStructure:
@@ -198,7 +213,7 @@ class TestPkGramStructure:
         # k(i,j) = s1^2 e_i e_j cos(wi)cos(wj) + s2^2 e_i e_j sin(wi)sin(wj)
         spec = ResonantPole(decay=0.9, frequency=1.1, sigma1=0.8, sigma2=1.4)
         order = 35
-        k = build_kernel_matrix(spec, order)
+        k = dense_kernel(spec, order)
         i = np.arange(order, dtype=float)
         envelope = spec.decay ** (i / 2)
         v1 = spec.sigma1 * envelope * np.cos(spec.frequency * i)
@@ -208,19 +223,19 @@ class TestPkGramStructure:
 
 
 class TestFactor:
-    """Each factored kernel's ``L`` (from ``factor`` on the identity and from
-    ``factor_times`` on unit vectors) gives ``scale L L' = K``."""
+    """Each kernel's ``L`` (from ``factor`` on the identity and from
+    ``factor_times`` on unit vectors) gives ``L L' = K``, its scale included:
+    ``random_spec`` draws DC and stable-spline scales and resonant sigmas != 1."""
 
     @pytest.mark.parametrize("kind", ["tikhonov", "dc", "ss", "pk"])
     @pytest.mark.parametrize("order", [1, 7, 130])
     def test_factor_reproduces_matrix(self, kind, order):
         spec = random_spec(np.random.default_rng(order), kind)
-        unit, scale = spec.unit()
-        factor = unit.factor(np.eye(order))
+        factor = spec.factor(np.eye(order))
         assert factor.shape == (order, spec.width(order))
-        k = build_kernel_matrix(spec, order)
-        np.testing.assert_allclose(scale * factor @ factor.T, k, rtol=0, atol=1e-12 * np.max(np.abs(k)))
-        columns = np.column_stack([unit.factor_times(e, order) for e in np.eye(spec.width(order))])
+        k = dense_kernel(spec, order)
+        np.testing.assert_allclose(factor @ factor.T, k, rtol=0, atol=1e-12 * np.max(np.abs(k)))
+        columns = np.column_stack([spec.factor_times(e, order) for e in np.eye(spec.width(order))])
         np.testing.assert_allclose(columns, factor, rtol=0, atol=1e-12 * np.max(np.abs(factor)))
 
     def test_unit_separates_dc_scale_only(self):
@@ -235,7 +250,7 @@ class TestFactor:
         """The gap factor, and ``L (L' e_j)`` through ``factor_times``, give the
         dense matrix at decays near 0 and 1; every entry of ``L`` is >= 0."""
         spec = StableSpline(scale=2.5, decay=decay)
-        k = build_kernel_matrix(spec, order)
+        k = dense_kernel(spec, order)
         tolerance = 1e-12 * np.max(np.abs(k))
         factor = spec.factor(np.eye(order))
         assert factor.shape == (order, 2 * order) and np.all(factor >= 0.0)
@@ -250,8 +265,8 @@ class TestFactor:
 
 def test_oracles_are_not_exported():
     """The test oracles live in the tests, not in the package."""
-    for name in ("kernel_entry", "KernelMatrix", "PsdReport", "validate_psd", "OracleInapplicableError",
-                 "dft", "snr_variance_ratio"):
+    for name in ("kernel_entry", "dense_kernel", "KernelMatrix", "PsdReport", "validate_psd",
+                 "OracleInapplicableError", "dft", "snr_variance_ratio"):
         assert not hasattr(beyondnyq, name), name
 
 

@@ -344,6 +344,20 @@ def test_tuned_study_identical_for_any_worker_count():
     assert threaded.errors == serial.errors
 
 
+@pytest.mark.parametrize(
+    "max_workers, error",
+    [(2.5, TypeError), (0, ValueError), (-3, ValueError), (True, TypeError)],
+    ids=["fraction", "zero", "negative", "bool"],
+)
+def test_bad_worker_count_rejected_before_any_run(monkeypatch, max_workers, error):
+    """A worker count that is not an integer >= 1 is an error, not a study."""
+    started = []
+    monkeypatch.setattr(sim, "_execute_run", lambda *args: started.append(args))
+    with pytest.raises(error, match="max_workers"):
+        run_monte_carlo(FIXED, max_workers=max_workers)
+    assert started == []
+
+
 @requires_openblas
 def test_finds_every_loaded_openblas():
     with open("/proc/self/maps") as maps:
