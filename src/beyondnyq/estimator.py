@@ -85,8 +85,8 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
 
 
 # a unit-scale piece per term index: (the unit term, its Phi L in the feature
-# space or its Phi K Phi' in the dual); the tuner keeps those of its best point
-_Pieces = Mapping[int, tuple[KernelSpec, np.ndarray]]
+# space or its Phi K Phi' in the dual); the tuner's holds each term's latest piece
+_Pieces = dict[int, tuple[KernelSpec, np.ndarray]]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
@@ -96,16 +96,18 @@ def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
     """``(scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
-    ``pieces`` where their unit term matches."""
+    ``pieces`` where their unit term matches, and each piece computed is
+    stored there (unless ``pieces`` is None)."""
     for index, term in enumerate(terms):
         if index == skip:
             continue
         unit, scale = term.unit()
-        cached = pieces.get(index) if pieces else None
-        if cached is not None and cached[0] == unit:
-            yield scale, cached[1]
-        else:
-            yield scale, _unit_piece(phi, unit, feature)
+        cached = pieces.get(index) if pieces is not None else None
+        if cached is None or cached[0] != unit:
+            cached = unit, _unit_piece(phi, unit, feature)
+            if pieces is not None:
+                pieces[index] = cached
+        yield scale, cached[1]
 
 
 def _output_gram(
@@ -128,10 +130,8 @@ def _feature_matrix(
     x = np.empty((phi.shape[0], sum(block.shape[1] for _, block in blocks)))
     start = 0
     for scale, block in blocks:
-        columns = x[:, start : start + block.shape[1]]
-        columns[...] = block
-        if scale != 1.0:
-            columns *= math.sqrt(scale)
+        # sqrt(1.0) * v is v exactly: one write per block, no temporary
+        np.multiply(block, math.sqrt(scale), out=x[:, start : start + block.shape[1]])
         start += block.shape[1]
     return x
 
@@ -458,14 +458,15 @@ class _FieldRule(NamedTuple):
 
 
 def _rate_bounds(value: float, omega_max: float) -> tuple[float, float]:
-    """``[v^2, v^(1/16)]`` for a start ``v`` in (0, 1), its top capped at
-    ``1 - 1e-9`` but never below ``v``; a negative start (a correlation) gets
-    the mirror of its magnitude's interval, and a start of 0 the interval
-    ``[0, 1e-9^(1/16)]``."""
+    """``[v^2, v^(1/16)]`` for a start ``v`` in (0, 1), its bottom the
+    smallest positive double where ``v^2`` underflows to 0 and its top capped
+    at ``1 - 1e-9`` but never below ``v``; a negative start (a correlation)
+    gets the mirror of its magnitude's interval, and a start of 0 the
+    interval ``[0, 1e-9^(1/16)]``."""
     magnitude = abs(value)
     if magnitude == 0.0:
         return 0.0, 1e-9**0.0625
-    lo, hi = magnitude**2, max(magnitude, min(magnitude**0.0625, 1.0 - 1e-9))
+    lo, hi = max(magnitude**2, math.ulp(0.0)), max(magnitude, min(magnitude**0.0625, 1.0 - 1e-9))
     return (lo, hi) if value > 0.0 else (-hi, -lo)
 
 
@@ -531,6 +532,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 6
 
 
+class _BudgetSpent(Exception):
+    """Raised by a tuner probe once the evaluation budget is spent."""
+
+
 def tuning_budget(eta0: HyperparameterVector, cap: int) -> int:
     """The Monte Carlo's tuner budget for the start ``eta0``: ``1 + sweeps *
     cost``, with three sweeps where ``eta0`` has a resonance frequency and
@@ -575,11 +580,11 @@ def optimize_hyperparameters(
 
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, order P and n factor columns (P per DC or
-    Tikhonov term, 2P per stable spline, 2 per resonant pole): the other
-    terms' pieces at the current best point are cached (a DC term's at unit
-    scale).  In the output space (dual, n >= M) they are Grams, so a probe of
-    ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and a DC
-    ``decay`` probe adds its O(M^2 P) Gram.  In the feature space (n < M)
+    Tikhonov term, 2P per stable spline, 2 per resonant pole): each term's
+    latest piece is cached (a DC term's at unit scale).  In the output space
+    (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
+    ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
+    O(M^2 P) Gram.  In the feature space (n < M)
     they are the factors ``Phi L_t``, so such a probe is O(M n^2 + n^3), plus
     O(M P) for a DC ``decay``.  A probe of a resonant-pole field
     costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
@@ -603,19 +608,12 @@ def optimize_hyperparameters(
 
     entries, y = phi.entries, y_l.samples
     feature = _in_feature_space(_terms(template), *entries.shape)
-    # each term's piece at the current best point, a DC term's at unit scale:
-    # every probe of a coordinate changes one term, so the others are reused,
-    # and a DC scale probe is one multiply
-    best_pieces: dict[int, tuple[KernelSpec, np.ndarray]] = {}
+    # each term's latest piece, a DC term's at unit scale: every probe of a
+    # coordinate changes one term, so the others are reused, and a DC scale
+    # probe is one multiply
+    pieces: _Pieces = {}
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
-
-    def remember_best() -> None:
-        for index, term in enumerate(_terms(kernel_and_gamma(template, best, gamma)[0])):
-            unit, _ = term.unit()
-            cached = best_pieces.get(index)
-            if cached is None or cached[0] != unit:
-                best_pieces[index] = (unit, _unit_piece(entries, unit, feature))
 
     def rest_for(name: str) -> _Rest | None:
         """The factored rest when coordinate ``name`` moves a resonant term;
@@ -627,10 +625,10 @@ def optimize_hyperparameters(
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
         if feature:
-            x = _feature_matrix(entries, spec, best_pieces, skip=index)
+            x = _feature_matrix(entries, spec, pieces, skip=index)
             rest = x @ x.T
         else:
-            rest = _output_gram(entries, spec, best_pieces, skip=index)
+            rest = _output_gram(entries, spec, pieces, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))
@@ -647,7 +645,7 @@ def optimize_hyperparameters(
         nonlocal failure
         spec, g = kernel_and_gamma(template, vals, gamma)
         try:
-            return _solve(entries, y, spec, g, best_pieces).evidence
+            return _solve(entries, y, spec, g, pieces).evidence
         except NumericalError as exc:
             # the exact objective is +inf or beyond double range here; the
             # search must treat it as worse than anything, not abort
@@ -671,7 +669,6 @@ def optimize_hyperparameters(
             kernel_and_gamma(template, {name: endpoint}, gamma)
 
     best = dict(eta0.values)
-    remember_best()
     best_value = objective(best)
     evaluations = 1
     if not math.isfinite(best_value):
@@ -679,7 +676,8 @@ def optimize_hyperparameters(
             f"objective is {best_value} at the initial hyperparameters"
         ) from failure
 
-    while evaluations < budget:
+    improved = True
+    while improved:
         improved = False
         for name in names:
             if evaluations >= budget:
@@ -687,13 +685,13 @@ def optimize_hyperparameters(
             lo, hi = eta0.bounds[name]
             rule = _rule(name)
             a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
-            remember_best()
             rest = rest_for(name)
-            coord_best_x = best[name]
-            coord_best_f = best_value
+            coord_best_x, coord_best_f = best[name], best_value
 
             def probe(t: float) -> float:
                 nonlocal evaluations, coord_best_x, coord_best_f
+                if evaluations >= budget:
+                    raise _BudgetSpent
                 x = min(max(math.exp(t) if rule.log_space else t, lo), hi)
                 f = objective({**best, name: x}, rest)
                 evaluations += 1
@@ -701,25 +699,16 @@ def optimize_hyperparameters(
                     coord_best_x, coord_best_f = x, f
                 return f
 
-            # coarse uniform scan first: the objective can be multimodal in a
-            # coordinate (resonance frequencies especially), and pure
-            # golden-section would slide into whichever basin touches the start
-            grid = [a + (b - a) * k / (rule.scan - 1) for k in range(rule.scan)]
-            values = []
-            for t in grid:
-                if evaluations >= budget:
-                    break
-                values.append(probe(t))
-            if values:
-                pick = int(np.argmin(values))
-                ga = grid[max(pick - 1, 0)]
-                gb = grid[min(pick + 1, len(values) - 1)]
-                x1 = gb - _GOLDEN * (gb - ga)
-                x2 = ga + _GOLDEN * (gb - ga)
-                f1 = probe(x1) if evaluations < budget else math.inf
-                f2 = probe(x2) if evaluations < budget else math.inf
-                steps = 0
-                while evaluations < budget and steps < _GOLDEN_STEPS:
+            try:
+                # coarse uniform scan first: the objective can be multimodal in
+                # a coordinate (resonance frequencies especially), and pure
+                # golden-section would slide into whichever basin touches the start
+                grid = [a + (b - a) * k / (rule.scan - 1) for k in range(rule.scan)]
+                pick = int(np.argmin([probe(t) for t in grid]))
+                ga, gb = grid[max(pick - 1, 0)], grid[min(pick + 1, rule.scan - 1)]
+                x1, x2 = gb - _GOLDEN * (gb - ga), ga + _GOLDEN * (gb - ga)
+                f1, f2 = probe(x1), probe(x2)
+                for _ in range(_GOLDEN_STEPS):
                     if f1 > f2:
                         ga, x1, f1 = x1, x2, f2
                         x2 = ga + _GOLDEN * (gb - ga)
@@ -728,21 +717,16 @@ def optimize_hyperparameters(
                         gb, x2, f2 = x2, x1, f1
                         x1 = gb - _GOLDEN * (gb - ga)
                         f1 = probe(x1)
-                    steps += 1
+            except _BudgetSpent:
+                pass
             if rest is not None and coord_best_f < best_value:
                 # accept on the value marginal_likelihood gives, not the
                 # rank-2 one: they differ by rounding, and where the full
                 # Gram is too ill-conditioned to factorize, by +inf
                 coord_best_f = factorized({**best, name: coord_best_x})
-            if coord_best_f < best_value - 1e-9 * abs(best_value):
-                best[name] = coord_best_x
-                best_value = coord_best_f
-                improved = True
-            elif coord_best_f < best_value:
-                best[name] = coord_best_x
-                best_value = coord_best_f
-        if not improved:
-            break
+            if coord_best_f < best_value:
+                improved |= coord_best_f < best_value - 1e-9 * abs(best_value)
+                best[name], best_value = coord_best_x, coord_best_f
 
     if on_evaluation is not None:
         # terminal trace entry: the accepted point and its objective

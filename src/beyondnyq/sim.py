@@ -126,15 +126,12 @@ class DiscretePlant:
     period: float
 
 
-def build_plant(params: ContinuousPlant, input_mass: int = 1, output_mass: int = 2) -> StateSpace:
+def build_plant(params: ContinuousPlant) -> StateSpace:
     """Four-state model of the two-mass chain.
 
-    State is ``[x1, v1, x2, v2]``.  The force input and displacement output
-    default to mass 1 and mass 2 respectively but are configurable since the
-    benchmark's wiring admits either attachment point.
+    State is ``[x1, v1, x2, v2]``.  The force acts on mass 1 and the output
+    is the displacement of mass 2.
     """
-    if input_mass not in (1, 2) or output_mass not in (1, 2):
-        raise ValueError("input_mass and output_mass must be 1 or 2")
     m1, m2, k1, k2, d1, d2 = params.m1, params.m2, params.k1, params.k2, params.d1, params.d2
     a = np.array(
         [
@@ -145,9 +142,9 @@ def build_plant(params: ContinuousPlant, input_mass: int = 1, output_mass: int =
         ]
     )
     b = np.zeros((4, 1))
-    b[1 if input_mass == 1 else 3, 0] = 1.0 / (m1 if input_mass == 1 else m2)
+    b[1, 0] = 1.0 / m1
     c = np.zeros((1, 4))
-    c[0, 0 if output_mass == 1 else 2] = 1.0
+    c[0, 2] = 1.0
     return StateSpace(A=a, B=b, C=c, D=np.zeros((1, 1)))
 
 

@@ -645,6 +645,74 @@ class TestOptimizeHyperparameters:
         )
         assert "gamma" not in result.values
 
+    def test_budget_cuts_the_unbounded_trace(self):
+        """Every budget stops the search after exactly that many evaluations
+        (or at its natural stop), wherever the cut falls: in a scan, between
+        the bracketing probes, in the golden steps or between coordinates.
+        What it traced is a prefix of the unbounded run's trace, and the
+        terminal entry is the point it returns."""
+        problem = make_problem(7, n=90, factor=3, order=12)
+        template = KernelSum(
+            terms=(DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5), ResonantPole(decay=0.9, frequency=0.8))
+        )
+        eta0 = tuning_start(template, 1e-3, 3, {"gamma": 1e-3, "terms.0.scale": 1.0, "terms.1.frequency": 0.8})
+
+        def run(budget):
+            trace = []
+            result = optimize_hyperparameters(
+                problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=budget,
+                on_evaluation=lambda values, ml: trace.append((values, ml)),
+            )
+            return trace[:-1], trace[-1], result.values
+
+        unbounded, _, _ = run(10_000)
+        natural = len(unbounded)
+        assert 63 < natural < 10_000  # more than one sweep, and a stop of its own
+        for budget in range(1, natural + 3):
+            evaluations, (values, _), result = run(budget)
+            assert evaluations == unbounded[: min(budget, natural)]
+            assert values == result
+
+    @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
+    @pytest.mark.parametrize(
+        "template, eta0, pieces",
+        [
+            (DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5), {"gamma": 1e-3, "scale": 1.0}, 1),
+            (
+                KernelSum(
+                    terms=(
+                        DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5),
+                        ResonantPole(decay=0.9, frequency=0.8),
+                        ResonantPole(decay=0.85, frequency=2.0),
+                    )
+                ),
+                {"gamma": 1e-3, "terms.0.scale": 1.0},
+                3,
+            ),
+        ],
+        ids=["dc", "pk-sum"],
+    )
+    def test_each_unit_piece_computed_once(self, monkeypatch, order, template, eta0, pieces):
+        """Probes of ``gamma`` and of a DC scale leave every unit term as it
+        is, so the tuner computes each term's unit piece once, at the start,
+        and reuses it for every probe."""
+        problem = make_problem(7, n=90, factor=3, order=order)
+        m = problem.phi.output_length
+        assert estimator._in_feature_space(estimator._terms(template), m, order) == (order < m)
+        computed = []
+        unit_piece = estimator._unit_piece
+
+        def spy(phi, unit, feature):
+            computed.append(unit)
+            return unit_piece(phi, unit, feature)
+
+        monkeypatch.setattr(estimator, "_unit_piece", spy)
+        start = tuning_start(template, 1e-3, 3, eta0)
+        for budget in (1, 2, 9, 40, 200):
+            computed.clear()
+            optimize_hyperparameters(problem.phi, problem.y_l, template, start, gamma=1e-3, budget=budget)
+            assert len(computed) == pieces
+
 
 class TestTunerFastEvidence:
     """Probes of a resonant term are scored by a rank-2 update on a cached
@@ -865,6 +933,20 @@ class TestRateBounds:
 
         assert lo <= tuned.values[name] <= hi
         assert evidence(tuned.values) <= evidence(eta0.values)
+
+    @pytest.mark.parametrize("start", [1e-200, 5e-324])
+    def test_underflowing_square_tunes(self, start):
+        """Where ``v^2`` underflows to 0 the interval's bottom is the smallest
+        positive double, inside a resonant pole's open decay range.  Used to
+        be 0, which the tuner's bound check rejected."""
+        lo, hi = default_bounds("decay", start)
+        assert 0.0 < lo <= start < hi < 1.0
+        template = ResonantPole(decay=start, frequency=0.8)
+        eta0 = tuning_start(template, 1e-3, 3)
+        assert eta0.bounds["decay"] == (lo, hi)
+        problem = make_problem(18, n=90, factor=3, order=20, kernel=template)
+        tuned = optimize_hyperparameters(problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30)
+        assert lo <= tuned.values["decay"] <= hi
 
 
 class TestGoodnessOfFit:

@@ -5,6 +5,7 @@ the BLAS pin."""
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,7 +82,9 @@ def solve_plant_frf(plant, omegas):
 @pytest.mark.parametrize("output_mass", [1, 2])
 @pytest.mark.parametrize("period", [0.1, 0.37])
 def test_zoh_discretize_matches_cont2discrete(period, output_mass):
-    plant = build_plant(ContinuousPlant(m1=1.3, m2=0.8, k1=12.0, k2=90.0, d1=0.5, d2=0.07), output_mass=output_mass)
+    plant = build_plant(ContinuousPlant(m1=1.3, m2=0.8, k1=12.0, k2=90.0, d1=0.5, d2=0.07))
+    # an output row that reads either mass's displacement (state [x1, v1, x2, v2])
+    plant = replace(plant, C=np.eye(1, 4, 2 * output_mass - 2))
     discrete = zoh_discretize(plant, period)
     a, b, c, d, dt = scipy.signal.cont2discrete((plant.A, plant.B, plant.C, plant.D), period, method="zoh")
     assert dt == discrete.period == period
