@@ -184,8 +184,8 @@ def _frf_grid(config: dict, period: float) -> np.ndarray:
     # null, like a missing value, means the fast Nyquist frequency
     omega_max = frf.get("omega_max")
     omega_max = math.pi / period if omega_max is None else _number("frf.omega_max", omega_max)
-    if not 0 <= omega_min < omega_max:
-        raise ConfigError(f"invalid FRF grid: need 0 <= omega_min < omega_max, got [{omega_min}, {omega_max}]")
+    if not 0 <= omega_min < omega_max < math.inf:
+        raise ConfigError(f"invalid FRF grid: need 0 <= omega_min < omega_max < inf, got [{omega_min}, {omega_max}]")
     return np.linspace(omega_min, omega_max, points)
 
 

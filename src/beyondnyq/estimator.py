@@ -371,8 +371,8 @@ def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
 class HyperparameterVector:
     """Named hyperparameter values with per-entry closed search intervals.
 
-    Keys address kernel fields by path (``"decay"``, ``"terms.1.frequency"``,
-    ...) plus the optional ``"gamma"``; each field needs a tuning rule.
+    Keys are the paths of :func:`apply_hyperparameters` plus the optional
+    ``"gamma"``; each field needs a tuning rule.
     Every value must lie inside its bounds, and bounds must be finite and stay
     inside the kernel's own parameter ranges.  An entry searched in log space
     (``gamma``, ``scale``, ``sigma1``, ``sigma2``) needs a positive lower bound.
@@ -402,43 +402,37 @@ class HyperparameterVector:
         object.__setattr__(self, "bounds", bounds)
 
 
-def apply_hyperparameters(spec: KernelSpec, values: Mapping[str, float]) -> KernelSpec:
-    """Return ``spec`` with the named fields replaced.
-
-    Paths are plain field names, or ``terms.<index>.<field>`` inside a
-    :class:`~beyondnyq.kernels.KernelSum`.  ``"gamma"`` is not a kernel field
-    and is rejected here; :func:`kernel_and_gamma` strips it.
-    """
-    direct: dict[str, float] = {}
-    nested: dict[int, dict[str, float]] = {}
-    for path, value in values.items():
-        parts = path.split(".")
-        if len(parts) == 1:
-            direct[path] = float(value)
-        elif len(parts) == 3 and parts[0] == "terms":
-            nested.setdefault(int(parts[1]), {})[parts[2]] = float(value)
-        else:
-            raise ValueError(f"malformed hyperparameter path {path!r}")
-    if nested and not isinstance(spec, KernelSum):
-        raise ValueError("terms.<i>.<field> paths need a kernel sum")
+def _address(spec: KernelSpec, path: str) -> tuple[int, str]:
+    """``(term index, field)`` of the kernel field that a path of
+    :func:`apply_hyperparameters` names; the one reader of that format."""
+    index, field = 0, path
     if isinstance(spec, KernelSum):
-        if direct:
-            raise ValueError(f"a kernel sum has no direct fields, got {sorted(direct)}")
-        terms = list(spec.terms)
-        for index, named in nested.items():
-            if not 0 <= index < len(terms):
-                raise ValueError(f"term index {index} out of range for {len(terms)} terms")
-            terms[index] = _replace_fields(terms[index], named, f"terms.{index}.")
-        return KernelSum(terms=tuple(terms))
-    return _replace_fields(spec, direct, "")
+        parts = path.split(".")
+        well_formed = len(parts) == 3 and parts[0] == "terms" and parts[1].isdecimal()
+        index, field = (int(parts[1]), parts[2]) if well_formed else (-1, "")
+    terms = _terms(spec)
+    if not (0 <= index < len(terms) and field in {f.name for f in fields(terms[index])}):
+        form = "terms.<index>.<field>" if isinstance(spec, KernelSum) else "<field>"
+        raise ValueError(f"hyperparameter path {path!r} names no field of this {type(spec).__name__} ({form})")
+    return index, field
 
 
-def _replace_fields(term: KernelSpec, values: dict[str, float], prefix: str) -> KernelSpec:
-    known = {field.name for field in fields(term)}
-    for name in values:
-        if name not in known:
-            raise ValueError(f"hyperparameter path {prefix + name!r} names no field of {type(term).__name__}")
-    return replace(term, **values)
+def apply_hyperparameters(spec: KernelSpec, values: Mapping[str, float]) -> KernelSpec:
+    """Return ``spec`` with the fields that the paths of ``values`` name replaced.
+
+    A path is a field name (``"decay"``) in a single kernel and
+    ``terms.<index>.<field>`` (``"terms.1.frequency"``) in a
+    :class:`~beyondnyq.kernels.KernelSum`.  Any other path raises ``ValueError``
+    naming it, ``"gamma"`` too: :func:`kernel_and_gamma` strips it.
+    """
+    changes: dict[int, dict[str, float]] = {}
+    for path, value in values.items():
+        index, field = _address(spec, path)
+        changes.setdefault(index, {})[field] = float(value)
+    terms = list(_terms(spec))
+    for index, named in changes.items():
+        terms[index] = replace(terms[index], **named)
+    return KernelSum(terms=tuple(terms)) if isinstance(spec, KernelSum) else terms[0]
 
 
 def kernel_and_gamma(template: KernelSpec, values: Mapping[str, float], gamma: float) -> tuple[KernelSpec, float]:
@@ -581,7 +575,8 @@ def optimize_hyperparameters(
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, order P and n factor columns (P per DC or
     Tikhonov term, 2P per stable spline, 2 per resonant pole): each term's
-    latest piece is cached (a DC term's at unit scale).  In the output space
+    latest piece is cached (a DC term's at unit scale), and a probe rebuilds
+    only the kernel term it moves.  In the output space
     (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
     ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
     O(M^2 P) Gram.  In the feature space (n < M)
@@ -615,13 +610,13 @@ def optimize_hyperparameters(
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
-    def rest_for(name: str) -> _Rest | None:
-        """The factored rest when coordinate ``name`` moves a resonant term;
-        None for other coordinates and when the rest cannot be factorized."""
+    def rest_for(name: str, point: tuple[KernelSpec, float]) -> _Rest | None:
+        """The factored rest at ``point`` when coordinate ``name`` moves a resonant
+        term; None for other coordinates and when the rest cannot be factorized."""
         if name == "gamma":
             return None
-        index = int(name.split(".")[1]) if name.startswith("terms.") else 0
-        spec, g = kernel_and_gamma(template, best, gamma)
+        spec, g = point
+        index = _address(spec, name)[0]
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
         if feature:
@@ -640,24 +635,23 @@ def optimize_hyperparameters(
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
         return _Rest(index, lower, alpha, float(alpha @ alpha), logdet, bound)
 
-    def factorized(vals: dict[str, float]) -> float:
+    def factorized(point: tuple[KernelSpec, float]) -> float:
         """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
         nonlocal failure
-        spec, g = kernel_and_gamma(template, vals, gamma)
         try:
-            return _solve(entries, y, spec, g, pieces).evidence
+            return _solve(entries, y, *point, pieces).evidence
         except NumericalError as exc:
             # the exact objective is +inf or beyond double range here; the
             # search must treat it as worse than anything, not abort
             failure = exc
             return math.inf
 
-    def objective(vals: dict[str, float], rest: _Rest | None = None) -> float:
+    def objective(vals: dict[str, float], point: tuple[KernelSpec, float], rest: _Rest | None = None) -> float:
         value = math.nan
         if rest is not None:
-            value = _rank2_evidence(rest, _terms(kernel_and_gamma(template, vals, gamma)[0])[rest.index].factor(entries))
+            value = _rank2_evidence(rest, _terms(point[0])[rest.index].factor(entries))
         if not math.isfinite(value):
-            value = factorized(vals)
+            value = factorized(point)
         if on_evaluation is not None:
             on_evaluation(dict(vals), value)
         return value
@@ -668,8 +662,10 @@ def optimize_hyperparameters(
         for endpoint in eta0.bounds[name]:
             kernel_and_gamma(template, {name: endpoint}, gamma)
 
+    # the accepted point, as values and as the kernel and weight they name
     best = dict(eta0.values)
-    best_value = objective(best)
+    point = kernel_and_gamma(template, best, gamma)
+    best_value = objective(best, point)
     evaluations = 1
     if not math.isfinite(best_value):
         raise InvalidStartError(
@@ -685,18 +681,21 @@ def optimize_hyperparameters(
             lo, hi = eta0.bounds[name]
             rule = _rule(name)
             a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
-            rest = rest_for(name)
-            coord_best_x, coord_best_f = best[name], best_value
+            rest = rest_for(name, point)
+            # the coordinate's best probe: its value, and its x with its point
+            coord_best_f, coord_best = best_value, (best[name], point)
 
             def probe(t: float) -> float:
-                nonlocal evaluations, coord_best_x, coord_best_f
+                nonlocal evaluations, coord_best_f, coord_best
                 if evaluations >= budget:
                     raise _BudgetSpent
                 x = min(max(math.exp(t) if rule.log_space else t, lo), hi)
-                f = objective({**best, name: x}, rest)
+                spec, g = point
+                candidate = (spec, x) if name == "gamma" else (apply_hyperparameters(spec, {name: x}), g)
+                f = objective({**best, name: x}, candidate, rest)
                 evaluations += 1
                 if f < coord_best_f:
-                    coord_best_x, coord_best_f = x, f
+                    coord_best_f, coord_best = f, (x, candidate)
                 return f
 
             try:
@@ -723,10 +722,10 @@ def optimize_hyperparameters(
                 # accept on the value marginal_likelihood gives, not the
                 # rank-2 one: they differ by rounding, and where the full
                 # Gram is too ill-conditioned to factorize, by +inf
-                coord_best_f = factorized({**best, name: coord_best_x})
+                coord_best_f = factorized(coord_best[1])
             if coord_best_f < best_value:
                 improved |= coord_best_f < best_value - 1e-9 * abs(best_value)
-                best[name], best_value = coord_best_x, coord_best_f
+                (best[name], point), best_value = coord_best, coord_best_f
 
     if on_evaluation is not None:
         # terminal trace entry: the accepted point and its objective

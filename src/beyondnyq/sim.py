@@ -298,13 +298,14 @@ class MonteCarloConfig:
         object.__setattr__(self, "perturbation", _number("perturbation", self.perturbation))
         if not 0 <= self.perturbation < 1:
             raise ValueError(f"perturbation must be in [0, 1), got {self.perturbation}")
-        object.__setattr__(self, "snr_range", _pair("snr_range", self.snr_range, _number))
-        if not 0 < self.snr_range[0] <= self.snr_range[1]:
+        object.__setattr__(self, "snr_range", _pair("snr_range", self.snr_range, _positive))
+        if not self.snr_range[0] <= self.snr_range[1]:
             raise ValueError(f"invalid snr_range {self.snr_range}")
         known = ("ls", "dc", "pk")
-        if not (isinstance(self.estimators, (tuple, list)) and all(e in known for e in self.estimators)):
-            raise ValueError(f"estimators must be a list of names from {known}, got {self.estimators!r}")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        estimators = self.estimators
+        if not (isinstance(estimators, (tuple, list)) and estimators and all(e in known for e in estimators)):
+            raise ValueError(f"estimators must be a non-empty list of names from {known}, got {estimators!r}")
+        object.__setattr__(self, "estimators", tuple(estimators))
         if not isinstance(self.tune, bool):
             raise ValueError(f"tune must be true or false, got {self.tune!r}")
         if not isinstance(self.nominal, ContinuousPlant):

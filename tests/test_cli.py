@@ -76,6 +76,7 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"dc_kernel": {"type": "dc", "scale": True}},
         {"orders": 5},
         {"estimators": "dc"},
+        {"estimators": []},
         {"period_s": 0},
         {"runz": 2},
     ],
@@ -84,7 +85,7 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         "orders-float", "orders-bool", "base_seed-float", "base_seed-negative",
         "band-above-nyquist", "band-empty", "snr_range-short", "nominal-number", "gamma-negative",
         "gamma-string", "input_rms-negative", "tune-string", "tune-number", "period-string",
-        "snr_range-bool", "kernel-scale-bool", "orders-number", "estimators-string", "period-zero",
+        "snr_range-bool", "kernel-scale-bool", "orders-number", "estimators-string", "estimators-empty", "period-zero",
         "unknown-setting",
     ],
 )
@@ -207,6 +208,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         ("identify", ("kernels", "dc"), {"type": "sum", "terms": 3}, "'terms'"),
         ("identify", ("frf", "omega_max"), 0, "omega_max"),
         ("identify", ("frf", "omega_min"), -1, "omega_min"),
+        ("identify", ("frf", "omega_max"), math.inf, "omega_max"),
         ("identify", ("estimators",), "dc", "estimators"),
         ("identify", ("gamma",), [1e-5], "gamma"),
         ("identify", ("sampling", "period_s"), [0.1], "period_s"),
@@ -229,14 +231,19 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
             "tune", ("tune",), {"estimator": "dc", "init": {"gamma": 1e-5}, "bounds": {"gamma": [1e-9, math.inf]}},
             "gamma needs finite bounds",
         ),
+        (
+            "simulate-mc", ("monte_carlo",), {"runs": 1, "n_samples": 60, "orders": [10], "snr_range": [40, math.inf]},
+            "snr_range",
+        ),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
-        "sum-without-terms", "sum-terms-number", "omega_max-zero", "omega_min-negative", "estimators-string", "gamma-list",
+        "sum-without-terms", "sum-terms-number", "omega_max-zero", "omega_min-negative", "omega_max-infinite",
+        "estimators-string", "gamma-list",
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
-        "bounds-without-init", "log-bound-zero", "bound-infinite",
+        "bounds-without-init", "log-bound-zero", "bound-infinite", "snr_range-infinite",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -714,6 +715,38 @@ class TestOptimizeHyperparameters:
             assert len(computed) == pieces
 
 
+    @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
+    def test_whole_kernel_built_a_fixed_number_of_times(self, monkeypatch, order):
+        """A probe moves one term of the accepted kernel, so the tuner builds
+        a whole kernel from the template only for its start and its bound
+        check, whatever the budget; it used to build one per probe."""
+        problem = make_problem(7, n=90, factor=3, order=order)
+        template = KernelSum(
+            terms=(
+                DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5),
+                ResonantPole(decay=0.9, frequency=0.8),
+                ResonantPole(decay=0.85, frequency=2.0),
+            )
+        )
+        m = problem.phi.output_length
+        assert estimator._in_feature_space(template.terms, m, order) == (order < m)
+        built = []
+        build = estimator.kernel_and_gamma
+
+        def spy(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(estimator, "kernel_and_gamma", spy)
+        start = tuning_start(template, 1e-3, 3)
+        counts = []
+        for budget in (1, 9, 40, 200):
+            built.clear()
+            optimize_hyperparameters(problem.phi, problem.y_l, template, start, gamma=1e-3, budget=budget)
+            counts.append(len(built))
+        assert counts == [counts[0]] * 4
+
+
 class TestTunerFastEvidence:
     """Probes of a resonant term are scored by a rank-2 update on a cached
     factorization of the other terms, and fall back to the full one."""
@@ -859,6 +892,10 @@ class TestApplyHyperparameters:
         pair = KernelSum(terms=(DiagonalCorrelated(), ResonantPole(decay=0.9, frequency=0.4)))
         with pytest.raises(ValueError, match="'terms.0.sigma1'"):
             apply_hyperparameters(pair, {"terms.0.sigma1": 0.5})
+        # a non-integer or missing index, a term the sum lacks, a plain name on a sum
+        for path in ("terms.a.decay", "terms..decay", "terms.2.decay", "decay"):
+            with pytest.raises(ValueError, match=re.escape(repr(path))):
+                apply_hyperparameters(pair, {path: 0.5})
 
     def test_out_of_range_value_propagates(self):
         spec = DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.3)
