@@ -2,18 +2,22 @@
 
 Every command is driven by a JSON config (``--config``) and writes its outputs
 under ``--out`` (or the config's ``output_dir``): ``identify`` writes
-``model_<e>.json``, ``theta_<e>.csv``, ``frf_<e>.csv`` and ``report_<e>.json``
-per estimator ``e``, and ``reports.csv`` with a row per report; ``simulate-mc``
-``runs.csv`` and ``summary.csv``; ``frf`` ``frf.csv``; ``tune`` ``ml_trace.csv``
-and ``tuned_hyperparameters.json``.  All are deterministic given the config
-and seed, with no timestamps, in one format: CSV floats to 17 significant
-digits (they read back exactly), an empty cell for a missing value, and JSON
-with sorted keys and an indent of 2.
+``report_<e>.json`` per estimator ``e``, ``model_<e>.json``, ``theta_<e>.csv``
+and ``frf_<e>.csv`` per estimator that has a model, and ``reports.csv`` with a
+row per report; ``simulate-mc`` ``runs.csv`` and ``summary.csv``; ``frf``
+``frf.csv``; ``tune`` ``ml_trace.csv`` and ``tuned_hyperparameters.json``.
+All are deterministic given the config and seed, with no timestamps, in one
+format: CSV floats to 17 significant digits (they read back exactly), an empty
+cell for a missing value, and JSON with sorted keys and an indent of 2.
 
-Exit codes: 0 success, 1 numerical failure, 2 input/config error.  An
-unknown config key is a config error: the top level takes the keys any
-command reads, and ``sampling``, ``data``, ``frf`` and ``tune`` take only
-their own (each ``tune.bounds`` key names a ``tune.init`` entry).
+Exit codes: 0 success, 1 numerical failure, 2 input/config error.  A
+least-squares fit with no unique model (order ``P >= M``, or an input that
+cannot tell the coefficients apart) is a result, not a failure: ``identify``
+writes its report with null values and names it on stderr, as ``simulate-mc``
+records it as ``non_unique``.  An unknown config key is a config error: the
+top level takes the keys any command reads, and ``sampling``, ``data``,
+``frf`` and ``tune`` take only their own (each ``tune.bounds`` key names a
+``tune.init`` entry).
 
 Tuning: ``tune`` and a tuned ``simulate-mc`` (``"tune": true``) start from
 :func:`~beyondnyq.estimator.tuning_start`, ``tune`` with ``tune.init`` and
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidStartError, NonUniqueModelError, NumericalError
+from .errors import InvalidStartError, NumericalError
 from .estimator import (
     RegularizedProblem,
     fit_with_evidence,
@@ -53,12 +57,14 @@ from .estimator import (
     tuning_start,
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
-from .regressor import build_regressor, least_squares_fir
+from .regressor import build_regressor
 from .signals import (
     FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, _write_csv, _write_json,
     downsample, fir_frf, read_signal_csv,
 )
-from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
+from .sim import (
+    _unique_least_squares, monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv,
+)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -131,12 +137,15 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
     """Resolve (name, kernel, gamma) for each configured estimator.
 
     'ls' needs no kernel; any other name must have an entry under 'kernels'.
+    Each name may appear once.
     gamma is validated here so Theorem-level preconditions fail before any
     data is touched.
     """
     names = config.get("estimators", ["ls", "dc", "pk"])
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ConfigError(f"estimators must be a list of estimator names, got {names!r}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"estimators {names!r} must not repeat an estimator")
     kernels = _object(config.get("kernels", {}), "kernels")
     plan = []
     for name in names:
@@ -200,24 +209,25 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     reports = []
     for name, kernel, gamma in plan:
         if name == "ls":
-            model, ml_value = least_squares_fir(phi, y_l), math.nan
+            model, ml_value = _unique_least_squares(phi, y_l), None
         else:
             problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
             model, ml_value = fit_with_evidence(problem)
-        predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
-        model_file = out_dir / f"model_{name}.json"
-        save_model(model, model_file)
-        _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta))
-        _write_frf_csv(model, out_dir / f"frf_{name}.csv", omegas)
         # the key order is the column order of reports.csv
-        report = {
-            "estimator": name,
-            "order": order,
-            "gof": goodness_of_fit(y_l.samples, predicted),
-            "rmse": float(np.sqrt(np.mean((y_l.samples - predicted) ** 2))),
-            "marginal_likelihood": None if math.isnan(ml_value) else ml_value,
-            "model_file": model_file.name,
-        }
+        report = dict(estimator=name, order=order, gof=None, rmse=None, marginal_likelihood=ml_value, model_file=None)
+        if model is None:
+            print(f"{name}: no unique model of order {order} from {len(y_l)} output samples", file=sys.stderr)
+        else:
+            predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
+            model_file = out_dir / f"model_{name}.json"
+            save_model(model, model_file)
+            _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta))
+            _write_frf_csv(model, out_dir / f"frf_{name}.csv", omegas)
+            report.update(
+                gof=goodness_of_fit(y_l.samples, predicted),
+                rmse=float(np.sqrt(np.mean((y_l.samples - predicted) ** 2))),
+                model_file=model_file.name,
+            )
         _write_json(out_dir / f"report_{name}.json", report)
         reports.append(report)
     _write_csv(out_dir / "reports.csv", list(reports[0]), (r.values() for r in reports))
@@ -349,14 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "frf":
             return cmd_frf(config, out_dir)
         return cmd_tune(config, out_dir)
-    except NonUniqueModelError as exc:
-        report = exc.report
-        print(
-            f"error: {exc}\nidentifiability: rank={report.rank} "
-            f"null_dimension={report.null_dimension} reason={report.reason.value}",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

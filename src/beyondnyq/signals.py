@@ -270,16 +270,28 @@ def write_signal_csv(x: FastSignal | SlowSignal, path: str | Path) -> None:
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:
-    """Read a ``index,value`` CSV written by :func:`write_signal_csv`."""
+    """Read a ``index,value`` CSV written by :func:`write_signal_csv`.
+
+    Row ``i`` (0-based, after the header) must have index ``i`` and a finite
+    value; an error names the offending ``path:line``.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0].strip() != "index,value":
         raise ValueError(f"{path}: expected header 'index,value'")
     values = []
-    for lineno, line in enumerate(text[1:], start=2):
+    for row, line in enumerate(text[1:]):
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
-        values.append(float(parts[1]))
+            raise ValueError(f"{path}:{row + 2}: expected two columns, got {line!r}")
+        if parts[0].strip() != str(row):
+            raise ValueError(f"{path}:{row + 2}: expected index {row}, got {parts[0].strip()!r}")
+        try:
+            value = float(parts[1])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{row + 2}: expected a finite value, got {parts[1].strip()!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no samples")
     return np.asarray(values)

@@ -293,6 +293,8 @@ class MonteCarloConfig:
         if not (isinstance(self.orders, (tuple, list)) and self.orders):
             raise ValueError(f"orders must be a non-empty list of model orders, got {self.orders!r}")
         object.__setattr__(self, "orders", tuple(_integer("orders", p, 1) for p in self.orders))
+        if len(set(self.orders)) < len(self.orders):
+            raise ValueError(f"orders {self.orders} must not repeat an order")
         if max(self.orders) > self.n_samples:
             raise ValueError(f"orders {self.orders} must not exceed n_samples {self.n_samples}")
         object.__setattr__(self, "perturbation", _number("perturbation", self.perturbation))
@@ -305,6 +307,8 @@ class MonteCarloConfig:
         estimators = self.estimators
         if not (isinstance(estimators, (tuple, list)) and estimators and all(e in known for e in estimators)):
             raise ValueError(f"estimators must be a non-empty list of names from {known}, got {estimators!r}")
+        if len(set(estimators)) < len(estimators):
+            raise ValueError(f"estimators {estimators!r} must not repeat an estimator")
         object.__setattr__(self, "estimators", tuple(estimators))
         if not isinstance(self.tune, bool):
             raise ValueError(f"tune must be true or false, got {self.tune!r}")
@@ -382,7 +386,9 @@ def _tuning(config: MonteCarloConfig) -> dict:
 
 def _unique_least_squares(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
     """The LS model, or None where it is not unique.  At ``P >= M`` it never
-    is, whatever the rank, so no decomposition runs there."""
+    is, whatever the rank, so no decomposition runs there.  The Monte Carlo
+    and ``identify`` both record None as a result; it stays in this module
+    while perfbench times LS by wrapping ``sim.least_squares_fir``."""
     if phi.order >= phi.output_length:
         return None
     try:
@@ -434,20 +440,16 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
         for estimator in config.estimators:
             if estimator == "ls":
                 model = _unique_least_squares(phi, y_l)
-                if model is None:
-                    records.append(
-                        RunRecord(run, int(streams[0]), estimator, order, "non_unique", None, snr, plant_params)
-                    )
-                    continue
             else:
                 spec, gamma = fitted[estimator]
                 model = regularized_fir(
                     RegularizedProblem(phi=phi, y_l=y_l, kernel=spec, gamma=gamma)
                 )
-            gof = goodness_of_fit(y_valid, predict_fast_output(model, u_valid))
-            records.append(
-                RunRecord(run, int(streams[0]), estimator, order, "ok", gof, snr, plant_params)
-            )
+            if model is None:
+                status, gof = "non_unique", None
+            else:
+                status, gof = "ok", goodness_of_fit(y_valid, predict_fast_output(model, u_valid))
+            records.append(RunRecord(run, int(streams[0]), estimator, order, status, gof, snr, plant_params))
     return records
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import beyondnyq
-from beyondnyq import cli, estimator, sim
+from beyondnyq import cli, estimator, regressor, sim
 from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from beyondnyq.errors import NumericalError
 from beyondnyq.estimator import kernel_and_gamma, save_model, tuning_start
@@ -79,6 +79,8 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         {"estimators": []},
         {"period_s": 0},
         {"runz": 2},
+        {"orders": [10, 10]},
+        {"estimators": ["dc", "dc"]},
     ],
     ids=[
         "runs-float", "runs-bool", "factor-float", "n_samples-float", "tune_budget-zero",
@@ -86,7 +88,7 @@ def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
         "band-above-nyquist", "band-empty", "snr_range-short", "nominal-number", "gamma-negative",
         "gamma-string", "input_rms-negative", "tune-string", "tune-number", "period-string",
         "snr_range-bool", "kernel-scale-bool", "orders-number", "estimators-string", "estimators-empty", "period-zero",
-        "unknown-setting",
+        "unknown-setting", "orders-duplicate", "estimators-duplicate",
     ],
 )
 def test_bad_mc_counts_are_config_errors(tmp_path, capsys, settings):
@@ -235,6 +237,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
             "simulate-mc", ("monte_carlo",), {"runs": 1, "n_samples": 60, "orders": [10], "snr_range": [40, math.inf]},
             "snr_range",
         ),
+        ("identify", ("estimators",), ["dc", "dc"], "estimators"),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
@@ -243,7 +246,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         "period-list", "period-string", "gamma-bool", "scale-list", "input_csv-number", "output_csv-list",
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
-        "bounds-without-init", "log-bound-zero", "bound-infinite", "snr_range-infinite",
+        "bounds-without-init", "log-bound-zero", "bound-infinite", "snr_range-infinite", "estimators-duplicate",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
@@ -460,3 +463,68 @@ def test_reports_csv_rows_equal_report_json(tmp_path, monkeypatch):
             else:
                 assert float(cell) == value
     assert json.loads((out / "report_ls.json").read_text())["marginal_likelihood"] is None
+
+
+def non_unique_identify(tmp_path, u, order, estimators=("ls", "dc", "pk")):
+    """Run ``identify`` on ``u`` (F=3) and its filtered output; return the
+    exit code and the output directory."""
+    y = FastSignal(samples=np.convolve(u.samples, 0.8 ** np.arange(12))[: len(u)][::3], period=0.3)
+    write_signal_csv(u, tmp_path / "u.csv")
+    write_signal_csv(y, tmp_path / "y.csv")
+    dc = {"type": "dc", "scale": 1.0, "decay": 0.9, "correlation": 0.5}
+    config = {
+        "sampling": {"period_s": 0.1, "factor": 3},
+        "data": {"input_csv": str(tmp_path / "u.csv"), "output_csv": str(tmp_path / "y.csv")},
+        "order": order,
+        "estimators": list(estimators),
+        "kernels": {"dc": dc, "pk": {"type": "sum", "terms": [dc, {"type": "pk", "decay": 0.9, "frequency": 0.4}]}},
+        "frf": {"points": 20},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return main(["identify", "--config", str(config_path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize(
+    "u, order",
+    [
+        (random_noise(300, 0.1, 1.0, seed=5), 150),
+        (FastSignal(samples=np.repeat(random_noise(100, 0.1, 1.0, seed=5).samples, 3), period=0.1), 20),
+    ],
+    ids=["order-above-outputs", "hold-input"],
+)
+def test_identify_records_a_non_unique_least_squares_fit(tmp_path, capsys, u, order):
+    """M = 100 output samples.  LS has no unique model at P = 150 >= M, nor
+    at P = 20 < M from an input held for 3 samples: ``identify`` writes an
+    LS report with empty values and no LS model, fits the regularized
+    estimators, and exits 0."""
+    code, out = non_unique_identify(tmp_path, u, order)
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == f"ls: no unique model of order {order} from 100 output samples\n"
+    for name in ("dc", "pk"):
+        for file in (f"model_{name}.json", f"theta_{name}.csv", f"frf_{name}.csv"):
+            assert (out / file).stat().st_size > 0
+        report = json.loads((out / f"report_{name}.json").read_text())
+        assert report["model_file"] == f"model_{name}.json" and math.isfinite(report["gof"])
+    report = json.loads((out / "report_ls.json").read_text())
+    assert report == {
+        "estimator": "ls", "order": order, "gof": None, "rmse": None, "marginal_likelihood": None, "model_file": None,
+    }
+    for file in ("model_ls.json", "theta_ls.csv", "frf_ls.csv"):
+        assert not (out / file).exists()
+    rows = read_rows(out / "reports.csv")
+    assert list(rows[0]) == ["estimator", "order", "gof", "rmse", "marginal_likelihood", "model_file"]
+    assert [row["estimator"] for row in rows] == ["ls", "dc", "pk"]
+    assert [rows[0][key] for key in ("gof", "rmse", "marginal_likelihood", "model_file")] == [""] * 4
+
+
+def test_identify_runs_no_svd_for_least_squares_at_order_above_outputs(tmp_path, monkeypatch):
+    """At P >= M no LS model is unique whatever the rank, so ``identify``
+    asks for no identifiability report there."""
+    calls = []
+    check = regressor.identifiability_check
+    monkeypatch.setattr(regressor, "identifiability_check", lambda phi: calls.append(phi) or check(phi))
+    code, _ = non_unique_identify(tmp_path, random_noise(300, 0.1, 1.0, seed=5), 150, ("ls",))
+    assert calls == []
+    assert code == EXIT_OK

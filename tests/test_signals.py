@@ -309,3 +309,16 @@ class TestSignalCsv:
         path.write_text("0,1.0\n1,2.0\n")
         with pytest.raises(ValueError):
             read_signal_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("1,5\n0,3\n2,2\n", 2), ("0,5\n1,3\n3,2\n", 4), ("0,5\n1,nan\n2,2\n", 3)],
+        ids=["shuffled-index", "gapped-index", "nan-value"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, rows, line):
+        """Row ``i`` must have index ``i`` and a finite value; a row that
+        has not fails at its ``path:line``, never reads as a sample."""
+        path = tmp_path / "bad.csv"
+        path.write_text("index,value\n" + rows)
+        with pytest.raises(ValueError, match=f"bad.csv:{line}: "):
+            read_signal_csv(path)
