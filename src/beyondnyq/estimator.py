@@ -84,9 +84,13 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     return sum(term.width(order) for term in terms) < m
 
 
-# a unit-scale piece per term index: (the unit term, its Phi L in the feature
-# space or its Phi K Phi' in the dual); the tuner's holds each term's latest piece
-_Pieces = dict[int, tuple[KernelSpec, np.ndarray]]
+# a unit-scale piece per term index, as (key, piece): the key is the unit term,
+# the space (True: the feature space's Phi L, False: the dual's Phi K Phi') and
+# the order P, and a piece is reused only where all three match, since a dual
+# Gram of another order has the same M x M shape.  A cache serves one
+# regressor: the tuner's holds each term's latest piece, and a fit's is shared
+# by the estimators fitted on that regressor
+_Pieces = dict[int, tuple[tuple[KernelSpec, bool, int], np.ndarray]]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
@@ -96,15 +100,16 @@ def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
     """``(scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
-    ``pieces`` where their unit term matches, and each piece computed is
-    stored there (unless ``pieces`` is None)."""
+    ``pieces`` where their unit term, space and order match, and each piece
+    computed is stored there (unless ``pieces`` is None)."""
     for index, term in enumerate(terms):
         if index == skip:
             continue
         unit, scale = term.unit()
+        key = unit, feature, phi.shape[1]
         cached = pieces.get(index) if pieces is not None else None
-        if cached is None or cached[0] != unit:
-            cached = unit, _unit_piece(phi, unit, feature)
+        if cached is None or cached[0] != key:
+            cached = key, _unit_piece(phi, unit, feature)
             if pieces is not None:
                 pieces[index] = cached
         yield scale, cached[1]
@@ -267,7 +272,7 @@ def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
     return theta
 
 
-def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
+def fit_with_evidence(problem: RegularizedProblem, pieces: _Pieces | None = None) -> tuple[FirModel, float]:
     """The regularized model and its evidence from one Gram and one Cholesky factor.
 
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
@@ -282,22 +287,32 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
       its Cholesky factor in O(M^3).
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
+
+    ``pieces``, a dict the caller creates empty, lets fits on one regressor
+    share their kernel terms' unit pieces: each term's unit-scale ``Phi L_t``
+    (feature space) or ``Phi K_t Phi'`` (dual), stored per term index and
+    reused only for the same unit term, space and order.  A sum kernel whose
+    first term is another fit's DC kernel thus reuses that fit's DC piece, with
+    the same bits as a fit of its own.  Pass one dict per regressor: a piece is
+    not checked against the entries of ``Phi``.  It keeps one array per term
+    index alive, an M x width factor or an M x M Gram, until the caller drops it.
     """
-    solution = _solve(problem.phi.entries, problem.y_l.samples, problem.kernel, problem.gamma)
+    solution = _solve(problem.phi.entries, problem.y_l.samples, problem.kernel, problem.gamma, pieces)
     return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
 
 
-def regularized_fir(problem: RegularizedProblem) -> FirModel:
+def regularized_fir(problem: RegularizedProblem, pieces: _Pieces | None = None) -> FirModel:
     """Solve ``theta = K Phi' (Phi K Phi' + gamma I)^{-1} y_l``.
 
     Defined for every order ``P`` in ``[1, N]`` and any input, including
     ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
     Cholesky factorization plus iterative refinement so the linear-system
     residual stays near machine precision even for tiny ``gamma``.  The
-    method and its cost are :func:`fit_with_evidence`'s, which also returns
-    the evidence from the same factorization.
+    method, its cost and its ``pieces`` cache (one per regressor) are
+    :func:`fit_with_evidence`'s, which also returns the evidence from the same
+    factorization.
     """
-    return fit_with_evidence(problem)[0]
+    return fit_with_evidence(problem, pieces)[0]
 
 
 def marginal_likelihood(

@@ -33,6 +33,7 @@ and frequencies accept ``{"freq_hz": f, "period_s": T}`` meaning ``2*pi*f*T``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar, Union
@@ -101,6 +102,18 @@ class Tikhonov(_Kernel):
 _AR1_BLOCK = 64
 
 
+@functools.lru_cache(maxsize=32)
+def _ar1_powers(correlation: float, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``c^k`` for ``k <= width`` and the ``width x width`` lower triangular
+    matrix ``c^(i-j)`` (``i >= j``) of :meth:`DiagonalCorrelated._suffix_sums`;
+    read-only, since every call with the same ``(c, width)`` shares them."""
+    powers = correlation ** np.arange(width + 1)
+    gaps = np.subtract.outer(np.arange(width), np.arange(width))
+    within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
+    powers.flags.writeable = within.flags.writeable = False
+    return powers, within
+
+
 @dataclass(frozen=True)
 class DiagonalCorrelated(_Kernel):
     scale: float = 1.0
@@ -132,28 +145,27 @@ class DiagonalCorrelated(_Kernel):
         return half, weights
 
     def _suffix_sums(self, a: np.ndarray) -> np.ndarray:
-        """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``.
+        """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``, written
+        over ``a`` and returned.
 
         This is the backward first-order recursion ``g[:, j] = a[:, j] + c g[:, j+1]``
         run over blocks of columns: inside a block it is one product with the
         triangular matrix of powers of ``c``, and the block's first column
-        carries into the block before it as a rank-1 update.
+        carries into the block before it as a rank-1 update.  A block reads
+        only its own columns of ``a`` before it overwrites them.
         """
         order = a.shape[1]
         width = min(_AR1_BLOCK, order)
-        powers = self.correlation ** np.arange(width + 1)
-        gaps = np.subtract.outer(np.arange(width), np.arange(width))
-        within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
-        sums = np.empty(a.shape)
+        powers, within = _ar1_powers(self.correlation, width)
         carry = None
         for stop in range(order, 0, -width):
             start = max(stop - width, 0)
             block = a[:, start:stop] @ within[: stop - start, : stop - start]
             if carry is not None:
                 block += np.outer(carry, powers[stop - start : 0 : -1])
-            sums[:, start:stop] = block
+            a[:, start:stop] = block
             carry = block[:, 0]
-        return sums
+        return a
 
     def factor(self, phi: np.ndarray) -> np.ndarray:
         """``Phi D U S``: a first-order recursion over the columns of ``Phi D``,

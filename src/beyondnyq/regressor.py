@@ -103,6 +103,9 @@ def build_regressor(
 
     ``output_length`` defaults to ``floor((N - 1) / F) + 1``, the number of
     slow-rate samples obtained by decimating an ``N``-sample fast signal.
+    Row ``m`` is the reversed ``P``-sample window of ``u`` padded with
+    ``P - 1`` leading zeros that ends at ``u(m*F)``: every ``F``-th window of a
+    strided view, so the M x P matrix is the one copy made.
     """
     n = len(u)
     factor, order = _integer("factor", factor), _integer("order", order)
@@ -116,9 +119,9 @@ def build_regressor(
             f"output_length {output_length} needs input sample "
             f"{(output_length - 1) * factor}, but only {n} samples are available"
         )
-    lags = np.arange(output_length)[:, None] * factor - np.arange(order)[None, :]
-    entries = np.where(lags >= 0, u.samples[np.clip(lags, 0, n - 1)], 0.0)
-    return RegressorMatrix(entries=entries, factor=factor, order=order)
+    padded = np.concatenate((np.zeros(order - 1), u.samples))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, order)
+    return RegressorMatrix(entries=windows[: output_length * factor : factor, ::-1], factor=factor, order=order)
 
 
 def _report(rank: int, m: int, p: int) -> IdentifiabilityReport:

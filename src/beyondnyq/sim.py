@@ -437,13 +437,15 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
         phi = RegressorMatrix(
             entries=phi_max.entries[:, :order], factor=config.factor, order=order
         )
+        # the order's kernel pieces: untuned, pk's first term is dc's kernel
+        pieces = {}
         for estimator in config.estimators:
             if estimator == "ls":
                 model = _unique_least_squares(phi, y_l)
             else:
                 spec, gamma = fitted[estimator]
                 model = regularized_fir(
-                    RegularizedProblem(phi=phi, y_l=y_l, kernel=spec, gamma=gamma)
+                    RegularizedProblem(phi=phi, y_l=y_l, kernel=spec, gamma=gamma), pieces=pieces
                 )
             if model is None:
                 status, gof = "non_unique", None

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kernel_oracle import dense_kernel
 
 import beyondnyq.estimator as estimator
+import beyondnyq.sim as sim
 
 from beyondnyq.errors import InvalidStartError, NumericalError
 from beyondnyq.estimator import (
@@ -290,6 +291,85 @@ class TestFitWithEvidence:
         assert np.array_equal(model.theta, separate.theta)
         assert model.period == separate.period
         assert evidence == marginal_likelihood(problem.phi, problem.y_l, problem.kernel, problem.gamma)
+
+
+SHARED_DC = DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.4)
+SHARED_PK = KernelSum(
+    terms=(
+        SHARED_DC,
+        ResonantPole(decay=0.9, frequency=0.7),
+        ResonantPole(decay=0.85, frequency=2.1, sigma1=0.6, sigma2=1.3),
+    )
+)
+
+
+def spy_unit_pieces(monkeypatch, rows):
+    """Record ``(order, unit term)`` for every unit piece computed on a
+    regressor of ``rows`` outputs (a dual model's ``K v`` computes its own
+    pieces on one row)."""
+    computed = []
+    unit_piece = estimator._unit_piece
+
+    def spy(phi, unit, feature):
+        if phi.shape[0] == rows:
+            computed.append((phi.shape[1], unit))
+        return unit_piece(phi, unit, feature)
+
+    monkeypatch.setattr(estimator, "_unit_piece", spy)
+    return computed
+
+
+class TestSharedPieces:
+    """Fits on one regressor share a ``pieces`` dict: pk reuses dc's DC piece
+    where unit term, space and order match, with the bits of its own fit."""
+
+    # M = 30: dc and pk in the feature space, dc feature and pk dual
+    # (M - 4 <= P < M), both dual
+    @pytest.mark.parametrize("order, shared", [(12, True), (28, False), (40, True)], ids=["feature", "mixed", "dual"])
+    def test_dc_then_pk_match_separate_fits(self, monkeypatch, order, shared):
+        dc = make_problem(32, n=90, factor=3, order=order, kernel=SHARED_DC)
+        pk = RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)
+        separate = [fit_with_evidence(problem) for problem in (dc, pk)]
+        computed = spy_unit_pieces(monkeypatch, 30)
+        pieces = {}
+        together = [fit_with_evidence(problem, pieces) for problem in (dc, pk)]
+        for (model, evidence), (alone, alone_evidence) in zip(together, separate):
+            assert np.array_equal(model.theta, alone.theta)
+            assert evidence == alone_evidence
+        assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 2)
+        assert np.array_equal(regularized_fir(pk, pieces).theta, separate[1][0].theta)
+
+    def test_new_order_recomputes(self):
+        """A dict kept for a second order of one input holds a dual Gram of
+        the same M x M shape; the fit must not take it."""
+        first = make_problem(33, n=90, factor=3, order=40, kernel=SHARED_DC)
+        phi = build_regressor(FastSignal(samples=np.random.default_rng(33).normal(size=90), period=0.1), 3, 45)
+        second = RegularizedProblem(phi=phi, y_l=first.y_l, kernel=SHARED_DC, gamma=first.gamma)
+        pieces = {}
+        regularized_fir(first, pieces)
+        model, evidence = fit_with_evidence(second, pieces)
+        alone, alone_evidence = fit_with_evidence(second)
+        assert np.array_equal(model.theta, alone.theta)
+        assert evidence == alone_evidence
+
+    @pytest.mark.parametrize("tune, per_order", [(False, 1), (True, 2)], ids=["untuned", "tuned"])
+    def test_monte_carlo_dc_pieces_per_order(self, monkeypatch, tune, per_order):
+        """An untuned run's pk fit reuses the dc fit's DC piece at every order;
+        tuned, the two DC terms differ and each is computed."""
+        computed = spy_unit_pieces(monkeypatch, 30)
+        fit, fitting = sim.regularized_fir, []
+
+        def fit_only(problem, **kwargs):
+            fitting.append(len(computed))  # pieces computed before this fit
+            return fit(problem, **kwargs)
+
+        monkeypatch.setattr(sim, "regularized_fir", fit_only)
+        orders = (12, 20, 40)  # M = 30, and each order in one space for both fits
+        config = sim.MonteCarloConfig(runs=1, n_samples=90, orders=orders, estimators=("dc", "pk"), tune=tune)
+        assert not sim.run_monte_carlo(config).errors
+        in_fits = computed[fitting[0]:]
+        dc_orders = [order for order, unit in in_fits if isinstance(unit, DiagonalCorrelated)]
+        assert dc_orders == [order for order in orders for _ in range(per_order)]
 
 
 def dense_dual_fit(phi, y, kernel, gamma):
@@ -700,14 +780,7 @@ class TestOptimizeHyperparameters:
         problem = make_problem(7, n=90, factor=3, order=order)
         m = problem.phi.output_length
         assert estimator._in_feature_space(estimator._terms(template), m, order) == (order < m)
-        computed = []
-        unit_piece = estimator._unit_piece
-
-        def spy(phi, unit, feature):
-            computed.append(unit)
-            return unit_piece(phi, unit, feature)
-
-        monkeypatch.setattr(estimator, "_unit_piece", spy)
+        computed = spy_unit_pieces(monkeypatch, m)
         start = tuning_start(template, 1e-3, 3, eta0)
         for budget in (1, 2, 9, 40, 200):
             computed.clear()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beyondnyq.errors import NonUniqueModelError
@@ -80,6 +80,34 @@ class TestBuildRegressor:
         theta = rng.normal(size=order)
         expected = np.convolve(u.samples, theta)[::factor][: phi.output_length]
         assert np.linalg.norm(phi.entries @ theta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 120),
+        factor=st.integers(1, 6),
+        order_share=st.floats(0.0, 1.0),
+        length_share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @example(seed=0, n=17, factor=3, order_share=1.0, length_share=None)  # order == N
+    @example(seed=1, n=40, factor=2, order_share=0.3, length_share=0.5)  # M below its default
+    def test_entries_are_input_samples(self, seed, n, factor, order_share, length_share):
+        """``entries[m, i]`` is exactly ``u(mF - i)``, and ``0.0`` where
+        ``mF < i``, for any N, F, order up to N, and output length up to
+        its default."""
+        u = np.random.default_rng(seed).normal(size=n)
+        order = 1 + round(order_share * (n - 1))
+        default = (n - 1) // factor + 1
+        length = None if length_share is None else 1 + round(length_share * (default - 1))
+        phi = build_regressor(FastSignal(samples=u, period=0.1), factor, order, length)
+        rows = default if length is None else length
+        expected = np.zeros((rows, order))
+        for m in range(rows):
+            for i in range(order):
+                if m * factor >= i:
+                    expected[m, i] = u[m * factor - i]
+        np.testing.assert_array_equal(phi.entries, expected)
+        assert phi.entries.flags.c_contiguous
 
     def test_default_output_length_matches_downsample(self):
         for n, factor in ((30, 3), (31, 3), (32, 3), (600, 3), (17, 5)):
