@@ -8,7 +8,6 @@ frequency of the output sampler.
 
 from .errors import (
     InvalidStartError,
-    NonUniqueModelError,
     NumericalError,
 )
 from .estimator import (

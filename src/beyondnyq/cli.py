@@ -12,12 +12,13 @@ cell for a missing value, and JSON with sorted keys and an indent of 2.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.  A
 least-squares fit with no unique model (order ``P >= M``, or an input that
-cannot tell the coefficients apart) is a result, not a failure: ``identify``
-writes its report with null values and names it on stderr, as ``simulate-mc``
-records it as ``non_unique``.  An unknown config key is a config error: the
-top level takes the keys any command reads, and ``sampling``, ``data``,
-``frf`` and ``tune`` take only their own (each ``tune.bounds`` key names a
-``tune.init`` entry).
+cannot tell the coefficients apart), where
+:func:`~beyondnyq.regressor.least_squares_fir` returns ``None``, is a result,
+not a failure: ``identify`` writes its report with null values and names it on
+stderr, as ``simulate-mc`` records it as ``non_unique``.  An unknown config
+key is a config error: the top level takes the keys any command reads, and
+``sampling``, ``data``, ``frf`` and ``tune`` take only their own (each
+``tune.bounds`` key names a ``tune.init`` entry).
 
 Tuning: ``tune`` and a tuned ``simulate-mc`` (``"tune": true``) start from
 :func:`~beyondnyq.estimator.tuning_start`, ``tune`` with ``tune.init`` and
@@ -57,14 +58,12 @@ from .estimator import (
     tuning_start,
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
-from .regressor import build_regressor
+from .regressor import build_regressor, least_squares_fir
 from .signals import (
     FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, _write_csv, _write_json,
     downsample, fir_frf, read_signal_csv,
 )
-from .sim import (
-    _unique_least_squares, monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv,
-)
+from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -210,7 +209,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     pieces = {}  # the kernel pieces of every fit on phi
     for name, kernel, gamma in plan:
         if name == "ls":
-            model, ml_value = _unique_least_squares(phi, y_l), None
+            model, ml_value = least_squares_fir(phi, y_l), None
         else:
             problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
             model, ml_value = fit_with_evidence(problem, pieces)

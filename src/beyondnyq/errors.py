@@ -3,19 +3,6 @@
 from __future__ import annotations
 
 
-class NonUniqueModelError(Exception):
-    """Raised when a least-squares FIR fit has no unique solution.
-
-    Carries the :class:`~beyondnyq.regressor.IdentifiabilityReport` that
-    explains why (too high an order for the available output samples, or a
-    rank-deficient input such as a zero-order-hold excitation).
-    """
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
 class NumericalError(RuntimeError):
     """A matrix factorization or solve failed.
 

@@ -206,6 +206,14 @@ def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
     return lower
 
 
+def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(L, L^{-1} y, log det S)`` for the M x M output-space ``S = gram +
+    gamma I = L L'``, factored in place by :func:`_shifted_cholesky`."""
+    lower = _shifted_cholesky(gram, gamma)
+    alpha = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
+    return lower, alpha, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+
+
 class _Solution(NamedTuple):
     """A factored fit: its evidence, and its coefficients on request."""
 
@@ -245,13 +253,13 @@ def _solve(
     a difference that cancels.
     """
     gram, x = _gram(phi, spec, pieces)
+    if x is None:
+        lower, a, logdet = _dual_factor(gram, gamma, y)
+        return _Solution(
+            float(a @ a + logdet), lambda: _kernel_times(spec, phi.T @ _refined_solve(gram, lower, y))
+        )
     lower = _shifted_cholesky(gram, gamma)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
-    if x is None:
-        w = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
-        return _Solution(
-            float(w @ w + logdet), lambda: _kernel_times(spec, phi.T @ _refined_solve(gram, lower, y))
-        )
     w = _refined_solve(gram, lower, x.T @ y)
     residual = y - x @ w
     m, n = x.shape
@@ -643,11 +651,9 @@ def optimize_hyperparameters(
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))
         try:
-            lower = _shifted_cholesky(rest, g)
+            lower, alpha, logdet = _dual_factor(rest, g, y)
         except NumericalError:
             return None
-        alpha = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
         return _Rest(index, lower, alpha, float(alpha @ alpha), logdet, bound)
 
     def factorized(point: tuple[KernelSpec, float]) -> float:

@@ -9,10 +9,11 @@ decimated model output: row ``m`` holds the input samples
 A unique unregularized fit needs ``Phi`` to have full column rank, which fails
 whenever the model order reaches the number of output samples (``P >= M``) and
 for zero-order-hold inputs with ``P > 2`` (repeated columns).
-:func:`identifiability_check` reports both from the singular values of
-``Phi``.  :func:`least_squares_fir` applies the same rank rule to the
-triangular factor of the one QR decomposition it solves with (``Phi`` and
-``R`` have the same singular values), and at ``P >= M`` it solves nothing.
+:func:`identifiability_check` reports both, with the reason and the rank, from
+the singular values of ``Phi``.  :func:`least_squares_fir` returns ``None``
+where the fit is not unique: at ``P >= M`` it runs no decomposition, and below
+it applies the same rank rule to the triangular factor of the one QR
+decomposition it solves with (``Phi`` and ``R`` have the same singular values).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import NonUniqueModelError
 from .signals import FastSignal, FirModel, SlowSignal, _integer
 
 __all__ = [
@@ -50,22 +50,22 @@ class RegressorMatrix:
 
     entries: np.ndarray
     factor: int
-    order: int
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _integer("factor", self.factor))
-        object.__setattr__(self, "order", _integer("order", self.order))
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] < 1:
             raise ValueError(f"entries must be a non-empty 2-D matrix, got shape {entries.shape}")
-        if entries.shape[1] != self.order:
-            raise ValueError(f"entries have {entries.shape[1]} columns, expected order {self.order}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
     def output_length(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def order(self) -> int:
+        return self.entries.shape[1]
 
     def check_output(self, y_l: SlowSignal) -> None:
         """Raise ``ValueError`` unless ``y_l`` is this matrix's output: ``M``
@@ -121,7 +121,7 @@ def build_regressor(
         )
     padded = np.concatenate((np.zeros(order - 1), u.samples))
     windows = np.lib.stride_tricks.sliding_window_view(padded, order)
-    return RegressorMatrix(entries=windows[: output_length * factor : factor, ::-1], factor=factor, order=order)
+    return RegressorMatrix(entries=windows[: output_length * factor : factor, ::-1], factor=factor)
 
 
 def _report(rank: int, m: int, p: int) -> IdentifiabilityReport:
@@ -151,7 +151,7 @@ def _rank_report(singular_values: np.ndarray, m: int, p: int) -> Identifiability
     return _report(int(np.count_nonzero(singular_values > tol)), m, p)
 
 
-# Safety factor c of the full-rank certificate in _triangular_report.  For
+# Safety factor c of the full-rank certificate in _triangular_full_rank.  For
 # the inverse X of a P x P triangular R, trtri's methods have a residual
 # bound ||X R - I||_F <= c_P u ||X||_F ||R||_F with c_P = O(P) (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.2);
@@ -166,9 +166,10 @@ def _rank_report(singular_values: np.ndarray, m: int, p: int) -> Identifiability
 _CERTIFICATE_FACTOR = 16.0
 
 
-def _triangular_report(r: np.ndarray, m: int) -> IdentifiabilityReport:
-    """:func:`_rank_report` for the P x P triangular factor ``r`` of an
-    M x P ``Phi`` with P < M, without an SVD where ``r`` is well conditioned.
+def _triangular_full_rank(r: np.ndarray, m: int) -> bool:
+    """Whether :func:`_rank_report` finds full rank for the P x P triangular
+    factor ``r`` of an M x P ``Phi`` with P < M, without an SVD where ``r``
+    is well conditioned.
 
     Full rank is certified from the inverse (``sigma_min >= 1/||R^{-1}||_F``
     and ``sigma_max <= ||R||_F``), O(P^3 / 3); where the certificate does
@@ -181,8 +182,8 @@ def _triangular_report(r: np.ndarray, m: int) -> IdentifiabilityReport:
         inverse_norm = float(np.linalg.norm(inverse))
         bound = _CERTIFICATE_FACTOR * max(m, p) * np.finfo(float).eps * float(np.linalg.norm(r))
         if math.isfinite(inverse_norm) and 1.0 / inverse_norm > bound:
-            return _report(p, m, p)
-    return _rank_report(scipy.linalg.svdvals(r), m, p)
+            return True
+    return _rank_report(scipy.linalg.svdvals(r), m, p).unique
 
 
 def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
@@ -194,14 +195,13 @@ def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
     return _rank_report(scipy.linalg.svdvals(phi.entries), m, p)
 
 
-def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
-    """Unique minimizer of ``||y_l - Phi theta||^2``, solved by one QR decomposition.
+def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
+    """Unique minimizer of ``||y_l - Phi theta||^2``, solved by one QR
+    decomposition, or ``None`` where the minimizer is not unique
+    (:func:`identifiability_check` tells why).
 
-    Raises :class:`NonUniqueModelError` (with the identifiability report)
-    whenever the minimizer is not unique, including every ``P >= M`` instance.
-
-    * ``P >= M``: no decomposition solves anything; the report is
-      :func:`identifiability_check`'s, an SVD of ``Phi``.
+    * ``P >= M``: never unique, whatever the rank; returns ``None`` without
+      any decomposition.
     * ``P < M``: one Householder QR, which never forms ``Q``, gives ``R``
       and ``Q'y`` in O(M P^2).  The rank test of :func:`identifiability_check`
       runs on ``R`` (``Phi`` and ``R`` have the same singular values): full
@@ -212,16 +212,10 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel:
     phi.check_output(y_l)
     m, p = phi.entries.shape
     if p >= m:
-        report = identifiability_check(phi)
-    else:
-        qty, r = scipy.linalg.qr_multiply(phi.entries, y_l.samples, mode="right")
-        report = _triangular_report(r, m)
-    if not report.unique:
-        raise NonUniqueModelError(
-            f"no unique FIR model of order {phi.order} from {phi.output_length} "
-            f"output samples ({report.reason.value})",
-            report,
-        )
+        return None
+    qty, r = scipy.linalg.qr_multiply(phi.entries, y_l.samples, mode="right")
+    if not _triangular_full_rank(r, m):
+        return None
     # qr_multiply has already rejected non-finite entries of Phi and y_l
     theta = scipy.linalg.solve_triangular(r, qty, check_finite=False)
     return FirModel(theta=theta, period=y_l.fast_period)

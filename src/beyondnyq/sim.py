@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import single_threaded_blas
-from .errors import NonUniqueModelError, NumericalError
+from .errors import NumericalError
 from .estimator import (
     RegularizedProblem,
     goodness_of_fit,
@@ -49,8 +49,6 @@ from .kernels import (
 from .regressor import RegressorMatrix, build_regressor, least_squares_fir
 from .signals import (
     FastSignal,
-    FirModel,
-    SlowSignal,
     _integer,
     _known_keys,
     _number,
@@ -384,19 +382,6 @@ def _tuning(config: MonteCarloConfig) -> dict:
     return tuning
 
 
-def _unique_least_squares(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
-    """The LS model, or None where it is not unique.  At ``P >= M`` it never
-    is, whatever the rank, so no decomposition runs there.  The Monte Carlo
-    and ``identify`` both record None as a result; it stays in this module
-    while perfbench times LS by wrapping ``sim.least_squares_fir``."""
-    if phi.order >= phi.output_length:
-        return None
-    try:
-        return least_squares_fir(phi, y_l)
-    except NonUniqueModelError:
-        return None
-
-
 def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRecord]:
     streams = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(run,)).generate_state(5)
     rng_plant = np.random.Generator(np.random.PCG64(int(streams[0])))
@@ -434,14 +419,12 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
     records = []
     for order in config.orders:
         # column i of the regressor is u(mF - i): lower orders are left blocks
-        phi = RegressorMatrix(
-            entries=phi_max.entries[:, :order], factor=config.factor, order=order
-        )
+        phi = RegressorMatrix(entries=phi_max.entries[:, :order], factor=config.factor)
         # the order's kernel pieces: untuned, pk's first term is dc's kernel
         pieces = {}
         for estimator in config.estimators:
             if estimator == "ls":
-                model = _unique_least_squares(phi, y_l)
+                model = least_squares_fir(phi, y_l)
             else:
                 spec, gamma = fitted[estimator]
                 model = regularized_fir(

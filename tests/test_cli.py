@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import beyondnyq
-from beyondnyq import cli, estimator, regressor, sim
+from beyondnyq import cli, estimator, sim
 from beyondnyq.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from beyondnyq.errors import NumericalError
 from beyondnyq.estimator import kernel_and_gamma, save_model, tuning_start
@@ -494,7 +495,7 @@ def non_unique_identify(tmp_path, u, order, estimators=("ls", "dc", "pk")):
     ],
     ids=["order-above-outputs", "hold-input"],
 )
-def test_identify_records_a_non_unique_least_squares_fit(tmp_path, capsys, u, order):
+def test_identify_records_a_least_squares_fit_with_no_unique_model(tmp_path, capsys, u, order):
     """M = 100 output samples.  LS has no unique model at P = 150 >= M, nor
     at P = 20 < M from an input held for 3 samples: ``identify`` writes an
     LS report with empty values and no LS model, fits the regularized
@@ -521,10 +522,25 @@ def test_identify_records_a_non_unique_least_squares_fit(tmp_path, capsys, u, or
 
 def test_identify_runs_no_svd_for_least_squares_at_order_above_outputs(tmp_path, monkeypatch):
     """At P >= M no LS model is unique whatever the rank, so ``identify``
-    asks for no identifiability report there."""
+    runs no decomposition for it: neither a QR nor an SVD."""
     calls = []
-    check = regressor.identifiability_check
-    monkeypatch.setattr(regressor, "identifiability_check", lambda phi: calls.append(phi) or check(phi))
+    for name in ("qr_multiply", "svdvals"):
+        original = getattr(scipy.linalg, name)
+        monkeypatch.setattr(scipy.linalg, name, lambda *a, f=original, **k: calls.append(f) or f(*a, **k))
     code, _ = non_unique_identify(tmp_path, random_noise(300, 0.1, 1.0, seed=5), 150, ("ls",))
     assert calls == []
     assert code == EXIT_OK
+
+
+def test_identify_fits_least_squares_through_cli_once_per_report(tmp_path, monkeypatch):
+    """Each LS report comes from one call of ``cli.least_squares_fir``, the
+    name perfbench wraps to time LS, at P < M and at P >= M (M = 100)."""
+    calls = []
+    fit = cli.least_squares_fir
+    monkeypatch.setattr(cli, "least_squares_fir", lambda phi, y_l: calls.append(phi.order) or fit(phi, y_l))
+    for order in (20, 150):
+        (tmp_path / str(order)).mkdir()
+        code, out = non_unique_identify(tmp_path / str(order), random_noise(300, 0.1, 1.0, seed=5), order, ("ls",))
+        assert code == EXIT_OK
+        assert (out / "report_ls.json").exists()
+    assert calls == [20, 150]

@@ -7,7 +7,6 @@ import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beyondnyq.errors import NonUniqueModelError
 from beyondnyq.regressor import (
     NonUniqueReason,
     RegressorMatrix,
@@ -208,13 +207,12 @@ class TestLeastSquaresFir:
         model = least_squares_fir(phi, y)
         np.testing.assert_allclose(model.theta, [1.0, 2.0, 3.0], atol=1e-12)
 
-    def test_order_at_least_output_length_raises(self):
+    def test_order_at_least_output_length_is_none(self):
         u = random_noise(30, 0.1, 1.0, seed=8)
         phi = build_regressor(u, factor=3, order=10)  # M = P = 10
         y = SlowSignal(samples=np.zeros(10), period=0.3, factor=3)
-        with pytest.raises(NonUniqueModelError) as excinfo:
-            least_squares_fir(phi, y)
-        assert excinfo.value.report.reason is NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
+        assert least_squares_fir(phi, y) is None
+        assert identifiability_check(phi).reason is NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
 
     def test_recovers_true_coefficients_noiseless(self):
         rng = np.random.default_rng(9)
@@ -252,12 +250,11 @@ class TestLeastSquaresFir:
         with pytest.raises(ValueError):
             least_squares_fir(phi, y)
 
-    def test_zoh_input_raises(self):
+    def test_zoh_input_is_none(self):
         u = zoh_input(np.arange(1.0, 11.0), factor=3, period=0.1)
         phi = build_regressor(u, factor=3, order=5)
         y = SlowSignal(samples=np.zeros(phi.output_length), period=0.3, factor=3)
-        with pytest.raises(NonUniqueModelError):
-            least_squares_fir(phi, y)
+        assert least_squares_fir(phi, y) is None
 
 
 class TestLeastSquaresAgreesWithCheck:
@@ -272,7 +269,7 @@ class TestLeastSquaresAgreesWithCheck:
         zoh=st.booleans(),
         order_share=st.floats(0.0, 1.0),
     )
-    def test_raises_exactly_when_not_unique(self, seed, factor, blocks, zoh, order_share):
+    def test_none_exactly_when_not_unique(self, seed, factor, blocks, zoh, order_share):
         rng = np.random.default_rng(seed)
         if zoh:
             u = zoh_input(rng.normal(size=blocks), factor, 0.1)
@@ -282,13 +279,11 @@ class TestLeastSquaresAgreesWithCheck:
         order = 1 + round(order_share * (len(u) - 1))
         phi = build_regressor(u, factor, order)
         y = SlowSignal(samples=rng.normal(size=phi.output_length), period=0.1 * factor, factor=factor)
-        report = identifiability_check(phi)
-        if not report.unique:
-            with pytest.raises(NonUniqueModelError) as excinfo:
-                least_squares_fir(phi, y)
-            assert excinfo.value.report == report
+        model = least_squares_fir(phi, y)
+        assert (model is None) == (not identifiability_check(phi).unique)
+        if model is None:
             return
-        theta = least_squares_fir(phi, y).theta
+        theta = model.theta
         expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
         tolerance = ls_tolerance(phi.entries, y.samples, expected)
         assert np.linalg.norm(theta - expected) <= tolerance * np.linalg.norm(expected)
@@ -296,17 +291,18 @@ class TestLeastSquaresAgreesWithCheck:
 
 class TestRankCertificate:
     """Below M, least_squares_fir certifies full rank from R^{-1} and runs an
-    SVD of R only where that certificate fails."""
+    SVD of R only where that certificate fails; at P >= M it runs neither
+    a QR nor an SVD."""
 
-    def spy_svdvals(self, monkeypatch):
+    def spy(self, monkeypatch, name="svdvals"):
         shapes = []
-        svdvals = scipy.linalg.svdvals
+        original = getattr(scipy.linalg, name)
 
-        def spy(a, *args, **kwargs):
+        def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return svdvals(a, *args, **kwargs)
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", spy)
+        monkeypatch.setattr(scipy.linalg, name, counted)
         return shapes
 
     def white_noise_problem(self):
@@ -317,7 +313,7 @@ class TestRankCertificate:
 
     def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
         phi, y = self.white_noise_problem()
-        shapes = self.spy_svdvals(monkeypatch)
+        shapes = self.spy(monkeypatch)
         least_squares_fir(phi, y)
         assert shapes == []
 
@@ -325,31 +321,41 @@ class TestRankCertificate:
         u = zoh_input(np.random.default_rng(15).normal(size=30), factor=3, period=0.1)
         phi = build_regressor(u, factor=3, order=5)  # M=30, P=5, repeated columns
         y = SlowSignal(samples=np.ones(phi.output_length), period=0.3, factor=3)
-        shapes = self.spy_svdvals(monkeypatch)
-        with pytest.raises(NonUniqueModelError) as excinfo:
-            least_squares_fir(phi, y)
+        shapes = self.spy(monkeypatch)
+        assert least_squares_fir(phi, y) is None
         assert shapes == [(5, 5)]
-        assert excinfo.value.report == identifiability_check(phi)
 
     def test_failed_inverse_falls_back_to_svd(self, monkeypatch):
         phi, y = self.white_noise_problem()
         expected = least_squares_fir(phi, y).theta
-        shapes = self.spy_svdvals(monkeypatch)
+        shapes = self.spy(monkeypatch)
         # trtri reports a zero pivot (info > 0)
         monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kwargs: (c, 3))
         assert np.array_equal(least_squares_fir(phi, y).theta, expected)
         assert shapes == [(10, 10)]
 
+    def test_order_at_least_output_length_runs_no_decomposition(self, monkeypatch):
+        u = random_noise(150, 0.1, 1.0, seed=13)
+        y = SlowSignal(samples=random_noise(50, 0.3, 1.0, seed=14).samples, period=0.3, factor=3)
+        qr_shapes, svd_shapes = self.spy(monkeypatch, "qr_multiply"), self.spy(monkeypatch)
+        for order in (50, 51, 150):  # M = 50
+            assert least_squares_fir(build_regressor(u, factor=3, order=order), y) is None
+        assert qr_shapes == svd_shapes == []
+
 
 class TestRegressorMatrixType:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            RegressorMatrix(entries=np.zeros((3, 4)), factor=2, order=5)
+        for entries in (np.zeros(4), np.zeros((0, 4)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError):
+                RegressorMatrix(entries=entries, factor=2)
 
-    @pytest.mark.parametrize("name", ["factor", "order"])
+    def test_order_is_column_count(self):
+        phi = RegressorMatrix(entries=np.zeros((3, 4)), factor=2)
+        assert (phi.output_length, phi.order) == (3, 4)
+
     @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
-    def test_integers_checked(self, name, value):
-        """A bool or float factor or order is rejected, not kept (``True``
-        would pass as factor 1)."""
-        with pytest.raises(TypeError, match=name):
-            RegressorMatrix(entries=np.zeros((3, 2)), **{"factor": 2, "order": 2, name: value})
+    def test_integers_checked(self, value):
+        """A bool or float factor is rejected, not kept (``True`` would pass
+        as factor 1)."""
+        with pytest.raises(TypeError, match="factor"):
+            RegressorMatrix(entries=np.zeros((3, 2)), factor=value)

@@ -187,6 +187,16 @@ def test_least_squares_status_follows_order_rule(monkeypatch):
     assert run_monte_carlo(config, max_workers=2).records == serial.records
 
 
+def test_least_squares_is_fitted_through_sim_once_per_record(monkeypatch):
+    """Each LS record comes from one call of ``sim.least_squares_fir``, the
+    name perfbench wraps to time LS, on both sides of M = 30."""
+    calls = []
+    fit = sim.least_squares_fir
+    monkeypatch.setattr(sim, "least_squares_fir", lambda phi, y_l: calls.append(phi.order) or fit(phi, y_l))
+    result = run_monte_carlo(MonteCarloConfig(runs=2, n_samples=90, orders=(10, 30), estimators=("ls", "dc")))
+    assert calls == [r.order for r in result.records if r.estimator == "ls"] == [10, 30] * 2
+
+
 def test_records_and_summary_csv_read_back_bit_for_bit(tmp_path):
     """``runs.csv`` and ``summary.csv`` read back through ``csv`` to every
     field of every record, floats bit for bit, and ``None`` as an empty field
