@@ -206,13 +206,12 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
     omegas = _frf_grid(config, period)
 
     reports = []
-    pieces = {}  # the kernel pieces of every fit on phi
     for name, kernel, gamma in plan:
         if name == "ls":
             model, ml_value = least_squares_fir(phi, y_l), None
         else:
             problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
-            model, ml_value = fit_with_evidence(problem, pieces)
+            model, ml_value = fit_with_evidence(problem)
         # the key order is the column order of reports.csv
         report = dict(estimator=name, order=order, gof=None, rmse=None, marginal_likelihood=ml_value, model_file=None)
         if model is None:

@@ -84,13 +84,11 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     return sum(term.width(order) for term in terms) < m
 
 
-# a unit-scale piece per term index, as (key, piece): the key is the unit term,
-# the space (True: the feature space's Phi L, False: the dual's Phi K Phi') and
-# the order P, and a piece is reused only where all three match, since a dual
-# Gram of another order has the same M x M shape.  A cache serves one
-# regressor: the tuner's holds each term's latest piece, and a fit's is shared
-# by the estimators fitted on that regressor
-_Pieces = dict[int, tuple[tuple[KernelSpec, bool, int], np.ndarray]]
+# a unit-scale piece per term index, as (key, piece): the key is the unit term
+# and the space (True: the feature space's Phi L, False: the dual's Phi K Phi'),
+# and a piece is reused only where both match.  A regressor owns its cache, so
+# the slot holds its term's latest piece across the fits and tuner calls on it
+_Pieces = dict[int, tuple[tuple[KernelSpec, bool], np.ndarray]]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
@@ -100,24 +98,22 @@ def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
     """``(scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
-    ``pieces`` where their unit term, space and order match, and each piece
-    computed is stored there (unless ``pieces`` is None)."""
+    ``pieces`` where their unit term and space match, and each piece computed
+    is stored there read-only (:func:`_shifted_cholesky` factors in place)."""
     for index, term in enumerate(terms):
         if index == skip:
             continue
         unit, scale = term.unit()
-        key = unit, feature, phi.shape[1]
-        cached = pieces.get(index) if pieces is not None else None
+        key = unit, feature
+        cached = pieces.get(index)
         if cached is None or cached[0] != key:
-            cached = key, _unit_piece(phi, unit, feature)
-            if pieces is not None:
-                pieces[index] = cached
+            piece = _unit_piece(phi, unit, feature)
+            piece.flags.writeable = False
+            cached = pieces[index] = key, piece
         yield scale, cached[1]
 
 
-def _output_gram(
-    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None, skip: int | None = None
-) -> np.ndarray:
+def _output_gram(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: int | None = None) -> np.ndarray:
     """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
     term order, from the unit Grams ``pieces`` where they match; a new array."""
     gram = np.zeros((phi.shape[0], phi.shape[0]))
@@ -126,9 +122,7 @@ def _output_gram(
     return gram
 
 
-def _feature_matrix(
-    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None, skip: int | None = None
-) -> np.ndarray:
+def _feature_matrix(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: int | None = None) -> np.ndarray:
     """``X = [Phi L_t]`` over the terms of ``spec`` but ``skip``, with
     ``sqrt(scale)`` inside a DC block, so ``X X' = Phi K Phi'``."""
     blocks = list(_scaled_pieces(phi, _terms(spec), True, pieces, skip))
@@ -141,24 +135,23 @@ def _feature_matrix(
     return x
 
 
-def _gram(
-    phi: np.ndarray, spec: KernelSpec, pieces: _Pieces | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Gram a fit factors and, in the feature space, its ``X``.
+def _gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Gram a fit factors and, in the feature space, its ``X``, from the
+    pieces of ``phi``.
 
     ``X'X`` (n x n) and ``X`` where :func:`_in_feature_space` holds,
     ``Phi K Phi'`` (M x M) and None otherwise.
     """
-    if _in_feature_space(_terms(spec), *phi.shape):
-        x = _feature_matrix(phi, spec, pieces)
+    if _in_feature_space(_terms(spec), *phi.entries.shape):
+        x = _feature_matrix(phi.entries, spec, phi._pieces)
         return x.T @ x, x
-    return _output_gram(phi, spec, pieces), None
+    return _output_gram(phi.entries, spec, phi._pieces), None
 
 
 def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
     """``K v = sum_t L_t (L_t' v)``: the feature space's model formula, with
     ``w`` the one row of ``X`` built from ``v'`` in place of ``Phi``."""
-    return _feature_theta(spec, _feature_matrix(v[None, :], spec)[0], len(v))
+    return _feature_theta(spec, _feature_matrix(v[None, :], spec, {})[0], len(v))
 
 
 def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
@@ -237,9 +230,7 @@ def _refined_solve(shifted: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> n
     return z
 
 
-def _solve(
-    phi: np.ndarray, y: np.ndarray, spec: KernelSpec, gamma: float, pieces: _Pieces | None = None
-) -> _Solution:
+def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) -> _Solution:
     """The regularized fit and its evidence from one Gram and one Cholesky factor.
 
     The space comes from the shapes (:func:`_gram`).  In the output space
@@ -252,11 +243,11 @@ def _solve(
     Its quadratic term comes from the residual, never as ``y'y - y'X w``,
     a difference that cancels.
     """
-    gram, x = _gram(phi, spec, pieces)
+    gram, x = _gram(phi, spec)
     if x is None:
         lower, a, logdet = _dual_factor(gram, gamma, y)
         return _Solution(
-            float(a @ a + logdet), lambda: _kernel_times(spec, phi.T @ _refined_solve(gram, lower, y))
+            float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, lower, y))
         )
     lower = _shifted_cholesky(gram, gamma)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
@@ -265,7 +256,7 @@ def _solve(
     m, n = x.shape
     quadratic = (residual @ residual + gamma * (w @ w)) / gamma
     return _Solution(
-        float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: _feature_theta(spec, w, phi.shape[1])
+        float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: _feature_theta(spec, w, phi.order)
     )
 
 
@@ -280,7 +271,7 @@ def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
     return theta
 
 
-def fit_with_evidence(problem: RegularizedProblem, pieces: _Pieces | None = None) -> tuple[FirModel, float]:
+def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     """The regularized model and its evidence from one Gram and one Cholesky factor.
 
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
@@ -296,31 +287,27 @@ def fit_with_evidence(problem: RegularizedProblem, pieces: _Pieces | None = None
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
 
-    ``pieces``, a dict the caller creates empty, lets fits on one regressor
-    share their kernel terms' unit pieces: each term's unit-scale ``Phi L_t``
-    (feature space) or ``Phi K_t Phi'`` (dual), stored per term index and
-    reused only for the same unit term, space and order.  A sum kernel whose
-    first term is another fit's DC kernel thus reuses that fit's DC piece, with
-    the same bits as a fit of its own.  Pass one dict per regressor: a piece is
-    not checked against the entries of ``Phi``.  It keeps one array per term
-    index alive, an M x width factor or an M x M Gram, until the caller drops it.
+    Each term's unit-scale ``Phi L_t`` (feature space) or ``Phi K_t Phi'``
+    (dual) comes from the pieces of ``problem.phi``, which the fits on that
+    regressor share: a sum kernel whose first term is another fit's DC kernel
+    reuses that fit's DC piece, with the same bits as a fit of its own.
     """
-    solution = _solve(problem.phi.entries, problem.y_l.samples, problem.kernel, problem.gamma, pieces)
+    solution = _solve(problem.phi, problem.y_l.samples, problem.kernel, problem.gamma)
     return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
 
 
-def regularized_fir(problem: RegularizedProblem, pieces: _Pieces | None = None) -> FirModel:
+def regularized_fir(problem: RegularizedProblem) -> FirModel:
     """Solve ``theta = K Phi' (Phi K Phi' + gamma I)^{-1} y_l``.
 
     Defined for every order ``P`` in ``[1, N]`` and any input, including
     ``P >= M`` and zero-order-hold excitations.  The inner solve uses a
     Cholesky factorization plus iterative refinement so the linear-system
     residual stays near machine precision even for tiny ``gamma``.  The
-    method, its cost and its ``pieces`` cache (one per regressor) are
+    method, its cost and its shared kernel pieces are
     :func:`fit_with_evidence`'s, which also returns the evidence from the same
     factorization.
     """
-    return fit_with_evidence(problem, pieces)[0]
+    return fit_with_evidence(problem)[0]
 
 
 def marginal_likelihood(
@@ -344,7 +331,7 @@ def marginal_likelihood(
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
     problem = RegularizedProblem(phi=phi, y_l=y_l, kernel=kernel, gamma=gamma)
-    return _solve(phi.entries, y_l.samples, kernel, problem.gamma).evidence
+    return _solve(phi, y_l.samples, kernel, problem.gamma).evidence
 
 
 class _Rest(NamedTuple):
@@ -487,6 +474,14 @@ def _rate_bounds(value: float, omega_max: float) -> tuple[float, float]:
     return (lo, hi) if value > 0.0 else (-hi, -lo)
 
 
+def _frequency_bounds(value: float, omega_max: float) -> tuple[float, float]:
+    """``[0.7 v, 1.3 v]`` for a start ``v > 0``, its top capped at ``0.999
+    omega_max`` but never below ``v``; a start of 0 gets ``[0, 0.3 omega_max]``."""
+    if value == 0.0:
+        return 0.0, 0.3 * omega_max
+    return 0.7 * value, max(value, min(1.3 * value, 0.999 * omega_max))
+
+
 _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value * 1e2))
 _RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
@@ -498,7 +493,7 @@ _FIELD_RULES = {
     "sigma2": _DECADES,
     "decay": _RATES,
     "correlation": _RATES,
-    "frequency": _FieldRule(False, 25, 3, lambda value, omega_max: (0.7 * value, min(1.3 * value, 0.999 * omega_max))),
+    "frequency": _FieldRule(False, 25, 3, _frequency_bounds),
 }
 
 
@@ -519,8 +514,9 @@ def default_bounds(name: str, value: float, omega_max: float = 2.0 * math.pi) ->
     and correlation values in (0, 1) move between double and one sixteenth of
     the initial rate (priors that die too fast are far more harmful than
     slow ones), negative ones within the mirror of that interval, and a start
-    of 0 up to ``1e-9^(1/16)``; frequencies get a +/-30% window clipped to
-    ``[0, omega_max)``.
+    of 0 up to ``1e-9^(1/16)``; frequencies get a +/-30% window, its top
+    capped at ``0.999 omega_max`` but never below the start, and a start of 0
+    the interval ``[0, 0.3 omega_max]``.
     """
     return _rule(name).bounds(value, omega_max)
 
@@ -582,9 +578,10 @@ def optimize_hyperparameters(
 ) -> HyperparameterVector:
     """Budgeted coordinate-wise golden-section search on the evidence objective.
 
-    Scale-type parameters (``gamma``, ``scale``) are searched in log-space, the
-    rest in their bounded linear space.  Candidates are accepted only when they
-    improve the objective, so the result is never worse than ``eta0``; with
+    Scale-type parameters (``gamma``, ``scale``, ``sigma1``, ``sigma2``) are
+    searched in log space, the rest in their bounded linear space.
+    Candidates are accepted only when they improve the objective, so the
+    result is never worse than ``eta0``; with
     ``budget=1`` the start point is returned unchanged.  The sweep order is
     fixed (sorted parameter names), making the search deterministic.
 
@@ -598,7 +595,8 @@ def optimize_hyperparameters(
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, order P and n factor columns (P per DC or
     Tikhonov term, 2P per stable spline, 2 per resonant pole): each term's
-    latest piece is cached (a DC term's at unit scale), and a probe rebuilds
+    latest piece (a DC term's at unit scale) is kept with the pieces of
+    ``phi``, which later calls and fits on ``phi`` reuse, and a probe rebuilds
     only the kernel term it moves.  In the output space
     (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
     ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
@@ -626,10 +624,6 @@ def optimize_hyperparameters(
 
     entries, y = phi.entries, y_l.samples
     feature = _in_feature_space(_terms(template), *entries.shape)
-    # each term's latest piece, a DC term's at unit scale: every probe of a
-    # coordinate changes one term, so the others are reused, and a DC scale
-    # probe is one multiply
-    pieces: _Pieces = {}
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
@@ -643,10 +637,10 @@ def optimize_hyperparameters(
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
         if feature:
-            x = _feature_matrix(entries, spec, pieces, skip=index)
+            x = _feature_matrix(entries, spec, phi._pieces, skip=index)
             rest = x @ x.T
         else:
-            rest = _output_gram(entries, spec, pieces, skip=index)
+            rest = _output_gram(entries, spec, phi._pieces, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))
@@ -660,7 +654,7 @@ def optimize_hyperparameters(
         """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
         nonlocal failure
         try:
-            return _solve(entries, y, *point, pieces).evidence
+            return _solve(phi, y, *point).evidence
         except NumericalError as exc:
             # the exact objective is +inf or beyond double range here; the
             # search must treat it as worse than anything, not abort

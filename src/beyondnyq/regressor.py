@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -46,10 +46,18 @@ class NonUniqueReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RegressorMatrix:
-    """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``)."""
+    """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
+
+    The regularized fits and the tuner on this matrix share its kernel
+    pieces (see :mod:`beyondnyq.estimator`): for its life it retains one
+    read-only array per kernel term index, an M x width factor ``Phi L_t``
+    or an M x M Gram ``Phi K_t Phi'``, that term's latest.  ``entries`` are
+    read-only, so a piece never goes stale.
+    """
 
     entries: np.ndarray
     factor: int
+    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _integer("factor", self.factor))

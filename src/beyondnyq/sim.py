@@ -420,16 +420,12 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
     for order in config.orders:
         # column i of the regressor is u(mF - i): lower orders are left blocks
         phi = RegressorMatrix(entries=phi_max.entries[:, :order], factor=config.factor)
-        # the order's kernel pieces: untuned, pk's first term is dc's kernel
-        pieces = {}
         for estimator in config.estimators:
             if estimator == "ls":
                 model = least_squares_fir(phi, y_l)
             else:
                 spec, gamma = fitted[estimator]
-                model = regularized_fir(
-                    RegularizedProblem(phi=phi, y_l=y_l, kernel=spec, gamma=gamma), pieces=pieces
-                )
+                model = regularized_fir(RegularizedProblem(phi=phi, y_l=y_l, kernel=spec, gamma=gamma))
             if model is None:
                 status, gof = "non_unique", None
             else:

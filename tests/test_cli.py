@@ -118,7 +118,7 @@ def test_seed_option_wins_over_base_seed(tmp_path):
 
 
 def test_failed_run_reports_type_and_diagnostics(tmp_path, monkeypatch, capsys):
-    def fail(problem, pieces=None):
+    def fail(problem):
         raise NumericalError("no factor", {"gamma": 1e-5})
 
     monkeypatch.setattr(sim, "regularized_fir", fail)

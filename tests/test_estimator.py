@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from beyondnyq.kernels import (
     StableSpline,
     Tikhonov,
 )
-from beyondnyq.regressor import build_regressor, least_squares_fir
+from beyondnyq.regressor import RegressorMatrix, build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, FirModel, SlowSignal, random_noise
 
 
@@ -211,7 +213,7 @@ class TestFactoredGram:
         phi = rng.normal(size=(rows, order))
         v = rng.normal(size=order)
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
-        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(estimator._output_gram(phi, kernel, {}), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
@@ -229,7 +231,7 @@ class TestFactoredGram:
                 ResonantPole(decay=0.9, frequency=0.7, sigma1=1.5, sigma2=0.3),
             )
         )
-        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(estimator._output_gram(phi, kernel, {}), dense_gram(phi, kernel), 1e-12)
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
@@ -319,38 +321,78 @@ def spy_unit_pieces(monkeypatch, rows):
     return computed
 
 
+def on_fresh_regressor(problem):
+    """``problem`` on a new regressor of the same entries, which holds no
+    kernel pieces yet."""
+    phi = RegressorMatrix(entries=problem.phi.entries, factor=problem.phi.factor)
+    return RegularizedProblem(phi=phi, y_l=problem.y_l, kernel=problem.kernel, gamma=problem.gamma)
+
+
+def assert_same_fit(fit, expected):
+    (model, evidence), (expected_model, expected_evidence) = fit, expected
+    assert np.array_equal(model.theta, expected_model.theta)
+    assert evidence == expected_evidence
+
+
+# M = 30: dc and pk in the feature space, dc feature and pk dual
+# (M - 4 <= P < M), both dual
+SPACES = pytest.mark.parametrize(
+    "order, shared", [(12, True), (28, False), (40, True)], ids=["feature", "mixed", "dual"]
+)
+
+
 class TestSharedPieces:
-    """Fits on one regressor share a ``pieces`` dict: pk reuses dc's DC piece
-    where unit term, space and order match, with the bits of its own fit."""
+    """Fits on one regressor share its kernel pieces: pk reuses dc's DC piece
+    where unit term and space match, with the bits of a fit on a fresh
+    regressor of the same input."""
 
-    # M = 30: dc and pk in the feature space, dc feature and pk dual
-    # (M - 4 <= P < M), both dual
-    @pytest.mark.parametrize("order, shared", [(12, True), (28, False), (40, True)], ids=["feature", "mixed", "dual"])
-    def test_dc_then_pk_match_separate_fits(self, monkeypatch, order, shared):
+    @SPACES
+    @pytest.mark.parametrize("names", [("dc", "pk"), ("pk", "dc")], ids=["dc-first", "pk-first"])
+    def test_fits_match_fresh_regressors(self, monkeypatch, order, shared, names):
         dc = make_problem(32, n=90, factor=3, order=order, kernel=SHARED_DC)
-        pk = RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)
-        separate = [fit_with_evidence(problem) for problem in (dc, pk)]
+        problems = {"dc": dc, "pk": RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)}
+        fresh = {name: fit_with_evidence(on_fresh_regressor(problem)) for name, problem in problems.items()}
         computed = spy_unit_pieces(monkeypatch, 30)
-        pieces = {}
-        together = [fit_with_evidence(problem, pieces) for problem in (dc, pk)]
-        for (model, evidence), (alone, alone_evidence) in zip(together, separate):
-            assert np.array_equal(model.theta, alone.theta)
-            assert evidence == alone_evidence
-        assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 2)
-        assert np.array_equal(regularized_fir(pk, pieces).theta, separate[1][0].theta)
+        for name in names + names:
+            assert_same_fit(fit_with_evidence(problems[name]), fresh[name])
+        assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 4)
+        # a stored piece is read-only: a Gram factored in place by mistake
+        # raises instead of changing every later fit
+        assert dc.phi._pieces and not any(piece.flags.writeable for _, piece in dc.phi._pieces.values())
 
-    def test_new_order_recomputes(self):
-        """A dict kept for a second order of one input holds a dual Gram of
-        the same M x M shape; the fit must not take it."""
-        first = make_problem(33, n=90, factor=3, order=40, kernel=SHARED_DC)
-        phi = build_regressor(FastSignal(samples=np.random.default_rng(33).normal(size=90), period=0.1), 3, 45)
-        second = RegularizedProblem(phi=phi, y_l=first.y_l, kernel=SHARED_DC, gamma=first.gamma)
-        pieces = {}
-        regularized_fir(first, pieces)
-        model, evidence = fit_with_evidence(second, pieces)
-        alone, alone_evidence = fit_with_evidence(second)
-        assert np.array_equal(model.theta, alone.theta)
-        assert evidence == alone_evidence
+    @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
+    def test_tuner_then_fit_matches_fresh_regressor(self, order):
+        """The tuner leaves each term's latest probe piece on the regressor;
+        a later fit there takes only the pieces of its own terms."""
+        problem = make_problem(34, n=90, factor=3, order=order, kernel=SHARED_PK)
+        eta0 = tuning_start(SHARED_PK, problem.gamma, 3)
+        tuned = optimize_hyperparameters(
+            problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=120
+        )
+        kernel, gamma = kernel_and_gamma(SHARED_PK, tuned.values, problem.gamma)
+        assert kernel.terms[0] != SHARED_DC  # the search moved the DC term
+        for spec, g in ((SHARED_DC, problem.gamma), (SHARED_PK, problem.gamma), (kernel, gamma)):
+            fit = RegularizedProblem(phi=problem.phi, y_l=problem.y_l, kernel=spec, gamma=g)
+            assert_same_fit(fit_with_evidence(fit), fit_with_evidence(on_fresh_regressor(fit)))
+
+    @SPACES
+    def test_threads_alternating_match_serial(self, order, shared):
+        """Two threads that fit dc and pk in turn on one regressor, one
+        starting with each, get the bits of serial fits: where the two
+        spaces differ (mixed) they replace each other's DC piece throughout."""
+        dc = make_problem(35, n=90, factor=3, order=order, kernel=SHARED_DC)
+        problems = (dc, RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma))
+        serial = [fit_with_evidence(on_fresh_regressor(problem)) for problem in problems]
+        barrier = threading.Barrier(2)
+
+        def alternate(first):
+            barrier.wait()
+            return [fit_with_evidence(problems[(first + k) % 2]) for k in range(20)]
+
+        with ThreadPoolExecutor(2) as pool:
+            for first, fits in enumerate(pool.map(alternate, (0, 1))):
+                for k, fit in enumerate(fits):
+                    assert_same_fit(fit, serial[(first + k) % 2])
 
     @pytest.mark.parametrize("tune, per_order", [(False, 1), (True, 2)], ids=["untuned", "tuned"])
     def test_monte_carlo_dc_pieces_per_order(self, monkeypatch, tune, per_order):
@@ -359,9 +401,9 @@ class TestSharedPieces:
         computed = spy_unit_pieces(monkeypatch, 30)
         fit, fitting = sim.regularized_fir, []
 
-        def fit_only(problem, **kwargs):
+        def fit_only(problem):
             fitting.append(len(computed))  # pieces computed before this fit
-            return fit(problem, **kwargs)
+            return fit(problem)
 
         monkeypatch.setattr(sim, "regularized_fir", fit_only)
         orders = (12, 20, 40)  # M = 30, and each order in one space for both fits
@@ -776,16 +818,19 @@ class TestOptimizeHyperparameters:
     def test_each_unit_piece_computed_once(self, monkeypatch, order, template, eta0, pieces):
         """Probes of ``gamma`` and of a DC scale leave every unit term as it
         is, so the tuner computes each term's unit piece once, at the start,
-        and reuses it for every probe."""
-        problem = make_problem(7, n=90, factor=3, order=order)
-        m = problem.phi.output_length
+        and reuses it for every probe; a second call on the same regressor
+        finds every piece there and computes none."""
+        m = 30
         assert estimator._in_feature_space(estimator._terms(template), m, order) == (order < m)
         computed = spy_unit_pieces(monkeypatch, m)
         start = tuning_start(template, 1e-3, 3, eta0)
         for budget in (1, 2, 9, 40, 200):
-            computed.clear()
-            optimize_hyperparameters(problem.phi, problem.y_l, template, start, gamma=1e-3, budget=budget)
-            assert len(computed) == pieces
+            problem = make_problem(7, n=90, factor=3, order=order)
+            assert problem.phi.output_length == m
+            for expected in (pieces, 0):
+                computed.clear()
+                optimize_hyperparameters(problem.phi, problem.y_l, template, start, gamma=1e-3, budget=budget)
+                assert len(computed) == expected
 
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
@@ -1057,6 +1102,35 @@ class TestRateBounds:
         problem = make_problem(18, n=90, factor=3, order=20, kernel=template)
         tuned = optimize_hyperparameters(problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30)
         assert lo <= tuned.values["decay"] <= hi
+
+
+class TestFrequencyBounds:
+    """The default ``frequency`` interval."""
+
+    @pytest.mark.parametrize("start, factor", [(0.251, 3), (1.257, 3), (1.2, 1)])
+    def test_window_below_cap_unchanged(self, start, factor):
+        """The benchmark pk kernel's frequencies keep their +/-30% window."""
+        assert tuning_start(ResonantPole(decay=0.9, frequency=start), 1e-3, factor).bounds["frequency"] == (
+            0.7 * start, 1.3 * start
+        )
+
+    @pytest.mark.parametrize("start, factor", [(3.14, 1), (4.0, 1), (6.28, 3), (0.0, 1), (0.0, 3)])
+    def test_every_in_range_start_tunes(self, start, factor):
+        """A start the resonant pole admits gets a non-empty interval inside
+        its range that holds it, and the tuner runs from it.  A start above
+        ``0.999 omega_max`` used to get a top below it, and a start of 0 the
+        empty ``[0, 0]``: both were a ValueError."""
+        template = ResonantPole(decay=0.9, frequency=start)
+        eta0 = tuning_start(template, 1e-3, factor)
+        lo, hi = eta0.bounds["frequency"]
+        omega_max = min(math.pi * factor, 2.0 * math.pi)
+        assert lo < hi and lo <= start <= hi
+        assert hi == (0.3 * omega_max if start == 0.0 else max(start, 0.999 * omega_max))
+        for endpoint in (lo, hi):
+            apply_hyperparameters(template, {"frequency": endpoint})
+        problem = make_problem(19, n=90, factor=factor, order=20, kernel=template)
+        tuned = optimize_hyperparameters(problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30)
+        assert lo <= tuned.values["frequency"] <= hi
 
 
 class TestGoodnessOfFit:

@@ -146,7 +146,7 @@ def test_plant_frf_matches_per_frequency_solve():
     ids=["numerical", "other"],
 )
 def test_run_error_keeps_type_and_diagnostics(monkeypatch, exc, diagnostics):
-    def fail(problem, pieces=None):
+    def fail(problem):
         raise exc
 
     monkeypatch.setattr(sim, "regularized_fir", fail)
