@@ -29,9 +29,10 @@ Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
 else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
 
 Parallelism: ``NB_THREADS=n`` runs the ``simulate-mc`` runs on n threads
-(default 1), and BLAS runs on one thread inside ``simulate-mc``.
-``identify``, ``tune`` and ``frf`` leave BLAS threading as the environment
-sets it (for example ``OPENBLAS_NUM_THREADS``).
+(default 1).  Every command runs BLAS on one thread, whatever the environment
+sets (for example ``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS
+copies then never compete for the cores, and the outputs do not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .errors import InvalidStartError, NumericalError
 from .estimator import (
     RegularizedProblem,
@@ -326,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondnyq",
         description="Fast-rate FIR identification from slow-rate outputs",
-        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1), and BLAS "
-        "runs on one thread inside simulate-mc. identify, tune and frf leave BLAS "
-        "threading as the environment sets it.",
+        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1). Every "
+        "command runs BLAS on one thread, whatever OPENBLAS_NUM_THREADS says.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -351,13 +352,14 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         out_dir = Path(args.out) if args.out else _path("output_dir", config.get("output_dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "identify":
-            return cmd_identify(config, out_dir)
-        if args.command == "simulate-mc":
-            return cmd_simulate_mc(config, out_dir, _thread_count(), args.seed)
-        if args.command == "frf":
-            return cmd_frf(config, out_dir)
-        return cmd_tune(config, out_dir)
+        with single_threaded_blas():
+            if args.command == "identify":
+                return cmd_identify(config, out_dir)
+            if args.command == "simulate-mc":
+                return cmd_simulate_mc(config, out_dir, _thread_count(), args.seed)
+            if args.command == "frf":
+                return cmd_frf(config, out_dir)
+            return cmd_tune(config, out_dir)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -97,7 +97,7 @@ def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
 
 
 def _scaled_pieces(phi, terms, feature, pieces, skip):
-    """``(scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
+    """``(unit term, scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
     ``pieces`` where their unit term and space match, and each piece computed
     is stored there read-only (:func:`_shifted_cholesky` factors in place)."""
     for index, term in enumerate(terms):
@@ -110,14 +110,14 @@ def _scaled_pieces(phi, terms, feature, pieces, skip):
             piece = _unit_piece(phi, unit, feature)
             piece.flags.writeable = False
             cached = pieces[index] = key, piece
-        yield scale, cached[1]
+        yield unit, scale, cached[1]
 
 
 def _output_gram(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: int | None = None) -> np.ndarray:
     """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
     term order, from the unit Grams ``pieces`` where they match; a new array."""
     gram = np.zeros((phi.shape[0], phi.shape[0]))
-    for scale, piece in _scaled_pieces(phi, _terms(spec), False, pieces, skip):
+    for _, scale, piece in _scaled_pieces(phi, _terms(spec), False, pieces, skip):
         gram += scale * piece
     return gram
 
@@ -126,25 +126,62 @@ def _feature_matrix(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: in
     """``X = [Phi L_t]`` over the terms of ``spec`` but ``skip``, with
     ``sqrt(scale)`` inside a DC block, so ``X X' = Phi K Phi'``."""
     blocks = list(_scaled_pieces(phi, _terms(spec), True, pieces, skip))
-    x = np.empty((phi.shape[0], sum(block.shape[1] for _, block in blocks)))
+    x = np.empty((phi.shape[0], sum(block.shape[1] for _, _, block in blocks)))
     start = 0
-    for scale, block in blocks:
+    for _, scale, block in blocks:
         # sqrt(1.0) * v is v exactly: one write per block, no temporary
         np.multiply(block, math.sqrt(scale), out=x[:, start : start + block.shape[1]])
         start += block.shape[1]
     return x
 
 
-def _gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """The Gram a fit factors and, in the feature space, its ``X``, from the
-    pieces of ``phi``.
+def _block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left' right``: a syrk where both are one array, so a diagonal block
+    is bitwise symmetric."""
+    return left.T @ right
 
-    ``X'X`` (n x n) and ``X`` where :func:`_in_feature_space` holds,
-    ``Phi K Phi'`` (M x M) and None otherwise.
+
+def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """``A = X'X`` (n x n, a new array) for ``X = [sqrt(scale_t) F_t]``, and
+    ``(sqrt(scale_t), F_t)`` per term, with ``F_t = Phi L_t`` the unit pieces
+    of ``phi``.
+
+    Block ``(s, t)`` of ``A`` is the unit block ``F_s'F_t`` times
+    ``sqrt(scale_s scale_t)``.  ``phi`` keeps one read-only unit block per
+    term pair ``s <= t``, reused where both unit terms match and replaced
+    where either changed, so ``X`` is never built: a new ``gamma`` or DC
+    ``scale`` costs the O(n^2) assembly, a new DC ``decay`` its P x n blocks.
+    """
+    scaled = list(_scaled_pieces(phi.entries, _terms(spec), True, phi._pieces, None))
+    edges = np.cumsum([0] + [piece.shape[1] for _, _, piece in scaled])
+    gram = np.empty((edges[-1], edges[-1]))
+    for s, (unit_s, scale_s, piece_s) in enumerate(scaled):
+        for t in range(s, len(scaled)):
+            unit_t, scale_t, piece_t = scaled[t]
+            key = unit_s, unit_t
+            cached = phi._blocks.get((s, t))
+            if cached is None or cached[0] != key:
+                block = _block(piece_s, piece_t)
+                block.flags.writeable = False
+                cached = phi._blocks[s, t] = key, block
+            rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
+            # a diagonal block gets its scale exactly, and a unit scale
+            # (1.0) copies the block's bits
+            weight = scale_s if s == t else math.sqrt(scale_s) * math.sqrt(scale_t)
+            np.multiply(cached[1], weight, out=gram[rows, cols])
+            if s != t:
+                gram[cols, rows] = gram[rows, cols].T
+    return gram, [(math.sqrt(scale), piece) for _, scale, piece in scaled]
+
+
+def _gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, list[tuple[float, np.ndarray]] | None]:
+    """The Gram a fit factors, from the pieces and blocks of ``phi``.
+
+    :func:`_feature_gram`'s ``X'X`` (n x n) and columns where
+    :func:`_in_feature_space` holds, ``Phi K Phi'`` (M x M) and None otherwise.
     """
     if _in_feature_space(_terms(spec), *phi.entries.shape):
-        x = _feature_matrix(phi.entries, spec, phi._pieces)
-        return x.T @ x, x
+        return _feature_gram(phi, spec)
     return _output_gram(phi.entries, spec, phi._pieces), None
 
 
@@ -243,17 +280,19 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
     Its quadratic term comes from the residual, never as ``y'y - y'X w``,
     a difference that cancels.
     """
-    gram, x = _gram(phi, spec)
-    if x is None:
+    gram, columns = _gram(phi, spec)
+    if columns is None:
         lower, a, logdet = _dual_factor(gram, gamma, y)
         return _Solution(
             float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, lower, y))
         )
     lower = _shifted_cholesky(gram, gamma)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
-    w = _refined_solve(gram, lower, x.T @ y)
-    residual = y - x @ w
-    m, n = x.shape
+    # X'y and X w block by block, X = [root_t F_t]
+    w = _refined_solve(gram, lower, np.concatenate([root * (piece.T @ y) for root, piece in columns]))
+    edges = np.cumsum([piece.shape[1] for _, piece in columns])[:-1]
+    residual = y - sum(piece @ (root * part) for (root, piece), part in zip(columns, np.split(w, edges)))
+    m, n = len(y), len(w)
     quadratic = (residual @ residual + gamma * (w @ w)) / gamma
     return _Solution(
         float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: _feature_theta(spec, w, phi.order)
@@ -280,17 +319,20 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     stable spline, 2 per resonant pole), ``X = Phi L`` (M x n) costs O(M P)
     per term, and then:
 
-    * feature space iff n < M: ``X'X`` in O(M n^2) and its Cholesky factor
-      in O(n^3);
+    * feature space iff n < M: ``X'X`` in O(M n^2), one block ``(Phi L_s)'
+      (Phi L_t)`` per term pair, its Cholesky factor in O(n^3), and ``X'y``
+      and the residual ``y - X w`` block by block in O(M n), so ``X`` is
+      never built;
     * output space (dual) otherwise: ``Phi K Phi' = X X'`` in O(M^2 n) and
       its Cholesky factor in O(M^3).
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
 
     Each term's unit-scale ``Phi L_t`` (feature space) or ``Phi K_t Phi'``
-    (dual) comes from the pieces of ``problem.phi``, which the fits on that
-    regressor share: a sum kernel whose first term is another fit's DC kernel
-    reuses that fit's DC piece, with the same bits as a fit of its own.
+    (dual), and each term pair's unit-scale block (feature space), comes from
+    those of ``problem.phi``, which the fits on that regressor share: a sum
+    kernel whose first term is another fit's DC kernel reuses that fit's DC
+    piece and its P x P block, with the same bits as a fit of its own.
     """
     solution = _solve(problem.phi, problem.y_l.samples, problem.kernel, problem.gamma)
     return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
@@ -326,7 +368,9 @@ def marginal_likelihood(
     * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
       per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``,
       O(M n^2 + n^3), plus the refined solve its quadratic term needs,
-      O(M n + n^2);
+      O(M n + n^2).  ``X'X`` comes from the unit blocks of ``phi``, so a
+      call that changes only ``gamma`` or a DC ``scale`` since the last one
+      on ``phi`` costs O(M n + n^2 + n^3);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
@@ -527,7 +571,11 @@ def tuning_start(
 ) -> HyperparameterVector:
     """The tuner's start: ``init``, by default ``gamma`` plus every kernel
     term's ``tunables`` by the paths :func:`apply_hyperparameters` reads, and
-    ``bounds``, by default :func:`default_bounds` at ``omega_max = min(pi * factor, 2 pi)``."""
+    ``bounds``, by default :func:`default_bounds` at ``omega_max = min(pi * factor, 2 pi)``.
+
+    A value outside its kernel field's range (or a ``gamma`` that is not
+    positive) raises the kernel's own ``ValueError`` before any bounds are built.
+    """
     if init is None:
         prefix = "terms.{}." if isinstance(template, KernelSum) else ""
         init = {"gamma": gamma} | {
@@ -536,6 +584,7 @@ def tuning_start(
             for name in term.tunables
         }
     values, given = dict(init), bounds or {}
+    _positive("gamma", kernel_and_gamma(template, values, gamma)[1])
     omega_max = min(math.pi * factor, 2.0 * math.pi)
     defaults = {name: default_bounds(name, value, omega_max) for name, value in values.items() if name not in given}
     return HyperparameterVector(values=values, bounds={**defaults, **given})
@@ -600,9 +649,12 @@ def optimize_hyperparameters(
     only the kernel term it moves.  In the output space
     (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
     ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
-    O(M^2 P) Gram.  In the feature space (n < M)
-    they are the factors ``Phi L_t``, so such a probe is O(M n^2 + n^3), plus
-    O(M P) for a DC ``decay``.  A probe of a resonant-pole field
+    O(M^2 P) Gram.  In the feature space (n < M) they are the factors
+    ``Phi L_t``, and ``phi`` also keeps each term pair's unit block
+    ``(Phi L_s)'(Phi L_t)``, so a probe of ``gamma`` or of a DC ``scale`` is
+    an O(n^2) assembly of ``X'X`` plus its O(n^3) factorization (and O(M n)
+    for ``X'y`` and the residual), and a DC ``decay`` probe adds its piece,
+    O(M P), and its blocks, O(M P n).  A probe of a resonant-pole field
     costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
     on a factorization of ``gamma I`` plus the other terms, made once per
     coordinate.  Such a probe is scored by the full factorization instead

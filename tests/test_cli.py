@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from blas_threads import blas_at_two, requires_openblas, thread_counts  # noqa: F401 (a fixture)
 
 import beyondnyq
 from beyondnyq import cli, estimator, sim
@@ -285,6 +286,26 @@ def test_integer_settings_accepted(tmp_path, command, make_config):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(make_config(tmp_path)))
     assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@requires_openblas
+@pytest.mark.parametrize("command, fit", [("identify", "fit_with_evidence"), ("tune", "optimize_hyperparameters")])
+def test_fits_see_single_threaded_blas(tmp_path, monkeypatch, blas_at_two, command, fit):
+    """Each command runs its fits with every loaded OpenBLAS on one thread,
+    and main restores the thread counts it found when it returns."""
+    seen = []
+    original = getattr(cli, fit)
+
+    def spy(*args, **kwargs):
+        seen.append(thread_counts())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, fit, spy)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(identify_config(tmp_path)))
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert seen == [[1] * len(blas_at_two)]
+    assert thread_counts() == blas_at_two
 
 
 def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):

@@ -494,6 +494,114 @@ class TestFeatureSpace:
         assert peak < m * m * 8
 
 
+def spy_blocks(monkeypatch):
+    """Record ``(rows, columns)`` of every unit block ``F_s'F_t`` computed."""
+    products = []
+    block = estimator._block
+
+    def spy(left, right):
+        products.append((left.shape[1], right.shape[1]))
+        return block(left, right)
+
+    monkeypatch.setattr(estimator, "_block", spy)
+    return products
+
+
+class TestBlockGram:
+    """In the feature space ``A = X'X`` is assembled from one cached unit
+    block ``(Phi L_s)'(Phi L_t)`` per term pair (M = 30 here): a block is
+    computed once per pair of unit terms, and reused by later fits and probes."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            FEATURE_KERNELS["dc+2pk"][0],
+            KernelSum(
+                terms=(
+                    Tikhonov(),
+                    StableSpline(scale=0.5, decay=0.9),
+                    DiagonalCorrelated(scale=2.0, decay=0.95, correlation=0.6),
+                    ResonantPole(decay=0.9, frequency=0.7, sigma1=1.5, sigma2=0.3),
+                )
+            ),
+        ],
+        ids=["dc+2pk", "every-kernel"],
+    )
+    def test_gram_matches_oracle(self, kernel):
+        """``A`` is ``X'X`` for ``X = Phi L``, with ``L`` the factor whose
+        ``L L'`` is the oracle's kernel matrix."""
+        order = 6  # n = 4P + 2 = 26 < M for every kernel
+        problem = make_problem(51, n=90, factor=3, order=order, kernel=kernel)
+        factor = np.hstack([term.factor(np.eye(order)) for term in estimator._terms(kernel)])
+        assert_close_relative(factor @ factor.T, dense_kernel(kernel, order), 1e-12)
+        x = problem.phi.entries @ factor
+        gram, _ = estimator._feature_gram(problem.phi, kernel)
+        assert_close_relative(gram, x.T @ x, 1e-12)
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["n=M-1", "n=M+1"])
+    @pytest.mark.parametrize("name", ["dc", "dc+2pk"])
+    def test_evidence_matches_dual(self, monkeypatch, name, offset):
+        """On either side of n = M the block Gram's evidence is the dual's."""
+        kernel, extra = FEATURE_KERNELS[name]
+        problem = make_problem(41, n=90, factor=3, order=30 + offset - extra, kernel=kernel)
+        natural = marginal_likelihood(problem.phi, problem.y_l, kernel, problem.gamma)
+        # the other space on a fresh regressor: the feature space at n = M + 1
+        monkeypatch.setattr(estimator, "_in_feature_space", lambda terms, m, order: offset > 0)
+        fresh = on_fresh_regressor(problem)
+        other = marginal_likelihood(fresh.phi, fresh.y_l, kernel, problem.gamma)
+        assert bool(fresh.phi._blocks) == (offset > 0)
+        assert other == pytest.approx(natural, rel=1e-10)
+
+    def test_pk_after_dc_reuses_dc_block(self, monkeypatch):
+        """pk after dc computes its cross and resonant blocks, not the DC
+        block, and gets the bits of pk fitted alone."""
+        dc = make_problem(32, n=90, factor=3, order=12, kernel=SHARED_DC)
+        pk = RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)
+        alone = fit_with_evidence(on_fresh_regressor(pk))
+        products = spy_blocks(monkeypatch)
+        fit_with_evidence(dc)
+        assert products == [(12, 12)]
+        assert_same_fit(fit_with_evidence(pk), alone)
+        assert products == [(12, 12), (12, 2), (12, 2), (2, 2), (2, 2), (2, 2)]
+        assert not any(block.flags.writeable for _, block in dc.phi._blocks.values())
+
+    def tune(self, problem, eta0, budget=60):
+        trace = []
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, SHARED_PK, tuning_start(SHARED_PK, problem.gamma, 3, eta0),
+            gamma=problem.gamma, budget=budget, on_evaluation=lambda values, ml: trace.append((values, ml)),
+        )
+        return trace
+
+    def test_decay_probe_recomputes_dc_blocks(self, monkeypatch):
+        """A new DC decay is a new DC piece: its block and both cross blocks
+        are computed again, the resonant blocks only once; every value is
+        the one a fresh regressor gives, bit for bit."""
+        problem = make_problem(34, n=90, factor=3, order=12, kernel=SHARED_PK)
+        pieces, products = spy_unit_pieces(monkeypatch, 30), spy_blocks(monkeypatch)
+        trace = self.tune(problem, {"gamma": problem.gamma, "terms.0.decay": 0.9, "terms.0.scale": 1.0})
+        dc_pieces = sum(isinstance(unit, DiagonalCorrelated) for _, unit in pieces)
+        assert dc_pieces > 10
+        assert products.count((12, 12)) == dc_pieces
+        assert products.count((12, 2)) == 2 * dc_pieces
+        assert products.count((2, 2)) == 3
+        for values, value in trace:
+            spec, gamma = kernel_and_gamma(SHARED_PK, values, problem.gamma)
+            fresh = on_fresh_regressor(RegularizedProblem(problem.phi, problem.y_l, spec, gamma))
+            assert value == marginal_likelihood(fresh.phi, fresh.y_l, spec, gamma)
+
+    def test_resonant_probe_reuses_dc_block(self, monkeypatch):
+        """Probes of a resonant frequency leave the DC term as it is: the DC
+        block is computed once, for the start, while the accepted probes'
+        resonant blocks are computed again."""
+        problem = make_problem(34, n=90, factor=3, order=12, kernel=SHARED_PK)
+        products = spy_blocks(monkeypatch)
+        self.tune(problem, {"terms.1.frequency": 0.7, "terms.2.frequency": 2.1})
+        assert products.count((12, 12)) == 1
+        assert products.count((2, 2)) > 3
+
+
 class TestPrimalCheck:
     def test_matches_dual_form(self):
         for seed in range(10):
@@ -1131,6 +1239,24 @@ class TestFrequencyBounds:
         problem = make_problem(19, n=90, factor=factor, order=20, kernel=template)
         tuned = optimize_hyperparameters(problem.phi, problem.y_l, template, eta0, gamma=1e-3, budget=30)
         assert lo <= tuned.values["frequency"] <= hi
+
+
+class TestTuningStartRanges:
+    @pytest.mark.parametrize(
+        "template, init, message",
+        [
+            (ResonantPole(decay=0.9, frequency=1.0), {"frequency": -1.0}, "frequency must be in [0.0, 6.283185307179586)"),
+            (DiagonalCorrelated(), {"scale": -1.0}, "scale must be in (0.0, inf)"),
+            (SHARED_PK, {"gamma": 1e-3, "terms.2.frequency": 7.0}, "frequency must be in [0.0, 6.283185307179586)"),
+            (DiagonalCorrelated(), {"gamma": -1.0, "scale": 1.0}, "gamma must be a positive number"),
+        ],
+        ids=["frequency", "scale", "sum-path", "gamma"],
+    )
+    def test_kernel_range_named_before_bounds(self, template, init, message):
+        """A start outside its field's range raises the kernel's own error,
+        not one about the default bounds built around it."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tuning_start(template, 1e-3, 3, init)
 
 
 class TestGoodnessOfFit:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
+from blas_threads import blas_at_two, requires_openblas, thread_counts  # noqa: F401 (a fixture)
 
 from beyondnyq import _blas, sim
 from beyondnyq.errors import NumericalError
@@ -30,26 +31,6 @@ from beyondnyq.sim import (
 
 TUNED = MonteCarloConfig(runs=2, n_samples=150, orders=(20, 60), estimators=("dc", "pk"), tune=True)
 FIXED = MonteCarloConfig(runs=2, n_samples=90, orders=(10, 30))
-
-requires_openblas = pytest.mark.skipif(not _blas.openblas_controls(), reason="no OpenBLAS loaded")
-
-
-def thread_counts():
-    return [get() for get, _ in _blas.openblas_controls()]
-
-
-@pytest.fixture
-def blas_at_two():
-    """Every OpenBLAS at 2 threads, so that a pin to 1 and its undoing show."""
-    controls = _blas.openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    try:
-        yield [2] * len(controls)
-    finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
 
 
 def assert_close_relative(actual, expected, tolerance):
