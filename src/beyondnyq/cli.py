@@ -11,14 +11,15 @@ format: CSV floats to 17 significant digits (they read back exactly), an empty
 cell for a missing value, and JSON with sorted keys and an indent of 2.
 
 Exit codes: 0 success, 1 numerical failure, 2 input/config error.  A
-least-squares fit with no unique model (order ``P >= M``, or an input that
-cannot tell the coefficients apart), where
+least-squares fit with no unique model, where
 :func:`~beyondnyq.regressor.least_squares_fir` returns ``None``, is a result,
 not a failure: ``identify`` writes its report with null values and names it on
-stderr, as ``simulate-mc`` records it as ``non_unique``.  An unknown config
-key is a config error: the top level takes the keys any command reads, and
-``sampling``, ``data``, ``frf`` and ``tune`` take only their own (each
-``tune.bounds`` key names a ``tune.init`` entry).
+stderr with the reason (order ``P >= M``, or an input that cannot tell the
+coefficients apart), as ``simulate-mc`` records it as ``non_unique``.  An
+unknown config key is a config error: the top level takes the keys any
+command reads, and ``sampling``, ``data``, ``frf`` and ``tune`` take only
+their own.  ``tune.init`` must name a hyperparameter, and each
+``tune.bounds`` key a ``tune.init`` entry.
 
 Tuning: ``tune`` and a tuned ``simulate-mc`` (``"tune": true``) start from
 :func:`~beyondnyq.estimator.tuning_start`, ``tune`` with ``tune.init`` and
@@ -217,7 +218,9 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
         # the key order is the column order of reports.csv
         report = dict(estimator=name, order=order, gof=None, rmse=None, marginal_likelihood=ml_value, model_file=None)
         if model is None:
-            print(f"{name}: no unique model of order {order} from {len(y_l)} output samples", file=sys.stderr)
+            reason = (f"the order is not below the number of output samples ({len(y_l)})" if order >= len(y_l)
+                      else f"the input cannot tell the {order} coefficients apart")
+            print(f"{name}: no unique model of order {order}: {reason}", file=sys.stderr)
         else:
             predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
             model_file = out_dir / f"model_{name}.json"
@@ -286,6 +289,8 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
 
     init_obj = _object(_require(tune, "init", "tune"), "tune.init")
     init = {str(k): _number(f"tune.init.{k}", v) for k, v in init_obj.items()}
+    if not init:
+        raise ConfigError("tune.init names no hyperparameter to tune")
     bounds_obj = _object(tune.get("bounds", {}), "tune.bounds", init)
     bounds = {name: _pair(f"tune.bounds.{name}", pair, _number) for name, pair in bounds_obj.items()}
     eta0 = tuning_start(template, gamma, factor, init, bounds)

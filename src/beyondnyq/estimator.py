@@ -84,11 +84,20 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     return sum(term.width(order) for term in terms) < m
 
 
-# a unit-scale piece per term index, as (key, piece): the key is the unit term
-# and the space (True: the feature space's Phi L, False: the dual's Phi K Phi'),
-# and a piece is reused only where both match.  A regressor owns its cache, so
-# the slot holds its term's latest piece across the fits and tuner calls on it
-_Pieces = dict[int, tuple[tuple[KernelSpec, bool], np.ndarray]]
+def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """The array in ``slot`` of ``phi._cache`` where its key is ``key``, else
+    ``compute()`` stored there read-only (:func:`_shifted_cholesky` factors in
+    place) as the slot's latest.  Slot ``t``, a term index, holds term t's unit
+    piece keyed by the unit term and the space: the feature space's ``Phi L_t``
+    (True) or the dual's ``Phi K_t Phi'`` (False).  Slot ``(s, t)``, ``s <= t``,
+    holds the feature-space unit block ``(Phi L_s)'(Phi L_t)`` keyed by both
+    unit terms, so the cache never outgrows the terms and their pairs."""
+    cached = phi._cache.get(slot)
+    if cached is None or cached[0] != key:
+        array = compute()
+        array.flags.writeable = False
+        cached = phi._cache[slot] = key, array
+    return cached[1]
 
 
 def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
@@ -96,37 +105,30 @@ def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
     return factored if feature else factored @ factored.T
 
 
-def _scaled_pieces(phi, terms, feature, pieces, skip):
-    """``(unit term, scale, unit piece)`` per term of ``terms`` but ``skip``, in order;
-    ``pieces`` where their unit term and space match, and each piece computed
-    is stored there read-only (:func:`_shifted_cholesky` factors in place)."""
+def _scaled_pieces(phi: RegressorMatrix, terms, feature, skip):
+    """``(unit term, scale, unit piece)`` per term of ``terms`` but ``skip``,
+    in order, each piece from the cache of ``phi``."""
     for index, term in enumerate(terms):
         if index == skip:
             continue
         unit, scale = term.unit()
-        key = unit, feature
-        cached = pieces.get(index)
-        if cached is None or cached[0] != key:
-            piece = _unit_piece(phi, unit, feature)
-            piece.flags.writeable = False
-            cached = pieces[index] = key, piece
-        yield unit, scale, cached[1]
+        yield unit, scale, _cached(phi, index, (unit, feature), lambda: _unit_piece(phi.entries, unit, feature))
 
 
-def _output_gram(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: int | None = None) -> np.ndarray:
+def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
     """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
-    term order, from the unit Grams ``pieces`` where they match; a new array."""
-    gram = np.zeros((phi.shape[0], phi.shape[0]))
-    for _, scale, piece in _scaled_pieces(phi, _terms(spec), False, pieces, skip):
+    term order, from the unit Grams of ``phi``; a new array."""
+    gram = np.zeros((phi.output_length, phi.output_length))
+    for _, scale, piece in _scaled_pieces(phi, _terms(spec), False, skip):
         gram += scale * piece
     return gram
 
 
-def _feature_matrix(phi: np.ndarray, spec: KernelSpec, pieces: _Pieces, skip: int | None = None) -> np.ndarray:
+def _feature_matrix(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
     """``X = [Phi L_t]`` over the terms of ``spec`` but ``skip``, with
     ``sqrt(scale)`` inside a DC block, so ``X X' = Phi K Phi'``."""
-    blocks = list(_scaled_pieces(phi, _terms(spec), True, pieces, skip))
-    x = np.empty((phi.shape[0], sum(block.shape[1] for _, _, block in blocks)))
+    blocks = list(_scaled_pieces(phi, _terms(spec), True, skip))
+    x = np.empty((phi.output_length, sum(block.shape[1] for _, _, block in blocks)))
     start = 0
     for _, scale, block in blocks:
         # sqrt(1.0) * v is v exactly: one write per block, no temporary
@@ -143,52 +145,35 @@ def _block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
     """``A = X'X`` (n x n, a new array) for ``X = [sqrt(scale_t) F_t]``, and
-    ``(sqrt(scale_t), F_t)`` per term, with ``F_t = Phi L_t`` the unit pieces
-    of ``phi``.
+    ``(sqrt(scale_t), F_t)`` per term, ``F_t = Phi L_t`` the unit piece in
+    slot ``t`` of ``phi._cache``.
 
-    Block ``(s, t)`` of ``A`` is the unit block ``F_s'F_t`` times
-    ``sqrt(scale_s scale_t)``.  ``phi`` keeps one read-only unit block per
-    term pair ``s <= t``, reused where both unit terms match and replaced
-    where either changed, so ``X`` is never built: a new ``gamma`` or DC
-    ``scale`` costs the O(n^2) assembly, a new DC ``decay`` its P x n blocks.
+    Block ``(s, t)`` of ``A`` is ``sqrt(scale_s scale_t)`` times the unit block
+    ``F_s'F_t`` in slot ``(s, t)``, so ``X`` is never built: a new ``gamma`` or
+    DC ``scale`` costs the O(n^2) assembly, a new DC ``decay`` its P x n blocks.
     """
-    scaled = list(_scaled_pieces(phi.entries, _terms(spec), True, phi._pieces, None))
+    scaled = list(_scaled_pieces(phi, _terms(spec), True, None))
     edges = np.cumsum([0] + [piece.shape[1] for _, _, piece in scaled])
     gram = np.empty((edges[-1], edges[-1]))
     for s, (unit_s, scale_s, piece_s) in enumerate(scaled):
         for t in range(s, len(scaled)):
             unit_t, scale_t, piece_t = scaled[t]
-            key = unit_s, unit_t
-            cached = phi._blocks.get((s, t))
-            if cached is None or cached[0] != key:
-                block = _block(piece_s, piece_t)
-                block.flags.writeable = False
-                cached = phi._blocks[s, t] = key, block
+            block = _cached(phi, (s, t), (unit_s, unit_t), lambda: _block(piece_s, piece_t))
             rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
             # a diagonal block gets its scale exactly, and a unit scale
             # (1.0) copies the block's bits
             weight = scale_s if s == t else math.sqrt(scale_s) * math.sqrt(scale_t)
-            np.multiply(cached[1], weight, out=gram[rows, cols])
+            np.multiply(block, weight, out=gram[rows, cols])
             if s != t:
                 gram[cols, rows] = gram[rows, cols].T
     return gram, [(math.sqrt(scale), piece) for _, scale, piece in scaled]
 
 
-def _gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, list[tuple[float, np.ndarray]] | None]:
-    """The Gram a fit factors, from the pieces and blocks of ``phi``.
-
-    :func:`_feature_gram`'s ``X'X`` (n x n) and columns where
-    :func:`_in_feature_space` holds, ``Phi K Phi'`` (M x M) and None otherwise.
-    """
-    if _in_feature_space(_terms(spec), *phi.entries.shape):
-        return _feature_gram(phi, spec)
-    return _output_gram(phi.entries, spec, phi._pieces), None
-
-
 def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
     """``K v = sum_t L_t (L_t' v)``: the feature space's model formula, with
-    ``w`` the one row of ``X`` built from ``v'`` in place of ``Phi``."""
-    return _feature_theta(spec, _feature_matrix(v[None, :], spec, {})[0], len(v))
+    each ``L_t' v`` the term's unit factor of ``v'`` times ``sqrt(scale)``."""
+    w = [unit.factor(v[None, :])[0] * math.sqrt(scale) for unit, scale in (t.unit() for t in _terms(spec))]
+    return _feature_theta(spec, np.concatenate(w), len(v))
 
 
 def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
@@ -205,8 +190,8 @@ def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
     return diagnostics
 
 
-def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
-    """Lower Cholesky factor of ``gram + gamma I``.
+def _shifted_cholesky(gram: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``gram + gamma I``, and its log-determinant.
 
     Adds ``gamma`` to the diagonal of ``gram`` in place, so callers pass a
     Gram they own.  Only the lower triangle of the returned factor is
@@ -233,15 +218,14 @@ def _shifted_cholesky(gram: np.ndarray, gamma: float) -> np.ndarray:
             f"regularized Gram matrix is not finite",
             diagnostics=_failure_diagnostics(gram, gamma),
         )
-    return lower
+    return lower, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
 
 
 def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``(L, L^{-1} y, log det S)`` for the M x M output-space ``S = gram +
     gamma I = L L'``, factored in place by :func:`_shifted_cholesky`."""
-    lower = _shifted_cholesky(gram, gamma)
-    alpha = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
-    return lower, alpha, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    lower, logdet = _shifted_cholesky(gram, gamma)
+    return lower, scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False), logdet
 
 
 class _Solution(NamedTuple):
@@ -270,7 +254,7 @@ def _refined_solve(shifted: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> n
 def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) -> _Solution:
     """The regularized fit and its evidence from one Gram and one Cholesky factor.
 
-    The space comes from the shapes (:func:`_gram`).  In the output space
+    The space comes from the shapes (:func:`_in_feature_space`).  In the output space
     (dual) ``S = Phi K Phi' + gamma I`` gives the evidence ``a'a + log det S``
     with ``a = L^{-1} y`` and the model ``K Phi' S^{-1} y``.  In the feature
     space ``X = [Phi L_t]`` has n < M columns and ``A = X'X + gamma I`` gives
@@ -280,14 +264,14 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
     Its quadratic term comes from the residual, never as ``y'y - y'X w``,
     a difference that cancels.
     """
-    gram, columns = _gram(phi, spec)
-    if columns is None:
+    if not _in_feature_space(_terms(spec), *phi.entries.shape):
+        gram = _output_gram(phi, spec)
         lower, a, logdet = _dual_factor(gram, gamma, y)
         return _Solution(
             float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, lower, y))
         )
-    lower = _shifted_cholesky(gram, gamma)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
+    gram, columns = _feature_gram(phi, spec)
+    lower, logdet = _shifted_cholesky(gram, gamma)
     # X'y and X w block by block, X = [root_t F_t]
     w = _refined_solve(gram, lower, np.concatenate([root * (piece.T @ y) for root, piece in columns]))
     edges = np.cumsum([piece.shape[1] for _, piece in columns])[:-1]
@@ -300,7 +284,7 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
 
 
 def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
-    """``theta = sum_t L_t w_t`` for the blocks of :func:`_feature_matrix`."""
+    """``theta = sum_t L_t w_t``, ``w_t`` the entries of ``w`` on the columns of cache slot ``t``'s ``Phi L_t``."""
     theta = np.zeros(order)
     start = 0
     for term in _terms(spec):
@@ -329,10 +313,11 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
 
     Each term's unit-scale ``Phi L_t`` (feature space) or ``Phi K_t Phi'``
-    (dual), and each term pair's unit-scale block (feature space), comes from
-    those of ``problem.phi``, which the fits on that regressor share: a sum
-    kernel whose first term is another fit's DC kernel reuses that fit's DC
-    piece and its P x P block, with the same bits as a fit of its own.
+    (dual) comes from slot ``t`` of ``problem.phi._cache``, and each term
+    pair's unit-scale block (feature space) from slot ``(s, t)``.  The fits on
+    that regressor share them: a sum kernel whose first term is another fit's
+    DC kernel reuses that fit's DC piece and its P x P block, with the same
+    bits as a fit of its own.
     """
     solution = _solve(problem.phi, problem.y_l.samples, problem.kernel, problem.gamma)
     return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
@@ -368,9 +353,9 @@ def marginal_likelihood(
     * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
       per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``,
       O(M n^2 + n^3), plus the refined solve its quadratic term needs,
-      O(M n + n^2).  ``X'X`` comes from the unit blocks of ``phi``, so a
-      call that changes only ``gamma`` or a DC ``scale`` since the last one
-      on ``phi`` costs O(M n + n^2 + n^3);
+      O(M n + n^2).  ``X'X`` comes from the unit blocks in the ``(s, t)``
+      slots of ``phi._cache``, so a call that changes only ``gamma`` or a DC
+      ``scale`` since the last one on ``phi`` costs O(M n + n^2 + n^3);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
@@ -644,13 +629,13 @@ def optimize_hyperparameters(
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, order P and n factor columns (P per DC or
     Tikhonov term, 2P per stable spline, 2 per resonant pole): each term's
-    latest piece (a DC term's at unit scale) is kept with the pieces of
-    ``phi``, which later calls and fits on ``phi`` reuse, and a probe rebuilds
-    only the kernel term it moves.  In the output space
+    latest piece (a DC term's at unit scale) is kept in slot ``t`` of
+    ``phi._cache``, which later calls and fits on ``phi`` reuse, and a probe
+    rebuilds only the kernel term it moves.  In the output space
     (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
     ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
     O(M^2 P) Gram.  In the feature space (n < M) they are the factors
-    ``Phi L_t``, and ``phi`` also keeps each term pair's unit block
+    ``Phi L_t``, and slot ``(s, t)`` keeps each term pair's unit block
     ``(Phi L_s)'(Phi L_t)``, so a probe of ``gamma`` or of a DC ``scale`` is
     an O(n^2) assembly of ``X'X`` plus its O(n^3) factorization (and O(M n)
     for ``X'y`` and the residual), and a DC ``decay`` probe adds its piece,
@@ -689,10 +674,10 @@ def optimize_hyperparameters(
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
         if feature:
-            x = _feature_matrix(entries, spec, phi._pieces, skip=index)
+            x = _feature_matrix(phi, spec, skip=index)
             rest = x @ x.T
         else:
-            rest = _output_gram(entries, spec, phi._pieces, skip=index)
+            rest = _output_gram(phi, spec, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))

@@ -48,19 +48,13 @@ class NonUniqueReason(str, enum.Enum):
 class RegressorMatrix:
     """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
 
-    The regularized fits and the tuner on this matrix share its kernel
-    pieces (see :mod:`beyondnyq.estimator`): for its life it retains one
-    read-only array per kernel term index, an M x width factor ``Phi L_t``
-    or an M x M Gram ``Phi K_t Phi'``, that term's latest.  Beside them it
-    retains one read-only feature-space block ``(Phi L_s)'(Phi L_t)`` per
-    term index pair ``s <= t``, the latest for that pair's two unit terms.
-    ``entries`` are read-only, so neither goes stale.
+    The fits and tuner calls on this matrix share the kernel arrays that
+    ``beyondnyq.estimator._cached`` keeps in it; ``entries`` are read-only.
     """
 
     entries: np.ndarray
     factor: int
-    _pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _integer("factor", self.factor))

@@ -240,6 +240,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
             "snr_range",
         ),
         ("identify", ("estimators",), ["dc", "dc"], "estimators"),
+        ("tune", ("tune", "init"), {}, "tune.init"),
     ],
     ids=[
         "bounds-number", "bounds-short", "init-list", "sampling-number", "pk-without-decay",
@@ -249,6 +250,7 @@ def test_non_integral_settings_are_config_errors(tmp_path, capsys, command, make
         "model_json-number", "init-foreign-field", "type-list",
         "unknown-key", "unknown-sampling-key", "unknown-data-key", "unknown-frf-key", "unknown-tune-key",
         "bounds-without-init", "log-bound-zero", "bound-infinite", "snr_range-infinite", "estimators-duplicate",
+        "init-empty",
     ],
 )
 def test_malformed_config_shapes_are_config_errors(tmp_path, capsys, command, path, value, named):
@@ -308,10 +310,16 @@ def test_fits_see_single_threaded_blas(tmp_path, monkeypatch, blas_at_two, comma
     assert thread_counts() == blas_at_two
 
 
-def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
-    """The model and its evidence come from one Gram and one Cholesky factor
-    (here the feature-space X'X: P=12 < M=30)."""
-    calls = {"_gram": 0, "_shifted_cholesky": 0}
+@pytest.mark.parametrize(
+    "order, gram",
+    [(12, "_feature_gram"), (40, "_output_gram")],
+    ids=["feature", "dual"],
+)
+def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch, order, gram):
+    """The model and its evidence come from one Gram and one Cholesky factor:
+    the feature-space X'X at P=12 < M=30, the output-space Phi K Phi' at
+    P=40 >= M."""
+    calls = {"_feature_gram": 0, "_output_gram": 0, "_shifted_cholesky": 0}
     for name in calls:
         original = getattr(estimator, name)
 
@@ -321,11 +329,11 @@ def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch):
 
         monkeypatch.setattr(estimator, name, counted)
     config = identify_config(tmp_path)
-    config["estimators"] = ["dc"]
+    config["estimators"], config["order"] = ["dc"], order
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert calls == {"_gram": 1, "_shifted_cholesky": 1}
+    assert calls == {"_feature_gram": 0, "_output_gram": 0, gram: 1, "_shifted_cholesky": 1}
 
 
 def test_tuned_kernel_json_reads_back_to_tuned_values(tmp_path):
@@ -509,21 +517,24 @@ def non_unique_identify(tmp_path, u, order, estimators=("ls", "dc", "pk")):
 
 
 @pytest.mark.parametrize(
-    "u, order",
+    "u, order, reason",
     [
-        (random_noise(300, 0.1, 1.0, seed=5), 150),
-        (FastSignal(samples=np.repeat(random_noise(100, 0.1, 1.0, seed=5).samples, 3), period=0.1), 20),
+        (random_noise(300, 0.1, 1.0, seed=5), 150, "the order is not below the number of output samples (100)"),
+        (
+            FastSignal(samples=np.repeat(random_noise(100, 0.1, 1.0, seed=5).samples, 3), period=0.1), 20,
+            "the input cannot tell the 20 coefficients apart",
+        ),
     ],
     ids=["order-above-outputs", "hold-input"],
 )
-def test_identify_records_a_least_squares_fit_with_no_unique_model(tmp_path, capsys, u, order):
+def test_identify_records_a_least_squares_fit_with_no_unique_model(tmp_path, capsys, u, order, reason):
     """M = 100 output samples.  LS has no unique model at P = 150 >= M, nor
     at P = 20 < M from an input held for 3 samples: ``identify`` writes an
     LS report with empty values and no LS model, fits the regularized
     estimators, and exits 0."""
     code, out = non_unique_identify(tmp_path, u, order)
     assert code == EXIT_OK
-    assert capsys.readouterr().err == f"ls: no unique model of order {order} from 100 output samples\n"
+    assert capsys.readouterr().err == f"ls: no unique model of order {order}: {reason}\n"
     for name in ("dc", "pk"):
         for file in (f"model_{name}.json", f"theta_{name}.csv", f"frf_{name}.csv"):
             assert (out / file).stat().st_size > 0

@@ -213,7 +213,9 @@ class TestFactoredGram:
         phi = rng.normal(size=(rows, order))
         v = rng.normal(size=order)
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
-        assert_close_relative(estimator._output_gram(phi, kernel, {}), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(
+            estimator._output_gram(RegressorMatrix(entries=phi, factor=1), kernel), dense_gram(phi, kernel), 1e-12
+        )
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
@@ -231,7 +233,9 @@ class TestFactoredGram:
                 ResonantPole(decay=0.9, frequency=0.7, sigma1=1.5, sigma2=0.3),
             )
         )
-        assert_close_relative(estimator._output_gram(phi, kernel, {}), dense_gram(phi, kernel), 1e-12)
+        assert_close_relative(
+            estimator._output_gram(RegressorMatrix(entries=phi, factor=1), kernel), dense_gram(phi, kernel), 1e-12
+        )
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
@@ -307,8 +311,7 @@ SHARED_PK = KernelSum(
 
 def spy_unit_pieces(monkeypatch, rows):
     """Record ``(order, unit term)`` for every unit piece computed on a
-    regressor of ``rows`` outputs (a dual model's ``K v`` computes its own
-    pieces on one row)."""
+    regressor of ``rows`` outputs."""
     computed = []
     unit_piece = estimator._unit_piece
 
@@ -358,7 +361,7 @@ class TestSharedPieces:
         assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 4)
         # a stored piece is read-only: a Gram factored in place by mistake
         # raises instead of changing every later fit
-        assert dc.phi._pieces and not any(piece.flags.writeable for _, piece in dc.phi._pieces.values())
+        assert dc.phi._cache and not any(piece.flags.writeable for _, piece in dc.phi._cache.values())
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
     def test_tuner_then_fit_matches_fresh_regressor(self, order):
@@ -374,6 +377,19 @@ class TestSharedPieces:
         for spec, g in ((SHARED_DC, problem.gamma), (SHARED_PK, problem.gamma), (kernel, gamma)):
             fit = RegularizedProblem(phi=problem.phi, y_l=problem.y_l, kernel=spec, gamma=g)
             assert_same_fit(fit_with_evidence(fit), fit_with_evidence(on_fresh_regressor(fit)))
+
+    @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
+    def test_tuner_cache_stays_bounded(self, order):
+        """After a tune of a three-term kernel, the regressor's cache holds a
+        slot per term index and, in the feature space, per index pair
+        ``s <= t``, each read-only: no slot is keyed by a probe's unit term,
+        which would add one per probe."""
+        problem = make_problem(34, n=90, factor=3, order=order, kernel=SHARED_PK)
+        eta0 = tuning_start(SHARED_PK, problem.gamma, 3)
+        optimize_hyperparameters(problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=60)
+        pairs = {(s, t) for s in range(3) for t in range(s, 3)} if order < 30 else set()
+        assert set(problem.phi._cache) == {0, 1, 2} | pairs
+        assert not any(array.flags.writeable for _, array in problem.phi._cache.values())
 
     @SPACES
     def test_threads_alternating_match_serial(self, order, shared):
@@ -550,7 +566,7 @@ class TestBlockGram:
         monkeypatch.setattr(estimator, "_in_feature_space", lambda terms, m, order: offset > 0)
         fresh = on_fresh_regressor(problem)
         other = marginal_likelihood(fresh.phi, fresh.y_l, kernel, problem.gamma)
-        assert bool(fresh.phi._blocks) == (offset > 0)
+        assert any(isinstance(slot, tuple) for slot in fresh.phi._cache) == (offset > 0)
         assert other == pytest.approx(natural, rel=1e-10)
 
     def test_pk_after_dc_reuses_dc_block(self, monkeypatch):
@@ -564,7 +580,7 @@ class TestBlockGram:
         assert products == [(12, 12)]
         assert_same_fit(fit_with_evidence(pk), alone)
         assert products == [(12, 12), (12, 2), (12, 2), (2, 2), (2, 2), (2, 2)]
-        assert not any(block.flags.writeable for _, block in dc.phi._blocks.values())
+        assert not any(block.flags.writeable for _, block in dc.phi._cache.values())
 
     def tune(self, problem, eta0, budget=60):
         trace = []
