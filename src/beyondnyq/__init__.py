@@ -35,11 +35,8 @@ from .kernels import (
     kernel_spec_to_json,
 )
 from .regressor import (
-    IdentifiabilityReport,
-    NonUniqueReason,
     RegressorMatrix,
     build_regressor,
-    identifiability_check,
     least_squares_fir,
 )
 from .signals import (

@@ -410,8 +410,8 @@ def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
 class HyperparameterVector:
     """Named hyperparameter values with per-entry closed search intervals.
 
-    Keys are the paths of :func:`apply_hyperparameters` plus the optional
-    ``"gamma"``; each field needs a tuning rule.
+    Keys, at least one, are the paths of :func:`apply_hyperparameters` plus
+    the optional ``"gamma"``; each field needs a tuning rule.
     Every value must lie inside its bounds, and bounds must be finite and stay
     inside the kernel's own parameter ranges.  An entry searched in log space
     (``gamma``, ``scale``, ``sigma1``, ``sigma2``) needs a positive lower bound.
@@ -423,6 +423,8 @@ class HyperparameterVector:
     def __post_init__(self):
         values = dict(self.values)
         bounds = {k: (float(lo), float(hi)) for k, (lo, hi) in dict(self.bounds).items()}
+        if not values:
+            raise ValueError("HyperparameterVector is empty: it names no hyperparameter to tune")
         if set(values) != set(bounds):
             raise ValueError(
                 f"values and bounds must name the same parameters, "
@@ -447,7 +449,9 @@ def _address(spec: KernelSpec, path: str) -> tuple[int, str]:
     index, field = 0, path
     if isinstance(spec, KernelSum):
         parts = path.split(".")
-        well_formed = len(parts) == 3 and parts[0] == "terms" and parts[1].isdecimal()
+        # one spelling per index: "1", not "01" or a full-width digit
+        well_formed = (len(parts) == 3 and parts[0] == "terms" and parts[1].isdecimal()
+                       and parts[1] == str(int(parts[1])))
         index, field = (int(parts[1]), parts[2]) if well_formed else (-1, "")
     terms = _terms(spec)
     if not (0 <= index < len(terms) and field in {f.name for f in fields(terms[index])}):

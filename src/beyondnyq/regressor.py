@@ -1,4 +1,4 @@
-"""Multirate regressor construction, least squares, and identifiability checks.
+"""Multirate regressor construction and least squares.
 
 The regressor matrix ``Phi`` (M x P) maps FIR coefficients ``theta`` to the
 decimated model output: row ``m`` holds the input samples
@@ -9,16 +9,14 @@ decimated model output: row ``m`` holds the input samples
 A unique unregularized fit needs ``Phi`` to have full column rank, which fails
 whenever the model order reaches the number of output samples (``P >= M``) and
 for zero-order-hold inputs with ``P > 2`` (repeated columns).
-:func:`identifiability_check` reports both, with the reason and the rank, from
-the singular values of ``Phi``.  :func:`least_squares_fir` returns ``None``
-where the fit is not unique: at ``P >= M`` it runs no decomposition, and below
-it applies the same rank rule to the triangular factor of the one QR
-decomposition it solves with (``Phi`` and ``R`` have the same singular values).
+:func:`least_squares_fir` returns ``None`` in both cases: at ``P >= M`` it runs
+no decomposition, and below it tests the rank of the triangular factor of the
+one QR decomposition it solves with (``Phi`` and ``R`` have the same singular
+values).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -28,20 +26,7 @@ import scipy.linalg.lapack
 
 from .signals import FastSignal, FirModel, SlowSignal, _integer
 
-__all__ = [
-    "RegressorMatrix",
-    "IdentifiabilityReport",
-    "NonUniqueReason",
-    "build_regressor",
-    "least_squares_fir",
-    "identifiability_check",
-]
-
-
-class NonUniqueReason(str, enum.Enum):
-    OK = "ok"
-    ORDER_EXCEEDS_OUTPUT_LENGTH = "order_exceeds_output_length"
-    RANK_DEFICIENT_INPUT = "rank_deficient_input"
+__all__ = ["RegressorMatrix", "build_regressor", "least_squares_fir"]
 
 
 @dataclass(frozen=True)
@@ -81,23 +66,6 @@ class RegressorMatrix:
             raise ValueError(f"output downsampling factor {y_l.factor} does not match the regressor's {self.factor}")
 
 
-@dataclass(frozen=True)
-class IdentifiabilityReport:
-    """Whether the supplied input can distinguish all ``P`` FIR coefficients.
-
-    ``rank`` is the numerical rank of ``Phi``; ``null_dimension = P - rank``.
-    ``unique`` additionally requires ``P < M``: with ``P >= M`` the slow-rate
-    data cannot pin down a fast-rate model even when the matrix happens to be
-    numerically invertible at the square boundary.  The verdict is always
-    relative to the specific input the matrix was built from.
-    """
-
-    rank: int
-    null_dimension: int
-    unique: bool
-    reason: NonUniqueReason
-
-
 def build_regressor(
     u: FastSignal,
     factor: int,
@@ -129,33 +97,6 @@ def build_regressor(
     return RegressorMatrix(entries=windows[: output_length * factor : factor, ::-1], factor=factor)
 
 
-def _report(rank: int, m: int, p: int) -> IdentifiabilityReport:
-    """The verdict for an M x P ``Phi`` of this numerical rank."""
-    null_dimension = p - rank
-    if p >= m:
-        reason = NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
-    elif null_dimension > 0:
-        reason = NonUniqueReason.RANK_DEFICIENT_INPUT
-    else:
-        reason = NonUniqueReason.OK
-    return IdentifiabilityReport(
-        rank=rank,
-        null_dimension=null_dimension,
-        unique=reason is NonUniqueReason.OK,
-        reason=reason,
-    )
-
-
-def _rank_report(singular_values: np.ndarray, m: int, p: int) -> IdentifiabilityReport:
-    """The verdict for an M x P ``Phi`` with these singular values.
-
-    Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
-    """
-    sigma_max = singular_values[0] if singular_values.size else 0.0
-    tol = max(m, p) * np.finfo(float).eps * sigma_max
-    return _report(int(np.count_nonzero(singular_values > tol)), m, p)
-
-
 # Safety factor c of the full-rank certificate in _triangular_full_rank.  For
 # the inverse X of a P x P triangular R, trtri's methods have a residual
 # bound ||X R - I||_F <= c_P u ||X||_F ||R||_F with c_P = O(P) (Higham,
@@ -172,14 +113,15 @@ _CERTIFICATE_FACTOR = 16.0
 
 
 def _triangular_full_rank(r: np.ndarray, m: int) -> bool:
-    """Whether :func:`_rank_report` finds full rank for the P x P triangular
-    factor ``r`` of an M x P ``Phi`` with P < M, without an SVD where ``r``
-    is well conditioned.
+    """Whether the P x P triangular factor ``r`` of an M x P ``Phi`` with
+    P < M has full numerical rank: all P singular values above the
+    tolerance ``max(M, P) * eps * sigma_max``.
 
     Full rank is certified from the inverse (``sigma_min >= 1/||R^{-1}||_F``
-    and ``sigma_max <= ||R||_F``), O(P^3 / 3); where the certificate does
-    not hold, or trtri reports a zero pivot or a non-finite inverse, the
-    singular values of ``r`` decide, O(P^3) with a larger constant.
+    and ``sigma_max <= ||R||_F``), O(P^3 / 3), so a well-conditioned ``r``
+    needs no SVD; where the certificate does not hold, or trtri reports a
+    zero pivot or a non-finite inverse, the singular values of ``r`` are
+    counted against that tolerance, O(P^3) with a larger constant.
     """
     p = r.shape[0]
     inverse, info = scipy.linalg.lapack.dtrtri(r, lower=0)
@@ -188,30 +130,25 @@ def _triangular_full_rank(r: np.ndarray, m: int) -> bool:
         bound = _CERTIFICATE_FACTOR * max(m, p) * np.finfo(float).eps * float(np.linalg.norm(r))
         if math.isfinite(inverse_norm) and 1.0 / inverse_norm > bound:
             return True
-    return _rank_report(scipy.linalg.svdvals(r), m, p).unique
-
-
-def identifiability_check(phi: RegressorMatrix) -> IdentifiabilityReport:
-    """Numerical-rank report for ``Phi`` with the order/length rule applied.
-
-    Rank uses the singular-value tolerance ``max(M, P) * eps * sigma_max``.
-    """
-    m, p = phi.entries.shape
-    return _rank_report(scipy.linalg.svdvals(phi.entries), m, p)
+    singular_values = scipy.linalg.svdvals(r)
+    tol = max(m, p) * np.finfo(float).eps * singular_values[0]
+    return int(np.count_nonzero(singular_values > tol)) == p
 
 
 def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
     """Unique minimizer of ``||y_l - Phi theta||^2``, solved by one QR
-    decomposition, or ``None`` where the minimizer is not unique
-    (:func:`identifiability_check` tells why).
+    decomposition, or ``None`` where the minimizer is not unique.
 
-    * ``P >= M``: never unique, whatever the rank; returns ``None`` without
-      any decomposition.
+    * ``P >= M``: never unique, whatever the rank (the slow-rate data cannot
+      pin down a fast-rate model even where the matrix happens to be
+      numerically invertible at the square boundary); returns ``None``
+      without any decomposition.
     * ``P < M``: one Householder QR, which never forms ``Q``, gives ``R``
-      and ``Q'y`` in O(M P^2).  The rank test of :func:`identifiability_check`
-      runs on ``R`` (``Phi`` and ``R`` have the same singular values): full
-      rank is certified from ``R^{-1}`` (trtri, O(P^3 / 3)), and only where
-      that certificate fails do the singular values of ``R`` decide.
+      and ``Q'y`` in O(M P^2).  ``None`` unless ``R`` has full numerical
+      rank (``Phi`` and ``R`` have the same singular values), which fails
+      for a zero-order-hold input at ``P > 2``: full rank is certified from
+      ``R^{-1}`` (trtri, O(P^3 / 3)), and only where that certificate fails
+      do the singular values of ``R`` decide.
       ``theta`` solves ``R theta = Q'y`` in O(P^2).
     """
     phi.check_output(y_l)

@@ -1134,8 +1134,9 @@ class TestApplyHyperparameters:
         pair = KernelSum(terms=(DiagonalCorrelated(), ResonantPole(decay=0.9, frequency=0.4)))
         with pytest.raises(ValueError, match="'terms.0.sigma1'"):
             apply_hyperparameters(pair, {"terms.0.sigma1": 0.5})
-        # a non-integer or missing index, a term the sum lacks, a plain name on a sum
-        for path in ("terms.a.decay", "terms..decay", "terms.2.decay", "decay"):
+        # a non-integer or missing index, a term the sum lacks, a plain name on a sum,
+        # and an index spelt other than as its canonical ASCII numeral
+        for path in ("terms.a.decay", "terms..decay", "terms.2.decay", "decay", "terms.01.decay", "terms.\uff11.decay"):
             with pytest.raises(ValueError, match=re.escape(repr(path))):
                 apply_hyperparameters(pair, {path: 0.5})
 
@@ -1146,6 +1147,12 @@ class TestApplyHyperparameters:
 
 
 class TestHyperparameterVector:
+    def test_empty_vector_rejected(self):
+        """No hyperparameter gives the tuner nothing to search and
+        ``tuning_budget`` no sweep count."""
+        with pytest.raises(ValueError, match="HyperparameterVector is empty"):
+            HyperparameterVector(values={}, bounds={})
+
     def test_values_within_bounds_enforced(self):
         with pytest.raises(ValueError):
             HyperparameterVector(values={"decay": 0.99}, bounds={"decay": (0.5, 0.9)})

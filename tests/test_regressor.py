@@ -1,4 +1,4 @@
-"""Tests for regressor construction, least squares, and identifiability."""
+"""Tests for regressor construction and least squares."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,7 @@ import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beyondnyq.regressor import (
-    NonUniqueReason,
-    RegressorMatrix,
-    build_regressor,
-    identifiability_check,
-    least_squares_fir,
-)
+from beyondnyq.regressor import RegressorMatrix, build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, SlowSignal, downsample, random_noise
 
 
@@ -26,6 +20,16 @@ def decimated_convolution(u, theta, factor, output_length):
 def zoh_input(levels, factor, period):
     """Fast-rate signal holding each slow-rate level for ``factor`` samples."""
     return FastSignal(samples=np.repeat(np.asarray(levels, dtype=float), factor), period=period)
+
+
+def svd_unique(phi):
+    """Oracle: whether ``Phi`` admits a unique least-squares fit, from its own
+    singular values: ``P < M`` and all ``P`` of them above the tolerance
+    ``max(M, P) * eps * sigma_max``."""
+    m, p = phi.entries.shape
+    singular_values = scipy.linalg.svdvals(phi.entries)
+    tol = max(m, p) * np.finfo(float).eps * singular_values[0]
+    return p < m and np.count_nonzero(singular_values > tol) == p
 
 
 def ls_tolerance(a, y, theta):
@@ -141,6 +145,10 @@ class TestBuildRegressor:
 
 
 class TestIdentifiabilityCheck:
+    """The paper's limits of least squares, as least_squares_fir states
+    them: no unique model once the order reaches the output length, nor from
+    a zero-order-hold input above order two."""
+
     def test_order_at_least_output_length_never_unique(self):
         rng = np.random.default_rng(2)
         for trial in range(25):
@@ -149,9 +157,9 @@ class TestIdentifiabilityCheck:
             m = (n - 1) // factor + 1
             order = int(rng.integers(m, n + 1))
             u = FastSignal(samples=rng.normal(size=n), period=0.1)
-            report = identifiability_check(build_regressor(u, factor, order))
-            assert not report.unique
-            assert report.reason is NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
+            phi = build_regressor(u, factor, order)
+            y = SlowSignal(samples=rng.normal(size=m), period=0.1 * factor, factor=factor)
+            assert least_squares_fir(phi, y) is None
 
     def test_zoh_input_has_repeated_columns(self):
         rng = np.random.default_rng(3)
@@ -159,11 +167,10 @@ class TestIdentifiabilityCheck:
         phi = build_regressor(u, factor=2, order=3)
         # columns 1 and 2 both read the held value of the previous interval
         np.testing.assert_array_equal(phi.entries[:, 1], phi.entries[:, 2])
-        report = identifiability_check(phi)
-        assert not report.unique
-        assert report.null_dimension >= 1
         null_vector = np.array([0.0, 1.0, -1.0])
         np.testing.assert_allclose(phi.entries @ null_vector, 0.0, atol=1e-12)
+        y = SlowSignal(samples=rng.normal(size=phi.output_length), period=0.2, factor=2)
+        assert least_squares_fir(phi, y) is None
 
     def test_zoh_never_unique_above_order_two(self):
         rng = np.random.default_rng(5)
@@ -172,29 +179,17 @@ class TestIdentifiabilityCheck:
             blocks = int(rng.integers(6, 15))
             u = zoh_input(rng.normal(size=blocks), factor, 0.1)
             order = int(rng.integers(3, min(blocks * factor, blocks * factor // 2 + 3)))
-            report = identifiability_check(build_regressor(u, factor, order))
-            assert not report.unique
+            phi = build_regressor(u, factor, order)
+            y = SlowSignal(samples=rng.normal(size=phi.output_length), period=0.1 * factor, factor=factor)
+            assert least_squares_fir(phi, y) is None
 
     def test_white_noise_well_posed_case_is_unique(self):
         u = random_noise(150, 0.1, 1.0, seed=6)
         phi = build_regressor(u, factor=3, order=10)  # M=50, P=10
-        report = identifiability_check(phi)
-        assert report.unique
-        assert report.rank == 10
-        assert report.null_dimension == 0
-        assert report.reason is NonUniqueReason.OK
-
-    def test_rank_plus_null_dimension_is_order(self):
-        rng = np.random.default_rng(7)
-        for trial in range(20):
-            n = int(rng.integers(10, 50))
-            factor = int(rng.integers(1, 4))
-            order = int(rng.integers(1, n + 1))
-            u = FastSignal(samples=rng.normal(size=n), period=0.1)
-            report = identifiability_check(build_regressor(u, factor, order))
-            assert report.rank + report.null_dimension == order
-            if report.unique:
-                assert report.null_dimension == 0
+        y = SlowSignal(samples=random_noise(50, 0.3, 1.0, seed=7).samples, period=0.3, factor=3)
+        model = least_squares_fir(phi, y)
+        assert model is not None
+        assert model.theta.shape == (10,)
 
 
 class TestLeastSquaresFir:
@@ -212,7 +207,6 @@ class TestLeastSquaresFir:
         phi = build_regressor(u, factor=3, order=10)  # M = P = 10
         y = SlowSignal(samples=np.zeros(10), period=0.3, factor=3)
         assert least_squares_fir(phi, y) is None
-        assert identifiability_check(phi).reason is NonUniqueReason.ORDER_EXCEEDS_OUTPUT_LENGTH
 
     def test_recovers_true_coefficients_noiseless(self):
         rng = np.random.default_rng(9)
@@ -259,7 +253,8 @@ class TestLeastSquaresFir:
 
 class TestLeastSquaresAgreesWithCheck:
     """least_squares_fir runs its rank test on R from its own QR; the verdict
-    must be identifiability_check's, which runs on the singular values of Phi."""
+    must be the check of svd_unique, which runs on the singular values of
+    Phi."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -269,6 +264,11 @@ class TestLeastSquaresAgreesWithCheck:
         zoh=st.booleans(),
         order_share=st.floats(0.0, 1.0),
     )
+    # each side of M = 10, from white noise and from a held input
+    @example(seed=0, factor=2, blocks=10, zoh=False, order_share=0.2)  # P = 5: unique
+    @example(seed=0, factor=2, blocks=10, zoh=True, order_share=0.2)  # P = 5: repeated columns
+    @example(seed=0, factor=2, blocks=10, zoh=False, order_share=0.8)  # P = 16 >= M
+    @example(seed=0, factor=2, blocks=10, zoh=True, order_share=0.8)  # P = 16 >= M
     def test_none_exactly_when_not_unique(self, seed, factor, blocks, zoh, order_share):
         rng = np.random.default_rng(seed)
         if zoh:
@@ -280,7 +280,7 @@ class TestLeastSquaresAgreesWithCheck:
         phi = build_regressor(u, factor, order)
         y = SlowSignal(samples=rng.normal(size=phi.output_length), period=0.1 * factor, factor=factor)
         model = least_squares_fir(phi, y)
-        assert (model is None) == (not identifiability_check(phi).unique)
+        assert (model is None) == (not svd_unique(phi))
         if model is None:
             return
         theta = model.theta
