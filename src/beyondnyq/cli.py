@@ -30,10 +30,15 @@ Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
 else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
 
 Parallelism: ``NB_THREADS=n`` runs the ``simulate-mc`` runs on n threads
-(default 1).  Every command runs BLAS on one thread, whatever the environment
-sets (for example ``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS
-copies then never compete for the cores, and the outputs do not depend on
-the BLAS thread count.
+(default 1).  A tuned study's tuning, most of its time, runs in ``min(n,
+runs)`` forked worker processes, since the tuner's Python code and scipy's
+LAPACK wrappers hold the GIL; it stays in the run threads where fork is not
+available or the BLAS cannot stop its threads for the fork (no OpenBLAS is
+loaded, or one runs on OpenMP).  The outputs are the same for any n.  Every
+command runs BLAS on one thread, whatever the environment sets (for example
+``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies then never
+compete for the cores, and the outputs do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -333,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondnyq",
         description="Fast-rate FIR identification from slow-rate outputs",
-        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1). Every "
-        "command runs BLAS on one thread, whatever OPENBLAS_NUM_THREADS says.",
+        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1), and a tuned "
+        "study's tuning in min(n, runs) forked worker processes (in the run threads where fork "
+        "is unavailable or the BLAS cannot stop its threads for it). Every command runs BLAS on "
+        "one thread, whatever OPENBLAS_NUM_THREADS says.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -199,7 +199,7 @@ def _shifted_cholesky(gram: np.ndarray, gamma: float) -> tuple[np.ndarray, float
     shifted Gram is not positive definite in floating point or holds
     non-finite entries.
     """
-    gram[np.diag_indices_from(gram)] += gamma
+    gram.flat[:: gram.shape[0] + 1] += gamma
     try:
         # skipping the finite scan matters because hyperparameter search
         # factorizes thousands of these; LAPACK factors inf/NaN entries

@@ -18,15 +18,18 @@ are bit-reproducible and runs can execute in parallel.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import signal
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from ._blas import single_threaded_blas
+from ._blas import single_threaded_blas, stop_thread_pools
 from .errors import NumericalError
 from .estimator import (
     RegularizedProblem,
@@ -382,7 +385,7 @@ def _tuning(config: MonteCarloConfig) -> dict:
     return tuning
 
 
-def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRecord]:
+def _execute_run(config: MonteCarloConfig, run: int, tuning: dict, apply) -> list[RunRecord]:
     streams = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(run,)).generate_state(5)
     rng_plant = np.random.Generator(np.random.PCG64(int(streams[0])))
     rng_snr = np.random.Generator(np.random.PCG64(int(streams[4])))
@@ -411,10 +414,9 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
     max_order = max(config.orders)
     phi_max = build_regressor(u_train, config.factor, max_order)
     fitted = {e: (config.kernel_for(e), config.gamma) for e in config.estimators if e != "ls"}
-    for estimator, (eta0, budget) in tuning.items():
-        template = config.kernel_for(estimator)
-        eta = optimize_hyperparameters(phi_max, y_l, template, eta0, gamma=config.gamma, budget=budget)
-        fitted[estimator] = kernel_and_gamma(template, eta.values, config.gamma)
+    if tuning:
+        for estimator, eta in apply(_tune, (config, tuning, phi_max.entries, y_l)).items():
+            fitted[estimator] = kernel_and_gamma(config.kernel_for(estimator), eta.values, config.gamma)
 
     records = []
     for order in config.orders:
@@ -432,6 +434,52 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict) -> list[RunRe
                 status, gof = "ok", goodness_of_fit(y_valid, predict_fast_output(model, u_valid))
             records.append(RunRecord(run, int(streams[0]), estimator, order, status, gof, snr, plant_params))
     return records
+
+
+def _tune(config: MonteCarloConfig, tuning: dict, entries: np.ndarray, y_l) -> dict:
+    """One run's tuned :class:`HyperparameterVector` per estimator of
+    ``tuning``, on the regressor with ``entries``: the task that a tuning
+    worker process runs."""
+    phi = RegressorMatrix(entries=entries, factor=config.factor)
+    return {
+        estimator: optimize_hyperparameters(
+            phi, y_l, config.kernel_for(estimator), eta0, gamma=config.gamma, budget=budget
+        )
+        for estimator, (eta0, budget) in tuning.items()
+    }
+
+
+def _apply_here(function, args):
+    return function(*args)
+
+
+@contextmanager
+def _tuning_processes(processes: int):
+    """``apply(function, args)``, which calls ``function(*args)`` in one of
+    ``processes`` forked workers, or in the thread that calls it where
+    :func:`run_monte_carlo` says the runs tune in their threads.  Enter it
+    before any other thread starts, so that the fork copies one thread.  The
+    workers ignore SIGINT, which reaches the study instead, and none
+    outlives the block.  Once a worker has died (killed, say), ``apply``
+    raises ``ChildProcessError``: the pool would wait forever for the task
+    that the worker held."""
+    if processes < 2 or "fork" not in multiprocessing.get_all_start_methods() or not stop_thread_pools():
+        yield _apply_here
+        return
+    others = set(multiprocessing.active_children())
+    pool = multiprocessing.get_context("fork").Pool(processes, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    workers = set(multiprocessing.active_children()) - others
+
+    def apply(function, args):
+        result = pool.apply_async(function, args)
+        while not result.ready():
+            if any(worker.exitcode is not None for worker in workers):
+                raise ChildProcessError("a tuning worker process died")
+            result.wait(0.1)
+        return result.get()
+
+    with pool:
+        yield apply
 
 
 def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[SummaryEntry, ...]:
@@ -455,10 +503,19 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     """Execute all runs (optionally in parallel) and aggregate GoF statistics.
 
     ``max_workers`` threads (an integer >= 1, checked before any run) run
-    the runs and are the study's only parallelism: for the duration of the
-    call every loaded OpenBLAS runs on one thread.  At these problem sizes
-    BLAS threads cost more than they give, and under run-level workers they
-    oversubscribe the cores.  The pin
+    the runs.  In a tuned study with ``min(max_workers, runs) >= 2``, each
+    run's :func:`optimize_hyperparameters` calls, and only those, run in a
+    pool of that many worker processes, since the tuner's Python code and
+    scipy's LAPACK wrappers hold the GIL.  The call forks the pool before it
+    starts a run thread, after every loaded OpenBLAS has stopped its idle
+    threads, so the fork copies one thread, and every worker has exited
+    when the call returns or raises.  Where fork is not available, no
+    OpenBLAS is loaded or one runs on OpenMP, the runs tune in their threads.
+
+    These are the study's only parallelism: for the duration of the call
+    every loaded OpenBLAS runs on one thread, in the workers too.  At these
+    problem sizes BLAS threads cost more than they give, and under run-level
+    workers they oversubscribe the cores.  The pin
     is process-wide: BLAS calls from other threads of the process run on one
     thread too until the call returns (the last to return, if calls
     overlap), and the previous thread counts are then restored, also when
@@ -466,22 +523,25 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
 
     Results are identical for any ``max_workers``: every run derives its RNG
     streams from ``(base_seed, run_index)`` alone and records are ordered by
-    run index.  A failing run is recorded as a :class:`RunError` and does not
-    abort the study.  A tuned study whose tuning start cannot be built raises
+    run index.  A failing run is recorded as a :class:`RunError`, with the
+    same type, message and diagnostics when its tuner raised in a worker
+    process, and does not abort the study.  A tuned study whose tuning start cannot be built raises
     ``ValueError`` before the first run.
     """
     max_workers = _integer("max_workers", max_workers, 1)
     tuning = _tuning(config)
 
-    def one(run: int):
+    def one(run: int, apply):
         try:
-            return _execute_run(config, run, tuning)
+            return _execute_run(config, run, tuning, apply)
         except Exception as exc:  # noqa: BLE001 - reported per run, never silent
             diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
             return RunError(run, str(exc), type(exc).__name__, diagnostics)
 
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(one, range(config.runs)))
+    processes = min(max_workers, config.runs) if tuning else 1
+    with single_threaded_blas(), _tuning_processes(processes) as apply:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            outcomes = list(pool.map(one, range(config.runs), [apply] * config.runs))
 
     records: list[RunRecord] = []
     errors: list[RunError] = []
@@ -497,15 +557,20 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     )
 
 
+def _values(obj) -> list:
+    """The field values of dataclass ``obj``, not copied (``astuple`` deep-copies)."""
+    return [getattr(obj, f.name) for f in fields(obj)]
+
+
 def write_records_csv(result: MonteCarloResult, path: str | Path) -> None:
     """A row per record: its fields, the last one, ``plant``, spread into its own."""
     header = [f.name for f in fields(RunRecord)[:-1] + fields(ContinuousPlant)]
-    _write_csv(path, header, ((*row[:-1], *row[-1]) for row in map(astuple, result.records)))
+    _write_csv(path, header, (_values(r)[:-1] + _values(r.plant) for r in result.records))
 
 
 def write_summary_csv(result: MonteCarloResult, path: str | Path) -> None:
     """One row per :class:`SummaryEntry`, its fields as the columns."""
-    _write_csv(path, [f.name for f in fields(SummaryEntry)], map(astuple, result.summary))
+    _write_csv(path, [f.name for f in fields(SummaryEntry)], map(_values, result.summary))
 
 
 # (from JSON, to JSON) per field; other fields are their JSON values, tuples written as lists

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ def test_nb_threads_leaves_outputs_unchanged(tmp_path, monkeypatch):
     assert code == EXIT_OK
     for name in ("runs.csv", "summary.csv"):
         assert (threaded / name).read_bytes() == (serial / name).read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_non_integer_nb_threads_is_config_error(tmp_path, monkeypatch, capsys):
@@ -126,6 +128,24 @@ def test_failed_run_reports_type_and_diagnostics(tmp_path, monkeypatch, capsys):
     code, _ = simulate_mc(tmp_path, "failed", {"runs": 1, "n_samples": 90, "orders": [10], "estimators": ["dc"]})
     assert code == EXIT_NUMERICAL
     assert "run 0 failed: NumericalError: no factor diagnostics={'gamma': 1e-05}" in capsys.readouterr().err
+
+
+def test_tuner_failing_in_workers_exits_1_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    """A tuned study on two workers, whose tuner raises in the worker
+    processes, names each failed run with its diagnostics and exits 1, and
+    no worker outlives the command."""
+    def fail(*args, **kwargs):
+        raise NumericalError("no factor", {"gamma": 1e-5})
+
+    monkeypatch.setattr(sim, "optimize_hyperparameters", fail)
+    monkeypatch.setenv("NB_THREADS", "2")
+    code, out = simulate_mc(tmp_path, "failed")
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    for run in range(TINY_MC["runs"]):
+        assert f"run {run} failed: NumericalError: no factor diagnostics={{'gamma': 1e-05}}" in err
+    assert (out / "runs.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_import_leaves_scipy_signal_unloaded():

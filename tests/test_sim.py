@@ -1,11 +1,18 @@
 """Tests for the plant simulation and the Monte Carlo study: physics against
-scipy.signal, LS statuses, the paper's ordering, worker-count invariance and
-the BLAS pin."""
+scipy.signal, LS statuses, the paper's ordering, worker-count invariance, the
+tuning worker processes and the BLAS pin."""
 
 import csv
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
+import pickle
+import signal
+import tempfile
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +37,39 @@ from beyondnyq.sim import (
 )
 
 TUNED = MonteCarloConfig(runs=2, n_samples=150, orders=(20, 60), estimators=("dc", "pk"), tune=True)
+TUNED3 = replace(TUNED, runs=3)
 FIXED = MonteCarloConfig(runs=2, n_samples=90, orders=(10, 30))
+
+
+def process_log(directory):
+    """``(keep, kept)``: ``keep(obj)`` stores a picklable object from any
+    process, a forked tuning worker included, in a file of its own under
+    ``directory``; ``kept()`` lists every stored object, in no order."""
+
+    def keep(obj):
+        handle, _ = tempfile.mkstemp(dir=directory)
+        with os.fdopen(handle, "wb") as f:
+            pickle.dump(obj, f)
+
+    def kept():
+        return [pickle.loads(path.read_bytes()) for path in Path(directory).iterdir()]
+
+    return keep, kept
+
+
+def logged_tuner(monkeypatch, directory, entry):
+    """Route the study's tuner calls through a spy that keeps
+    ``entry(eta0, budget)`` per call, from whichever process makes it, and
+    then tunes; returns the reader of the kept entries."""
+    keep, kept = process_log(directory)
+    optimize = sim.optimize_hyperparameters
+
+    def spy(phi, y_l, template, eta0, *, gamma, budget):
+        keep(entry(eta0, budget))
+        return optimize(phi, y_l, template, eta0, gamma=gamma, budget=budget)
+
+    monkeypatch.setattr(sim, "optimize_hyperparameters", spy)
+    return kept
 
 
 def assert_close_relative(actual, expected, tolerance):
@@ -302,11 +341,26 @@ def test_tuning_start_built_once_per_study(monkeypatch):
 
     monkeypatch.setattr(sim, "tuning_start", start)
     monkeypatch.setattr(sim, "optimize_hyperparameters", optimize)
-    result = run_monte_carlo(TUNED, max_workers=2)
+    result = run_monte_carlo(TUNED, max_workers=1)
     assert not result.errors
     assert built == [tuning_start(TUNED.kernel_for(e), TUNED.gamma, TUNED.factor) for e in TUNED.estimators]
     assert sorted(id(eta0) for eta0, _ in used) == sorted(map(id, built * TUNED.runs))
     assert sorted(budget for _, budget in used) == [79, 79, 538, 538]
+
+
+def test_tuning_start_reaches_worker_processes(monkeypatch, tmp_path):
+    """With two workers the tuner runs in other processes, where an ``id``
+    means nothing: every run's tuner gets the study's start per estimator,
+    by value, with its budget."""
+    kept = logged_tuner(monkeypatch, tmp_path, lambda eta0, budget: (eta0, budget, os.getpid()))
+    result = run_monte_carlo(TUNED, max_workers=2)
+    assert not result.errors
+    starts = {e: tuning_start(TUNED.kernel_for(e), TUNED.gamma, TUNED.factor) for e in TUNED.estimators}
+    used = kept()
+    assert os.getpid() not in {pid for _, _, pid in used}
+    assert sorted(((eta0, budget) for eta0, budget, _ in used), key=lambda pair: pair[1]) == [
+        (starts["dc"], 79), (starts["dc"], 79), (starts["pk"], 538), (starts["pk"], 538)
+    ]
 
 
 def test_paper_ordering():
@@ -330,12 +384,132 @@ def test_paper_ordering():
 
 
 def test_tuned_study_identical_for_any_worker_count():
-    serial = run_monte_carlo(TUNED, max_workers=1)
-    threaded = run_monte_carlo(TUNED, max_workers=2)
-    assert len(serial.records) == 8 and not serial.errors
-    assert threaded.records == serial.records
-    assert threaded.summary == serial.summary
-    assert threaded.errors == serial.errors
+    """Records, summary and errors are the same on one run thread, where the
+    runs tune in-process, and on 2 and 3, where they tune in as many worker
+    processes."""
+    serial = run_monte_carlo(TUNED3, max_workers=1)
+    assert len(serial.records) == 12 and not serial.errors
+    for max_workers in (2, 3):
+        parallel = run_monte_carlo(TUNED3, max_workers=max_workers)
+        assert parallel.records == serial.records
+        assert parallel.summary == serial.summary
+        assert parallel.errors == serial.errors
+
+
+def first_output_sample(monkeypatch, config, run):
+    """The first slow output sample of ``run``, which tells its tuner calls
+    apart from the other runs'."""
+    firsts = []
+    optimize = sim.optimize_hyperparameters
+
+    def record(phi, y_l, *args, **kwargs):
+        firsts.append(y_l.samples[0])
+        return optimize(phi, y_l, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "optimize_hyperparameters", record)
+    run_monte_carlo(config, max_workers=1)
+    monkeypatch.setattr(sim, "optimize_hyperparameters", optimize)
+    # one worker tunes in run order, one call per regularized estimator
+    return firsts[run * len(config.estimators)]
+
+
+def test_tuner_error_in_a_worker_is_the_run_error_of_one_worker(monkeypatch):
+    """A :class:`NumericalError` with diagnostics, raised by the tuner of run
+    1 in a worker process, is the :class:`RunError` (type, message and
+    diagnostics) that one worker records, and runs 0 and 2 are recorded."""
+    run_1 = first_output_sample(monkeypatch, TUNED3, 1)
+    optimize = sim.optimize_hyperparameters
+    diagnostics = {"gamma": 1e-5, "condition_estimate": 3e17}
+
+    def fail_run_1(phi, y_l, template, eta0, *, gamma, budget):
+        if y_l.samples[0] == run_1 and template == TUNED3.pk_kernel:
+            raise NumericalError("no factor", diagnostics)
+        return optimize(phi, y_l, template, eta0, gamma=gamma, budget=budget)
+
+    monkeypatch.setattr(sim, "optimize_hyperparameters", fail_run_1)
+    serial = run_monte_carlo(TUNED3, max_workers=1)
+    assert serial.errors == (sim.RunError(1, "no factor", "NumericalError", diagnostics),)
+    assert {r.run for r in serial.records} == {0, 2}
+    for max_workers in (2, 3):
+        parallel = run_monte_carlo(TUNED3, max_workers=max_workers)
+        assert parallel.errors == serial.errors
+        assert parallel.records == serial.records
+        assert parallel.summary == serial.summary
+
+
+def test_a_dead_tuning_worker_fails_the_waiting_runs(monkeypatch):
+    """A worker that dies while it tunes run 1 takes that run's task with
+    it: the study fails the runs left waiting for a tuning, with
+    ``ChildProcessError``, instead of waiting forever, and no worker
+    outlives it."""
+    run_1 = first_output_sample(monkeypatch, TUNED3, 1)
+    optimize = sim.optimize_hyperparameters
+
+    def die_in_run_1(phi, y_l, *args, **kwargs):
+        if y_l.samples[0] == run_1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return optimize(phi, y_l, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "optimize_hyperparameters", die_in_run_1)
+    results = []
+    study = threading.Thread(target=lambda: results.append(run_monte_carlo(TUNED3, max_workers=2)), daemon=True)
+    study.start()
+    study.join(timeout=120)
+    assert not study.is_alive()
+    (result,) = results
+    assert 1 in {e.run for e in result.errors}
+    assert {(e.error_type, e.message) for e in result.errors} == {("ChildProcessError", "a tuning worker process died")}
+    assert {e.run for e in result.errors} | {r.run for r in result.records} == set(range(TUNED3.runs))
+    assert multiprocessing.active_children() == []
+
+
+def test_tuning_pool_has_one_process_per_concurrent_run(monkeypatch):
+    """The pool has ``min(max_workers, runs)`` processes: 2 for 64 workers
+    and 2 runs.  A study with one run, or with nothing to tune, forks none."""
+    sizes = []
+
+    class Spy(multiprocessing.pool.Pool):
+        def __init__(self, processes, *args, **kwargs):
+            sizes.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
+    assert not run_monte_carlo(TUNED, max_workers=64).errors
+    assert not run_monte_carlo(replace(TUNED, runs=1), max_workers=2).errors
+    assert not run_monte_carlo(FIXED, max_workers=2).errors
+    assert sizes == [2]
+
+
+class Interrupt(BaseException):
+    """Not an ``Exception``: it ends the study instead of becoming a RunError."""
+
+
+def test_no_tuning_worker_outlives_the_study(monkeypatch, tmp_path):
+    """Every worker process has exited, and been reaped, when the study
+    returns and when it raises."""
+    kept = logged_tuner(monkeypatch, tmp_path, lambda eta0, budget: os.getpid())
+
+    def assert_workers_gone():
+        pids = set(kept())
+        assert pids and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+        assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+
+    assert not run_monte_carlo(TUNED, max_workers=2).errors
+    assert_workers_gone()
+
+    execute = sim._execute_run
+
+    def interrupted(config, run, *args):
+        records = execute(config, run, *args)
+        if run == 1:
+            raise Interrupt
+        return records
+
+    monkeypatch.setattr(sim, "_execute_run", interrupted)
+    with pytest.raises(Interrupt):
+        run_monte_carlo(TUNED, max_workers=2)
+    assert_workers_gone()
 
 
 @pytest.mark.parametrize(
@@ -375,6 +549,43 @@ def test_runs_see_single_threaded_blas(monkeypatch, blas_at_two, max_workers):
     assert not result.errors
     assert seen == [[1] * len(blas_at_two)] * FIXED.runs
     assert thread_counts() == blas_at_two
+
+
+@requires_openblas
+def test_tuning_workers_see_single_threaded_blas(monkeypatch, tmp_path, blas_at_two):
+    """The worker processes tune on one BLAS thread, and the caller's thread
+    counts come back when the study returns."""
+    kept = logged_tuner(monkeypatch, tmp_path, lambda eta0, budget: (os.getpid(), thread_counts()))
+    assert not run_monte_carlo(TUNED, max_workers=2).errors
+    seen = kept()
+    assert os.getpid() not in {pid for pid, _ in seen}
+    assert [counts for _, counts in seen] == [[1] * len(blas_at_two)] * len(TUNED.estimators) * TUNED.runs
+    assert thread_counts() == blas_at_two
+
+
+def os_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@requires_openblas
+def test_tuning_workers_fork_no_blas_thread(monkeypatch, blas_at_two):
+    """At each fork of a tuning worker no OpenBLAS pool thread is alive:
+    the process runs its Python threads only."""
+    a = np.random.default_rng(0).standard_normal((500, 500))
+    a @ a  # noqa: B018 - starts the OpenBLAS thread pools
+    scipy.linalg.cholesky(a @ a.T + 500 * np.eye(500))
+    assert os_threads() > threading.active_count()
+    counts = []
+    fork = os.fork
+
+    def spy():
+        counts.append((os_threads(), threading.active_count()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    assert not run_monte_carlo(TUNED, max_workers=2).errors
+    assert len(counts) == 2
+    assert all(threads == python_threads for threads, python_threads in counts)
 
 
 @requires_openblas
