@@ -29,16 +29,16 @@ first run of ``simulate-mc``.
 Seeds: ``simulate-mc`` alone draws random numbers, from ``--seed`` if given,
 else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
 
-Parallelism: ``NB_THREADS=n`` runs the ``simulate-mc`` runs on n threads
-(default 1).  A tuned study's tuning, most of its time, runs in ``min(n,
-runs)`` forked worker processes, since the tuner's Python code and scipy's
-LAPACK wrappers hold the GIL; it stays in the run threads where fork is not
-available or the BLAS cannot stop its threads for the fork (no OpenBLAS is
-loaded, or one runs on OpenMP).  The outputs are the same for any n.  Every
-command runs BLAS on one thread, whatever the environment sets (for example
-``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies then never
-compete for the cores, and the outputs do not depend on the BLAS thread
-count.
+Parallelism: ``simulate-mc`` runs its runs in one thread.  With
+``NB_THREADS=n`` (default 1) a tuned study's tuning, most of its time, runs
+in ``min(n, runs)`` forked worker processes, since the tuner's Python code
+and scipy's LAPACK wrappers hold the GIL; it stays in that thread where fork
+is not available or the BLAS cannot stop its threads for the fork (no
+OpenBLAS is loaded, or one runs on OpenMP).  The outputs are the same for
+any n.  Every command runs BLAS on one thread, whatever the environment sets
+(for example ``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies
+then never compete for the cores, and the outputs do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .estimator import (
     tuning_start,
 )
 from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
-from .regressor import build_regressor, least_squares_fir
+from .regressor import RegressorMatrix, build_regressor, least_squares_fir
 from .signals import (
     FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, _write_csv, _write_json,
     downsample, fir_frf, read_signal_csv,
@@ -167,7 +167,8 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
     return plan
 
 
-def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal]:
+def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal, RegressorMatrix]:
+    """The data files' input and slow output, and the regressor of the config's ``order``."""
     data = _object(_require(config, "data", "config"), "data", ("input_csv", "output_csv"))
     input_path = _path("data.input_csv", _require(data, "input_csv", "data"))
     output_path = _path("data.output_csv", _require(data, "output_csv", "data"))
@@ -182,7 +183,8 @@ def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, Sl
             f"{output_path}: {len(y)} output samples need at least "
             f"{(len(y) - 1) * factor + 1} input samples, got {len(u)}"
         )
-    return u, y
+    order = _integer_setting("order", _require(config, "order", "config"), 1)
+    return u, y, build_regressor(u, factor, order, len(y))
 
 
 def _write_frf_csv(model: FirModel, path: Path, omegas: np.ndarray) -> None:
@@ -208,9 +210,8 @@ def _frf_grid(config: dict, period: float) -> np.ndarray:
 def cmd_identify(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
     plan = _estimator_plan(config)
-    u, y_l = _read_data(config, period, factor)
-    order = _integer_setting("order", _require(config, "order", "config"), 1)
-    phi = build_regressor(u, factor, order, len(y_l))
+    u, y_l, phi = _read_data(config, period, factor)
+    order = phi.order
     omegas = _frf_grid(config, period)
 
     reports = []
@@ -279,9 +280,7 @@ def cmd_frf(config: dict, out_dir: Path) -> int:
 
 def cmd_tune(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
-    u, y_l = _read_data(config, period, factor)
-    order = _integer_setting("order", _require(config, "order", "config"), 1)
-    phi = build_regressor(u, factor, order, len(y_l))
+    _, y_l, phi = _read_data(config, period, factor)
 
     tune = _object(_require(config, "tune", "config"), "tune", ("estimator", "init", "bounds", "budget"))
     estimator = _require(tune, "estimator", "tune")
@@ -338,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondnyq",
         description="Fast-rate FIR identification from slow-rate outputs",
-        epilog="NB_THREADS=n runs the simulate-mc runs on n threads (default 1), and a tuned "
-        "study's tuning in min(n, runs) forked worker processes (in the run threads where fork "
-        "is unavailable or the BLAS cannot stop its threads for it). Every command runs BLAS on "
-        "one thread, whatever OPENBLAS_NUM_THREADS says.",
+        epilog="NB_THREADS=n runs a tuned simulate-mc study's tuning in min(n, runs) forked worker "
+        "processes (default 1; in the study's one thread where fork is unavailable or the BLAS "
+        "cannot stop its threads for it). Every command runs BLAS on one thread, whatever "
+        "OPENBLAS_NUM_THREADS says.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -12,7 +12,8 @@ multisines, adds measurement noise at a drawn variance ratio, downsamples the
 training output, and scores least-squares and kernel-regularized fits of
 several orders against the noiseless fast-rate validation output.  Runs own
 independent RNG streams derived from ``(base_seed, run_index)``, so results
-are bit-reproducible and runs can execute in parallel.
+are bit-reproducible and a tuning worker process rebuilds a run's data from
+its seed and index alone.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import signal
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -385,7 +386,9 @@ def _tuning(config: MonteCarloConfig) -> dict:
     return tuning
 
 
-def _execute_run(config: MonteCarloConfig, run: int, tuning: dict, apply) -> list[RunRecord]:
+def _run_data(config: MonteCarloConfig, run: int):
+    """Run ``run``'s plant seed, plant, SNR, validation data, slow training
+    output and largest-order regressor, from its RNG streams alone."""
     streams = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(run,)).generate_state(5)
     rng_plant = np.random.Generator(np.random.PCG64(int(streams[0])))
     rng_snr = np.random.Generator(np.random.PCG64(int(streams[4])))
@@ -408,15 +411,16 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict, apply) -> lis
     sigma = math.sqrt(float(np.var(y_train.samples)) / (snr * float(np.var(noise.samples))))
     y_noisy = FastSignal(samples=y_train.samples + sigma * noise.samples, period=config.period)
     y_l = downsample(y_noisy, config.factor)
+    phi_max = build_regressor(u_train, config.factor, max(config.orders))
+    return int(streams[0]), plant_params, snr, u_valid, y_valid, y_l, phi_max
 
-    # hyperparameters describe the system (decay rate, resonances, response
-    # scale), not the model order: tune once per run at the largest order
-    max_order = max(config.orders)
-    phi_max = build_regressor(u_train, config.factor, max_order)
+
+def _execute_run(config: MonteCarloConfig, run: int, tuned: dict) -> list[RunRecord]:
+    """Run ``run``'s records, fitted with :func:`_tune`'s result ``tuned`` where it has one."""
+    seed, plant_params, snr, u_valid, y_valid, y_l, phi_max = _run_data(config, run)
     fitted = {e: (config.kernel_for(e), config.gamma) for e in config.estimators if e != "ls"}
-    if tuning:
-        for estimator, eta in apply(_tune, (config, tuning, phi_max.entries, y_l)).items():
-            fitted[estimator] = kernel_and_gamma(config.kernel_for(estimator), eta.values, config.gamma)
+    for estimator, eta in tuned.items():
+        fitted[estimator] = kernel_and_gamma(config.kernel_for(estimator), eta.values, config.gamma)
 
     records = []
     for order in config.orders:
@@ -432,15 +436,17 @@ def _execute_run(config: MonteCarloConfig, run: int, tuning: dict, apply) -> lis
                 status, gof = "non_unique", None
             else:
                 status, gof = "ok", goodness_of_fit(y_valid, predict_fast_output(model, u_valid))
-            records.append(RunRecord(run, int(streams[0]), estimator, order, status, gof, snr, plant_params))
+            records.append(RunRecord(run, seed, estimator, order, status, gof, snr, plant_params))
     return records
 
 
-def _tune(config: MonteCarloConfig, tuning: dict, entries: np.ndarray, y_l) -> dict:
-    """One run's tuned :class:`HyperparameterVector` per estimator of
-    ``tuning``, on the regressor with ``entries``: the task that a tuning
-    worker process runs."""
-    phi = RegressorMatrix(entries=entries, factor=config.factor)
+def _tune(config: MonteCarloConfig, tuning: dict, run: int) -> dict:
+    """Run ``run``'s tuned :class:`HyperparameterVector` per estimator of
+    ``tuning``, at the largest order (they describe the system, not the
+    order), on the run's data rebuilt from its seed: a tuning worker's task."""
+    if not tuning:
+        return {}
+    *_, y_l, phi = _run_data(config, run)
     return {
         estimator: optimize_hyperparameters(
             phi, y_l, config.kernel_for(estimator), eta0, gamma=config.gamma, budget=budget
@@ -449,37 +455,38 @@ def _tune(config: MonteCarloConfig, tuning: dict, entries: np.ndarray, y_l) -> d
     }
 
 
-def _apply_here(function, args):
-    return function(*args)
-
-
 @contextmanager
 def _tuning_processes(processes: int):
-    """``apply(function, args)``, which calls ``function(*args)`` in one of
-    ``processes`` forked workers, or in the thread that calls it where
-    :func:`run_monte_carlo` says the runs tune in their threads.  Enter it
-    before any other thread starts, so that the fork copies one thread.  The
-    workers ignore SIGINT, which reaches the study instead, and none
-    outlives the block.  Once a worker has died (killed, say), ``apply``
+    """``submit(function, args)``, which starts ``function(*args)`` in one of
+    ``processes`` forked workers and returns a callable that waits for its
+    result; where :func:`run_monte_carlo` says the runs tune in the calling
+    thread, that callable makes the call itself.  Enter it before any other
+    thread starts, so that the fork copies one thread.  The workers ignore
+    SIGINT, which reaches the study instead, and none outlives the block.
+    Once a worker has died (killed, say), a wait for an unfinished result
     raises ``ChildProcessError``: the pool would wait forever for the task
     that the worker held."""
     if processes < 2 or "fork" not in multiprocessing.get_all_start_methods() or not stop_thread_pools():
-        yield _apply_here
+        yield lambda function, args: partial(function, *args)
         return
     others = set(multiprocessing.active_children())
     pool = multiprocessing.get_context("fork").Pool(processes, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     workers = set(multiprocessing.active_children()) - others
 
-    def apply(function, args):
+    def submit(function, args):
         result = pool.apply_async(function, args)
-        while not result.ready():
-            if any(worker.exitcode is not None for worker in workers):
-                raise ChildProcessError("a tuning worker process died")
-            result.wait(0.1)
-        return result.get()
+
+        def wait():
+            while not result.ready():
+                if any(worker.exitcode is not None for worker in workers):
+                    raise ChildProcessError("a tuning worker process died")
+                result.wait(0.1)
+            return result.get()
+
+        return wait
 
     with pool:
-        yield apply
+        yield submit
 
 
 def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[SummaryEntry, ...]:
@@ -500,19 +507,21 @@ def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[
 
 
 def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarloResult:
-    """Execute all runs (optionally in parallel) and aggregate GoF statistics.
+    """Execute all runs in run order, in the calling thread, and aggregate GoF statistics.
 
-    ``max_workers`` threads (an integer >= 1, checked before any run) run
-    the runs.  In a tuned study with ``min(max_workers, runs) >= 2``, each
-    run's :func:`optimize_hyperparameters` calls, and only those, run in a
-    pool of that many worker processes, since the tuner's Python code and
-    scipy's LAPACK wrappers hold the GIL.  The call forks the pool before it
-    starts a run thread, after every loaded OpenBLAS has stopped its idle
-    threads, so the fork copies one thread, and every worker has exited
-    when the call returns or raises.  Where fork is not available, no
-    OpenBLAS is loaded or one runs on OpenMP, the runs tune in their threads.
+    In a tuned study with ``min(max_workers, runs) >= 2`` (``max_workers``
+    an integer >= 1, checked before any run), each run's
+    :func:`optimize_hyperparameters` calls, and only those, run in a pool of
+    that many worker processes, since the tuner's Python code and scipy's
+    LAPACK wrappers hold the GIL.  Every run's tuning is submitted first;
+    then, run by run, the calling thread waits for it, makes the run's data
+    and fits every order.  The pool is forked after every loaded OpenBLAS has
+    stopped its idle threads, so the fork copies one thread, and every
+    worker has exited when the call returns or raises.  Where fork is not
+    available, no OpenBLAS is loaded or one runs on OpenMP, the runs tune in
+    the calling thread.
 
-    These are the study's only parallelism: for the duration of the call
+    The pool is the study's only parallelism: for the duration of the call
     every loaded OpenBLAS runs on one thread, in the workers too.  At these
     problem sizes BLAS threads cost more than they give, and under run-level
     workers they oversubscribe the cores.  The pin
@@ -530,26 +539,17 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     """
     max_workers = _integer("max_workers", max_workers, 1)
     tuning = _tuning(config)
-
-    def one(run: int, apply):
-        try:
-            return _execute_run(config, run, tuning, apply)
-        except Exception as exc:  # noqa: BLE001 - reported per run, never silent
-            diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
-            return RunError(run, str(exc), type(exc).__name__, diagnostics)
-
-    processes = min(max_workers, config.runs) if tuning else 1
-    with single_threaded_blas(), _tuning_processes(processes) as apply:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(one, range(config.runs), [apply] * config.runs))
-
     records: list[RunRecord] = []
     errors: list[RunError] = []
-    for outcome in outcomes:
-        if isinstance(outcome, RunError):
-            errors.append(outcome)
-        else:
-            records.extend(outcome)
+    processes = min(max_workers, config.runs) if tuning else 1
+    with single_threaded_blas(), _tuning_processes(processes) as submit:
+        tunings = [submit(_tune, (config, tuning, run)) for run in range(config.runs)]
+        for run, tuned in enumerate(tunings):
+            try:
+                records.extend(_execute_run(config, run, tuned()))
+            except Exception as exc:  # noqa: BLE001 - reported per run, never silent
+                diagnostics = exc.diagnostics if isinstance(exc, NumericalError) else {}
+                errors.append(RunError(run, str(exc), type(exc).__name__, diagnostics))
     return MonteCarloResult(
         records=tuple(records),
         summary=_summarize(config, records),

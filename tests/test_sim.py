@@ -384,9 +384,9 @@ def test_paper_ordering():
 
 
 def test_tuned_study_identical_for_any_worker_count():
-    """Records, summary and errors are the same on one run thread, where the
-    runs tune in-process, and on 2 and 3, where they tune in as many worker
-    processes."""
+    """Records, summary and errors are the same with one worker, where the
+    runs tune in the calling thread, and with 2 and 3, where they tune in as
+    many worker processes."""
     serial = run_monte_carlo(TUNED3, max_workers=1)
     assert len(serial.records) == 12 and not serial.errors
     for max_workers in (2, 3):
@@ -486,7 +486,8 @@ class Interrupt(BaseException):
 
 def test_no_tuning_worker_outlives_the_study(monkeypatch, tmp_path):
     """Every worker process has exited, and been reaped, when the study
-    returns and when it raises."""
+    returns and when it raises.  A ``BaseException`` in run 1 of a 4-run
+    study ends it before any later run starts."""
     kept = logged_tuner(monkeypatch, tmp_path, lambda eta0, budget: os.getpid())
 
     def assert_workers_gone():
@@ -498,9 +499,10 @@ def test_no_tuning_worker_outlives_the_study(monkeypatch, tmp_path):
     assert not run_monte_carlo(TUNED, max_workers=2).errors
     assert_workers_gone()
 
-    execute = sim._execute_run
+    execute, started = sim._execute_run, []
 
     def interrupted(config, run, *args):
+        started.append(run)
         records = execute(config, run, *args)
         if run == 1:
             raise Interrupt
@@ -508,8 +510,48 @@ def test_no_tuning_worker_outlives_the_study(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sim, "_execute_run", interrupted)
     with pytest.raises(Interrupt):
-        run_monte_carlo(TUNED, max_workers=2)
+        run_monte_carlo(replace(TUNED, runs=4), max_workers=2)
+    assert started == [0, 1]
     assert_workers_gone()
+
+
+@pytest.mark.parametrize("config", [TUNED, FIXED], ids=["tuned", "untuned"])
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_runs_plants_and_fits_stay_in_the_calling_thread(monkeypatch, config, max_workers):
+    """Every run, plant and fit of the calling process runs in the calling
+    thread, and each largest-order pk fit follows its own run's plant with
+    no other run's plant in between: perfbench pairs each
+    ``sim.regularized_fir`` call with the last ``sim.build_plant`` call of
+    its thread."""
+    calls = []
+
+    def spy(name):
+        function = getattr(sim, name)
+
+        def called(first, *args, **kwargs):
+            calls.append((name, threading.get_ident(), first))
+            return function(first, *args, **kwargs)
+
+        monkeypatch.setattr(sim, name, called)
+
+    for name in ("_execute_run", "build_plant", "regularized_fir"):
+        spy(name)
+    result = run_monte_carlo(config, max_workers=max_workers)
+    assert not result.errors
+    assert {name for name, _, _ in calls} == {"_execute_run", "build_plant", "regularized_fir"}
+    assert {thread for _, thread, _ in calls} == {threading.get_ident()}
+    largest = max(config.orders)
+    # the plants built since the previous largest-order pk fit, per such fit
+    built, since = [], []
+    for name, _, first in calls:
+        if name == "build_plant":
+            since.append(first)
+        elif name == "regularized_fir" and isinstance(first.kernel, KernelSum) and first.phi.order == largest:
+            built.append(since)
+            since = []
+    plants = [r.plant for r in result.records if r.estimator == "pk" and r.order == largest]
+    assert len(built) == len(plants) == config.runs
+    assert all(since and set(since) == {plant} for since, plant in zip(built, plants))
 
 
 @pytest.mark.parametrize(
