@@ -100,8 +100,8 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
     return cached[1]
 
 
-def _unit_piece(phi: np.ndarray, unit: KernelSpec, feature: bool) -> np.ndarray:
-    factored = unit.factor(phi)
+def _unit_piece(phi: RegressorMatrix, unit: KernelSpec, feature: bool) -> np.ndarray:
+    factored = unit.regressor_factor(phi)
     return factored if feature else factored @ factored.T
 
 
@@ -112,16 +112,23 @@ def _scaled_pieces(phi: RegressorMatrix, terms, feature, skip):
         if index == skip:
             continue
         unit, scale = term.unit()
-        yield unit, scale, _cached(phi, index, (unit, feature), lambda: _unit_piece(phi.entries, unit, feature))
+        yield unit, scale, _cached(phi, index, (unit, feature), lambda: _unit_piece(phi, unit, feature))
 
 
 def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
     """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
-    term order, from the unit Grams of ``phi``; a new array."""
-    gram = np.zeros((phi.output_length, phi.output_length))
+    term order, from the unit Grams of ``phi``; a new array, zero where every
+    term is skipped."""
+    gram = None
     for _, scale, piece in _scaled_pieces(phi, _terms(spec), False, skip):
-        gram += scale * piece
-    return gram
+        if gram is None:
+            gram = np.multiply(piece, scale)
+        elif scale == 1.0:
+            # 1.0 * piece is piece exactly: the sum's bits with no temporary
+            gram += piece
+        else:
+            gram += scale * piece
+    return np.zeros((phi.output_length, phi.output_length)) if gram is None else gram
 
 
 def _feature_matrix(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
@@ -299,9 +306,11 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
 
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
     return, bit for bit, for one factorization instead of two.  For M outputs,
-    order P and n kernel-factor columns (P per DC or Tikhonov term, 2P per
-    stable spline, 2 per resonant pole), ``X = Phi L`` (M x n) costs O(M P)
-    per term, and then:
+    N input samples, order P and n kernel-factor columns (P per DC or
+    Tikhonov term, 2P per stable spline, 2 per resonant pole), ``X = Phi L``
+    (M x n) costs O(M P) per term; from the regressor's samples a resonant
+    pole's costs O(N + M) and a DC term's O(N + M P) in one pass (one
+    recursion over the input, ``regressor_factor``), and then:
 
     * feature space iff n < M: ``X'X`` in O(M n^2), one block ``(Phi L_s)'
       (Phi L_t)`` per term pair, its Cholesky factor in O(n^3), and ``X'y``
@@ -381,7 +390,9 @@ _CANCELLATION = 1e-6
 
 
 def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
-    """Evidence at ``R + W W'`` for an M x 2 ``W``, in O(M^2).
+    """Evidence at ``R + W W'`` for an M x 2 ``W``, in O(M^2); a resonant
+    pole's ``W = Phi L_t`` costs O(N + M) from the regressor's N input
+    samples, so a probe is O(N + M^2).
 
     With ``V = lower^{-1} W``, ``C = I + V'V`` and ``beta = V' alpha``,
     Woodbury and the determinant lemma give
@@ -518,7 +529,7 @@ def _frequency_bounds(value: float, omega_max: float) -> tuple[float, float]:
 _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value * 1e2))
 _RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
-# a third sweep; a resonant probe costs O(M P + M^2) (rank-2 update), not O(M^3)
+# a third sweep; a resonant probe costs O(N + M^2) (rank-2 update), not O(M^3)
 _FIELD_RULES = {
     "gamma": _FieldRule(True, 7, 2, lambda value, omega_max: (min(1e-9, value), max(1e3, value))),
     "scale": _DECADES,
@@ -631,29 +642,29 @@ def optimize_hyperparameters(
     :class:`NumericalError` when that was the reason.
 
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
-    Cost per probe, for M outputs, order P and n factor columns (P per DC or
-    Tikhonov term, 2P per stable spline, 2 per resonant pole): each term's
-    latest piece (a DC term's at unit scale) is kept in slot ``t`` of
-    ``phi._cache``, which later calls and fits on ``phi`` reuse, and a probe
-    rebuilds only the kernel term it moves.  In the output space
-    (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC
-    ``scale`` is one O(M^3) factorization, and a DC ``decay`` probe adds its
-    O(M^2 P) Gram.  In the feature space (n < M) they are the factors
-    ``Phi L_t``, and slot ``(s, t)`` keeps each term pair's unit block
-    ``(Phi L_s)'(Phi L_t)``, so a probe of ``gamma`` or of a DC ``scale`` is
-    an O(n^2) assembly of ``X'X`` plus its O(n^3) factorization (and O(M n)
-    for ``X'y`` and the residual), and a DC ``decay`` probe adds its piece,
-    O(M P), and its blocks, O(M P n).  A probe of a resonant-pole field
-    costs O(M P + M^2): a rank-2 update (Woodbury and the determinant lemma)
+    Cost per probe, for M outputs, N input samples, order P and n factor
+    columns (P per DC or Tikhonov term, 2P per stable spline, 2 per resonant
+    pole): each term's latest piece (a DC term's at unit scale) is kept in slot
+    ``t`` of ``phi._cache``, which later calls and fits on ``phi`` reuse, and a
+    probe rebuilds only the kernel term it moves.  In the output space
+    (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC ``scale``
+    is one O(M^3) factorization, and a DC ``decay`` probe adds its O(M^2 P)
+    Gram.  In the feature space (n < M) they are the factors ``Phi L_t``, and
+    slot ``(s, t)`` keeps each term pair's unit block ``(Phi L_s)'(Phi L_t)``,
+    so a probe of ``gamma`` or of a DC ``scale`` is an O(n^2) assembly of
+    ``X'X`` plus its O(n^3) factorization (and O(M n) for ``X'y`` and the
+    residual), and a DC ``decay`` probe adds its piece, O(N + M P) from the
+    regressor's samples, and its blocks, O(M P n).  A probe of a resonant-pole
+    field costs O(N + M^2): its M x 2 ``Phi L_t`` by one recursion over the
+    input, O(N + M), and a rank-2 update (Woodbury and the determinant lemma)
     on a factorization of ``gamma I`` plus the other terms, made once per
-    coordinate.  Such a probe is scored by the full factorization instead
-    where that rest cannot be factorized, where the full Gram could overflow,
-    or where the update's value is not finite or lost six digits to
-    cancellation, so it scores ``+inf`` where a non-finite Gram makes
-    :func:`marginal_likelihood` raise.  The best probe of a resonant
-    coordinate is scored again by the full factorization before it is
-    accepted: every accepted objective value is the one
-    :func:`marginal_likelihood` returns.
+    coordinate.  Such a probe is scored by the full factorization instead where
+    that rest cannot be factorized, where the full Gram could overflow, or
+    where the update's value is not finite or lost six digits to cancellation,
+    so it scores ``+inf`` where a non-finite Gram makes
+    :func:`marginal_likelihood` raise.  The best probe of a resonant coordinate
+    is scored again by the full factorization before it is accepted: every
+    accepted objective value is the one :func:`marginal_likelihood` returns.
 
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
@@ -663,8 +674,8 @@ def optimize_hyperparameters(
     budget, gamma = _integer("budget", budget), _positive("gamma", gamma)
     phi.check_output(y_l)
 
-    entries, y = phi.entries, y_l.samples
-    feature = _in_feature_space(_terms(template), *entries.shape)
+    y = y_l.samples
+    feature = _in_feature_space(_terms(template), *phi.entries.shape)
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
@@ -705,7 +716,7 @@ def optimize_hyperparameters(
     def objective(vals: dict[str, float], point: tuple[KernelSpec, float], rest: _Rest | None = None) -> float:
         value = math.nan
         if rest is not None:
-            value = _rank2_evidence(rest, _terms(point[0])[rest.index].factor(entries))
+            value = _rank2_evidence(rest, _terms(point[0])[rest.index].regressor_factor(phi))
         if not math.isfinite(value):
             value = factorized(point)
         if on_evaluation is not None:

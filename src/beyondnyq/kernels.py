@@ -22,6 +22,14 @@ DC or Tikhonov term, 2P per stable spline, 2 per resonant pole.  It also owns
 its tunables and its JSON type tag.  A fit of M outputs solves in the feature
 space iff these n columns number fewer than M.
 
+Fits and the tuner take ``Phi L`` from ``regressor_factor``.  From the
+entries, ``factor(Phi)``, it costs O(M P) per term: block products for a DC
+term, a matrix-vector product per column for a resonant pole.  These two
+terms are first-order recursions over the lag, and ``Phi`` windows the input
+at every F-th instant, so one recursion over the regressor's N input samples
+gives every row: O(N + M P) for a DC term, one scaled gather of the M x P
+result, and O(N + M) for a resonant pole.
+
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never
 inverts ``K`` (see :mod:`beyondnyq.estimator`).
@@ -39,7 +47,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
+import scipy.linalg.blas
 
+from .regressor import _windows
 from .signals import _integer, _known_keys, _number
 
 __all__ = [
@@ -80,6 +90,12 @@ class _Kernel:
     def unit(self) -> tuple[_Kernel, float]:
         """``(unit, scale)`` with ``K = scale * K_unit``."""
         return self, 1.0
+
+    def regressor_factor(self, phi) -> np.ndarray:
+        """``Phi L`` for a :class:`~beyondnyq.regressor.RegressorMatrix`
+        ``phi``: :meth:`factor` of its entries, unless the class computes it
+        from the regressor's samples."""
+        return self.factor(phi.entries)
 
     def to_json(self) -> dict:
         return {"type": self.type, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -175,6 +191,29 @@ class DiagonalCorrelated(_Kernel):
         factored *= weights
         return factored
 
+    def regressor_factor(self, phi) -> np.ndarray:
+        """``Phi D U S`` from the regressor's samples, O(N + M P), where it has them.
+
+        Entry ``(m, j)`` is ``d_j s_j sum_{i >= j} rho^(i-j) u(mF - i)`` with the
+        pole ``rho = c sqrt(decay)``, so one recursion over the input, read at
+        ``mF - j``, gives every row (:meth:`RegressorMatrix.filtered`): a row
+        whose window the order cuts subtracts ``d_j s_j rho^(P-j) w(mF - P)``,
+        a rank-1 update in place.
+        """
+        if phi.samples is None:
+            return self.factor(phi.entries)
+        order = phi.order
+        half, weights = self._diagonals(order)
+        weights *= half
+        filtered, cut = phi.filtered(np.longdouble(self.correlation) * np.sqrt(np.longdouble(self.decay)))
+        factored = np.multiply(_windows(filtered, phi.factor, order, phi.output_length), weights, order="C")
+        if len(cut):
+            lags = np.arange(order, 0, -1)
+            powers = weights * self.correlation**lags * self.decay ** (lags / 2.0)
+            # BLAS ger on the cut rows, transposed to Fortran order: no M x P temporary
+            scipy.linalg.blas.dger(-1.0, powers, cut, a=factored[len(factored) - len(cut) :].T, overwrite_a=True)
+        return factored
+
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
         """``D U S w``: ``U x`` is :meth:`factor`'s recursion run forward, on
         the reversed vector."""
@@ -263,6 +302,27 @@ class ResonantPole(_Kernel):
 
     def factor(self, phi: np.ndarray) -> np.ndarray:
         return phi @ self._columns(phi.shape[1])
+
+    def regressor_factor(self, phi) -> np.ndarray:
+        """``Phi L`` from the regressor's samples, O(N + M), where it has them.
+
+        Row m is ``sigma1 Re s_m`` and ``sigma2 Im s_m`` for ``s_m = sum_{i < P}
+        rho^i u(mF - i)`` with the complex pole ``rho = sqrt(decay) e^(j w)``:
+        one recursion over the input read at ``mF``
+        (:meth:`RegressorMatrix.filtered`), minus ``rho^P w(mF - P)`` on the
+        rows whose window the order cuts.
+        """
+        if phi.samples is None:
+            return self.factor(phi.entries)
+        order = phi.order
+        radius, angle = np.sqrt(np.longdouble(self.decay)), np.longdouble(self.frequency)
+        filtered, cut = phi.filtered(radius * (np.cos(angle) + 1j * np.sin(angle)))
+        sums = filtered[:: phi.factor]
+        if len(cut):
+            power = radius**order * (np.cos(angle * order) + 1j * np.sin(angle * order))
+            sums[len(sums) - len(cut) :] -= complex(power) * cut
+        # each complex sum viewed as the pair (Re, Im)
+        return np.multiply(sums[:, None].view(float), (self.sigma1, self.sigma2))
 
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
         return self._columns(order) @ w

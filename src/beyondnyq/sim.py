@@ -50,7 +50,7 @@ from .kernels import (
     kernel_spec_from_json,
     kernel_spec_to_json,
 )
-from .regressor import RegressorMatrix, build_regressor, least_squares_fir
+from .regressor import build_regressor, least_squares_fir
 from .signals import (
     FastSignal,
     _integer,
@@ -424,8 +424,7 @@ def _execute_run(config: MonteCarloConfig, run: int, tuned: dict) -> list[RunRec
 
     records = []
     for order in config.orders:
-        # column i of the regressor is u(mF - i): lower orders are left blocks
-        phi = RegressorMatrix(entries=phi_max.entries[:, :order], factor=config.factor)
+        phi = phi_max.leading(order)
         for estimator in config.estimators:
             if estimator == "ls":
                 model = least_squares_fir(phi, y_l)

@@ -240,6 +240,22 @@ class TestFactoredGram:
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
 
+    @pytest.mark.parametrize("order", [12, 40], ids=["P<M", "P>M"])  # M = 30
+    def test_output_gram_sums_pieces_in_term_order(self, order):
+        """The first piece times its scale, then each other term's piece
+        added in place: the bits of a sum from zero, term by term; a Gram
+        with every term skipped is zero."""
+        problem = make_problem(27, n=90, factor=3, order=order, kernel=SHARED_PK)
+        kernel = KernelSum(terms=(DiagonalCorrelated(scale=2.5, decay=0.9, correlation=0.4),) + SHARED_PK.terms[1:])
+        for spec in (kernel, KernelSum(terms=kernel.terms[::-1])):
+            expected = np.zeros((30, 30))
+            for term in spec.terms:
+                unit, scale = term.unit()
+                expected += scale * estimator._unit_piece(problem.phi, unit, False)
+            assert np.array_equal(estimator._output_gram(problem.phi, spec), expected)
+        pole = ResonantPole(decay=0.9, frequency=0.7)
+        assert np.array_equal(estimator._output_gram(problem.phi, pole, skip=0), np.zeros((30, 30)))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -316,8 +332,8 @@ def spy_unit_pieces(monkeypatch, rows):
     unit_piece = estimator._unit_piece
 
     def spy(phi, unit, feature):
-        if phi.shape[0] == rows:
-            computed.append((phi.shape[1], unit))
+        if phi.output_length == rows:
+            computed.append((phi.order, unit))
         return unit_piece(phi, unit, feature)
 
     monkeypatch.setattr(estimator, "_unit_piece", spy)
@@ -325,9 +341,9 @@ def spy_unit_pieces(monkeypatch, rows):
 
 
 def on_fresh_regressor(problem):
-    """``problem`` on a new regressor of the same entries, which holds no
-    kernel pieces yet."""
-    phi = RegressorMatrix(entries=problem.phi.entries, factor=problem.phi.factor)
+    """``problem`` on a new regressor of the same entries and samples, which
+    holds no kernel pieces yet."""
+    phi = problem.phi.leading(problem.phi.order)
     return RegularizedProblem(phi=phi, y_l=problem.y_l, kernel=problem.kernel, gamma=problem.gamma)
 
 

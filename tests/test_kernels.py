@@ -1,12 +1,16 @@
 """Tests for kernel specs, factors, matrices, and positive semidefiniteness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from kernel_oracle import dense_kernel, kernel_entry, validate_psd
 
 import beyondnyq
+from beyondnyq.estimator import default_bounds
 from beyondnyq.kernels import (
     DiagonalCorrelated,
     KernelSum,
@@ -17,6 +21,8 @@ from beyondnyq.kernels import (
     kernel_spec_from_json,
     kernel_spec_to_json,
 )
+from beyondnyq.regressor import RegressorMatrix, build_regressor
+from beyondnyq.signals import FastSignal
 
 
 def random_spec(rng, kind):
@@ -261,6 +267,135 @@ class TestFactor:
     def test_leaf_kernels_have_no_terms(self):
         for kind in ("tikhonov", "dc", "ss", "pk"):
             assert not hasattr(random_spec(np.random.default_rng(0), kind), "terms")
+
+
+def bound_ends(name, starts, omega_max=2 * math.pi):
+    """The ends of the tuner's default search intervals around ``starts``."""
+    return sorted({end for start in starts for end in default_bounds(name, start, omega_max)})
+
+
+# the class defaults and the benchmark kernels' starts (rates 0.5/s and 0.1/s
+# at T = 0.1 s, resonances at 0.4 Hz and 2 Hz)
+DECAYS = bound_ends("decay", (0.9, math.exp(-0.05))) + [1.0 - 1e-9]
+CORRELATIONS = bound_ends("correlation", (0.5, -0.5, math.exp(-0.01), -math.exp(-0.01)))
+SCALES = bound_ends("scale", (1.0,))
+
+
+@st.composite
+def regressors(draw):
+    """A regressor with its samples: F in {1, 2, 3, 5}, the output length at
+    or below its default, and the order on either side of ``(M-1) F + 1``,
+    where windows stop being cut."""
+    factor = draw(st.sampled_from((1, 2, 3, 5)))
+    n = draw(st.integers(1, 700))
+    rows = draw(st.integers(1, (n - 1) // factor + 1))
+    span = (rows - 1) * factor + 1
+    cut = draw(st.booleans()) or span == n
+    order = draw(st.integers(1, span) if cut else st.integers(span + 1, n))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    return build_regressor(FastSignal(samples=u, period=0.1), factor, order, rows)
+
+
+def long_dc_factor(spec, entries):
+    """``Phi D U S`` in long double: ``g[:, j] = Phi[:, j] d_j + c g[:, j+1]``
+    over the columns, then ``s_j``."""
+    phi, c = entries.astype(np.longdouble), np.longdouble(spec.correlation)
+    d = np.sqrt(np.longdouble(spec.scale)) * np.longdouble(spec.decay) ** (np.arange(phi.shape[1]) / np.longdouble(2))
+    g = np.zeros(phi.shape, dtype=np.longdouble)
+    carry = np.zeros(phi.shape[0], dtype=np.longdouble)
+    for j in range(phi.shape[1] - 1, -1, -1):
+        carry = g[:, j] = phi[:, j] * d[j] + c * carry
+    g[:, 1:] *= np.sqrt(1 - c * c)
+    return g
+
+
+def long_pk_factor(spec, entries):
+    """``Phi L`` in long double, ``L`` the columns ``sigma1 decay^(i/2) cos(w i)``
+    and ``sigma2 decay^(i/2) sin(w i)``."""
+    i = np.arange(entries.shape[1], dtype=np.longdouble)
+    envelope = np.longdouble(spec.decay) ** (i / 2)
+    angle = np.longdouble(spec.frequency) * i
+    phi = entries.astype(np.longdouble)
+    return np.column_stack(
+        (phi @ (spec.sigma1 * envelope * np.cos(angle)), phi @ (spec.sigma2 * envelope * np.sin(angle)))
+    )
+
+
+def relative_error(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+class TestRegressorFactor:
+    """DC and resonant terms compute ``Phi L`` from the regressor's samples
+    by one recursion; the dense ``factor(entries)`` and a long double
+    evaluation are the oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        phi=regressors(),
+        scale=st.sampled_from(SCALES),
+        decay=st.sampled_from(DECAYS),
+        correlation=st.sampled_from(CORRELATIONS),
+    )
+    def test_dc_matches_dense_and_long_double(self, phi, scale, decay, correlation):
+        spec = DiagonalCorrelated(scale=scale, decay=decay, correlation=correlation)
+        fast = spec.regressor_factor(phi)
+        assert fast.shape == phi.entries.shape
+        assert relative_error(fast, spec.factor(phi.entries)) <= 1e-14
+        assert relative_error(fast, long_dc_factor(spec, phi.entries)) <= 1e-14
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        phi=regressors(),
+        decay=st.sampled_from(DECAYS),
+        start=st.sampled_from((0.0, 0.4 * 2 * math.pi * 0.1, 2.0 * 2 * math.pi * 0.1)),
+        upper=st.booleans(),
+        sigmas=st.tuples(st.sampled_from((0.01, 1.0, 100.0)), st.sampled_from((0.01, 1.0, 100.0))),
+    )
+    @example(
+        phi=build_regressor(FastSignal(samples=np.random.default_rng(1).normal(size=600), period=0.1), 3, 600),
+        decay=0.9969, start=0.4 * 2 * math.pi * 0.1, upper=True, sigmas=(1.0, 1.0),
+    )
+    def test_resonant_matches_long_double(self, phi, decay, start, upper, sigmas):
+        """At unit sigmas, within 1e-13 of the long double factor; the dense
+        product, whose angles ``w i`` round to within ``eps w i``, is held to
+        1e-12.  The sigmas scale the columns exactly."""
+        frequency = bound_ends("frequency", (start,), min(math.pi * phi.factor, 2 * math.pi))[upper]
+        spec = ResonantPole(decay=decay, frequency=frequency)
+        fast = spec.regressor_factor(phi)
+        assert fast.shape == (phi.output_length, 2)
+        expected = long_pk_factor(spec, phi.entries)
+        assert relative_error(fast, expected) <= 1e-13
+        assert relative_error(spec.factor(phi.entries), expected) <= 1e-12
+        scaled = ResonantPole(decay=decay, frequency=frequency, sigma1=sigmas[0], sigma2=sigmas[1])
+        assert np.array_equal(scaled.regressor_factor(phi), fast * sigmas)
+
+    @pytest.mark.parametrize("spec", [DiagonalCorrelated(decay=0.95, correlation=0.99), ResonantPole(0.95, 0.3)])
+    def test_bare_entries_use_the_dense_factor(self, spec):
+        phi = build_regressor(FastSignal(samples=np.random.default_rng(2).normal(size=90), period=0.1), 3, 40)
+        bare = RegressorMatrix(entries=phi.entries, factor=3)
+        assert bare.samples is None
+        assert np.array_equal(spec.regressor_factor(bare), spec.factor(phi.entries))
+
+    @pytest.mark.parametrize("spec", [Tikhonov(), StableSpline(decay=0.9)])
+    def test_other_kernels_use_the_dense_factor(self, spec):
+        phi = build_regressor(FastSignal(samples=np.random.default_rng(3).normal(size=90), period=0.1), 3, 40)
+        assert np.array_equal(spec.regressor_factor(phi), spec.factor(phi.entries))
+
+    def test_dc_cut_rows_update_in_place(self):
+        """The rank-1 update of the cut rows makes no M x P temporary: the
+        factor's peak allocation is the factor plus O(N + P)."""
+        phi = build_regressor(FastSignal(samples=np.random.default_rng(4).normal(size=3000), period=0.1), 3, 150)
+        spec = DiagonalCorrelated(decay=0.95, correlation=0.99)
+        spec.regressor_factor(phi)  # warm up lazily built state
+        tracemalloc.start()
+        try:
+            factored = spec.regressor_factor(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factored.nbytes == 1000 * 150 * 8
+        assert peak < factored.nbytes + 16 * 3000 * 8
 
 
 def test_oracles_are_not_exported():

@@ -1,5 +1,7 @@
 """Tests for regressor construction and least squares."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -359,3 +361,53 @@ class TestRegressorMatrixType:
         as factor 1)."""
         with pytest.raises(TypeError, match="factor"):
             RegressorMatrix(entries=np.zeros((3, 2)), factor=value)
+
+    def test_build_regressor_keeps_the_samples_it_windows(self):
+        u = random_noise(100, 0.1, 1.0, seed=15)
+        phi = build_regressor(u, factor=3, order=20, output_length=30)
+        assert np.array_equal(phi.samples, u.samples[:88])  # u(0) ... u((M-1) F)
+        assert not phi.samples.flags.writeable
+
+    def test_samples_must_be_the_windowed_input(self):
+        phi = build_regressor(random_noise(60, 0.1, 1.0, seed=16), factor=3, order=10)
+        with pytest.raises(ValueError, match="at least 58"):
+            RegressorMatrix(entries=phi.entries, factor=3, samples=phi.samples[:50])
+        with pytest.raises(ValueError, match="not the input"):
+            RegressorMatrix(entries=phi.entries, factor=3, samples=phi.samples + 1.0)
+        with pytest.raises(ValueError, match="no samples"):
+            RegressorMatrix(entries=phi.entries, factor=3).filtered(np.longdouble(0.5))
+
+
+class TestLeading:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        factor=st.sampled_from((1, 2, 3, 5)),
+        n=st.integers(1, 120),
+        data=st.data(),
+    )
+    def test_matches_build_regressor(self, factor, n, data):
+        """``leading(order)`` has the entries of the regressor built at that
+        order, shares its samples but not its cache, and pickles."""
+        u = random_noise(n, 0.1, 1.0, seed=data.draw(st.integers(0, 2**16)))
+        rows = data.draw(st.integers(1, (n - 1) // factor + 1))
+        top = data.draw(st.integers(1, n))
+        order = data.draw(st.integers(1, top))
+        phi = build_regressor(u, factor, top, rows)
+        phi._cache[0] = "piece"
+        lower = phi.leading(order)
+        assert np.array_equal(lower.entries, build_regressor(u, factor, order, rows).entries)
+        assert lower.samples is phi.samples and lower.factor == factor
+        assert lower._cache == {}
+        restored = pickle.loads(pickle.dumps(lower))
+        assert np.array_equal(restored.entries, lower.entries)
+        assert np.array_equal(restored.samples, lower.samples)
+        assert restored.factor == factor
+
+    def test_order_checked(self):
+        phi = build_regressor(random_noise(30, 0.1, 1.0, seed=17), factor=3, order=10)
+        with pytest.raises(ValueError, match="within"):
+            phi.leading(11)
+        with pytest.raises(ValueError, match="order"):
+            phi.leading(0)
+        with pytest.raises(TypeError, match="order"):
+            phi.leading(2.0)
