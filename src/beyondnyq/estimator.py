@@ -308,9 +308,9 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     return, bit for bit, for one factorization instead of two.  For M outputs,
     N input samples, order P and n kernel-factor columns (P per DC or
     Tikhonov term, 2P per stable spline, 2 per resonant pole), ``X = Phi L``
-    (M x n) costs O(M P) per term; from the regressor's samples a resonant
-    pole's costs O(N + M) and a DC term's O(N + M P) in one pass (one
-    recursion over the input, ``regressor_factor``), and then:
+    (M x n) costs O(N + M) for a resonant pole and O(N + M P) for a DC term,
+    each one recursion over the regressor's input samples
+    (``regressor_factor``), and O(M P) for the other terms; and then:
 
     * feature space iff n < M: ``X'X`` in O(M n^2), one block ``(Phi L_s)'
       (Phi L_t)`` per term pair, its Cholesky factor in O(n^3), and ``X'y``

@@ -22,13 +22,12 @@ DC or Tikhonov term, 2P per stable spline, 2 per resonant pole.  It also owns
 its tunables and its JSON type tag.  A fit of M outputs solves in the feature
 space iff these n columns number fewer than M.
 
-Fits and the tuner take ``Phi L`` from ``regressor_factor``.  From the
-entries, ``factor(Phi)``, it costs O(M P) per term: block products for a DC
-term, a matrix-vector product per column for a resonant pole.  These two
-terms are first-order recursions over the lag, and ``Phi`` windows the input
-at every F-th instant, so one recursion over the regressor's N input samples
-gives every row: O(N + M P) for a DC term, one scaled gather of the M x P
-result, and O(N + M) for a resonant pole.
+Fits and the tuner take ``Phi L`` from ``regressor_factor``.  A DC term and
+a resonant pole are first-order recursions over the lag, and ``Phi`` windows
+the input at every F-th instant, so one recursion over the regressor's N
+input samples gives every row: O(N + M P) for a DC term, one scaled gather of
+the M x P result, and O(N + M) for a resonant pole.  The other terms take
+``factor`` of the regressor's entries.
 
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never
@@ -41,7 +40,6 @@ and frequencies accept ``{"freq_hz": f, "period_s": T}`` meaning ``2*pi*f*T``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar, Union
@@ -49,7 +47,7 @@ from typing import ClassVar, Union
 import numpy as np
 import scipy.linalg.blas
 
-from .regressor import _windows
+from .regressor import _first_order, _windows
 from .signals import _integer, _known_keys, _number
 
 __all__ = [
@@ -93,8 +91,8 @@ class _Kernel:
 
     def regressor_factor(self, phi) -> np.ndarray:
         """``Phi L`` for a :class:`~beyondnyq.regressor.RegressorMatrix`
-        ``phi``: :meth:`factor` of its entries, unless the class computes it
-        from the regressor's samples."""
+        ``phi``: :meth:`factor` of its entries.  DC and resonant terms
+        compute it from the regressor's samples instead."""
         return self.factor(phi.entries)
 
     def to_json(self) -> dict:
@@ -112,22 +110,6 @@ class Tikhonov(_Kernel):
 
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
         return w
-
-
-# columns per block of the first-order recursion behind the DC factor
-_AR1_BLOCK = 64
-
-
-@functools.lru_cache(maxsize=32)
-def _ar1_powers(correlation: float, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``c^k`` for ``k <= width`` and the ``width x width`` lower triangular
-    matrix ``c^(i-j)`` (``i >= j``) of :meth:`DiagonalCorrelated._suffix_sums`;
-    read-only, since every call with the same ``(c, width)`` shares them."""
-    powers = correlation ** np.arange(width + 1)
-    gaps = np.subtract.outer(np.arange(width), np.arange(width))
-    within = np.where(gaps >= 0, powers[np.abs(gaps)], 0.0)
-    powers.flags.writeable = within.flags.writeable = False
-    return powers, within
 
 
 @dataclass(frozen=True)
@@ -160,39 +142,17 @@ class DiagonalCorrelated(_Kernel):
         weights[0] = 1.0
         return half, weights
 
-    def _suffix_sums(self, a: np.ndarray) -> np.ndarray:
-        """``g[:, j] = sum_{i >= j} c^(i-j) a[:, i]`` for a 2-D ``a``, written
-        over ``a`` and returned.
-
-        This is the backward first-order recursion ``g[:, j] = a[:, j] + c g[:, j+1]``
-        run over blocks of columns: inside a block it is one product with the
-        triangular matrix of powers of ``c``, and the block's first column
-        carries into the block before it as a rank-1 update.  A block reads
-        only its own columns of ``a`` before it overwrites them.
-        """
-        order = a.shape[1]
-        width = min(_AR1_BLOCK, order)
-        powers, within = _ar1_powers(self.correlation, width)
-        carry = None
-        for stop in range(order, 0, -width):
-            start = max(stop - width, 0)
-            block = a[:, start:stop] @ within[: stop - start, : stop - start]
-            if carry is not None:
-                block += np.outer(carry, powers[stop - start : 0 : -1])
-            a[:, start:stop] = block
-            carry = block[:, 0]
-        return a
-
     def factor(self, phi: np.ndarray) -> np.ndarray:
-        """``Phi D U S``: a first-order recursion over the columns of ``Phi D``,
-        O(M P) per 64-column block."""
+        """``Phi D U S``: the backward first-order recursion ``g_j = x_j + c
+        g_(j+1)`` over the columns of ``x = Phi D``, one solve for every row,
+        O(M P)."""
         half, weights = self._diagonals(phi.shape[1])
-        factored = self._suffix_sums(phi * half)
+        factored = _first_order(self.correlation, (phi * half).T, uplo="U").T
         factored *= weights
         return factored
 
     def regressor_factor(self, phi) -> np.ndarray:
-        """``Phi D U S`` from the regressor's samples, O(N + M P), where it has them.
+        """``Phi D U S`` from the regressor's samples, O(N + M P).
 
         Entry ``(m, j)`` is ``d_j s_j sum_{i >= j} rho^(i-j) u(mF - i)`` with the
         pole ``rho = c sqrt(decay)``, so one recursion over the input, read at
@@ -200,8 +160,6 @@ class DiagonalCorrelated(_Kernel):
         whose window the order cuts subtracts ``d_j s_j rho^(P-j) w(mF - P)``,
         a rank-1 update in place.
         """
-        if phi.samples is None:
-            return self.factor(phi.entries)
         order = phi.order
         half, weights = self._diagonals(order)
         weights *= half
@@ -215,11 +173,9 @@ class DiagonalCorrelated(_Kernel):
         return factored
 
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
-        """``D U S w``: ``U x`` is :meth:`factor`'s recursion run forward, on
-        the reversed vector."""
+        """``D U S w``: ``U x`` is the forward recursion ``x_i + c (U x)_(i-1)``."""
         half, weights = self._diagonals(order)
-        forward = self._suffix_sums((weights * w)[None, ::-1])[0, ::-1]
-        return half * forward
+        return half * _first_order(self.correlation, weights * w)
 
 
 @dataclass(frozen=True)
@@ -304,7 +260,7 @@ class ResonantPole(_Kernel):
         return phi @ self._columns(phi.shape[1])
 
     def regressor_factor(self, phi) -> np.ndarray:
-        """``Phi L`` from the regressor's samples, O(N + M), where it has them.
+        """``Phi L`` from the regressor's samples, O(N + M).
 
         Row m is ``sigma1 Re s_m`` and ``sigma2 Im s_m`` for ``s_m = sum_{i < P}
         rho^i u(mF - i)`` with the complex pole ``rho = sqrt(decay) e^(j w)``:
@@ -312,8 +268,6 @@ class ResonantPole(_Kernel):
         (:meth:`RegressorMatrix.filtered`), minus ``rho^P w(mF - P)`` on the
         rows whose window the order cuts.
         """
-        if phi.samples is None:
-            return self.factor(phi.entries)
         order = phi.order
         radius, angle = np.sqrt(np.longdouble(self.decay)), np.longdouble(self.frequency)
         filtered, cut = phi.filtered(radius * (np.cos(angle) + 1j * np.sin(angle)))

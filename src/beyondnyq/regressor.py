@@ -33,60 +33,47 @@ __all__ = ["RegressorMatrix", "build_regressor", "least_squares_fir"]
 class RegressorMatrix:
     """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
 
-    ``samples``, where known, are the input samples ``u(0), ..., u((M-1) F)``
-    that the rows window (:func:`build_regressor` and :meth:`leading` keep
-    them); kernel terms whose factor is a first-order recursion compute
-    ``Phi L`` from them (:meth:`filtered`).  A matrix of bare ``entries`` has
-    none.  The fits and tuner calls on this matrix share the kernel arrays
-    that ``beyondnyq.estimator._cached`` keeps in it; ``entries`` and
-    ``samples`` are read-only.
+    Built from the input samples ``u(0), ..., u((M-1) F)`` that its rows
+    window, the factor ``F`` and the order ``P``: ``M = floor((N - 1) / F) +
+    1`` for N samples, and ``entries`` is the one M x P copy.  Kernel terms
+    whose factor is a first-order recursion compute ``Phi L`` from the
+    samples (:meth:`filtered`).  The fits and tuner calls on this matrix
+    share the kernel arrays that ``beyondnyq.estimator._cached`` keeps in it;
+    ``samples`` and ``entries`` are read-only.
     """
 
-    entries: np.ndarray
+    samples: np.ndarray = field(repr=False)
     factor: int
-    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    order: int
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _integer("factor", self.factor))
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] < 1:
-            raise ValueError(f"entries must be a non-empty 2-D matrix, got shape {entries.shape}")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        if self.samples is not None:
-            object.__setattr__(self, "samples", self._windowed_samples(np.asarray(self.samples, dtype=float)))
-
-    def _windowed_samples(self, samples: np.ndarray) -> np.ndarray:
-        """The read-only ``u(0), ..., u((M-1) F)`` of ``samples``, the array
-        itself where it is exactly that; ``ValueError`` unless every F-th
-        sample is the first column of ``entries``."""
-        length = (self.output_length - 1) * self.factor + 1
-        if samples.ndim != 1 or len(samples) < length:
-            raise ValueError(f"samples must be a 1-D array of at least {length} values, got shape {samples.shape}")
-        if not np.array_equal(samples[:length:self.factor], self.entries[:, 0]):
-            raise ValueError("samples are not the input that the entries window")
-        if len(samples) > length or samples.flags.writeable or samples.base is not None:
-            samples = samples[:length].copy()
+        object.__setattr__(self, "order", _integer("order", self.order))
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 1 or not samples.size:
+            raise ValueError(f"samples must be a non-empty 1-D array, got shape {samples.shape}")
+        if samples.flags.writeable or samples.base is not None:
+            samples = samples.copy()
             samples.flags.writeable = False
-        return samples
+        rows = (len(samples) - 1) // self.factor + 1
+        entries = np.ascontiguousarray(_windows(samples, self.factor, self.order, rows))
+        entries.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def output_length(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def order(self) -> int:
-        return self.entries.shape[1]
-
     def leading(self, order: int) -> RegressorMatrix:
         """The regressor of the same outputs at a lower ``order``: the first
         ``order`` columns (column i is ``u(mF - i)`` at every order), with
         the same samples and a cache of its own."""
-        order = _integer("order", order)
-        if order > self.order:
+        if _integer("order", order) > self.order:
             raise ValueError(f"order must be within [1, {self.order}], got {order}")
-        return RegressorMatrix(entries=self.entries[:, :order], factor=self.factor, samples=self.samples)
+        return RegressorMatrix(self.samples, self.factor, order)
 
     def filtered(self, pole) -> tuple[np.ndarray, np.ndarray]:
         """``(w, cut)`` for the samples filtered by ``w(t) = u(t) + pole
@@ -99,30 +86,24 @@ class RegressorMatrix:
         the others that term is 0.
 
         ``pole`` is a real or complex ``np.longdouble``.  The recursion runs
-        once over the samples at the pole rounded to double, a unit lower
-        bidiagonal solve (LAPACK ``dtbtrs`` or ``ztbtrs``, O(N)).  A second
-        solve adds the first-order effect of that rounding, ``pole - rounded``
-        where the long double is wider than a double: without it the powers
-        of the pole drift by up to ``k eps`` at lag ``k``, ``P eps`` across a
-        window.
+        once over the samples at the pole rounded to double
+        (:func:`_first_order`, O(N)).  A second solve adds the first-order
+        effect of that rounding, ``pole - rounded`` where the long double is
+        wider than a double: without it the powers of the pole drift by up to
+        ``k eps`` at lag ``k``, ``P eps`` across a window.
         """
-        if self.samples is None:
-            raise ValueError("the regressor has no samples to filter")
         real = not np.iscomplexobj(pole)
         rounded = float(pole) if real else complex(pole)
         low = float(pole - rounded) if real else complex(pole - rounded)
-        solve = scipy.linalg.lapack.dtbtrs if real else scipy.linalg.lapack.ztbtrs
-        # the band's subdiagonal is -pole; its unit diagonal is not read
-        band = np.full((2, len(self.samples)), -rounded, order="F")
-        w = solve(band, self.samples.astype(band.dtype)[:, None], uplo="L", diag="U", overwrite_b=True)[0]
+        w = _first_order(rounded, self.samples.astype(type(rounded)))
         if low:
             # (L - low S)^{-1} u = w + low L^{-1} S w to first order, S the delay
             delayed = np.zeros_like(w)
             delayed[1:] = w[:-1]
-            w += low * solve(band, delayed, uplo="L", diag="U", overwrite_b=True)[0]
+            w += low * _first_order(rounded, delayed)
         rows, order = self.entries.shape
         first = -(-order // self.factor)  # the first row with mF >= P
-        return w[:, 0], w[first * self.factor - order :: self.factor, 0][: max(rows - first, 0)]
+        return w, w[first * self.factor - order :: self.factor][: max(rows - first, 0)]
 
     def check_output(self, y_l: SlowSignal) -> None:
         """Raise ``ValueError`` unless ``y_l`` is this matrix's output: ``M``
@@ -135,10 +116,22 @@ class RegressorMatrix:
 
 def _windows(x: np.ndarray, factor: int, order: int, rows: int) -> np.ndarray:
     """The read-only ``rows x order`` view ``x(mF - i)`` (zero for ``mF < i``):
-    every F-th reversed window of a strided view of ``x`` padded with
-    ``order - 1`` leading zeros."""
+    row m is the reversed ``order``-sample window that ends at ``x(mF)``,
+    every F-th window of a strided view of ``x`` padded with ``order - 1``
+    leading zeros."""
     padded = np.concatenate((np.zeros(order - 1, dtype=x.dtype), x))
     return np.lib.stride_tricks.sliding_window_view(padded, order)[: rows * factor : factor, ::-1]
+
+
+def _first_order(pole, x: np.ndarray, uplo: str = "L") -> np.ndarray:
+    """``w(t) = x(t) + pole w(t-1)`` along the first axis of ``x``, or with
+    ``uplo="U"`` the backward ``w(t) = x(t) + pole w(t+1)``: one unit
+    bidiagonal solve (LAPACK ``dtbtrs``, ``ztbtrs`` for a complex ``pole``),
+    O(len(x)) per column, which may overwrite ``x``."""
+    solve = scipy.linalg.lapack.ztbtrs if isinstance(pole, complex) else scipy.linalg.lapack.dtbtrs
+    # the band's off-diagonal is -pole; its unit diagonal is not read
+    band = np.full((2, len(x)), -pole, order="F")
+    return solve(band, x, uplo=uplo, diag="U", overwrite_b=True)[0]
 
 
 def build_regressor(
@@ -147,14 +140,11 @@ def build_regressor(
     order: int,
     output_length: int | None = None,
 ) -> RegressorMatrix:
-    """Build the regressor matrix from fast-rate input ``u``; it keeps the
-    samples it windows.
+    """The regressor matrix of fast-rate input ``u``, built from the samples
+    ``u(0), ..., u((M-1) F)`` that it windows.
 
     ``output_length`` defaults to ``floor((N - 1) / F) + 1``, the number of
     slow-rate samples obtained by decimating an ``N``-sample fast signal.
-    Row ``m`` is the reversed ``P``-sample window of ``u`` padded with
-    ``P - 1`` leading zeros that ends at ``u(m*F)``: every ``F``-th window of a
-    strided view, so the M x P matrix is the one copy made.
     """
     n = len(u)
     factor, order = _integer("factor", factor), _integer("order", order)
@@ -168,8 +158,7 @@ def build_regressor(
             f"output_length {output_length} needs input sample "
             f"{(output_length - 1) * factor}, but only {n} samples are available"
         )
-    entries = _windows(u.samples, factor, order, output_length)
-    return RegressorMatrix(entries=entries, factor=factor, samples=u.samples)
+    return RegressorMatrix(u.samples[: (output_length - 1) * factor + 1], factor, order)
 
 
 # Safety factor c of the full-rank certificate in _triangular_full_rank.  For

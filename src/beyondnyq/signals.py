@@ -265,7 +265,9 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def write_signal_csv(x: FastSignal | SlowSignal, path: str | Path) -> None:
-    """Write samples as ``index,value`` rows; the period travels in the config."""
+    """Write samples as ``index,value`` rows, the format that ``identify``
+    and ``tune`` read from ``data.input_csv`` and ``data.output_csv``; the
+    period travels in the config."""
     _write_csv(path, ("index", "value"), enumerate(x.samples))
 
 

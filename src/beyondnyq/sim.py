@@ -22,7 +22,7 @@ import math
 import multiprocessing
 import signal
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -48,7 +48,6 @@ from .kernels import (
     KernelSum,
     ResonantPole,
     kernel_spec_from_json,
-    kernel_spec_to_json,
 )
 from .regressor import build_regressor, least_squares_fir
 from .signals import (
@@ -82,7 +81,6 @@ __all__ = [
     "MonteCarloResult",
     "run_monte_carlo",
     "monte_carlo_config_from_json",
-    "monte_carlo_config_to_json",
     "write_records_csv",
     "write_summary_csv",
 ]
@@ -572,13 +570,12 @@ def write_summary_csv(result: MonteCarloResult, path: str | Path) -> None:
     _write_csv(path, [f.name for f in fields(SummaryEntry)], map(_values, result.summary))
 
 
-# (from JSON, to JSON) per field; other fields are their JSON values, tuples written as lists
+# the reader of a field's JSON value; other fields are their JSON values
 _CONVERTERS = {
-    "dc_kernel": (kernel_spec_from_json, kernel_spec_to_json),
-    "pk_kernel": (kernel_spec_from_json, kernel_spec_to_json),
-    "nominal": (lambda obj: ContinuousPlant(**obj), asdict),
+    "dc_kernel": kernel_spec_from_json,
+    "pk_kernel": kernel_spec_from_json,
+    "nominal": lambda obj: ContinuousPlant(**obj),
 }
-_PLAIN = (lambda value: value, lambda value: list(value) if isinstance(value, tuple) else value)
 
 
 def monte_carlo_config_from_json(obj: dict) -> MonteCarloConfig:
@@ -589,15 +586,7 @@ def monte_carlo_config_from_json(obj: dict) -> MonteCarloConfig:
     kwargs = {}
     for key, value in obj.items():
         try:
-            kwargs[names[key]] = _CONVERTERS.get(names[key], _PLAIN)[0](value)
+            kwargs[names[key]] = _CONVERTERS.get(names[key], lambda plain: plain)(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}: {exc}") from exc
     return MonteCarloConfig(**kwargs)
-
-
-def monte_carlo_config_to_json(config: MonteCarloConfig) -> dict:
-    """The JSON object that :func:`monte_carlo_config_from_json` reads back to ``config``."""
-    return {
-        _JSON_NAMES.get(f.name, f.name): _CONVERTERS.get(f.name, _PLAIN)[1](getattr(config, f.name))
-        for f in fields(config)
-    }

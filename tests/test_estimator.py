@@ -41,7 +41,7 @@ from beyondnyq.kernels import (
     StableSpline,
     Tikhonov,
 )
-from beyondnyq.regressor import RegressorMatrix, build_regressor, least_squares_fir
+from beyondnyq.regressor import build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, FirModel, SlowSignal, random_noise
 
 
@@ -188,6 +188,13 @@ class TestRegularizedFir:
                 _tune(problem.phi, problem.y_l, problem.kernel, gamma)
 
 
+def random_regressor(rng, order, rows, factor=3):
+    """``build_regressor`` with ``rows`` outputs on a random input of
+    ``max(order, (rows - 1) F + 1)`` samples."""
+    u = FastSignal(samples=rng.normal(size=max(order, (rows - 1) * factor + 1)), period=0.1)
+    return build_regressor(u, factor, order, rows)
+
+
 def dense_gram(phi, kernel):
     """Oracle: ``Phi K Phi'`` through the dense P x P kernel matrix."""
     return phi @ dense_kernel(kernel, phi.shape[1]) @ phi.T
@@ -198,24 +205,23 @@ def assert_close_relative(actual, expected, tolerance):
     assert np.max(np.abs(actual - expected)) <= tolerance * scale
 
 
-# (order P, output length M): P < M, and P > M where P > 1 allows it; the
-# orders straddle the 64-column blocks of the DC recursion
+# (order P, output length M): P < M, and P > M where P > 1 allows it; each
+# regressor windows a random input at F = 3, and P = 2000 runs the DC
+# recursions over the longest lags
 GRAM_SHAPES = [(p, p + 7) for p in (1, 2, 63, 64, 65, 600)] + [
-    (p, max(p // 3, 1)) for p in (2, 63, 64, 65, 600)
+    (p, max(p // 3, 1)) for p in (2, 63, 64, 65, 600, 2000)
 ]
 
 
 class TestFactoredGram:
     @pytest.mark.parametrize("order, rows", GRAM_SHAPES, ids=[f"P{p}-M{m}" for p, m in GRAM_SHAPES])
-    @pytest.mark.parametrize("correlation", [-0.7, 0.3, 0.99999])
+    @pytest.mark.parametrize("correlation", [-0.999, -0.7, 0.3, 0.99999, 1 - 1e-9])
     def test_dc_matches_dense(self, order, rows, correlation):
         rng = np.random.default_rng(order)
-        phi = rng.normal(size=(rows, order))
+        phi = random_regressor(rng, order, rows)
         v = rng.normal(size=order)
         kernel = DiagonalCorrelated(scale=1.7, decay=0.97, correlation=correlation)
-        assert_close_relative(
-            estimator._output_gram(RegressorMatrix(entries=phi, factor=1), kernel), dense_gram(phi, kernel), 1e-12
-        )
+        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi.entries, kernel), 1e-12)
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )
@@ -223,7 +229,7 @@ class TestFactoredGram:
     @pytest.mark.parametrize("order", [5, 70])
     def test_sum_of_every_kernel_matches_dense(self, order):
         rng = np.random.default_rng(26)
-        phi = rng.normal(size=(40, order))
+        phi = random_regressor(rng, order, 40)
         v = rng.normal(size=order)
         kernel = KernelSum(
             terms=(
@@ -233,9 +239,7 @@ class TestFactoredGram:
                 ResonantPole(decay=0.9, frequency=0.7, sigma1=1.5, sigma2=0.3),
             )
         )
-        assert_close_relative(
-            estimator._output_gram(RegressorMatrix(entries=phi, factor=1), kernel), dense_gram(phi, kernel), 1e-12
-        )
+        assert_close_relative(estimator._output_gram(phi, kernel), dense_gram(phi.entries, kernel), 1e-12)
         assert_close_relative(
             estimator._kernel_times(kernel, v), dense_kernel(kernel, order) @ v, 1e-12
         )

@@ -21,7 +21,7 @@ from beyondnyq.kernels import (
     kernel_spec_from_json,
     kernel_spec_to_json,
 )
-from beyondnyq.regressor import RegressorMatrix, build_regressor
+from beyondnyq.regressor import build_regressor
 from beyondnyq.signals import FastSignal
 
 
@@ -369,13 +369,6 @@ class TestRegressorFactor:
         assert relative_error(spec.factor(phi.entries), expected) <= 1e-12
         scaled = ResonantPole(decay=decay, frequency=frequency, sigma1=sigmas[0], sigma2=sigmas[1])
         assert np.array_equal(scaled.regressor_factor(phi), fast * sigmas)
-
-    @pytest.mark.parametrize("spec", [DiagonalCorrelated(decay=0.95, correlation=0.99), ResonantPole(0.95, 0.3)])
-    def test_bare_entries_use_the_dense_factor(self, spec):
-        phi = build_regressor(FastSignal(samples=np.random.default_rng(2).normal(size=90), period=0.1), 3, 40)
-        bare = RegressorMatrix(entries=phi.entries, factor=3)
-        assert bare.samples is None
-        assert np.array_equal(spec.regressor_factor(bare), spec.factor(phi.entries))
 
     @pytest.mark.parametrize("spec", [Tikhonov(), StableSpline(decay=0.9)])
     def test_other_kernels_use_the_dense_factor(self, spec):

@@ -347,35 +347,34 @@ class TestRankCertificate:
 
 class TestRegressorMatrixType:
     def test_shape_validation(self):
-        for entries in (np.zeros(4), np.zeros((0, 4)), np.zeros((2, 3, 4))):
-            with pytest.raises(ValueError):
-                RegressorMatrix(entries=entries, factor=2)
+        for samples in (np.zeros(0), np.zeros((3, 4)), 1.0):
+            with pytest.raises(ValueError, match="samples"):
+                RegressorMatrix(samples, 2, 4)
 
     def test_order_is_column_count(self):
-        phi = RegressorMatrix(entries=np.zeros((3, 4)), factor=2)
+        """M is the number of F-th samples from ``u(0)``, and row m windows
+        ``u(mF)`` backwards."""
+        samples = np.arange(1.0, 6.0)
+        phi = RegressorMatrix(samples, 2, 4)
+        samples[:] = 0.0  # the matrix keeps a read-only copy
         assert (phi.output_length, phi.order) == (3, 4)
+        assert np.array_equal(phi.entries, [[1, 0, 0, 0], [3, 2, 1, 0], [5, 4, 3, 2]])
+        assert not (phi.samples.flags.writeable or phi.entries.flags.writeable)
 
     @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
     def test_integers_checked(self, value):
-        """A bool or float factor is rejected, not kept (``True`` would pass
-        as factor 1)."""
+        """A bool or float factor or order is rejected, not kept (``True``
+        would pass as 1)."""
         with pytest.raises(TypeError, match="factor"):
-            RegressorMatrix(entries=np.zeros((3, 2)), factor=value)
+            RegressorMatrix(np.zeros(5), value, 2)
+        with pytest.raises(TypeError, match="order"):
+            RegressorMatrix(np.zeros(5), 2, value)
 
     def test_build_regressor_keeps_the_samples_it_windows(self):
         u = random_noise(100, 0.1, 1.0, seed=15)
         phi = build_regressor(u, factor=3, order=20, output_length=30)
         assert np.array_equal(phi.samples, u.samples[:88])  # u(0) ... u((M-1) F)
         assert not phi.samples.flags.writeable
-
-    def test_samples_must_be_the_windowed_input(self):
-        phi = build_regressor(random_noise(60, 0.1, 1.0, seed=16), factor=3, order=10)
-        with pytest.raises(ValueError, match="at least 58"):
-            RegressorMatrix(entries=phi.entries, factor=3, samples=phi.samples[:50])
-        with pytest.raises(ValueError, match="not the input"):
-            RegressorMatrix(entries=phi.entries, factor=3, samples=phi.samples + 1.0)
-        with pytest.raises(ValueError, match="no samples"):
-            RegressorMatrix(entries=phi.entries, factor=3).filtered(np.longdouble(0.5))
 
 
 class TestLeading:

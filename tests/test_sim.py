@@ -11,7 +11,7 @@ import pickle
 import signal
 import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from blas_threads import blas_at_two, requires_openblas, thread_counts  # noqa: 
 from beyondnyq import _blas, sim
 from beyondnyq.errors import NumericalError
 from beyondnyq.estimator import default_bounds, tuning_start
-from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole, StableSpline, Tikhonov
+from beyondnyq.kernels import DiagonalCorrelated, KernelSum, ResonantPole, StableSpline, Tikhonov, kernel_spec_to_json
 from beyondnyq.signals import FastSignal, random_multisine
 from beyondnyq.sim import (
     NOMINAL_PLANT,
@@ -255,10 +255,24 @@ def test_records_and_summary_csv_read_back_bit_for_bit(tmp_path):
     assert any(s.mean_gof is None for s in result.summary)
 
 
+def monte_carlo_config_to_json(config: MonteCarloConfig) -> dict:
+    """Oracle: the JSON object of ``config``, written field by field, that
+    ``monte_carlo_config_from_json`` should read back to ``config``."""
+    written = {
+        "dc_kernel": kernel_spec_to_json,
+        "pk_kernel": kernel_spec_to_json,
+        "nominal": asdict,
+    }
+    return {
+        sim._JSON_NAMES.get(f.name, f.name): written.get(f.name, lambda value: value)(getattr(config, f.name))
+        for f in fields(config)
+    }
+
+
 def test_config_json_round_trip():
-    """``monte_carlo_config_from_json`` inverts ``monte_carlo_config_to_json``,
-    through JSON text, for every field: band, tuning, a kernel sum and the
-    nominal plant."""
+    """``monte_carlo_config_from_json`` inverts the oracle
+    ``monte_carlo_config_to_json``, through JSON text, for every field: band,
+    tuning, a kernel sum and the nominal plant."""
     config = MonteCarloConfig(
         runs=3, orders=(20, 60), base_seed=7, period=0.05, factor=2, n_samples=240, perturbation=0.05,
         snr_range=(30.0, 45.0), input_rms=0.5, band=(2, 40), gamma=1e-4, estimators=("ls", "pk"),
@@ -270,7 +284,7 @@ def test_config_json_round_trip():
         tune=True, tune_budget=80,
         nominal=ContinuousPlant(m1=1.1, m2=0.9, k1=10.0, k2=80.0, d1=0.3, d2=0.05),
     )
-    text = json.dumps(sim.monte_carlo_config_to_json(config))
+    text = json.dumps(monte_carlo_config_to_json(config))
     assert sim.monte_carlo_config_from_json(json.loads(text)) == config
 
 
