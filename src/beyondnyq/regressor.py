@@ -9,15 +9,17 @@ decimated model output: row ``m`` holds the input samples
 A unique unregularized fit needs ``Phi`` to have full column rank, which fails
 whenever the model order reaches the number of output samples (``P >= M``) and
 for zero-order-hold inputs with ``P > 2`` (repeated columns).
-:func:`least_squares_fir` returns ``None`` in both cases: at ``P >= M`` it runs
-no decomposition, and below it tests the rank of the triangular factor of the
-one QR decomposition it solves with (``Phi`` and ``R`` have the same singular
-values).
+:func:`least_squares_fir` returns ``None`` in both cases.  At ``P >= M`` it runs
+no decomposition.  Below it, the Gram ``Phi'Phi`` comes from the regressor's
+shift structure in O(F M P + P^2) (:func:`_gram`), and one Cholesky factor
+``R`` with ``R^{-1}`` (O(P^3 / 3) each) certifies full rank despite the Gram's
+rounding and gives ``theta`` by corrected semi-normal equations, O(F M P +
+P^3 / 3) in all.  Where that certificate fails, one SVD-based solve of
+``Phi`` itself decides the rank and gives ``theta``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from .signals import FastSignal, FirModel, SlowSignal, _integer
 __all__ = ["RegressorMatrix", "build_regressor", "least_squares_fir"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressorMatrix:
     """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
 
@@ -39,7 +41,10 @@ class RegressorMatrix:
     whose factor is a first-order recursion compute ``Phi L`` from the
     samples (:meth:`filtered`).  The fits and tuner calls on this matrix
     share the kernel arrays that ``beyondnyq.estimator._cached`` keeps in it;
-    ``samples`` and ``entries`` are read-only.
+    ``samples`` and ``entries`` are read-only.  Two regressors compare equal
+    only if they are the same object, since each owns its cache; a pickled
+    one is rebuilt from ``(samples, factor, order)``, read-only and with an
+    empty cache.
     """
 
     samples: np.ndarray = field(repr=False)
@@ -62,6 +67,9 @@ class RegressorMatrix:
         entries.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "entries", entries)
+
+    def __reduce__(self):
+        return RegressorMatrix, (self.samples, self.factor, self.order)
 
     @property
     def output_length(self) -> int:
@@ -161,67 +169,113 @@ def build_regressor(
     return RegressorMatrix(u.samples[: (output_length - 1) * factor + 1], factor, order)
 
 
-# Safety factor c of the full-rank certificate in _triangular_full_rank.  For
-# the inverse X of a P x P triangular R, trtri's methods have a residual
-# bound ||X R - I||_F <= c_P u ||X||_F ||R||_F with c_P = O(P) (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.2);
-# take c_P <= 4 P and u = eps / 2.  With k = max(M, P) >= P, the certificate
-# ||X||_F ||R||_F < 1 / (c k eps) makes that residual phi <= 2 / c = 1/8, so
-# sigma_min(R) >= (1 - phi) / ||X||_2 >= (7/8) / ||X||_F > 14 k eps ||R||_F
-# >= 14 k eps sigma_max(R).  A backward-stable SVD moves each singular value
-# by at most a small multiple of u sigma_max, far inside the remaining
-# margin, so svdvals(R) then counts every singular value above its
-# tolerance k eps sigma_max: the SVD rule's verdict, full rank.  The norms'
-# own rounding (relative P u) fits in the same margin.
-_CERTIFICATE_FACTOR = 16.0
+def _gram(phi: RegressorMatrix) -> np.ndarray:
+    """The upper triangle of ``Phi'Phi`` (P x P, Fortran order; the strict
+    lower triangle is left zero where it is not computed), in
+    O(F M P + P^2).
 
-
-def _triangular_full_rank(r: np.ndarray, m: int) -> bool:
-    """Whether the P x P triangular factor ``r`` of an M x P ``Phi`` with
-    P < M has full numerical rank: all P singular values above the
-    tolerance ``max(M, P) * eps * sigma_max``.
-
-    Full rank is certified from the inverse (``sigma_min >= 1/||R^{-1}||_F``
-    and ``sigma_max <= ||R||_F``), O(P^3 / 3), so a well-conditioned ``r``
-    needs no SVD; where the certificate does not hold, or trtri reports a
-    zero pivot or a non-finite inverse, the singular values of ``r`` are
-    counted against that tolerance, O(P^3) with a larger constant.
+    Shifting a row of ``Phi`` by F lags gives the row before it, and the
+    first row shifted in is zero, so ``G[i+F, j+F] = G[i, j] - a_i a_j``
+    with ``a = Phi[M-1]``, the one row that leaves the sum.  The first
+    ``min(F, P)`` rows are ``Phi[:, :F]' Phi``; each later block of F rows
+    is the block above it, one column block to the left, minus one outer
+    product.
     """
-    p = r.shape[0]
+    entries, f = phi.entries, phi.factor
+    p = entries.shape[1]
+    gram = np.zeros((p, p), order="F")
+    gram[:f] = entries[:, :f].T @ entries
+    last = entries[-1]
+    for start in range(f, p, f):
+        stop = min(start + f, p)
+        rows, cols = slice(start - f, stop - f), slice(start - f, p - f)
+        gram[start:stop, start:] = gram[rows, cols] - np.outer(last[rows], last[cols])
+    return gram
+
+
+# Constant c of the full-rank certificate ||X||_F^2 tau < (7/8)^2 / (c k eps)
+# in _certified_factor.  Phi is M x P with P < M, k = max(M, P) = M and u =
+# eps / 2; G is Phi'Phi, G^ its computed value from _gram, R the computed
+# Cholesky factor of G^ and X the computed R^{-1}.  Let Psi be Phi with its
+# rows continued to every window that overlaps the record, so that column i
+# holds every sample u(n) with n = -i mod F; tau = ||Psi||_F^2 is the sum
+# over columns i of G^[i mod F, i mod F], and ||Phi||_F^2 <= tau.
+# * Gram rounding: an entry of G^ is a dot product of length M followed by at
+#   most P / F subtractions of a rounded product, each bounded by the sum of
+#   the absolute products of the entry's first-block dot product, a part of
+#   (|Psi|'|Psi|)_ij.  So |G^ - G| <= (M + 2P) u |Psi|'|Psi| + O(u^2) and
+#   ||G^ - G||_2 <= 3 k u tau (1 + O(k u)).
+# * Cholesky's backward error (Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2nd ed., Thm 10.3, for any order of the inner products):
+#   R'R = G^ + D with |D| <= gamma_{P+1} |R'||R|, so ||D||_2 <= gamma_{P+1}
+#   ||R||_F^2 = gamma_{P+1} trace(G^ + D) <= k u tau (1 + O(k u)), as P < k.
+#   Hence R'R = G + E with ||E||_2 <= 4 k u tau (1 + O(k u)) <= 3 k eps tau.
+# * trtri's residual (section 14.2) is ||X R - I||_F <= 4 P u ||X||_F ||R||_F,
+#   at most 2 P eps (7/8) / sqrt(c k eps) < 1/8 under the certificate, so
+#   sigma_min(R) >= (7/8) / ||X||_F and sigma_min(R)^2 > c k eps tau.
+# * So sigma_min(Phi)^2 >= sigma_min(R)^2 - ||E||_2 > (c - 3) k eps tau >=
+#   61 k eps sigma_max(Phi)^2 with c = 64: sigma_min(Phi) exceeds
+#   sqrt(61 k eps) sigma_max(Phi), far above the SVD rule's tolerance
+#   k eps sigma_max, and a backward-stable SVD moves each singular value by
+#   a small multiple of u sigma_max, far inside that margin: the rule's
+#   verdict is full rank.  The norms' own rounding (relative P u) fits in the
+#   same margin.  The certificate also gives kappa(Phi)^2 eps < 1 / (61 k),
+#   so one corrected semi-normal step has the forward error O(kappa eps) of
+#   a QR solve (Bjorck, BIT 27, 1987).
+_CERTIFICATE_FACTOR = 64.0
+
+
+def _certified_factor(phi: RegressorMatrix) -> np.ndarray | None:
+    """The upper Cholesky factor ``R`` of ``Phi'Phi`` for an M x P ``Phi``
+    with P < M, or ``None`` unless ``R^{-1}`` certifies that ``Phi`` has
+    full numerical rank: all P singular values above ``max(M, P) * eps *
+    sigma_max``.  One Cholesky and one triangular inverse (trtri), each
+    O(P^3 / 3), after :func:`_gram`; ``None`` also where the Cholesky
+    meets a non-positive pivot or trtri a zero one."""
+    m, p = phi.entries.shape
+    gram = _gram(phi)
+    tau = float(gram.diagonal()[np.arange(p) % phi.factor].sum())
+    r, info = scipy.linalg.lapack.dpotrf(gram, overwrite_a=True)
+    if info != 0:
+        return None
     inverse, info = scipy.linalg.lapack.dtrtri(r, lower=0)
-    if info == 0:
-        inverse_norm = float(np.linalg.norm(inverse))
-        bound = _CERTIFICATE_FACTOR * max(m, p) * np.finfo(float).eps * float(np.linalg.norm(r))
-        if math.isfinite(inverse_norm) and 1.0 / inverse_norm > bound:
-            return True
-    singular_values = scipy.linalg.svdvals(r)
-    tol = max(m, p) * np.finfo(float).eps * singular_values[0]
-    return int(np.count_nonzero(singular_values > tol)) == p
+    if info != 0:
+        return None
+    # written so that a nan norm fails the test
+    if np.linalg.norm(inverse) ** 2 * tau < (7 / 8) ** 2 / (_CERTIFICATE_FACTOR * m * np.finfo(float).eps):
+        return r
+    return None
 
 
 def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
-    """Unique minimizer of ``||y_l - Phi theta||^2``, solved by one QR
-    decomposition, or ``None`` where the minimizer is not unique.
+    """Unique minimizer of ``||y_l - Phi theta||^2``, or ``None`` where the
+    minimizer is not unique.
 
     * ``P >= M``: never unique, whatever the rank (the slow-rate data cannot
       pin down a fast-rate model even where the matrix happens to be
       numerically invertible at the square boundary); returns ``None``
       without any decomposition.
-    * ``P < M``: one Householder QR, which never forms ``Q``, gives ``R``
-      and ``Q'y`` in O(M P^2).  ``None`` unless ``R`` has full numerical
-      rank (``Phi`` and ``R`` have the same singular values), which fails
-      for a zero-order-hold input at ``P > 2``: full rank is certified from
-      ``R^{-1}`` (trtri, O(P^3 / 3)), and only where that certificate fails
-      do the singular values of ``R`` decide.
-      ``theta`` solves ``R theta = Q'y`` in O(P^2).
+    * ``P < M``: the Gram ``Phi'Phi`` from the regressor's shift structure
+      (:func:`_gram`, O(F M P + P^2)), its Cholesky factor ``R`` and
+      ``R^{-1}``, which certifies full numerical rank (O(P^3 / 3) each):
+      ``theta`` solves ``R'R theta = Phi'y`` and is corrected once with the
+      residual taken from ``Phi``, O(M P).  Where the Cholesky or the
+      certificate fails, as for a zero-order-hold input at ``P > 2``, one
+      SVD-based solve of ``Phi`` (LAPACK gelsd, O(M P^2)) decides: ``None``
+      unless all P singular values exceed ``M * eps * sigma_max``.
     """
     phi.check_output(y_l)
-    m, p = phi.entries.shape
+    entries, y = phi.entries, y_l.samples
+    m, p = entries.shape
     if p >= m:
         return None
-    qty, r = scipy.linalg.qr_multiply(phi.entries, y_l.samples, mode="right")
-    if not _triangular_full_rank(r, m):
-        return None
-    # qr_multiply has already rejected non-finite entries of Phi and y_l
-    theta = scipy.linalg.solve_triangular(r, qty, check_finite=False)
+    r = _certified_factor(phi)
+    if r is None:
+        # lstsq rejects a non-finite Phi, whose nan Gram fails the certificate
+        theta, _, rank, _ = scipy.linalg.lstsq(entries, y, cond=m * np.finfo(float).eps, lapack_driver="gelsd")
+        if rank < p:
+            return None
+    else:
+        theta = scipy.linalg.lapack.dpotrs(r, entries.T @ y)[0]
+        theta += scipy.linalg.lapack.dpotrs(r, entries.T @ (y - entries @ theta))[0]
     return FirModel(theta=theta, period=y_l.fast_period)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from blas_threads import blas_at_two, requires_openblas, thread_counts  # noqa: F401 (a fixture)
 
 import beyondnyq
@@ -574,11 +575,11 @@ def test_identify_records_a_least_squares_fit_with_no_unique_model(tmp_path, cap
 
 def test_identify_runs_no_svd_for_least_squares_at_order_above_outputs(tmp_path, monkeypatch):
     """At P >= M no LS model is unique whatever the rank, so ``identify``
-    runs no decomposition for it: neither a QR nor an SVD."""
+    runs no decomposition for it: neither a Cholesky nor an SVD."""
     calls = []
-    for name in ("qr_multiply", "svdvals"):
-        original = getattr(scipy.linalg, name)
-        monkeypatch.setattr(scipy.linalg, name, lambda *a, f=original, **k: calls.append(f) or f(*a, **k))
+    for module, name in ((scipy.linalg, "lstsq"), (scipy.linalg, "svdvals"), (scipy.linalg.lapack, "dpotrf")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original, **k: calls.append(f) or f(*a, **k))
     code, _ = non_unique_identify(tmp_path, random_noise(300, 0.1, 1.0, seed=5), 150, ("ls",))
     assert calls == []
     assert code == EXIT_OK

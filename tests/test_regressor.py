@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beyondnyq.regressor import RegressorMatrix, build_regressor, least_squares_fir
+from beyondnyq.regressor import RegressorMatrix, _gram, build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, SlowSignal, downsample, random_noise
 
 
@@ -246,6 +247,18 @@ class TestLeastSquaresFir:
         with pytest.raises(ValueError):
             least_squares_fir(phi, y)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_regressor_rejected(self, value):
+        """A regressor built directly from non-finite samples is a
+        ``ValueError``, not a model or a LAPACK call on nan."""
+        samples = random_noise(30, 0.1, 1.0, seed=12).samples.copy()
+        samples[7] = value
+        phi = RegressorMatrix(samples, 3, 4)
+        y = SlowSignal(samples=np.zeros(phi.output_length), period=0.3, factor=3)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            least_squares_fir(phi, y)
+
     def test_zoh_input_is_none(self):
         u = zoh_input(np.arange(1.0, 11.0), factor=3, period=0.1)
         phi = build_regressor(u, factor=3, order=5)
@@ -254,9 +267,10 @@ class TestLeastSquaresFir:
 
 
 class TestLeastSquaresAgreesWithCheck:
-    """least_squares_fir runs its rank test on R from its own QR; the verdict
-    must be the check of svd_unique, which runs on the singular values of
-    Phi."""
+    """least_squares_fir certifies full rank from the Cholesky factor of the
+    Gram or, failing that, counts the singular values of its own SVD solve;
+    the verdict must be the check of svd_unique, which runs on the singular
+    values of Phi."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -291,20 +305,46 @@ class TestLeastSquaresAgreesWithCheck:
         assert np.linalg.norm(theta - expected) <= tolerance * np.linalg.norm(expected)
 
 
-class TestRankCertificate:
-    """Below M, least_squares_fir certifies full rank from R^{-1} and runs an
-    SVD of R only where that certificate fails; at P >= M it runs neither
-    a QR nor an SVD."""
+class TestGram:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        factor=st.integers(1, 5),
+        rows=st.integers(2, 60),
+        order_share=st.floats(0.0, 1.0),
+    )
+    # at M = 30: P < F, P = F, P a multiple of F, and P not one
+    @example(seed=5, factor=5, rows=30, order_share=2 / 28)  # P = 3
+    @example(seed=2, factor=2, rows=30, order_share=1 / 28)  # P = 2
+    @example(seed=3, factor=3, rows=30, order_share=11 / 28)  # P = 12
+    @example(seed=4, factor=4, rows=30, order_share=9 / 28)  # P = 10
+    def test_matches_dense_gram(self, seed, factor, rows, order_share):
+        """The upper triangle of ``_gram`` is ``entries' entries`` to
+        1e-13 relative, for any P below M, at, below and above F."""
+        order = 1 + round(order_share * (rows - 2))
+        u = FastSignal(samples=np.random.default_rng(seed).normal(size=(rows - 1) * factor + 1), period=0.1)
+        phi = build_regressor(u, factor, order)
+        assert phi.output_length == rows
+        dense = phi.entries.T @ phi.entries
+        gram = _gram(phi)
+        assert np.linalg.norm(np.triu(gram) - np.triu(dense)) <= 1e-13 * np.linalg.norm(dense)
 
-    def spy(self, monkeypatch, name="svdvals"):
+
+class TestRankCertificate:
+    """Below M, least_squares_fir certifies full rank from the inverse of the
+    Gram's Cholesky factor and solves ``Phi`` by an SVD (``lstsq``) only
+    where the Cholesky or that certificate fails; at P >= M it runs no
+    decomposition."""
+
+    def spy(self, monkeypatch, name="lstsq", module=scipy.linalg):
         shapes = []
-        original = getattr(scipy.linalg, name)
+        original = getattr(module, name)
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return shapes
 
     def white_noise_problem(self):
@@ -315,9 +355,11 @@ class TestRankCertificate:
 
     def test_well_conditioned_input_needs_no_svd(self, monkeypatch):
         phi, y = self.white_noise_problem()
-        shapes = self.spy(monkeypatch)
-        least_squares_fir(phi, y)
-        assert shapes == []
+        lstsq_shapes, svd_shapes = self.spy(monkeypatch), self.spy(monkeypatch, "svdvals")
+        model = least_squares_fir(phi, y)
+        assert lstsq_shapes == svd_shapes == []
+        expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
+        assert np.linalg.norm(model.theta - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zoh_input_falls_back_to_svd(self, monkeypatch):
         u = zoh_input(np.random.default_rng(15).normal(size=30), factor=3, period=0.1)
@@ -325,24 +367,54 @@ class TestRankCertificate:
         y = SlowSignal(samples=np.ones(phi.output_length), period=0.3, factor=3)
         shapes = self.spy(monkeypatch)
         assert least_squares_fir(phi, y) is None
-        assert shapes == [(5, 5)]
+        assert shapes == [(30, 5)]
 
-    def test_failed_inverse_falls_back_to_svd(self, monkeypatch):
+    def test_ill_conditioned_input_falls_back_and_is_unique(self, monkeypatch):
+        """A low-passed input whose ``kappa(Phi)`` (about 1e6) is past the
+        certificate but far inside the SVD rule's ``1 / (M eps)``: the SVD
+        solve gives the unique fit."""
+        u = random_noise(600, 0.1, 1.0, seed=21).samples
+        for _ in range(3):
+            u = scipy.signal.lfilter([0.01], [1.0, -0.99], u)
+        phi = build_regressor(FastSignal(samples=u, period=0.1), factor=3, order=20)  # M=200
+        cond = np.linalg.cond(phi.entries)
+        assert 1e5 < cond < 1e-3 / (phi.output_length * np.finfo(float).eps)
+        y = SlowSignal(samples=random_noise(200, 0.3, 1.0, seed=22).samples, period=0.3, factor=3)
+        shapes = self.spy(monkeypatch)
+        model = least_squares_fir(phi, y)
+        assert shapes == [(200, 20)]
+        expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
+        tolerance = ls_tolerance(phi.entries, y.samples, expected)
+        assert np.linalg.norm(model.theta - expected) <= tolerance * np.linalg.norm(expected)
+
+    def fails_over(self, monkeypatch, name):
+        """The white-noise fit with LAPACK ``name`` reporting info > 0 goes
+        to the SVD solve once, with the same verdict and theta."""
         phi, y = self.white_noise_problem()
         expected = least_squares_fir(phi, y).theta
         shapes = self.spy(monkeypatch)
-        # trtri reports a zero pivot (info > 0)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kwargs: (c, 3))
-        assert np.array_equal(least_squares_fir(phi, y).theta, expected)
-        assert shapes == [(10, 10)]
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda c, **kwargs: (c, 3))
+        theta = least_squares_fir(phi, y).theta
+        assert shapes == [(50, 10)]
+        assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_failed_cholesky_falls_back_to_svd(self, monkeypatch):
+        self.fails_over(monkeypatch, "dpotrf")  # a non-positive pivot
+
+    def test_failed_inverse_falls_back_to_svd(self, monkeypatch):
+        self.fails_over(monkeypatch, "dtrtri")  # a zero pivot
 
     def test_order_at_least_output_length_runs_no_decomposition(self, monkeypatch):
         u = random_noise(150, 0.1, 1.0, seed=13)
         y = SlowSignal(samples=random_noise(50, 0.3, 1.0, seed=14).samples, period=0.3, factor=3)
-        qr_shapes, svd_shapes = self.spy(monkeypatch, "qr_multiply"), self.spy(monkeypatch)
+        spies = [
+            self.spy(monkeypatch),
+            self.spy(monkeypatch, "svdvals"),
+            self.spy(monkeypatch, "dpotrf", scipy.linalg.lapack),
+        ]
         for order in (50, 51, 150):  # M = 50
             assert least_squares_fir(build_regressor(u, factor=3, order=order), y) is None
-        assert qr_shapes == svd_shapes == []
+        assert spies == [[], [], []]
 
 
 class TestRegressorMatrixType:
@@ -376,6 +448,16 @@ class TestRegressorMatrixType:
         assert np.array_equal(phi.samples, u.samples[:88])  # u(0) ... u((M-1) F)
         assert not phi.samples.flags.writeable
 
+    def test_equality_is_identity(self):
+        """Each regressor owns its cache, so two built from the same input
+        are different objects and compare unequal (without comparing
+        arrays); a regressor equals itself and hashes."""
+        u = random_noise(60, 0.1, 1.0, seed=16)
+        phi, other = build_regressor(u, 3, 5), build_regressor(u, 3, 5)
+        assert phi == phi
+        assert phi != other
+        assert len({phi, other, phi}) == 2
+
 
 class TestLeading:
     @settings(max_examples=40, deadline=None)
@@ -397,10 +479,13 @@ class TestLeading:
         assert np.array_equal(lower.entries, build_regressor(u, factor, order, rows).entries)
         assert lower.samples is phi.samples and lower.factor == factor
         assert lower._cache == {}
+        lower._cache[0] = "piece"
         restored = pickle.loads(pickle.dumps(lower))
         assert np.array_equal(restored.entries, lower.entries)
         assert np.array_equal(restored.samples, lower.samples)
-        assert restored.factor == factor
+        assert (restored.factor, restored.order) == (factor, order)
+        assert not (restored.samples.flags.writeable or restored.entries.flags.writeable)
+        assert restored._cache == {}
 
     def test_order_checked(self):
         phi = build_regressor(random_noise(30, 0.1, 1.0, seed=17), factor=3, order=10)

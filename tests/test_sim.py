@@ -178,12 +178,13 @@ def test_run_error_keeps_type_and_diagnostics(monkeypatch, exc, diagnostics):
 
 
 def test_least_squares_status_follows_order_rule(monkeypatch):
-    """LS is non_unique exactly at P >= M, and no SVD runs there: below M
-    only the P x P triangular factor of each order is inverted, and an SVD,
-    if any, sees only that factor."""
+    """LS is non_unique exactly at P >= M, and no decomposition of ``Phi``
+    runs there: below M each order's P x P Cholesky factor is inverted for
+    the rank certificate, and an SVD solve, if any, sees only that order's
+    M x P regressor."""
     config = MonteCarloConfig(runs=2, n_samples=90, orders=(10, 29, 30, 45), estimators=("ls",))
     m = 30
-    shapes = {"svdvals": [], "dtrtri": []}
+    shapes = {"svdvals": [], "lstsq": [], "dtrtri": []}
 
     def spy(module, name):
         original = getattr(module, name)
@@ -195,15 +196,17 @@ def test_least_squares_status_follows_order_rule(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     spy(scipy.linalg, "svdvals")
+    spy(scipy.linalg, "lstsq")
     spy(scipy.linalg.lapack, "dtrtri")
     serial = run_monte_carlo(config, max_workers=1)
     assert not serial.errors
     assert [(r.order, r.status) for r in serial.records] == [
         (p, "ok" if p < m else "non_unique") for p in config.orders
     ] * config.runs
-    factors = [(p, p) for p in config.orders if p < m] * config.runs
-    assert sorted(shapes["dtrtri"]) == sorted(factors)
-    assert set(shapes["svdvals"]) <= set(factors)
+    below = [p for p in config.orders if p < m] * config.runs
+    assert sorted(shapes["dtrtri"]) == sorted((p, p) for p in below)
+    assert set(shapes["lstsq"]) <= {(m, p) for p in below}
+    assert shapes["svdvals"] == []
     assert run_monte_carlo(config, max_workers=2).records == serial.records
 
 
