@@ -14,8 +14,10 @@ no decomposition.  Below it, the Gram ``Phi'Phi`` comes from the regressor's
 shift structure in O(F M P + P^2) (:func:`_gram`), and one Cholesky factor
 ``R`` with ``R^{-1}`` (O(P^3 / 3) each) certifies full rank despite the Gram's
 rounding and gives ``theta`` by corrected semi-normal equations, O(F M P +
-P^3 / 3) in all.  Where that certificate fails, one SVD-based solve of
-``Phi`` itself decides the rank and gives ``theta``.
+P^3 / 3) in all.  Where that certificate fails (zero-order-hold inputs, and
+band-limited or low-passed ones, whose ``Phi'Phi`` squares a large condition
+number), one SVD-based solve of ``Phi`` itself decides the rank and gives
+``theta``, in O(M P^2).
 """
 
 from __future__ import annotations
@@ -219,18 +221,28 @@ def _gram(phi: RegressorMatrix) -> np.ndarray:
 #   k eps sigma_max, and a backward-stable SVD moves each singular value by
 #   a small multiple of u sigma_max, far inside that margin: the rule's
 #   verdict is full rank.  The norms' own rounding (relative P u) fits in the
-#   same margin.  The certificate also gives kappa(Phi)^2 eps < 1 / (61 k),
-#   so one corrected semi-normal step has the forward error O(kappa eps) of
-#   a QR solve (Bjorck, BIT 27, 1987).
+#   same margin.
+# * theta: the solve with R'R and each correction with the residual taken
+#   from Phi map the error e = theta - theta_LS to (R'R)^{-1} E e, where
+#   theta_0 = (R'R)^{-1} G theta_LS starts at e = -(R'R)^{-1} E theta_LS.
+#   So after s corrections ||e|| <= rho^(s+1) ||theta_LS||, with rho =
+#   ||(R'R)^{-1} E||_2 <= 3 k eps tau ||X||_F^2 / (7/8)^2 = 3 q / c, q < 1
+#   the certificate's ratio of left to right side: rho < 3/64.  The rounding
+#   of the residual and of Phi'r adds the terms of order kappa eps (1 +
+#   kappa ||r|| / (||Phi|| ||theta||)) that bound a QR solve too (Bjorck,
+#   BIT 27, 1987).  _solve corrects until rho^(s+1) <= eps, so the factor's
+#   part stays below them: two corrections at q = 7e-5 (a full-band
+#   multisine, M = 2000, P = 1000), at most 11 as q nears 1.
 _CERTIFICATE_FACTOR = 64.0
 
 
-def _certified_factor(phi: RegressorMatrix) -> np.ndarray | None:
-    """The upper Cholesky factor ``R`` of ``Phi'Phi`` for an M x P ``Phi``
-    with P < M, or ``None`` unless ``R^{-1}`` certifies that ``Phi`` has
-    full numerical rank: all P singular values above ``max(M, P) * eps *
-    sigma_max``.  One Cholesky and one triangular inverse (trtri), each
-    O(P^3 / 3), after :func:`_gram`; ``None`` also where the Cholesky
+def _certified_factor(phi: RegressorMatrix) -> tuple[np.ndarray, float] | None:
+    """``(R, rho)``: the upper Cholesky factor ``R`` of ``Phi'Phi`` for an
+    M x P ``Phi`` with P < M and the bound ``rho < 3/64`` on the error that
+    ``R'R`` leaves per solve; or ``None`` unless ``R^{-1}`` certifies that
+    ``Phi`` has full numerical rank: all P singular values above ``max(M, P)
+    * eps * sigma_max``.  One Cholesky and one triangular inverse (trtri),
+    each O(P^3 / 3), after :func:`_gram`; ``None`` also where the Cholesky
     meets a non-positive pivot or trtri a zero one."""
     m, p = phi.entries.shape
     gram = _gram(phi)
@@ -241,10 +253,25 @@ def _certified_factor(phi: RegressorMatrix) -> np.ndarray | None:
     inverse, info = scipy.linalg.lapack.dtrtri(r, lower=0)
     if info != 0:
         return None
+    ratio = np.linalg.norm(inverse) ** 2 * tau * _CERTIFICATE_FACTOR * m * np.finfo(float).eps / (7 / 8) ** 2
     # written so that a nan norm fails the test
-    if np.linalg.norm(inverse) ** 2 * tau < (7 / 8) ** 2 / (_CERTIFICATE_FACTOR * m * np.finfo(float).eps):
-        return r
+    if ratio < 1.0:
+        return r, 3.0 * ratio / _CERTIFICATE_FACTOR
     return None
+
+
+def _solve(r: np.ndarray, rho: float, entries: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``theta`` from ``R'R theta = Phi'y``, corrected with the residual taken
+    from ``Phi`` until the bound ``rho^(s+1)`` on the factor's part of the
+    error is at most eps (corrected semi-normal equations), O(M P + P^2)
+    per correction."""
+    theta = scipy.linalg.lapack.dpotrs(r, entries.T @ y)[0]
+    error = rho
+    while True:
+        theta += scipy.linalg.lapack.dpotrs(r, entries.T @ (y - entries @ theta))[0]
+        error *= rho
+        if error <= np.finfo(float).eps:
+            return theta
 
 
 def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
@@ -258,24 +285,28 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
     * ``P < M``: the Gram ``Phi'Phi`` from the regressor's shift structure
       (:func:`_gram`, O(F M P + P^2)), its Cholesky factor ``R`` and
       ``R^{-1}``, which certifies full numerical rank (O(P^3 / 3) each):
-      ``theta`` solves ``R'R theta = Phi'y`` and is corrected once with the
-      residual taken from ``Phi``, O(M P).  Where the Cholesky or the
-      certificate fails, as for a zero-order-hold input at ``P > 2``, one
-      SVD-based solve of ``Phi`` (LAPACK gelsd, O(M P^2)) decides: ``None``
-      unless all P singular values exceed ``M * eps * sigma_max``.
+      ``theta`` solves ``R'R theta = Phi'y`` and is corrected with the
+      residual taken from ``Phi`` (:func:`_solve`, O(M P) per correction).
+      Where the Cholesky or the certificate fails, one SVD-based solve of
+      ``Phi`` (LAPACK gelsd, O(M P^2)) decides: ``None`` unless all P
+      singular values exceed ``M * eps * sigma_max``.  The certificate
+      needs about ``kappa(Phi)^2 * 64 M eps * tau / sigma_max^2 < 1``, so a
+      zero-order-hold input at ``P > 2`` and band-limited or low-passed
+      inputs take that solve, which costs about three times a QR of
+      ``Phi`` (``kappa`` past about 4e3 at M = 2000, P = 1000, on a
+      low-passed white noise).
     """
     phi.check_output(y_l)
     entries, y = phi.entries, y_l.samples
     m, p = entries.shape
     if p >= m:
         return None
-    r = _certified_factor(phi)
-    if r is None:
+    certified = _certified_factor(phi)
+    if certified is None:
         # lstsq rejects a non-finite Phi, whose nan Gram fails the certificate
         theta, _, rank, _ = scipy.linalg.lstsq(entries, y, cond=m * np.finfo(float).eps, lapack_driver="gelsd")
         if rank < p:
             return None
     else:
-        theta = scipy.linalg.lapack.dpotrs(r, entries.T @ y)[0]
-        theta += scipy.linalg.lapack.dpotrs(r, entries.T @ (y - entries @ theta))[0]
+        theta = _solve(*certified, entries, y)
     return FirModel(theta=theta, period=y_l.fast_period)

@@ -1,5 +1,6 @@
 """Tests for regressor construction and least squares."""
 
+import math
 import pickle
 
 import numpy as np
@@ -10,7 +11,14 @@ import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beyondnyq.regressor import RegressorMatrix, _gram, build_regressor, least_squares_fir
+from beyondnyq.regressor import (
+    _CERTIFICATE_FACTOR,
+    RegressorMatrix,
+    _certified_factor,
+    _gram,
+    build_regressor,
+    least_squares_fir,
+)
 from beyondnyq.signals import FastSignal, SlowSignal, downsample, random_noise
 
 
@@ -383,6 +391,28 @@ class TestRankCertificate:
         shapes = self.spy(monkeypatch)
         model = least_squares_fir(phi, y)
         assert shapes == [(200, 20)]
+        expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
+        tolerance = ls_tolerance(phi.entries, y.samples, expected)
+        assert np.linalg.norm(model.theta - expected) <= tolerance * np.linalg.norm(expected)
+
+    def test_input_near_certificate_edge_takes_fast_path(self, monkeypatch):
+        """A milder low-pass than the fallback test's leaves the certificate's
+        left side just under its right: the Cholesky path runs, with the
+        corrections that its bound ``rho^(s+1) <= eps`` asks for, and still
+        matches ``np.linalg.lstsq``."""
+        u = random_noise(600, 0.1, 1.0, seed=21).samples
+        for _ in range(3):
+            u = scipy.signal.lfilter([0.027], [1.0, -0.973], u)
+        phi = build_regressor(FastSignal(samples=u, period=0.1), factor=3, order=20)  # M=200
+        y = SlowSignal(samples=random_noise(200, 0.3, 1.0, seed=22).samples, period=0.3, factor=3)
+        _, rho = _certified_factor(phi)
+        ratio = rho * _CERTIFICATE_FACTOR / 3
+        assert 0.5 < ratio < 1.0
+        corrections = math.ceil(math.log(np.finfo(float).eps) / math.log(rho)) - 1
+        lstsq_shapes, solves = self.spy(monkeypatch), self.spy(monkeypatch, "dpotrs", scipy.linalg.lapack)
+        model = least_squares_fir(phi, y)
+        assert lstsq_shapes == []
+        assert len(solves) == 1 + corrections and corrections >= 5
         expected = np.linalg.lstsq(phi.entries, y.samples, rcond=None)[0]
         tolerance = ls_tolerance(phi.entries, y.samples, expected)
         assert np.linalg.norm(model.theta - expected) <= tolerance * np.linalg.norm(expected)
