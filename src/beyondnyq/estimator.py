@@ -131,19 +131,6 @@ def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None
     return np.zeros((phi.output_length, phi.output_length)) if gram is None else gram
 
 
-def _feature_matrix(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
-    """``X = [Phi L_t]`` over the terms of ``spec`` but ``skip``, with
-    ``sqrt(scale)`` inside a DC block, so ``X X' = Phi K Phi'``."""
-    blocks = list(_scaled_pieces(phi, _terms(spec), True, skip))
-    x = np.empty((phi.output_length, sum(block.shape[1] for _, _, block in blocks)))
-    start = 0
-    for _, scale, block in blocks:
-        # sqrt(1.0) * v is v exactly: one write per block, no temporary
-        np.multiply(block, math.sqrt(scale), out=x[:, start : start + block.shape[1]])
-        start += block.shape[1]
-    return x
-
-
 def _block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left' right``: a syrk where both are one array, so a diagonal block
     is bitwise symmetric."""
@@ -373,8 +360,10 @@ def marginal_likelihood(
 
 
 class _Rest(NamedTuple):
-    """``R = gamma I`` plus every kernel term's Gram but one, factored once
-    per coordinate so that probes of that one term need no factorization."""
+    """The dual's M x M ``R = gamma I`` plus every kernel term's Gram but one,
+    factored once per coordinate so that probes of that one term need no
+    factorization.  The feature space has none: its probes are full scorings
+    of the n x n ``X'X``, n < M."""
 
     index: int  # the term left out
     lower: np.ndarray  # Cholesky factor of R (lower triangle)
@@ -390,9 +379,9 @@ _CANCELLATION = 1e-6
 
 
 def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
-    """Evidence at ``R + W W'`` for an M x 2 ``W``, in O(M^2); a resonant
-    pole's ``W = Phi L_t`` costs O(N + M) from the regressor's N input
-    samples, so a probe is O(N + M^2).
+    """Evidence at the dual's ``R + W W'`` for an M x 2 ``W``, in O(M^2); a
+    resonant pole's ``W = Phi L_t`` costs O(N + M) from the regressor's N
+    input samples, so a dual probe is O(N + M^2).
 
     With ``V = lower^{-1} W``, ``C = I + V'V`` and ``beta = V' alpha``,
     Woodbury and the determinant lemma give
@@ -529,7 +518,8 @@ def _frequency_bounds(value: float, omega_max: float) -> tuple[float, float]:
 _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value * 1e2))
 _RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
-# a third sweep; a resonant probe costs O(N + M^2) (rank-2 update), not O(M^3)
+# a third sweep; a resonant probe costs O(N + M^2) in the dual (rank-2 update),
+# not O(M^3), and O(N + M n + n^3) in the feature space
 _FIELD_RULES = {
     "gamma": _FieldRule(True, 7, 2, lambda value, omega_max: (min(1e-9, value), max(1e3, value))),
     "scale": _DECADES,
@@ -654,17 +644,21 @@ def optimize_hyperparameters(
     so a probe of ``gamma`` or of a DC ``scale`` is an O(n^2) assembly of
     ``X'X`` plus its O(n^3) factorization (and O(M n) for ``X'y`` and the
     residual), and a DC ``decay`` probe adds its piece, O(N + M P) from the
-    regressor's samples, and its blocks, O(M P n).  A probe of a resonant-pole
-    field costs O(N + M^2): its M x 2 ``Phi L_t`` by one recursion over the
-    input, O(N + M), and a rank-2 update (Woodbury and the determinant lemma)
-    on a factorization of ``gamma I`` plus the other terms, made once per
-    coordinate.  Such a probe is scored by the full factorization instead where
-    that rest cannot be factorized, where the full Gram could overflow, or
-    where the update's value is not finite or lost six digits to cancellation,
-    so it scores ``+inf`` where a non-finite Gram makes
-    :func:`marginal_likelihood` raise.  The best probe of a resonant coordinate
-    is scored again by the full factorization before it is accepted: every
-    accepted objective value is the one :func:`marginal_likelihood` returns.
+    regressor's samples, and its blocks, O(M P n).  A feature-space probe of a
+    resonant-pole field adds its M x 2 ``Phi L_t``, one recursion over the
+    input, O(N + M), and its blocks, O(M n): every feature-space probe is
+    scored as :func:`marginal_likelihood` scores it, and no array grows with
+    M^2.  In the dual a probe of a resonant-pole field costs O(N + M^2):
+    that ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma)
+    on a factorization of ``gamma I`` plus the other terms' M x M Grams, made
+    once per coordinate.  Such a probe is scored by the full factorization
+    instead where that rest cannot be factorized, where the full Gram could
+    overflow, or where the update's value is not finite or lost six digits to
+    cancellation, so it scores ``+inf`` where a non-finite Gram makes
+    :func:`marginal_likelihood` raise.  The best probe of a dual resonant
+    coordinate is scored again by the full factorization before it is
+    accepted: every accepted objective value is the one
+    :func:`marginal_likelihood` returns.
 
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
@@ -680,19 +674,16 @@ def optimize_hyperparameters(
     failure: NumericalError | None = None
 
     def rest_for(name: str, point: tuple[KernelSpec, float]) -> _Rest | None:
-        """The factored rest at ``point`` when coordinate ``name`` moves a resonant
-        term; None for other coordinates and when the rest cannot be factorized."""
-        if name == "gamma":
+        """The factored M x M rest at ``point`` when coordinate ``name`` moves a
+        resonant term in the dual; None in the feature space, for other
+        coordinates and when the rest cannot be factorized."""
+        if feature or name == "gamma":
             return None
         spec, g = point
         index = _address(spec, name)[0]
         if not isinstance(_terms(spec)[index], ResonantPole):
             return None
-        if feature:
-            x = _feature_matrix(phi, spec, skip=index)
-            rest = x @ x.T
-        else:
-            rest = _output_gram(phi, spec, skip=index)
+        rest = _output_gram(phi, spec, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
         bound = float(np.max(np.diagonal(rest)))

@@ -37,7 +37,7 @@ __all__ = ["RegressorMatrix", "build_regressor", "least_squares_fir"]
 class RegressorMatrix:
     """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
 
-    Built from the input samples ``u(0), ..., u((M-1) F)`` that its rows
+    Built from the finite input samples ``u(0), ..., u((M-1) F)`` that its rows
     window, the factor ``F`` and the order ``P``: ``M = floor((N - 1) / F) +
     1`` for N samples, and ``entries`` is the one M x P copy.  Kernel terms
     whose factor is a first-order recursion compute ``Phi L`` from the
@@ -61,6 +61,9 @@ class RegressorMatrix:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or not samples.size:
             raise ValueError(f"samples must be a non-empty 1-D array, got shape {samples.shape}")
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise ValueError(f"samples must be finite, got {samples[bad[0]]} at index {bad[0]} ({bad.size} in all)")
         if samples.flags.writeable or samples.base is not None:
             samples = samples.copy()
             samples.flags.writeable = False
@@ -303,7 +306,6 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
         return None
     certified = _certified_factor(phi)
     if certified is None:
-        # lstsq rejects a non-finite Phi, whose nan Gram fails the certificate
         theta, _, rank, _ = scipy.linalg.lstsq(entries, y, cond=m * np.finfo(float).eps, lapack_driver="gelsd")
         if rank < p:
             return None

@@ -629,13 +629,30 @@ class TestBlockGram:
 
     def test_resonant_probe_reuses_dc_block(self, monkeypatch):
         """Probes of a resonant frequency leave the DC term as it is: the DC
-        block is computed once, for the start, while the accepted probes'
-        resonant blocks are computed again."""
+        block is computed once, for the start, while every probe's resonant
+        blocks are computed again."""
         problem = make_problem(34, n=90, factor=3, order=12, kernel=SHARED_PK)
         products = spy_blocks(monkeypatch)
         self.tune(problem, {"terms.1.frequency": 0.7, "terms.2.frequency": 2.1})
         assert products.count((12, 12)) == 1
         assert products.count((2, 2)) > 3
+
+    def test_resonant_tune_factors_only_feature_grams(self, monkeypatch):
+        """A feature-space tune of resonant fields factors one n x n ``X'X +
+        gamma I`` per evaluation (n = 16 < M = 30) and no M x M rest."""
+        problem = make_problem(34, n=90, factor=3, order=12, kernel=SHARED_PK)
+        orders = []
+        cholesky = estimator._shifted_cholesky
+
+        def spy(gram, gamma):
+            orders.append(gram.shape[0])
+            return cholesky(gram, gamma)
+
+        monkeypatch.setattr(estimator, "_shifted_cholesky", spy)
+        trace = self.tune(problem, {"terms.1.frequency": 0.7, "terms.2.sigma1": 0.6})
+        # the last trace entry is the accepted point again, not an evaluation
+        assert len(trace) == 61
+        assert orders == [16] * 60
 
 
 class TestPrimalCheck:
@@ -1010,8 +1027,9 @@ class TestOptimizeHyperparameters:
 
 
 class TestTunerFastEvidence:
-    """Probes of a resonant term are scored by a rank-2 update on a cached
-    factorization of the other terms, and fall back to the full one."""
+    """In the dual, probes of a resonant term are scored by a rank-2 update
+    on a cached factorization of the other terms, and fall back to the full
+    one; in the feature space every probe is the full one."""
 
     def trace_with_rank2_spy(self, monkeypatch, problem, template, eta0, gamma, budget):
         rank2 = []
@@ -1066,9 +1084,7 @@ class TestTunerFastEvidence:
         assert estimator._in_feature_space(template.terms, problem.phi.output_length, 60)
         return problem, template, eta0, gamma
 
-    @pytest.mark.parametrize(
-        "case, min_rank2", [("well_conditioned", 50), ("nearly_singular_rest", 0), ("feature_space", 50)]
-    )
+    @pytest.mark.parametrize("case, min_rank2", [("well_conditioned", 50), ("nearly_singular_rest", 0)])
     def test_probes_match_marginal_likelihood(self, monkeypatch, case, min_rank2):
         problem, template, eta0, gamma = getattr(self, case)()
         trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 150)
@@ -1080,6 +1096,16 @@ class TestTunerFastEvidence:
         # marginal_likelihood scores it, so "never worse" holds bit for bit
         best, best_value = trace[-1]
         assert best_value == self.evidence(problem, template, best, gamma)
+
+    def test_feature_space_probes_are_marginal_likelihood(self, monkeypatch):
+        """The feature space has no rank-2 rest: every probe, resonant ones
+        included, is scored as marginal_likelihood scores it, bit for bit."""
+        problem, template, eta0, gamma = self.feature_space()
+        trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 150)
+        assert rank2 == []
+        assert sum(values["terms.1.frequency"] != 0.8 for values, _ in trace) > 20
+        for values, value in trace:
+            assert value == self.evidence(problem, template, values, gamma)
 
     def overflowing_update(self):
         # the huge DC scale keeps the rest's factor large, so W stays small
