@@ -2,14 +2,15 @@
 
 numpy and scipy wheels each bundle their own OpenBLAS, so every loaded copy
 is found and set.  Where none is loaded (MKL, Accelerate, or not Linux) the
-helpers do nothing.
+pin does nothing and no fork is deemed safe.  A fork needs no call from
+here: each pthreads OpenBLAS stops its idle threads in its own
+``pthread_atfork`` handler and starts new ones at its next threaded call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from contextlib import contextmanager
 
 # (prefix, suffix) of the thread functions: the scipy-openblas wheels of
@@ -64,52 +65,33 @@ def openblas_controls() -> list[tuple]:
     ]
 
 
-def stop_thread_pools() -> bool:
-    """Stop the idle thread pool of every loaded OpenBLAS, so that a fork
-    that follows copies no BLAS thread and no lock one holds; OpenBLAS
-    starts a new pool at its next threaded call.
-
-    Returns ``False``, having stopped nothing, where no OpenBLAS is loaded,
-    one lacks these functions, or one runs its threads on OpenMP
-    (``get_parallel`` not 0 or 1), whose runtime is not safe to fork.
-    """
+def fork_safe() -> bool:
+    """Whether a fork copies no BLAS thread: at least one OpenBLAS is loaded
+    and each reports ``get_parallel`` 0 (no threads) or 1 (pthreads, whose
+    fork handler stops them).  Not where one runs on OpenMP (2), whose
+    runtime is not safe to fork, or lacks ``get_parallel``.  It changes
+    nothing."""
     libraries = _openblas_libraries()
     try:
-        parallel = [_function(lib, f"{p}get_parallel{s}", [], ctypes.c_int)() for lib, p, s in libraries]
-        shutdowns = [_function(lib, "blas_thread_shutdown_", [], ctypes.c_int) for lib, _, _ in libraries]
+        parallel = {_function(lib, f"{p}get_parallel{s}", [], ctypes.c_int)() for lib, p, s in libraries}
     except AttributeError:
         return False
-    if not libraries or not set(parallel) <= {0, 1}:
-        return False
-    for shutdown in shutdowns:
-        shutdown()
-    return True
-
-
-# the thread counts are process-wide, so blocks that overlap in time (from
-# several threads) share one pin: the first to enter sets it, the last to
-# leave restores the counts the first one found
-_lock = threading.Lock()
-_active = 0
-_restore: list[tuple] = []
+    return bool(libraries) and parallel <= {0, 1}
 
 
 @contextmanager
 def single_threaded_blas():
     """Run the block with every loaded OpenBLAS on one thread, then restore
-    the previous counts, also when the block raises."""
-    global _active, _restore
-    with _lock:
-        if _active == 0:
-            _restore = [(set_, get()) for get, set_ in openblas_controls()]
-            for set_, _ in _restore:
-                set_(1)
-        _active += 1
+    the counts found on entry, also when the block raises.  Pins nest in one
+    thread: an inner pin restores 1s, the outer one the original counts.
+    Pins that overlap from several threads are not supported: the counts
+    are process-wide, and the first to leave restores them under the others.
+    """
+    saved = [(set_, get()) for get, set_ in openblas_controls()]
+    for set_, _ in saved:
+        set_(1)
     try:
         yield
     finally:
-        with _lock:
-            _active -= 1
-            if _active == 0:
-                for set_, count in _restore:
-                    set_(count)
+        for set_, count in saved:
+            set_(count)

@@ -33,12 +33,12 @@ Parallelism: ``simulate-mc`` runs its runs in one thread.  With
 ``NB_THREADS=n`` (default 1) a tuned study's tuning, most of its time, runs
 in ``min(n, runs)`` forked worker processes, since the tuner's Python code
 and scipy's LAPACK wrappers hold the GIL; it stays in that thread where fork
-is not available or the BLAS cannot stop its threads for the fork (no
-OpenBLAS is loaded, or one runs on OpenMP).  The outputs are the same for
-any n.  Every command runs BLAS on one thread, whatever the environment sets
-(for example ``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies
-then never compete for the cores, and the outputs do not depend on the BLAS
-thread count.
+is not available or the BLAS is not fork-safe (no OpenBLAS is loaded, or one
+runs on OpenMP).  The outputs are the same for any n.  Every command runs
+BLAS on one thread, whatever the environment sets (for example
+``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies then never
+compete for the cores, and the outputs do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fast-rate FIR identification from slow-rate outputs",
         epilog="NB_THREADS=n runs a tuned simulate-mc study's tuning in min(n, runs) forked worker "
         "processes (default 1; in the study's one thread where fork is unavailable or the BLAS "
-        "cannot stop its threads for it). Every command runs BLAS on one thread, whatever "
-        "OPENBLAS_NUM_THREADS says.",
+        "is not fork-safe: no OpenBLAS is loaded, or one runs on OpenMP). Every command runs BLAS "
+        "on one thread, whatever OPENBLAS_NUM_THREADS says.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from ._blas import single_threaded_blas, stop_thread_pools
+from ._blas import fork_safe, single_threaded_blas
 from .errors import NumericalError
 from .estimator import (
     RegularizedProblem,
@@ -458,12 +458,14 @@ def _tuning_processes(processes: int):
     ``processes`` forked workers and returns a callable that waits for its
     result; where :func:`run_monte_carlo` says the runs tune in the calling
     thread, that callable makes the call itself.  Enter it before any other
-    thread starts, so that the fork copies one thread.  The workers ignore
-    SIGINT, which reaches the study instead, and none outlives the block.
+    thread starts: every OpenBLAS that :func:`fork_safe` accepts stops its
+    idle threads in its own fork handler, so the fork then copies one
+    thread.  The workers ignore SIGINT, which reaches the study instead, and
+    none outlives the block.
     Once a worker has died (killed, say), a wait for an unfinished result
     raises ``ChildProcessError``: the pool would wait forever for the task
     that the worker held."""
-    if processes < 2 or "fork" not in multiprocessing.get_all_start_methods() or not stop_thread_pools():
+    if processes < 2 or "fork" not in multiprocessing.get_all_start_methods() or not fork_safe():
         yield lambda function, args: partial(function, *args)
         return
     others = set(multiprocessing.active_children())
@@ -512,20 +514,22 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     that many worker processes, since the tuner's Python code and scipy's
     LAPACK wrappers hold the GIL.  Every run's tuning is submitted first;
     then, run by run, the calling thread waits for it, makes the run's data
-    and fits every order.  The pool is forked after every loaded OpenBLAS has
-    stopped its idle threads, so the fork copies one thread, and every
-    worker has exited when the call returns or raises.  Where fork is not
+    and fits every order.  Each loaded OpenBLAS stops its idle threads in
+    its own fork handler, so the fork copies one thread, and every worker
+    has exited when the call returns or raises.  Where fork is not
     available, no OpenBLAS is loaded or one runs on OpenMP, the runs tune in
     the calling thread.
 
     The pool is the study's only parallelism: for the duration of the call
     every loaded OpenBLAS runs on one thread, in the workers too.  At these
     problem sizes BLAS threads cost more than they give, and under run-level
-    workers they oversubscribe the cores.  The pin
-    is process-wide: BLAS calls from other threads of the process run on one
-    thread too until the call returns (the last to return, if calls
-    overlap), and the previous thread counts are then restored, also when
-    the call raises.
+    workers they oversubscribe the cores.  The pin is process-wide: BLAS
+    calls from other threads of the process run on one thread too until the
+    call returns, and the thread counts found on entry are then restored,
+    also when the call raises.  Pins nest, as :func:`beyondnyq.cli.main`'s
+    wraps this one, but calls that overlap from several threads are not
+    supported: the first to return would restore the counts under the
+    others.
 
     Results are identical for any ``max_workers``: every run derives its RNG
     streams from ``(base_seed, run_index)`` alone and records are ordered by

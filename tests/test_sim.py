@@ -480,9 +480,8 @@ def test_a_dead_tuning_worker_fails_the_waiting_runs(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_tuning_pool_has_one_process_per_concurrent_run(monkeypatch):
-    """The pool has ``min(max_workers, runs)`` processes: 2 for 64 workers
-    and 2 runs.  A study with one run, or with nothing to tune, forks none."""
+def spy_pools(monkeypatch):
+    """The process count of every ``multiprocessing`` pool made from now on."""
     sizes = []
 
     class Spy(multiprocessing.pool.Pool):
@@ -491,6 +490,13 @@ def test_tuning_pool_has_one_process_per_concurrent_run(monkeypatch):
             super().__init__(processes, *args, **kwargs)
 
     monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
+    return sizes
+
+
+def test_tuning_pool_has_one_process_per_concurrent_run(monkeypatch):
+    """The pool has ``min(max_workers, runs)`` processes: 2 for 64 workers
+    and 2 runs.  A study with one run, or with nothing to tune, forks none."""
+    sizes = spy_pools(monkeypatch)
     assert not run_monte_carlo(TUNED, max_workers=64).errors
     assert not run_monte_carlo(replace(TUNED, runs=1), max_workers=2).errors
     assert not run_monte_carlo(FIXED, max_workers=2).errors
@@ -626,25 +632,86 @@ def os_threads() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
+def start_blas_pools():
+    """Start the thread pools of numpy's and scipy's OpenBLAS, and check
+    that their threads are alive."""
+    a = np.random.default_rng(0).standard_normal((500, 500))
+    a @ a  # noqa: B018 - starts numpy's pool
+    scipy.linalg.blas.dgemm(1.0, a, a)
+    assert os_threads() > threading.active_count()
+
+
+@requires_openblas
+def test_openblas_stops_its_pool_at_fork(blas_at_two):
+    """A bare fork, with no program code before it, leaves the parent with
+    its Python threads only: each OpenBLAS stops its pool in its own fork
+    handler.  The tuning pool relies on this library behaviour."""
+    start_blas_pools()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert os_threads() == threading.active_count()
+
+
 @requires_openblas
 def test_tuning_workers_fork_no_blas_thread(monkeypatch, blas_at_two):
-    """At each fork of a tuning worker no OpenBLAS pool thread is alive:
-    the process runs its Python threads only."""
-    a = np.random.default_rng(0).standard_normal((500, 500))
-    a @ a  # noqa: B018 - starts the OpenBLAS thread pools
-    scipy.linalg.cholesky(a @ a.T + 500 * np.eye(500))
-    assert os_threads() > threading.active_count()
+    """After each fork of a tuning worker the parent runs its Python threads
+    only, so no OpenBLAS pool thread was alive when the fork copied it."""
+    start_blas_pools()
     counts = []
     fork = os.fork
 
     def spy():
-        counts.append((os_threads(), threading.active_count()))
-        return fork()
+        pid = fork()
+        if pid:
+            counts.append((os_threads(), threading.active_count()))
+        return pid
 
     monkeypatch.setattr(os, "fork", spy)
     assert not run_monte_carlo(TUNED, max_workers=2).errors
     assert len(counts) == 2
     assert all(threads == python_threads for threads, python_threads in counts)
+
+
+class FakeOpenBLAS:
+    """A loaded OpenBLAS whose ``get_parallel`` returns ``parallel``, or
+    which lacks the symbol where ``parallel`` is None."""
+
+    def __init__(self, parallel):
+        if parallel is not None:
+            self.openblas_get_parallel = lambda: parallel
+
+
+@pytest.mark.parametrize(
+    "parallel, safe",
+    [
+        ([0], True),
+        ([1], True),
+        ([1, 0], True),
+        ([2], False),  # OpenMP
+        ([1, 2], False),
+        ([None], False),
+        ([1, None], False),
+        ([], False),  # no OpenBLAS loaded
+    ],
+)
+def test_fork_safe_needs_every_openblas_off_openmp(monkeypatch, parallel, safe):
+    libraries = [(FakeOpenBLAS(p), "openblas_", "") for p in parallel]
+    monkeypatch.setattr(_blas, "_openblas_libraries", lambda: libraries)
+    assert _blas.fork_safe() is safe
+
+
+def test_tuning_stays_in_the_study_where_blas_is_not_fork_safe(monkeypatch):
+    """A tuned study whose BLAS is not fork-safe forks no pool and gives the
+    serial study's records."""
+    serial = run_monte_carlo(TUNED, max_workers=1)
+    sizes = spy_pools(monkeypatch)
+    monkeypatch.setattr(sim, "fork_safe", lambda: False)
+    result = run_monte_carlo(TUNED, max_workers=2)
+    assert sizes == []
+    assert not result.errors
+    assert result.records == serial.records
 
 
 @requires_openblas
@@ -656,13 +723,12 @@ def test_pin_restored_when_body_raises(blas_at_two):
     assert thread_counts() == blas_at_two
 
 
-
 @requires_openblas
-def test_overlapping_pins_restore_once_all_have_left(blas_at_two):
-    first, second = _blas.single_threaded_blas(), _blas.single_threaded_blas()
-    first.__enter__()
-    second.__enter__()
-    first.__exit__(None, None, None)
-    assert thread_counts() == [1] * len(blas_at_two)
-    second.__exit__(None, None, None)
+def test_nested_pins_restore_the_outer_counts(blas_at_two):
+    """``cli.main``'s pin wraps ``run_monte_carlo``'s: the inner pin
+    restores 1s, the outer one the counts it found."""
+    with _blas.single_threaded_blas():
+        with _blas.single_threaded_blas():
+            pass
+        assert thread_counts() == [1] * len(blas_at_two)
     assert thread_counts() == blas_at_two
