@@ -23,28 +23,40 @@ _PREFIXES = (
 )
 
 
+# what each mapped path gave when it was first probed: (library, prefix,
+# suffix), or None for a path that is no OpenBLAS; a mapped library stays
+# mapped, and a fork keeps the parent's maps, so a path is probed once
+_probed: dict[str, tuple | None] = {}
+
+
+def _probe(path: str) -> tuple | None:
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:  # not a shared library, or not loaded
+        return None
+    for prefix, suffix in _PREFIXES:
+        if hasattr(lib, f"{prefix}get_num_threads{suffix}"):
+            return lib, prefix, suffix
+    return None
+
+
 def _openblas_libraries() -> list[tuple]:
-    """``(library, prefix, suffix)`` of every loaded OpenBLAS, once per copy."""
+    """``(library, prefix, suffix)`` of every loaded OpenBLAS, once per copy;
+    only the paths mapped since the last call are opened."""
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
     except OSError:
         return []
-    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6 and f[5].startswith("/"))
     libraries = {}
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:  # not a shared library, or not loaded
-            continue
-        for prefix, suffix in _PREFIXES:
-            try:
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            except AttributeError:
-                continue
+    for path in dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6 and f[5].startswith("/")):
+        if path not in _probed:
+            _probed[path] = _probe(path)
+        if _probed[path] is not None:
+            lib, prefix, suffix = _probed[path]
             # an extension linked to OpenBLAS resolves the same symbols
-            libraries.setdefault(ctypes.cast(get, ctypes.c_void_p).value, (lib, prefix, suffix))
-            break
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            libraries.setdefault(ctypes.cast(get, ctypes.c_void_p).value, _probed[path])
     return list(libraries.values())
 
 

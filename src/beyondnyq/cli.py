@@ -191,8 +191,9 @@ def _write_frf_csv(model: FirModel, path: Path, omegas: np.ndarray) -> None:
     values = fir_frf(model, omegas)
     # hypot, not np.abs: it rounds each magnitude as abs(complex) does
     magnitudes = np.hypot(values.real, values.imag)
-    rows = zip(omegas, omegas / (2.0 * math.pi), magnitudes, np.angle(values))
-    _write_csv(path, ("omega_rad_s", "freq_hz", "magnitude", "phase_rad"), rows)
+    # Python floats format faster than numpy scalars, to the same text
+    columns = (omegas, omegas / (2.0 * math.pi), magnitudes, np.angle(values))
+    _write_csv(path, ("omega_rad_s", "freq_hz", "magnitude", "phase_rad"), zip(*(c.tolist() for c in columns)))
 
 
 def _frf_grid(config: dict, period: float) -> np.ndarray:
@@ -231,7 +232,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
             predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
             model_file = out_dir / f"model_{name}.json"
             save_model(model, model_file)
-            _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta))
+            _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta.tolist()))
             _write_frf_csv(model, out_dir / f"frf_{name}.csv", omegas)
             report.update(
                 gof=goodness_of_fit(y_l.samples, predicted),

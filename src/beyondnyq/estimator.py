@@ -17,7 +17,10 @@ spline and 2 per resonant pole.
 
 * feature space iff ``n < M``: the n x n ``X'X + gamma I`` gives ``w``, the
   model ``theta = sum_t L_t w_t`` and the evidence (through the push-through
-  and Sylvester determinant identities);
+  and Sylvester determinant identities).  ``X'X`` comes from the regressor's
+  ``G = Phi'Phi`` for every term but a resonant pole, at a cost that does
+  not grow with M, and its Cholesky factor borders the first term's, which
+  the regressor keeps for later fits and probes;
 * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``.
 
 Both give the same model and evidence up to rounding; ``X'X + gamma I`` is
@@ -34,15 +37,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import InvalidStartError, NumericalError
 from .kernels import KernelSpec, KernelSum, ResonantPole, _terms
-from .regressor import RegressorMatrix
+from .regressor import RegressorMatrix, _cached, _full_gram, _mirror
 from .signals import FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _positive, _write_json
 
 __all__ = [
@@ -84,43 +89,21 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     return sum(term.width(order) for term in terms) < m
 
 
-def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """The array in ``slot`` of ``phi._cache`` where its key is ``key``, else
-    ``compute()`` stored there read-only (:func:`_shifted_cholesky` factors in
-    place) as the slot's latest.  Slot ``t``, a term index, holds term t's unit
-    piece keyed by the unit term and the space: the feature space's ``Phi L_t``
-    (True) or the dual's ``Phi K_t Phi'`` (False).  Slot ``(s, t)``, ``s <= t``,
-    holds the feature-space unit block ``(Phi L_s)'(Phi L_t)`` keyed by both
-    unit terms, so the cache never outgrows the terms and their pairs."""
-    cached = phi._cache.get(slot)
-    if cached is None or cached[0] != key:
-        array = compute()
-        array.flags.writeable = False
-        cached = phi._cache[slot] = key, array
-    return cached[1]
-
-
 def _unit_piece(phi: RegressorMatrix, unit: KernelSpec, feature: bool) -> np.ndarray:
     factored = unit.regressor_factor(phi)
     return factored if feature else factored @ factored.T
 
 
-def _scaled_pieces(phi: RegressorMatrix, terms, feature, skip):
-    """``(unit term, scale, unit piece)`` per term of ``terms`` but ``skip``,
-    in order, each piece from the cache of ``phi``."""
-    for index, term in enumerate(terms):
+def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
+    """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
+    term order, from the unit Grams in the term slots of ``phi._cache``; a
+    new array, zero where every term is skipped."""
+    gram = None
+    for index, term in enumerate(_terms(spec)):
         if index == skip:
             continue
         unit, scale = term.unit()
-        yield unit, scale, _cached(phi, index, (unit, feature), lambda: _unit_piece(phi, unit, feature))
-
-
-def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
-    """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
-    term order, from the unit Grams of ``phi``; a new array, zero where every
-    term is skipped."""
-    gram = None
-    for _, scale, piece in _scaled_pieces(phi, _terms(spec), False, skip):
+        piece = _cached(phi, index, (unit, False), lambda: _unit_piece(phi, unit, False))
         if gram is None:
             gram = np.multiply(piece, scale)
         elif scale == 1.0:
@@ -131,28 +114,56 @@ def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None
     return np.zeros((phi.output_length, phi.output_length)) if gram is None else gram
 
 
-def _block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left' right``: a syrk where both are one array, so a diagonal block
-    is bitwise symmetric."""
-    return left.T @ right
+def _block(phi: RegressorMatrix, left: tuple, right: tuple) -> np.ndarray:
+    """The unit block ``(Phi L_s)'(Phi L_t)`` for ``left = (unit_s, F_s)``
+    and ``right = (unit_t, F_t)``, ``F`` a narrow term's ``Phi L`` or None
+    for a term whose blocks come from ``G``.  Two narrow terms give
+    ``F_s'F_t``, O(M w_s w_t).  Otherwise the wide side's ``factor`` is applied
+    to the rows of ``G L_t`` (``factor`` of ``G``, O(P^2) for a DC term) or of
+    ``Phi'F``, O(M P) for a narrow side; a diagonal block (``left is
+    right``) keeps its upper triangle, mirrored, so it is bitwise symmetric."""
+    (unit_s, piece_s), (unit_t, piece_t) = left, right
+    if piece_s is not None and piece_t is not None:
+        return piece_s.T @ piece_t
+    if piece_s is not None:
+        return unit_t.factor((phi.entries.T @ piece_s).T)
+    if piece_t is not None:
+        return unit_s.factor((phi.entries.T @ piece_t).T).T
+    # G L_t copied in transposed order, so that factor's recursion runs in
+    # place on it and no third P x P array is held
+    block = unit_s.factor(np.ascontiguousarray(unit_t.factor(_full_gram(phi)).T)).T
+    if left is not right:
+        return block
+    # Tikhonov's factor returns its argument, here the read-only G
+    return _mirror(block if block.flags.writeable else block.copy())
 
 
-def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-    """``A = X'X`` (n x n, a new array) for ``X = [sqrt(scale_t) F_t]``, and
-    ``(sqrt(scale_t), F_t)`` per term, ``F_t = Phi L_t`` the unit piece in
-    slot ``t`` of ``phi._cache``.
+def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> np.ndarray:
+    """``A = X'X`` (n x n, a new array) for ``X = [sqrt(scale_t) Phi L_t]``.
 
-    Block ``(s, t)`` of ``A`` is ``sqrt(scale_s scale_t)`` times the unit block
-    ``F_s'F_t`` in slot ``(s, t)``, so ``X`` is never built: a new ``gamma`` or
-    DC ``scale`` costs the O(n^2) assembly, a new DC ``decay`` its P x n blocks.
+    Block ``(s, t)`` of ``A`` is ``sqrt(scale_s scale_t)`` times the unit
+    block in slot ``(s, t)`` of ``phi._cache`` (:func:`_block`), so ``X`` is
+    never built: a new ``gamma`` or DC ``scale`` costs the O(n^2) assembly, a
+    new DC ``decay`` its blocks from ``G``, and a new resonant pole its
+    ``Phi L_t`` and O(M P) cross blocks.
     """
-    scaled = list(_scaled_pieces(phi, _terms(spec), True, None))
-    edges = np.cumsum([0] + [piece.shape[1] for _, _, piece in scaled])
+    order = phi.order
+    sides = []
+    for index, term in enumerate(_terms(spec)):
+        unit, scale = term.unit()
+        # a factor at least as wide as the order (DC, Tikhonov, stable
+        # spline) costs less as L_t' G L_t than as Phi L_t; a resonant pole
+        # keeps its M x 2 Phi L_t from the samples
+        piece = None if term.width(order) >= order else _cached(
+            phi, index, (unit, True), lambda: _unit_piece(phi, unit, True)
+        )
+        sides.append((scale, (unit, piece)))
+    edges = np.cumsum([0] + [term.width(order) for term in _terms(spec)])
     gram = np.empty((edges[-1], edges[-1]))
-    for s, (unit_s, scale_s, piece_s) in enumerate(scaled):
-        for t in range(s, len(scaled)):
-            unit_t, scale_t, piece_t = scaled[t]
-            block = _cached(phi, (s, t), (unit_s, unit_t), lambda: _block(piece_s, piece_t))
+    for s, (scale_s, side_s) in enumerate(sides):
+        for t in range(s, len(sides)):
+            scale_t, side_t = sides[t]
+            block = _cached(phi, (s, t), (side_s[0], side_t[0]), lambda: _block(phi, side_s, side_t))
             rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
             # a diagonal block gets its scale exactly, and a unit scale
             # (1.0) copies the block's bits
@@ -160,14 +171,20 @@ def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> tuple[np.ndarray, l
             np.multiply(block, weight, out=gram[rows, cols])
             if s != t:
                 gram[cols, rows] = gram[rows, cols].T
-    return gram, [(math.sqrt(scale), piece) for _, scale, piece in scaled]
+    return gram
+
+
+def _factor_rows(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
+    """``X'``-style products ``[sqrt(scale_t) L_t' v]`` over the terms, each
+    from the term's unit ``factor`` of ``v'``."""
+    return np.concatenate(
+        [unit.factor(v[None, :])[0] * math.sqrt(scale) for unit, scale in (t.unit() for t in _terms(spec))]
+    )
 
 
 def _kernel_times(spec: KernelSpec, v: np.ndarray) -> np.ndarray:
-    """``K v = sum_t L_t (L_t' v)``: the feature space's model formula, with
-    each ``L_t' v`` the term's unit factor of ``v'`` times ``sqrt(scale)``."""
-    w = [unit.factor(v[None, :])[0] * math.sqrt(scale) for unit, scale in (t.unit() for t in _terms(spec))]
-    return _feature_theta(spec, np.concatenate(w), len(v))
+    """``K v = sum_t L_t (L_t' v)``: the feature space's model formula."""
+    return _feature_theta(spec, _factor_rows(spec, v), len(v))
 
 
 def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
@@ -184,34 +201,41 @@ def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
     return diagnostics
 
 
-def _shifted_cholesky(gram: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``gram + gamma I``, and its log-determinant.
-
-    Adds ``gamma`` to the diagonal of ``gram`` in place, so callers pass a
-    Gram they own.  Only the lower triangle of the returned factor is
-    meaningful.  Raises :class:`NumericalError` with diagnostics when the
-    shifted Gram is not positive definite in floating point or holds
-    non-finite entries.
-    """
-    gram.flat[:: gram.shape[0] + 1] += gamma
+def _lower_cholesky(a: np.ndarray, shifted: np.ndarray, gamma: float) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, a new array whose lower triangle alone
+    is meaningful; ``a`` is ``shifted``, the Gram plus ``gamma I``, or a
+    block of it.  Raises :class:`NumericalError` with the diagnostics of
+    ``shifted`` where ``a`` is not positive definite in floating point or
+    holds non-finite entries."""
+    n = shifted.shape[0]
     try:
         # skipping the finite scan matters because hyperparameter search
         # factorizes thousands of these; LAPACK factors inf/NaN entries
         # without complaint, so non-finite input is caught on the factor's
         # diagonal below, which any non-finite lower-triangle entry reaches
-        lower, _ = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        lower, _ = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"Cholesky factorization of the {gram.shape[0]}x{gram.shape[0]} "
-            f"regularized Gram matrix failed: {exc}",
-            diagnostics=_failure_diagnostics(gram, gamma),
+            f"Cholesky factorization of the {n}x{n} regularized Gram matrix failed: {exc}",
+            diagnostics=_failure_diagnostics(shifted, gamma),
         ) from exc
     if not np.all(np.isfinite(np.diagonal(lower))):
         raise NumericalError(
-            f"Cholesky factor of the {gram.shape[0]}x{gram.shape[0]} "
-            f"regularized Gram matrix is not finite",
-            diagnostics=_failure_diagnostics(gram, gamma),
+            f"Cholesky factor of the {n}x{n} regularized Gram matrix is not finite",
+            diagnostics=_failure_diagnostics(shifted, gamma),
         )
+    return lower
+
+
+def _shifted_cholesky(gram: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``gram + gamma I``, and its log-determinant.
+
+    Adds ``gamma`` to the diagonal of ``gram`` in place, so callers pass a
+    Gram they own.  Raises :class:`NumericalError` as :func:`_lower_cholesky`
+    does.
+    """
+    gram.flat[:: gram.shape[0] + 1] += gamma
+    lower = _lower_cholesky(gram, gram, gamma)
     return lower, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
 
 
@@ -222,6 +246,57 @@ def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndar
     return lower, scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False), logdet
 
 
+class _Bordered(NamedTuple):
+    """The lower Cholesky factor ``[[lead, 0], [border, corner]]`` of a
+    feature-space ``A = X'X + gamma I``: ``lead`` (k x k) factors the first
+    term's block and ``corner`` the Schur complement of the other n - k
+    columns.  Only the lower triangles of ``lead`` and ``corner`` are read."""
+
+    lead: np.ndarray
+    border: np.ndarray  # (n - k) x k
+    corner: np.ndarray  # (n - k) x (n - k)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A^{-1} rhs`` by forward and back substitution, one pair of BLAS
+        trsv calls per diagonal block: faster than ``cho_solve`` for one
+        right-hand side, whose trsm OpenBLAS runs slowly, and without
+        ``solve_triangular``'s checks (the same bits)."""
+        trsv, k = scipy.linalg.blas.dtrsv, len(self.lead)
+        top = trsv(self.lead, rhs[:k], lower=1)
+        if not len(self.corner):
+            return trsv(self.lead, top, lower=1, trans=1)
+        bottom = trsv(self.corner, trsv(self.corner, rhs[k:] - self.border @ top, lower=1), lower=1, trans=1)
+        return np.concatenate((trsv(self.lead, top - self.border.T @ bottom, lower=1, trans=1), bottom))
+
+
+def _bordered_cholesky(
+    phi: RegressorMatrix, gram: np.ndarray, gamma: float, first: KernelSpec
+) -> tuple[_Bordered, float]:
+    """The factor of the feature-space ``gram + gamma I`` and its
+    log-determinant, in two steps.  Adds ``gamma`` to the diagonal of
+    ``gram`` in place.
+
+    The first term's k x k shifted block is factored once per unit term,
+    scale and ``gamma``, in the ``"lead"`` slot of ``phi._cache``, O(k^3 / 3),
+    so pk after dc, and a tuner probe that leaves the first term alone, skip
+    it.  The other n - k columns border it: one triangular solve, O(k^2 (n -
+    k)), and the Cholesky factor of their Schur complement.  Raises
+    :class:`NumericalError` with the diagnostics of the whole shifted Gram
+    where either step fails.
+    """
+    gram.flat[:: gram.shape[0] + 1] += gamma
+    k = first.width(phi.order)
+    unit, scale = first.unit()
+    lead = _cached(phi, "lead", (unit, scale, gamma), lambda: _lower_cholesky(gram[:k, :k], gram, gamma))
+    if k == len(gram):
+        border, corner = np.empty((0, k)), np.empty((0, 0))
+    else:
+        border = scipy.linalg.solve_triangular(lead, gram[:k, k:], lower=True, check_finite=False).T
+        corner = _lower_cholesky(gram[k:, k:] - border @ border.T, gram, gamma)
+    diagonal = np.concatenate((np.diagonal(lead), np.diagonal(corner)))
+    return _Bordered(lead, border, corner), 2.0 * float(np.sum(np.log(diagonal)))
+
+
 class _Solution(NamedTuple):
     """A factored fit: its evidence, and its coefficients on request."""
 
@@ -229,19 +304,17 @@ class _Solution(NamedTuple):
     theta: Callable[[], np.ndarray]
 
 
-def _refined_solve(shifted: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``shifted^{-1} rhs`` from its lower Cholesky factor, refined up to
-    three times to recover accuracy lost to the O(1/gamma) conditioning."""
-    factor = (lower, True)
-    # no finite scans: rhs comes from a SlowSignal's finite samples, and
-    # _shifted_cholesky has checked the factor's diagonal
-    z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+def _refined_solve(shifted: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """``shifted^{-1} rhs`` by ``solve``, its Cholesky factor's solve,
+    refined up to three times to recover accuracy lost to the O(1/gamma)
+    conditioning."""
+    z = solve(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     for _ in range(3):
         residual = rhs - shifted @ z
         if np.linalg.norm(residual) <= 1e-13 * rhs_norm:
             break
-        z = z + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+        z = z + solve(residual)
     return z
 
 
@@ -252,33 +325,34 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
     (dual) ``S = Phi K Phi' + gamma I`` gives the evidence ``a'a + log det S``
     with ``a = L^{-1} y`` and the model ``K Phi' S^{-1} y``.  In the feature
     space ``X = [Phi L_t]`` has n < M columns and ``A = X'X + gamma I`` gives
-    ``w = A^{-1} X'y`` and the model ``sum_t L_t w_t``; the push-through and
-    Sylvester determinant identities turn the dual evidence into
-    ``(||y - X w||^2 + gamma ||w||^2) / gamma + (M - n) log gamma + log det A``.
-    Its quadratic term comes from the residual, never as ``y'y - y'X w``,
-    a difference that cancels.
+    ``w = A^{-1} X'y`` with ``X'y = [L_t'(Phi'y)]`` and the model ``theta =
+    sum_t L_t w_t``; the push-through and Sylvester determinant identities
+    turn the dual evidence into ``(||y - Phi theta||^2 + gamma ||w||^2) /
+    gamma + (M - n) log gamma + log det A``.  Its quadratic term comes from
+    the residual, never as ``y'y - y'X w``, a difference that cancels.
     """
-    if not _in_feature_space(_terms(spec), *phi.entries.shape):
+    terms = _terms(spec)
+    if not _in_feature_space(terms, *phi.entries.shape):
         gram = _output_gram(phi, spec)
         lower, a, logdet = _dual_factor(gram, gamma, y)
+        # no finite scans: y comes from a SlowSignal's finite samples, and
+        # _shifted_cholesky has checked the factor's diagonal
+        solve = partial(scipy.linalg.cho_solve, (lower, True), check_finite=False)
         return _Solution(
-            float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, lower, y))
+            float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, solve, y))
         )
-    gram, columns = _feature_gram(phi, spec)
-    lower, logdet = _shifted_cholesky(gram, gamma)
-    # X'y and X w block by block, X = [root_t F_t]
-    w = _refined_solve(gram, lower, np.concatenate([root * (piece.T @ y) for root, piece in columns]))
-    edges = np.cumsum([piece.shape[1] for _, piece in columns])[:-1]
-    residual = y - sum(piece @ (root * part) for (root, piece), part in zip(columns, np.split(w, edges)))
+    gram = _feature_gram(phi, spec)
+    factor, logdet = _bordered_cholesky(phi, gram, gamma, terms[0])
+    w = _refined_solve(gram, factor.solve, _factor_rows(spec, phi.entries.T @ y))
+    theta = _feature_theta(spec, w, phi.order)
+    residual = y - phi.entries @ theta
     m, n = len(y), len(w)
     quadratic = (residual @ residual + gamma * (w @ w)) / gamma
-    return _Solution(
-        float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: _feature_theta(spec, w, phi.order)
-    )
+    return _Solution(float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: theta)
 
 
 def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
-    """``theta = sum_t L_t w_t``, ``w_t`` the entries of ``w`` on the columns of cache slot ``t``'s ``Phi L_t``."""
+    """``theta = sum_t L_t w_t``, ``w_t`` the entries of ``w`` on term t's factor columns."""
     theta = np.zeros(order)
     start = 0
     for term in _terms(spec):
@@ -294,26 +368,33 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     Returns what :func:`regularized_fir` and :func:`marginal_likelihood`
     return, bit for bit, for one factorization instead of two.  For M outputs,
     N input samples, order P and n kernel-factor columns (P per DC or
-    Tikhonov term, 2P per stable spline, 2 per resonant pole), ``X = Phi L``
-    (M x n) costs O(N + M) for a resonant pole and O(N + M P) for a DC term,
-    each one recursion over the regressor's input samples
-    (``regressor_factor``), and O(M P) for the other terms; and then:
+    Tikhonov term, 2P per stable spline, 2 per resonant pole):
 
-    * feature space iff n < M: ``X'X`` in O(M n^2), one block ``(Phi L_s)'
-      (Phi L_t)`` per term pair, its Cholesky factor in O(n^3), and ``X'y``
-      and the residual ``y - X w`` block by block in O(M n), so ``X`` is
-      never built;
-    * output space (dual) otherwise: ``Phi K Phi' = X X'`` in O(M^2 n) and
-      its Cholesky factor in O(M^3).
+    * feature space iff n < M: ``X = Phi L`` is never built.  ``X'X`` has one
+      unit block ``(Phi L_s)'(Phi L_t)`` per term pair.  A term whose factor
+      is at least as wide as the order (DC, Tikhonov, stable spline) takes
+      its blocks from ``G = Phi'Phi``, built once per regressor in O(F M P +
+      P^2) and shared with least squares: ``L_t' G L_t`` is two applications
+      of its factor, O(P^2).  A resonant pole's M x 2 ``Phi L_t`` is one
+      recursion over the input samples, O(N + M), and its block with a wide
+      term ``L_s'(Phi' Phi L_t)`` costs O(M P).  The Cholesky factor of the
+      first term's k x k shifted block, O(k^3), is kept on the regressor per
+      unit term, scale and ``gamma``; the other n - k columns border it in
+      O(k^2 (n - k) + (n - k)^3).  ``X'y = [L_t'(Phi'y)]`` and the residual
+      ``y - Phi theta`` cost O(M P).
+    * output space (dual) otherwise: ``X`` costs O(N + M) per resonant pole
+      and O(N + M P) per DC term, each one recursion over the input samples
+      (``regressor_factor``), and O(M P) per other term; ``Phi K Phi' = X X'``
+      costs O(M^2 n) and its Cholesky factor O(M^3).
 
     Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
 
-    Each term's unit-scale ``Phi L_t`` (feature space) or ``Phi K_t Phi'``
-    (dual) comes from slot ``t`` of ``problem.phi._cache``, and each term
-    pair's unit-scale block (feature space) from slot ``(s, t)``.  The fits on
-    that regressor share them: a sum kernel whose first term is another fit's
-    DC kernel reuses that fit's DC piece and its P x P block, with the same
-    bits as a fit of its own.
+    The arrays come from ``problem.phi._cache`` (see
+    :func:`~beyondnyq.regressor._cached`), so the fits on that regressor
+    share them: a sum kernel whose first term is another fit's DC kernel, at
+    that fit's ``gamma``, reuses that fit's DC Gram (dual) or its P x P block
+    and Cholesky factor (feature space), with the same bits as a fit of its
+    own.
     """
     solution = _solve(problem.phi, problem.y_l.samples, problem.kernel, problem.gamma)
     return FirModel(theta=solution.theta(), period=problem.y_l.fast_period), solution.evidence
@@ -347,11 +428,15 @@ def marginal_likelihood(
     :func:`fit_with_evidence` uses and with its value, bit for bit:
 
     * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
-      per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``,
-      O(M n^2 + n^3), plus the refined solve its quadratic term needs,
-      O(M n + n^2).  ``X'X`` comes from the unit blocks in the ``(s, t)``
-      slots of ``phi._cache``, so a call that changes only ``gamma`` or a DC
-      ``scale`` since the last one on ``phi`` costs O(M n + n^2 + n^3);
+      per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``
+      from the unit blocks in the ``(s, t)`` slots of ``phi._cache``, O(P^2)
+      per wide term's block from ``G = Phi'Phi`` and O(M P) per block with
+      a resonant pole, its bordered Cholesky factor, plus the refined solve
+      and the residual, O(M P + n^2).  A call that changes only a resonant
+      term since the last one on ``phi`` reuses the first term's factor and
+      so costs O(N + M P + n^2) for a DC term of k = P columns and a few
+      resonant ones; a new ``gamma`` or DC ``scale`` adds that factor,
+      O(P^3);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
@@ -519,7 +604,7 @@ _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value 
 _RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
 # a third sweep; a resonant probe costs O(N + M^2) in the dual (rank-2 update),
-# not O(M^3), and O(N + M n + n^3) in the feature space
+# not O(M^3), and O(N + M P + n^2) in the feature space (bordered factor)
 _FIELD_RULES = {
     "gamma": _FieldRule(True, 7, 2, lambda value, omega_max: (min(1e-9, value), max(1e3, value))),
     "scale": _DECADES,
@@ -634,22 +719,25 @@ def optimize_hyperparameters(
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, N input samples, order P and n factor
     columns (P per DC or Tikhonov term, 2P per stable spline, 2 per resonant
-    pole): each term's latest piece (a DC term's at unit scale) is kept in slot
-    ``t`` of ``phi._cache``, which later calls and fits on ``phi`` reuse, and a
-    probe rebuilds only the kernel term it moves.  In the output space
-    (dual, n >= M) they are Grams, so a probe of ``gamma`` or of a DC ``scale``
-    is one O(M^3) factorization, and a DC ``decay`` probe adds its O(M^2 P)
-    Gram.  In the feature space (n < M) they are the factors ``Phi L_t``, and
-    slot ``(s, t)`` keeps each term pair's unit block ``(Phi L_s)'(Phi L_t)``,
-    so a probe of ``gamma`` or of a DC ``scale`` is an O(n^2) assembly of
-    ``X'X`` plus its O(n^3) factorization (and O(M n) for ``X'y`` and the
-    residual), and a DC ``decay`` probe adds its piece, O(N + M P) from the
-    regressor's samples, and its blocks, O(M P n).  A feature-space probe of a
-    resonant-pole field adds its M x 2 ``Phi L_t``, one recursion over the
-    input, O(N + M), and its blocks, O(M n): every feature-space probe is
-    scored as :func:`marginal_likelihood` scores it, and no array grows with
-    M^2.  In the dual a probe of a resonant-pole field costs O(N + M^2):
-    that ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma)
+    pole): each term's latest unit-scale arrays are kept in ``phi._cache``
+    (see :func:`~beyondnyq.regressor._cached`), which later calls and fits on
+    ``phi`` reuse, and a probe rebuilds only the kernel term it moves.  In
+    the output space (dual, n >= M) slot ``t`` holds term t's Gram, so a
+    probe of ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and
+    a DC ``decay`` probe adds its O(M^2 P) Gram.  In the feature space (n <
+    M) slot ``(s, t)`` keeps each term pair's unit block ``(Phi L_s)'(Phi
+    L_t)``, a DC term's from ``G = Phi'Phi``, and the ``"lead"`` slot the
+    Cholesky factor of the first term's shifted block.  A probe of ``gamma`` or of the first term's DC
+    ``scale`` is an O(n^2) assembly of ``X'X``, a new O(P^3) leading factor
+    and its O(P^2) border (and O(M P) for ``X'y`` and the residual); a DC
+    ``decay`` probe adds its blocks, O(P^2) from ``G`` and O(M P) per
+    resonant term.  A feature-space probe of a resonant-pole field keeps the
+    leading factor: it adds its M x 2 ``Phi L_t``, one recursion over the
+    input, O(N + M), its blocks, O(M P), and the border, O(P^2), so no
+    factorization of order P.  Every feature-space probe is scored as
+    :func:`marginal_likelihood` scores it, with no M x M array and no M x P
+    one besides the regressor's entries.  In the dual a probe of a
+    resonant-pole field costs O(N + M^2): that ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma)
     on a factorization of ``gamma I`` plus the other terms' M x M Grams, made
     once per coordinate.  Such a probe is scored by the full factorization
     instead where that rest cannot be factorized, where the full Gram could

@@ -11,7 +11,8 @@ whenever the model order reaches the number of output samples (``P >= M``) and
 for zero-order-hold inputs with ``P > 2`` (repeated columns).
 :func:`least_squares_fir` returns ``None`` in both cases.  At ``P >= M`` it runs
 no decomposition.  Below it, the Gram ``Phi'Phi`` comes from the regressor's
-shift structure in O(F M P + P^2) (:func:`_gram`), and one Cholesky factor
+shift structure in O(F M P + P^2) (:func:`_gram`), kept on the regressor
+for the kernel fits (:func:`_full_gram`), and one Cholesky factor
 ``R`` with ``R^{-1}`` (O(P^3 / 3) each) certifies full rank despite the Gram's
 rounding and gives ``theta`` by corrected semi-normal equations, O(F M P +
 P^3 / 3) in all.  Where that certificate fails (zero-order-hold inputs, and
@@ -23,9 +24,11 @@ number), one SVD-based solve of ``Phi`` itself decides the rank and gives
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .signals import FastSignal, FirModel, SlowSignal, _integer
@@ -39,10 +42,11 @@ class RegressorMatrix:
 
     Built from the finite input samples ``u(0), ..., u((M-1) F)`` that its rows
     window, the factor ``F`` and the order ``P``: ``M = floor((N - 1) / F) +
-    1`` for N samples, and ``entries`` is the one M x P copy.  Kernel terms
+    1`` for N samples, and ``entries`` is the one M x P copy (a
+    :meth:`leading` regressor's is a view of its parent's).  Kernel terms
     whose factor is a first-order recursion compute ``Phi L`` from the
-    samples (:meth:`filtered`).  The fits and tuner calls on this matrix
-    share the kernel arrays that ``beyondnyq.estimator._cached`` keeps in it;
+    samples (:meth:`filtered`).  Least squares, the fits and the tuner calls
+    on this matrix share the arrays that :func:`_cached` keeps in it;
     ``samples`` and ``entries`` are read-only.  Two regressors compare equal
     only if they are the same object, since each owns its cache; a pickled
     one is rebuilt from ``(samples, factor, order)``, read-only and with an
@@ -81,12 +85,16 @@ class RegressorMatrix:
         return self.entries.shape[0]
 
     def leading(self, order: int) -> RegressorMatrix:
-        """The regressor of the same outputs at a lower ``order``: the first
-        ``order`` columns (column i is ``u(mF - i)`` at every order), with
-        the same samples and a cache of its own."""
+        """The regressor of the same outputs at a lower ``order``: a read-only
+        view of the first ``order`` columns (column i is ``u(mF - i)`` at
+        every order), with the same samples and a cache of its own."""
         if _integer("order", order) > self.order:
             raise ValueError(f"order must be within [1, {self.order}], got {order}")
-        return RegressorMatrix(self.samples, self.factor, order)
+        lower = object.__new__(RegressorMatrix)
+        for name, value in (("samples", self.samples), ("factor", self.factor), ("order", order),
+                            ("entries", self.entries[:, :order]), ("_cache", {})):
+            object.__setattr__(lower, name, value)
+        return lower
 
     def filtered(self, pole) -> tuple[np.ndarray, np.ndarray]:
         """``(w, cut)`` for the samples filtered by ``w(t) = u(t) + pole
@@ -174,10 +182,57 @@ def build_regressor(
     return RegressorMatrix(u.samples[: (output_length - 1) * factor + 1], factor, order)
 
 
+def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """The array in ``slot`` of ``phi._cache`` where its key is ``key``, else
+    ``compute()`` stored there read-only as the slot's latest; the one
+    reuse-or-compute rule for every slot, so the cache never outgrows the
+    kernel terms and their pairs.
+
+    * ``"gram"``: the symmetric ``G = Phi'Phi`` (:func:`_full_gram`), which
+      least squares and the feature-space blocks share.
+    * ``t``, a term index: term t's unit piece keyed by the unit term and
+      the space: in the feature space a resonant pole's M x 2 ``Phi L_t``
+      (True), in the dual any term's ``Phi K_t Phi'`` (False).
+    * ``(s, t)``, ``s <= t``: the feature-space unit block ``(Phi L_s)'(Phi
+      L_t)`` keyed by both unit terms.
+    * ``"lead"``: the lower Cholesky factor of the first term's shifted
+      feature-space block, keyed by its unit term, scale and ``gamma``.
+    """
+    cached = phi._cache.get(slot)
+    if cached is None or cached[0] != key:
+        # drop the stale array before computing its successor, so that the
+        # two are never both held (tuner probes replace P x P arrays)
+        phi._cache.pop(slot, None)
+        del cached
+        array = compute()
+        array.flags.writeable = False
+        cached = phi._cache[slot] = key, array
+    return cached[1]
+
+
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """``a`` with its upper triangle copied onto its lower one, in place, in
+    strips of 128 columns (a whole-matrix triangle mask costs four times as
+    much); the result is bitwise symmetric."""
+    for start in range(0, len(a), 128):
+        stop = start + 128
+        a[stop:, start:stop] = a[start:stop, stop:].T
+        strip = a[start:stop, start:stop]
+        strip[...] = np.triu(strip) + np.triu(strip, 1).T
+    return a
+
+
+def _full_gram(phi: RegressorMatrix) -> np.ndarray:
+    """``G = Phi'Phi`` (P x P, symmetric, read-only) from :func:`_gram`,
+    built once per regressor in its ``"gram"`` slot."""
+    return _cached(phi, "gram", (), lambda: _mirror(_gram(phi)))
+
+
 def _gram(phi: RegressorMatrix) -> np.ndarray:
-    """The upper triangle of ``Phi'Phi`` (P x P, Fortran order; the strict
-    lower triangle is left zero where it is not computed), in
-    O(F M P + P^2).
+    """The upper triangle of ``Phi'Phi`` (P x P, Fortran order), in
+    O(F M P + P^2).  The strict lower triangle is partly written: the first
+    ``min(F, P)`` rows and each later block of F rows are written in full
+    from their diagonal on, and every other entry below it is left zero.
 
     Shifting a row of ``Phi`` by F lags gives the row before it, and the
     first row shifted in is zero, so ``G[i+F, j+F] = G[i, j] - a_i a_j``
@@ -236,6 +291,13 @@ def _gram(phi: RegressorMatrix) -> np.ndarray:
 #   BIT 27, 1987).  _solve corrects until rho^(s+1) <= eps, so the factor's
 #   part stays below them: two corrections at q = 7e-5 (a full-band
 #   multisine, M = 2000, P = 1000), at most 11 as q nears 1.
+# * The solves: the bound needs only backward-stable solves with R' and R.
+#   Each pair perturbs R'R by at most 2 gamma_P ||R||_F^2 <= 2 k u tau (1 +
+#   O(k u)) (Higham, Thm 8.5), which the 3 k eps tau bound on E covers
+#   together with the 4 k u tau above.  So potrs's pair and the two BLAS
+#   trsv calls of _solve carry the same rho; trsv is faster for one
+#   right-hand side, where OpenBLAS runs potrs's trsm slowly: 0.31 against
+#   0.68 ms at P = 1000 and 12 against 15 us at P = 150, on one thread.
 _CERTIFICATE_FACTOR = 64.0
 
 
@@ -245,12 +307,13 @@ def _certified_factor(phi: RegressorMatrix) -> tuple[np.ndarray, float] | None:
     ``R'R`` leaves per solve; or ``None`` unless ``R^{-1}`` certifies that
     ``Phi`` has full numerical rank: all P singular values above ``max(M, P)
     * eps * sigma_max``.  One Cholesky and one triangular inverse (trtri),
-    each O(P^3 / 3), after :func:`_gram`; ``None`` also where the Cholesky
-    meets a non-positive pivot or trtri a zero one."""
+    each O(P^3 / 3), of a copy of the regressor's cached ``G``
+    (:func:`_full_gram`); ``None`` also where the Cholesky meets a
+    non-positive pivot or trtri a zero one."""
     m, p = phi.entries.shape
-    gram = _gram(phi)
+    gram = _full_gram(phi)
     tau = float(gram.diagonal()[np.arange(p) % phi.factor].sum())
-    r, info = scipy.linalg.lapack.dpotrf(gram, overwrite_a=True)
+    r, info = scipy.linalg.lapack.dpotrf(gram)
     if info != 0:
         return None
     inverse, info = scipy.linalg.lapack.dtrtri(r, lower=0)
@@ -268,10 +331,14 @@ def _solve(r: np.ndarray, rho: float, entries: np.ndarray, y: np.ndarray) -> np.
     from ``Phi`` until the bound ``rho^(s+1)`` on the factor's part of the
     error is at most eps (corrected semi-normal equations), O(M P + P^2)
     per correction."""
-    theta = scipy.linalg.lapack.dpotrs(r, entries.T @ y)[0]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.blas.dtrsv(r, scipy.linalg.blas.dtrsv(r, rhs, trans=1))
+
+    theta = solve(entries.T @ y)
     error = rho
     while True:
-        theta += scipy.linalg.lapack.dpotrs(r, entries.T @ (y - entries @ theta))[0]
+        theta += solve(entries.T @ (y - entries @ theta))
         error *= rho
         if error <= np.finfo(float).eps:
             return theta
@@ -286,9 +353,10 @@ def least_squares_fir(phi: RegressorMatrix, y_l: SlowSignal) -> FirModel | None:
       numerically invertible at the square boundary); returns ``None``
       without any decomposition.
     * ``P < M``: the Gram ``Phi'Phi`` from the regressor's shift structure
-      (:func:`_gram`, O(F M P + P^2)), its Cholesky factor ``R`` and
-      ``R^{-1}``, which certifies full numerical rank (O(P^3 / 3) each):
-      ``theta`` solves ``R'R theta = Phi'y`` and is corrected with the
+      (:func:`_gram`, O(F M P + P^2)), kept on the regressor for the kernel
+      fits that follow (:func:`_full_gram`); the Cholesky factor ``R`` of a
+      copy and ``R^{-1}``, which certifies full numerical rank (O(P^3 / 3)
+      each): ``theta`` solves ``R'R theta = Phi'y`` and is corrected with the
       residual taken from ``Phi`` (:func:`_solve`, O(M P) per correction).
       Where the Cholesky or the certificate fails, one SVD-based solve of
       ``Phi`` (LAPACK gelsd, O(M P^2)) decides: ``None`` unless all P

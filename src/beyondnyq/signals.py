@@ -268,7 +268,7 @@ def write_signal_csv(x: FastSignal | SlowSignal, path: str | Path) -> None:
     """Write samples as ``index,value`` rows, the format that ``identify``
     and ``tune`` read from ``data.input_csv`` and ``data.output_csv``; the
     period travels in the config."""
-    _write_csv(path, ("index", "value"), enumerate(x.samples))
+    _write_csv(path, ("index", "value"), enumerate(x.samples.tolist()))
 
 
 def read_signal_csv(path: str | Path) -> np.ndarray:

@@ -340,7 +340,7 @@ def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch, 
     """The model and its evidence come from one Gram and one Cholesky factor:
     the feature-space X'X at P=12 < M=30, the output-space Phi K Phi' at
     P=40 >= M."""
-    calls = {"_feature_gram": 0, "_output_gram": 0, "_shifted_cholesky": 0}
+    calls = {"_feature_gram": 0, "_output_gram": 0, "_lower_cholesky": 0}
     for name in calls:
         original = getattr(estimator, name)
 
@@ -354,7 +354,28 @@ def test_identify_factors_once_per_regularized_estimator(tmp_path, monkeypatch, 
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert calls == {"_feature_gram": 0, "_output_gram": 0, gram: 1, "_shifted_cholesky": 1}
+    assert calls == {"_feature_gram": 0, "_output_gram": 0, gram: 1, "_lower_cholesky": 1}
+
+
+def test_theta_and_frf_cells_are_python_float_text(tmp_path):
+    """``theta_<e>.csv`` and ``frf_<e>.csv`` hold each value as
+    ``format(float(v), ".17g")``, negative zero and subnormals included."""
+    theta = np.array([0.1, -0.0, 5e-324, -1e-310, 2.0 / 3.0])
+    model = FirModel(theta=theta, period=0.1)
+    omegas = np.array([0.0, 1.0 / 3.0, math.pi / 0.1])
+    cli._write_frf_csv(model, tmp_path / "frf.csv", omegas)
+    values = fir_frf(model, omegas)
+    columns = (omegas, omegas / (2.0 * math.pi), np.hypot(values.real, values.imag), np.angle(values))
+    rows = "".join(",".join(format(float(c[k]), ".17g") for c in columns) + "\n" for k in range(len(omegas)))
+    assert (tmp_path / "frf.csv").read_text() == "omega_rad_s,freq_hz,magnitude,phase_rad\n" + rows
+    path = tmp_path / "identify.json"
+    config = identify_config(tmp_path)
+    config["estimators"] = ["dc"]
+    path.write_text(json.dumps(config))
+    assert main(["identify", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    fitted = json.loads((tmp_path / "out" / "model_dc.json").read_text())["theta"]
+    lines = (tmp_path / "out" / "theta_dc.csv").read_text().splitlines()
+    assert lines == ["index,value"] + [f"{i},{format(float(v), '.17g')}" for i, v in enumerate(fitted)]
 
 
 def test_tuned_kernel_json_reads_back_to_tuned_values(tmp_path):

@@ -330,17 +330,25 @@ SHARED_PK = KernelSum(
 
 
 def spy_unit_pieces(monkeypatch, rows):
-    """Record ``(order, unit term)`` for every unit piece computed on a
-    regressor of ``rows`` outputs."""
+    """Record ``(order, unit term)`` for every term's own array computed on a
+    regressor of ``rows`` outputs: its unit piece (any term's Gram in the
+    dual, a resonant pole's ``Phi L_t`` in the feature space) or, for a
+    feature-space term with no piece, its diagonal block from ``G``."""
     computed = []
-    unit_piece = estimator._unit_piece
+    unit_piece, block = estimator._unit_piece, estimator._block
 
     def spy(phi, unit, feature):
         if phi.output_length == rows:
             computed.append((phi.order, unit))
         return unit_piece(phi, unit, feature)
 
+    def spy_block(phi, left, right):
+        if phi.output_length == rows and left is right and left[1] is None:
+            computed.append((phi.order, left[0]))
+        return block(phi, left, right)
+
     monkeypatch.setattr(estimator, "_unit_piece", spy)
+    monkeypatch.setattr(estimator, "_block", spy_block)
     return computed
 
 
@@ -366,8 +374,11 @@ SPACES = pytest.mark.parametrize(
 
 class TestSharedPieces:
     """Fits on one regressor share its kernel pieces: pk reuses dc's DC piece
-    where unit term and space match, with the bits of a fit on a fresh
-    regressor of the same input."""
+    (or, in the feature space, its DC block) where unit term and space
+    match, with the bits of a fit on a fresh regressor of the same input.
+    Where the spaces differ (mixed) each space's DC array is computed once:
+    the feature space keeps its DC block in a pair slot, not in the term
+    slot that the dual's DC Gram takes."""
 
     @SPACES
     @pytest.mark.parametrize("names", [("dc", "pk"), ("pk", "dc")], ids=["dc-first", "pk-first"])
@@ -378,7 +389,7 @@ class TestSharedPieces:
         computed = spy_unit_pieces(monkeypatch, 30)
         for name in names + names:
             assert_same_fit(fit_with_evidence(problems[name]), fresh[name])
-        assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 4)
+        assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 2)
         # a stored piece is read-only: a Gram factored in place by mistake
         # raises instead of changing every later fit
         assert dc.phi._cache and not any(piece.flags.writeable for _, piece in dc.phi._cache.values())
@@ -400,15 +411,17 @@ class TestSharedPieces:
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
     def test_tuner_cache_stays_bounded(self, order):
-        """After a tune of a three-term kernel, the regressor's cache holds a
-        slot per term index and, in the feature space, per index pair
-        ``s <= t``, each read-only: no slot is keyed by a probe's unit term,
+        """After a tune of a three-term kernel, the regressor's cache holds,
+        in the dual, a slot per term index and, in the feature space, one per
+        resonant term, one per index pair ``s <= t``, ``G`` and the leading
+        factor, each read-only: no slot is keyed by a probe's unit term,
         which would add one per probe."""
         problem = make_problem(34, n=90, factor=3, order=order, kernel=SHARED_PK)
         eta0 = tuning_start(SHARED_PK, problem.gamma, 3)
         optimize_hyperparameters(problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=60)
-        pairs = {(s, t) for s in range(3) for t in range(s, 3)} if order < 30 else set()
-        assert set(problem.phi._cache) == {0, 1, 2} | pairs
+        pairs = {(s, t) for s in range(3) for t in range(s, 3)}
+        expected = {1, 2, "gram", "lead"} | pairs if order < 30 else {0, 1, 2}
+        assert set(problem.phi._cache) == expected
         assert not any(array.flags.writeable for _, array in problem.phi._cache.values())
 
     @SPACES
@@ -466,6 +479,8 @@ TWO_RESONANCES = (
 FEATURE_KERNELS = {
     "dc": (DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4), 0),
     "dc+2pk": (KernelSum(terms=(DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4),) + TWO_RESONANCES), 4),
+    # the first term leads the bordered factor: here a 2 x 2 block
+    "2pk+dc": (KernelSum(terms=TWO_RESONANCES + (DiagonalCorrelated(scale=1.5, decay=0.9, correlation=0.4),)), 4),
     "tikhonov": (Tikhonov(), 0),
 }
 
@@ -531,13 +546,14 @@ class TestFeatureSpace:
 
 
 def spy_blocks(monkeypatch):
-    """Record ``(rows, columns)`` of every unit block ``F_s'F_t`` computed."""
+    """Record ``(rows, columns)`` of every unit block ``(Phi L_s)'(Phi L_t)`` computed."""
     products = []
     block = estimator._block
 
-    def spy(left, right):
-        products.append((left.shape[1], right.shape[1]))
-        return block(left, right)
+    def spy(phi, left, right):
+        computed = block(phi, left, right)
+        products.append(computed.shape)
+        return computed
 
     monkeypatch.setattr(estimator, "_block", spy)
     return products
@@ -571,12 +587,12 @@ class TestBlockGram:
         factor = np.hstack([term.factor(np.eye(order)) for term in estimator._terms(kernel)])
         assert_close_relative(factor @ factor.T, dense_kernel(kernel, order), 1e-12)
         x = problem.phi.entries @ factor
-        gram, _ = estimator._feature_gram(problem.phi, kernel)
+        gram = estimator._feature_gram(problem.phi, kernel)
         assert_close_relative(gram, x.T @ x, 1e-12)
         assert np.array_equal(gram, gram.T)
 
     @pytest.mark.parametrize("offset", [-1, 1], ids=["n=M-1", "n=M+1"])
-    @pytest.mark.parametrize("name", ["dc", "dc+2pk"])
+    @pytest.mark.parametrize("name", ["dc", "dc+2pk", "2pk+dc"])
     def test_evidence_matches_dual(self, monkeypatch, name, offset):
         """On either side of n = M the block Gram's evidence is the dual's."""
         kernel, extra = FEATURE_KERNELS[name]
@@ -638,21 +654,133 @@ class TestBlockGram:
         assert products.count((2, 2)) > 3
 
     def test_resonant_tune_factors_only_feature_grams(self, monkeypatch):
-        """A feature-space tune of resonant fields factors one n x n ``X'X +
-        gamma I`` per evaluation (n = 16 < M = 30) and no M x M rest."""
+        """A feature-space tune of resonant fields factors the DC term's
+        shifted 12 x 12 block once, for the start, and then per evaluation
+        only the 4 x 4 Schur complement that borders it (n = 16 < M = 30):
+        no n x n and no M x M factorization."""
         problem = make_problem(34, n=90, factor=3, order=12, kernel=SHARED_PK)
         orders = []
-        cholesky = estimator._shifted_cholesky
+        cholesky = estimator._lower_cholesky
 
-        def spy(gram, gamma):
-            orders.append(gram.shape[0])
-            return cholesky(gram, gamma)
+        def spy(a, shifted, gamma):
+            orders.append((a.shape[0], shifted.shape[0]))
+            return cholesky(a, shifted, gamma)
 
-        monkeypatch.setattr(estimator, "_shifted_cholesky", spy)
+        monkeypatch.setattr(estimator, "_lower_cholesky", spy)
         trace = self.tune(problem, {"terms.1.frequency": 0.7, "terms.2.sigma1": 0.6})
         # the last trace entry is the accepted point again, not an evaluation
         assert len(trace) == 61
-        assert orders == [16] * 60
+        assert orders == [(12, 16)] + [(4, 16)] * 60
+
+
+GRAM_KERNELS = {
+    "dc": SHARED_DC,
+    "dc+pole": KernelSum(terms=(SHARED_DC, TWO_RESONANCES[0])),
+    "pole+dc": KernelSum(terms=(TWO_RESONANCES[0], SHARED_DC)),
+    "ss": StableSpline(scale=0.7, decay=0.85),
+    "tikhonov": Tikhonov(),
+}
+
+
+def bordered(problem):
+    """``(A + gamma I, factor, log det)`` of the feature-space fit of ``problem``."""
+    gram = estimator._feature_gram(problem.phi, problem.kernel)
+    shifted = gram + problem.gamma * np.eye(len(gram))
+    factor, logdet = estimator._bordered_cholesky(
+        problem.phi, gram, problem.gamma, estimator._terms(problem.kernel)[0]
+    )
+    return shifted, factor, logdet
+
+
+class TestGramBlocks:
+    """Terms whose factor is at least as wide as the order take their blocks
+    from ``G = Phi'Phi``, and the feature-space Cholesky borders the first
+    term's factor, which the regressor keeps."""
+
+    @pytest.mark.parametrize("shape", ["P<F", "n=M-1"])
+    @pytest.mark.parametrize("name", sorted(GRAM_KERNELS))
+    def test_blocks_match_dense_oracle(self, name, shape):
+        """``A`` is the dense ``X'X`` for ``X = Phi L``, ``L L'`` the oracle's
+        kernel matrix, to 1e-12 relative, and bitwise symmetric."""
+        kernel = GRAM_KERNELS[name]
+        order = 2 if shape == "P<F" else 16
+        n = sum(term.width(order) for term in estimator._terms(kernel))
+        rows = 30 if shape == "P<F" else n + 1
+        phi = random_regressor(np.random.default_rng(61), order, rows)
+        assert estimator._in_feature_space(estimator._terms(kernel), rows, order)
+        factor = np.hstack([term.factor(np.eye(order)) for term in estimator._terms(kernel)])
+        assert_close_relative(factor @ factor.T, dense_kernel(kernel, order), 1e-12)
+        x = phi.entries @ factor
+        gram = estimator._feature_gram(phi, kernel)
+        assert_close_relative(gram, x.T @ x, 1e-12)
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("name", ["dc", "dc+2pk", "2pk+dc"])
+    def test_bordered_factor_reproduces_shifted_gram(self, name):
+        """``L L' = A + gamma I`` to 1e-12 relative for the block factor
+        ``[[lead, 0], [border, corner]]``, with its log-determinant, and
+        its solve inverts ``A + gamma I``."""
+        kernel, extra = FEATURE_KERNELS[name]
+        problem = make_problem(62, n=90, factor=3, order=20 - extra, kernel=kernel)
+        shifted, factor, logdet = bordered(problem)
+        k = estimator._terms(kernel)[0].width(problem.phi.order)
+        assert factor.lead.shape == (k, k) and len(factor.corner) == len(shifted) - k
+        lower = np.block([
+            [np.tril(factor.lead), np.zeros((k, len(factor.corner)))],
+            [factor.border, np.tril(factor.corner)],
+        ])
+        assert_close_relative(lower @ lower.T, shifted, 1e-12)
+        assert logdet == pytest.approx(np.linalg.slogdet(shifted)[1], rel=1e-12)
+        rhs = np.random.default_rng(63).normal(size=len(shifted))
+        expected = np.linalg.solve(shifted, rhs)
+        assert np.linalg.norm(factor.solve(rhs) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_pk_after_dc_factors_only_the_border(self, monkeypatch):
+        """dc factors its shifted 12 x 12 Gram once; pk after it, whose first
+        term is dc's kernel at the same gamma, factors only the 4 x 4 Schur
+        complement of its two resonant terms, and so does every probe of a
+        resonant coordinate after them."""
+        dc = make_problem(32, n=90, factor=3, order=12, kernel=SHARED_DC)
+        pk = RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)
+        sizes = []
+        cholesky = estimator._lower_cholesky
+
+        def spy(a, shifted, gamma):
+            sizes.append(a.shape[0])
+            return cholesky(a, shifted, gamma)
+
+        monkeypatch.setattr(estimator, "_lower_cholesky", spy)
+        fit_with_evidence(dc)
+        fit_with_evidence(pk)
+        assert sizes == [12, 4]
+        sizes.clear()
+        eta0 = tuning_start(SHARED_PK, dc.gamma, 3, {"terms.1.frequency": 0.7})
+        optimize_hyperparameters(dc.phi, dc.y_l, SHARED_PK, eta0, gamma=dc.gamma, budget=20)
+        assert sizes == [4] * 20
+
+    def test_nonfinite_trailing_block_fails_and_scores_inf(self):
+        """A resonant term whose ``Phi L_t`` overflows makes the bordered
+        step fail with the diagnostics of the whole shifted Gram; the DC
+        factor it borders stays as it was, and the tuner scores such a
+        probe +inf and goes on."""
+        problem = make_problem(64, n=90, factor=3, order=12, kernel=SHARED_PK)
+        fine = fit_with_evidence(problem)
+        huge = apply_hyperparameters(SHARED_PK, {"terms.1.sigma1": 1e300})
+        with pytest.raises(NumericalError, match="16x16 regularized Gram") as excinfo, np.errstate(all="ignore"):
+            marginal_likelihood(problem.phi, problem.y_l, huge, problem.gamma)
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["gamma"] == problem.gamma and diagnostics["nonfinite_entries"] > 0
+        assert_same_fit(fit_with_evidence(problem), fine)
+        eta0 = HyperparameterVector(values={"terms.1.sigma1": 1.0}, bounds={"terms.1.sigma1": (1e-2, 1e300)})
+        trace = []
+        with np.errstate(all="ignore"):
+            result = optimize_hyperparameters(
+                problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=30,
+                on_evaluation=lambda values, ml: trace.append(ml),
+            )
+        assert math.inf in trace[:-1]
+        assert trace[-1] <= trace[0] < math.inf
+        assert result.values["terms.1.sigma1"] < 1e300
 
 
 class TestPrimalCheck:

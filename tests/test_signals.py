@@ -304,6 +304,16 @@ class TestSignalCsv:
         write_signal_csv(FastSignal(read_signal_csv(first), 0.1), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_cells_are_python_float_text(self, tmp_path):
+        """Each value is written as ``format(float(v), ".17g")``, negative
+        zero and subnormals included."""
+        values = [1.0 / 3.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e300, -7.0]
+        path = tmp_path / "u.csv"
+        write_signal_csv(FastSignal(samples=values, period=0.1), path)
+        expected = "index,value\n" + "".join(f"{i},{format(float(v), '.17g')}\n" for i, v in enumerate(values))
+        assert path.read_bytes() == expected.encode()
+        assert "1,-0\n" in expected and "2,4.9406564584124654e-324\n" in expected
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1.0\n1,2.0\n")

@@ -3,6 +3,7 @@ scipy.signal, LS statuses, the paper's ordering, worker-count invariance, the
 tuning worker processes and the BLAS pin."""
 
 import csv
+import ctypes
 import json
 import multiprocessing
 import multiprocessing.pool
@@ -700,6 +701,26 @@ def test_fork_safe_needs_every_openblas_off_openmp(monkeypatch, parallel, safe):
     libraries = [(FakeOpenBLAS(p), "openblas_", "") for p in parallel]
     monkeypatch.setattr(_blas, "_openblas_libraries", lambda: libraries)
     assert _blas.fork_safe() is safe
+
+
+def test_library_scan_opens_each_mapped_path_once(monkeypatch):
+    """A second scan of unchanged maps opens no library; a path that was
+    not probed before is opened, once."""
+    first = _blas._openblas_libraries()
+    opened = []
+    cdll = ctypes.CDLL
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", spy)
+    assert _blas._openblas_libraries() == first
+    assert opened == []
+    path = next(iter(_blas._probed))
+    monkeypatch.delitem(_blas._probed, path)
+    assert _blas._openblas_libraries() == first
+    assert opened == [path]
 
 
 def test_tuning_stays_in_the_study_where_blas_is_not_fork_safe(monkeypatch):
