@@ -31,14 +31,14 @@ else the config's ``monte_carlo.base_seed``, else its ``seed``, else 0.
 
 Parallelism: ``simulate-mc`` runs its runs in one thread.  With
 ``NB_THREADS=n`` (default 1) a tuned study's tuning, most of its time, runs
-in ``min(n, runs)`` forked worker processes, since the tuner's Python code
-and scipy's LAPACK wrappers hold the GIL; it stays in that thread where fork
-is not available or the BLAS is not fork-safe (no OpenBLAS is loaded, or one
-runs on OpenMP).  The outputs are the same for any n.  Every command runs
-BLAS on one thread, whatever the environment sets (for example
-``OPENBLAS_NUM_THREADS``): numpy's and scipy's OpenBLAS copies then never
-compete for the cores, and the outputs do not depend on the BLAS thread
-count.
+in ``min(n, runs)`` worker processes, forked once at its start, which take
+the runs in turn, since the tuner's Python code and scipy's LAPACK wrappers
+hold the GIL; it stays in that thread where fork is not available or the
+BLAS is not fork-safe (no OpenBLAS is loaded, or one runs on OpenMP).  The
+outputs are the same for any n.  Every command runs BLAS on one thread,
+whatever the environment sets (for example ``OPENBLAS_NUM_THREADS``):
+numpy's and scipy's OpenBLAS copies then never compete for the cores, and
+the outputs do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -453,39 +453,47 @@ def _tune(config: MonteCarloConfig, tuning: dict, run: int) -> dict:
 
 
 @contextmanager
-def _tuning_processes(processes: int):
-    """``submit(function, args)``, which starts ``function(*args)`` in one of
-    ``processes`` forked workers and returns a callable that waits for its
-    result; where :func:`run_monte_carlo` says the runs tune in the calling
-    thread, that callable makes the call itself.  Enter it before any other
-    thread starts: every OpenBLAS that :func:`fork_safe` accepts stops its
-    idle threads in its own fork handler, so the fork then copies one
-    thread.  The workers ignore SIGINT, which reaches the study instead, and
-    none outlives the block.
-    Once a worker has died (killed, say), a wait for an unfinished result
-    raises ``ChildProcessError``: the pool would wait forever for the task
-    that the worker held."""
+def _tuning_processes(config: MonteCarloConfig, tuning: dict, processes: int):
+    """One callable per run, in run order, that returns its :func:`_tune`
+    result or raises its exception, from the workers :func:`run_monte_carlo`
+    describes.  The parent closes each worker's write end before the next
+    fork, so a dead worker's pipe reads end of file."""
+    runs = range(config.runs)
     if processes < 2 or "fork" not in multiprocessing.get_all_start_methods() or not fork_safe():
-        yield lambda function, args: partial(function, *args)
+        yield [partial(_tune, config, tuning, run) for run in runs]
         return
-    others = set(multiprocessing.active_children())
-    pool = multiprocessing.get_context("fork").Pool(processes, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-    workers = set(multiprocessing.active_children()) - others
 
-    def submit(function, args):
-        result = pool.apply_async(function, args)
+    def work(first, results):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for run in runs[first::processes]:
+            try:
+                results.send(_tune(config, tuning, run))
+            except Exception as exc:  # noqa: BLE001 - raised in the study, for this run alone
+                results.send(exc)
 
-        def wait():
-            while not result.ready():
-                if any(worker.exitcode is not None for worker in workers):
-                    raise ChildProcessError("a tuning worker process died")
-                result.wait(0.1)
-            return result.get()
+    def received(pipe):
+        try:
+            tuned = pipe.recv()
+        except EOFError:
+            raise ChildProcessError("a tuning worker process died") from None
+        if isinstance(tuned, Exception):
+            raise tuned
+        return tuned
 
-        return wait
-
-    with pool:
-        yield submit
+    workers, pipes = [], []
+    try:
+        for first in range(processes):
+            pipe, results = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(target=work, args=(first, results))
+            worker.start()
+            workers.append(worker)
+            results.close()
+            pipes.append(pipe)
+        yield [partial(received, pipes[run % processes]) for run in runs]
+    finally:
+        for worker in workers:
+            worker.kill()
+            worker.join()
 
 
 def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[SummaryEntry, ...]:
@@ -508,20 +516,21 @@ def _summarize(config: MonteCarloConfig, records: Sequence[RunRecord]) -> tuple[
 def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarloResult:
     """Execute all runs in run order, in the calling thread, and aggregate GoF statistics.
 
-    In a tuned study with ``min(max_workers, runs) >= 2`` (``max_workers``
-    an integer >= 1, checked before any run), each run's
-    :func:`optimize_hyperparameters` calls, and only those, run in a pool of
-    that many worker processes, since the tuner's Python code and scipy's
-    LAPACK wrappers hold the GIL.  Every run's tuning is submitted first;
-    then, run by run, the calling thread waits for it, makes the run's data
-    and fits every order.  Each loaded OpenBLAS stops its idle threads in
-    its own fork handler, so the fork copies one thread, and every worker
-    has exited when the call returns or raises.  Where fork is not
-    available, no OpenBLAS is loaded or one runs on OpenMP, the runs tune in
-    the calling thread.
+    In a tuned study with ``p = min(max_workers, runs) >= 2``
+    (``max_workers`` an integer >= 1, checked before any run), each run's
+    :func:`optimize_hyperparameters` calls, and only those, run in ``p``
+    worker processes, since the tuner's Python code and scipy's LAPACK
+    wrappers hold the GIL.  The call forks them once, before any other
+    thread starts, and worker ``w`` tunes runs ``w, w + p, ...``; run by
+    run, the calling thread waits for the run's tuning, makes its data and
+    fits every order.  Each loaded OpenBLAS stops its idle threads in its
+    own fork handler, so each fork copies one thread.  The workers ignore
+    SIGINT, which reaches the study, and have exited when the call returns
+    or raises.  Where fork is not available, no OpenBLAS is loaded or one
+    runs on OpenMP, the runs tune in the calling thread.
 
-    The pool is the study's only parallelism: for the duration of the call
-    every loaded OpenBLAS runs on one thread, in the workers too.  At these
+    The workers are the study's only parallelism: for the duration of the
+    call every loaded OpenBLAS runs on one thread, in them too.  At these
     problem sizes BLAS threads cost more than they give, and under run-level
     workers they oversubscribe the cores.  The pin is process-wide: BLAS
     calls from other threads of the process run on one thread too until the
@@ -535,16 +544,17 @@ def run_monte_carlo(config: MonteCarloConfig, max_workers: int = 1) -> MonteCarl
     streams from ``(base_seed, run_index)`` alone and records are ordered by
     run index.  A failing run is recorded as a :class:`RunError`, with the
     same type, message and diagnostics when its tuner raised in a worker
-    process, and does not abort the study.  A tuned study whose tuning start cannot be built raises
-    ``ValueError`` before the first run.
+    process, and does not abort the study.  A worker that dies fails only
+    its own unfinished runs, with ``ChildProcessError``.  A tuned study
+    whose tuning start cannot be built raises ``ValueError`` before the
+    first run.
     """
     max_workers = _integer("max_workers", max_workers, 1)
     tuning = _tuning(config)
     records: list[RunRecord] = []
     errors: list[RunError] = []
     processes = min(max_workers, config.runs) if tuning else 1
-    with single_threaded_blas(), _tuning_processes(processes) as submit:
-        tunings = [submit(_tune, (config, tuning, run)) for run in range(config.runs)]
+    with single_threaded_blas(), _tuning_processes(config, tuning, processes) as tunings:
         for run, tuned in enumerate(tunings):
             try:
                 records.extend(_execute_run(config, run, tuned()))

@@ -6,7 +6,6 @@ import csv
 import ctypes
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
 import pickle
 import signal
@@ -456,10 +455,13 @@ def test_tuner_error_in_a_worker_is_the_run_error_of_one_worker(monkeypatch):
 
 
 def test_a_dead_tuning_worker_fails_the_waiting_runs(monkeypatch):
-    """A worker that dies while it tunes run 1 takes that run's task with
-    it: the study fails the runs left waiting for a tuning, with
-    ``ChildProcessError``, instead of waiting forever, and no worker
-    outlives it."""
+    """A worker that dies while it tunes run 1 of a 3-run study on 2 workers
+    fails its own unfinished runs, only run 1 here, with
+    ``ChildProcessError`` instead of a wait forever, and the other worker's
+    runs are the serial study's.  No worker is forked to replace it: the
+    study forks twice, from the main thread beside no other Python thread,
+    and no worker outlives it.  An alarm ends a study that hangs."""
+    serial = run_monte_carlo(TUNED3, max_workers=1)
     run_1 = first_output_sample(monkeypatch, TUNED3, 1)
     optimize = sim.optimize_hyperparameters
 
@@ -468,40 +470,68 @@ def test_a_dead_tuning_worker_fails_the_waiting_runs(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return optimize(phi, y_l, *args, **kwargs)
 
+    def interrupt(signum, frame):
+        raise Interrupt
+
     monkeypatch.setattr(sim, "optimize_hyperparameters", die_in_run_1)
-    results = []
-    study = threading.Thread(target=lambda: results.append(run_monte_carlo(TUNED3, max_workers=2)), daemon=True)
-    study.start()
-    study.join(timeout=120)
-    assert not study.is_alive()
-    (result,) = results
-    assert 1 in {e.run for e in result.errors}
-    assert {(e.error_type, e.message) for e in result.errors} == {("ChildProcessError", "a tuning worker process died")}
-    assert {e.run for e in result.errors} | {r.run for r in result.records} == set(range(TUNED3.runs))
+    forks = spy_forks(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(120)
+    try:
+        result = run_monte_carlo(TUNED3, max_workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(thread, python_threads) for thread, python_threads, _ in forks] == [("MainThread", 1)] * 2
+    assert [(e.run, e.error_type, e.message) for e in result.errors] == [
+        (1, "ChildProcessError", "a tuning worker process died")
+    ]
+    assert list(result.records) == [r for r in serial.records if r.run != 1]
     assert multiprocessing.active_children() == []
 
 
-def spy_pools(monkeypatch):
-    """The process count of every ``multiprocessing`` pool made from now on."""
-    sizes = []
+def test_tuning_workers_ignore_sigint(monkeypatch):
+    """A SIGINT that reaches the tuning workers (a Ctrl-C reaches the whole
+    process group) changes nothing: the study has the serial records."""
+    serial = run_monte_carlo(TUNED3, max_workers=1)
+    optimize, study = sim.optimize_hyperparameters, os.getpid()
 
-    class Spy(multiprocessing.pool.Pool):
-        def __init__(self, processes, *args, **kwargs):
-            sizes.append(processes)
-            super().__init__(processes, *args, **kwargs)
+    def interrupt_the_worker(*args, **kwargs):
+        if os.getpid() != study:
+            os.kill(os.getpid(), signal.SIGINT)
+        return optimize(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
-    return sizes
+    monkeypatch.setattr(sim, "optimize_hyperparameters", interrupt_the_worker)
+    result = run_monte_carlo(TUNED3, max_workers=2)
+    assert not result.errors
+    assert result.records == serial.records
+
+
+def spy_forks(monkeypatch):
+    """``(thread name, Python threads, OS threads)`` of the forking process
+    after each ``os.fork`` from now on, taken in that process."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append((threading.current_thread().name, threading.active_count(), os_threads()))
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
 
 
 def test_tuning_pool_has_one_process_per_concurrent_run(monkeypatch):
-    """The pool has ``min(max_workers, runs)`` processes: 2 for 64 workers
-    and 2 runs.  A study with one run, or with nothing to tune, forks none."""
-    sizes = spy_pools(monkeypatch)
+    """A tuned study forks ``min(max_workers, runs)`` tuning workers: 2 for
+    64 workers and 2 runs.  A study with one run, or with nothing to tune,
+    forks none."""
+    forks = spy_forks(monkeypatch)
     assert not run_monte_carlo(TUNED, max_workers=64).errors
     assert not run_monte_carlo(replace(TUNED, runs=1), max_workers=2).errors
     assert not run_monte_carlo(FIXED, max_workers=2).errors
-    assert sizes == [2]
+    assert len(forks) == 2
 
 
 class Interrupt(BaseException):
@@ -543,17 +573,17 @@ def test_no_tuning_worker_outlives_the_study(monkeypatch, tmp_path):
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_runs_plants_and_fits_stay_in_the_calling_thread(monkeypatch, config, max_workers):
     """Every run, plant and fit of the calling process runs in the calling
-    thread, and each largest-order pk fit follows its own run's plant with
-    no other run's plant in between: perfbench pairs each
-    ``sim.regularized_fir`` call with the last ``sim.build_plant`` call of
-    its thread."""
+    thread, beside no other thread, and each largest-order pk fit follows
+    its own run's plant with no other run's plant in between: perfbench
+    pairs each ``sim.regularized_fir`` call with the last
+    ``sim.build_plant`` call of its thread."""
     calls = []
 
     def spy(name):
         function = getattr(sim, name)
 
         def called(first, *args, **kwargs):
-            calls.append((name, threading.get_ident(), first))
+            calls.append((name, (threading.get_ident(), threading.active_count()), first))
             return function(first, *args, **kwargs)
 
         monkeypatch.setattr(sim, name, called)
@@ -563,7 +593,7 @@ def test_runs_plants_and_fits_stay_in_the_calling_thread(monkeypatch, config, ma
     result = run_monte_carlo(config, max_workers=max_workers)
     assert not result.errors
     assert {name for name, _, _ in calls} == {"_execute_run", "build_plant", "regularized_fir"}
-    assert {thread for _, thread, _ in calls} == {threading.get_ident()}
+    assert {thread for _, thread, _ in calls} == {(threading.get_ident(), threading.active_count())}
     largest = max(config.orders)
     # the plants built since the previous largest-order pk fit, per such fit
     built, since = [], []
@@ -660,19 +690,10 @@ def test_tuning_workers_fork_no_blas_thread(monkeypatch, blas_at_two):
     """After each fork of a tuning worker the parent runs its Python threads
     only, so no OpenBLAS pool thread was alive when the fork copied it."""
     start_blas_pools()
-    counts = []
-    fork = os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            counts.append((os_threads(), threading.active_count()))
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
+    forks = spy_forks(monkeypatch)
     assert not run_monte_carlo(TUNED, max_workers=2).errors
-    assert len(counts) == 2
-    assert all(threads == python_threads for threads, python_threads in counts)
+    assert len(forks) == 2
+    assert all(threads == python_threads for _, python_threads, threads in forks)
 
 
 class FakeOpenBLAS:
@@ -724,13 +745,13 @@ def test_library_scan_opens_each_mapped_path_once(monkeypatch):
 
 
 def test_tuning_stays_in_the_study_where_blas_is_not_fork_safe(monkeypatch):
-    """A tuned study whose BLAS is not fork-safe forks no pool and gives the
-    serial study's records."""
+    """A tuned study whose BLAS is not fork-safe forks no worker and gives
+    the serial study's records."""
     serial = run_monte_carlo(TUNED, max_workers=1)
-    sizes = spy_pools(monkeypatch)
+    forks = spy_forks(monkeypatch)
     monkeypatch.setattr(sim, "fork_safe", lambda: False)
     result = run_monte_carlo(TUNED, max_workers=2)
-    assert sizes == []
+    assert forks == []
     assert not result.errors
     assert result.records == serial.records
 
