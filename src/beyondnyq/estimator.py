@@ -446,8 +446,8 @@ def marginal_likelihood(
 
 class _Rest(NamedTuple):
     """The dual's M x M ``R = gamma I`` plus every kernel term's Gram but one,
-    factored once per coordinate so that probes of that one term need no
-    factorization.  The feature space has none: its probes are full scorings
+    factored once per sweep of that term's coordinates so that their probes
+    need no factorization.  The feature space has none: its probes are full scorings
     of the n x n ``X'X``, n < M."""
 
     index: int  # the term left out
@@ -463,32 +463,42 @@ class _Rest(NamedTuple):
 _CANCELLATION = 1e-6
 
 
-def _rank2_evidence(rest: _Rest, w: np.ndarray) -> float:
-    """Evidence at the dual's ``R + W W'`` for an M x 2 ``W``, in O(M^2); a
-    resonant pole's ``W = Phi L_t`` costs O(N + M) from the regressor's N
-    input samples, so a dual probe is O(N + M^2).
+def _rank2_evidence(rest: _Rest, w: np.ndarray) -> list[float]:
+    """Evidence at the dual's ``R + W_k W_k'`` for each candidate k, whose M
+    x 2 ``W_k`` are the column pairs of the M x 2K ``w``, from one triangular
+    solve, O(M^2 K); a resonant pole's ``W = Phi L_t`` costs O(N + M) from
+    the regressor's N input samples, so a dual probe is O(N + M^2).
 
-    With ``V = lower^{-1} W``, ``C = I + V'V`` and ``beta = V' alpha``,
+    With ``V = lower^{-1} W_k``, ``C = I + V'V`` and ``beta = V' alpha``,
     Woodbury and the determinant lemma give
-    ``alpha'alpha - beta' C^{-1} beta + log det R + log det C``.  Returns NaN
-    where an entry of the full Gram could overflow, an intermediate is not
-    finite, or the difference cancels more than six digits; the caller then
-    factorizes the full Gram instead.
+    ``alpha'alpha - beta' C^{-1} beta + log det R + log det C``.  A
+    candidate's value is NaN where an entry of its full Gram could overflow,
+    an intermediate is not finite, or the difference cancels more than six
+    digits; the caller then factorizes its full Gram instead.  The 2 x 2
+    algebra runs on all K at once, and ``V'V`` and ``V' alpha`` are stacked
+    products of each candidate's own columns, so a candidate gets the value
+    of a call of its own wherever the solve treats its columns alone (as
+    OpenBLAS's does: the same bits).
     """
-    top = float(np.max(np.abs(w)))
-    if not math.isfinite(rest.bound + 2.0 * top * top):
-        return math.nan
-    v = scipy.linalg.solve_triangular(rest.lower, w, lower=True, check_finite=False)
-    (a, b), (_, d) = (v.T @ v).tolist()
-    beta1, beta2 = (v.T @ rest.alpha).tolist()
-    det = (1.0 + a) * (1.0 + d) - b * b
-    if not det > 0.0:  # also NaN
-        return math.nan
-    quad = rest.energy - ((1.0 + d) * beta1 * beta1 - 2.0 * b * beta1 * beta2 + (1.0 + a) * beta2 * beta2) / det
-    if not quad > _CANCELLATION * rest.energy:
-        # digits lost to the difference; a nearly singular rest does this
-        return math.nan
-    return quad + rest.logdet + math.log(det)
+    k = w.shape[1] // 2
+    top = np.max(np.abs(w).reshape(len(w), k, 2), axis=(0, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fits = np.isfinite(rest.bound + 2.0 * top * top)
+        # a candidate whose Gram could overflow is zeroed, so that no inf or
+        # NaN enters the solve
+        v = scipy.linalg.solve_triangular(
+            rest.lower, np.where(np.repeat(fits, 2), w, 0.0), lower=True, check_finite=False
+        )
+        pairs = v.T.reshape(k, 2, len(w))
+        gram = pairs @ pairs.transpose(0, 2, 1)
+        a, b, d = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        beta1, beta2 = (pairs @ rest.alpha).T
+        det = (1.0 + a) * (1.0 + d) - b * b
+        quad = rest.energy - ((1.0 + d) * beta1 * beta1 - 2.0 * b * beta1 * beta2 + (1.0 + a) * beta2 * beta2) / det
+    # det > 0 also rejects NaN; a quadratic form at or below the threshold
+    # lost its digits to the difference, as a nearly singular rest does
+    good = fits & (det > 0.0) & (quad > _CANCELLATION * rest.energy)
+    return [q + rest.logdet + math.log(x) if ok else math.nan for q, x, ok in zip(quad.tolist(), det.tolist(), good)]
 
 
 @dataclass(frozen=True)
@@ -561,6 +571,16 @@ def apply_hyperparameters(spec: KernelSpec, values: Mapping[str, float]) -> Kern
     for index, named in changes.items():
         terms[index] = replace(terms[index], **named)
     return KernelSum(terms=tuple(terms)) if isinstance(spec, KernelSum) else terms[0]
+
+
+def _moved(term, field: str, value: float):
+    """``term`` with ``field`` set to ``value``, built without the class's
+    range checks: a tuner probe's value lies between the coordinate's
+    bounds, which :func:`optimize_hyperparameters` has checked, and each
+    field's range is an interval."""
+    moved = object.__new__(type(term))
+    moved.__dict__.update(vars(term), **{field: value})
+    return moved
 
 
 def kernel_and_gamma(template: KernelSpec, values: Mapping[str, float], gamma: float) -> tuple[KernelSpec, float]:
@@ -719,34 +739,43 @@ def optimize_hyperparameters(
     A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
     Cost per probe, for M outputs, N input samples, order P and n factor
     columns (P per DC or Tikhonov term, 2P per stable spline, 2 per resonant
-    pole): each term's latest unit-scale arrays are kept in ``phi._cache``
-    (see :func:`~beyondnyq.regressor._cached`), which later calls and fits on
-    ``phi`` reuse, and a probe rebuilds only the kernel term it moves.  In
-    the output space (dual, n >= M) slot ``t`` holds term t's Gram, so a
-    probe of ``gamma`` or of a DC ``scale`` is one O(M^3) factorization, and
-    a DC ``decay`` probe adds its O(M^2 P) Gram.  In the feature space (n <
-    M) slot ``(s, t)`` keeps each term pair's unit block ``(Phi L_s)'(Phi
-    L_t)``, a DC term's from ``G = Phi'Phi``, and the ``"lead"`` slot the
-    Cholesky factor of the first term's shifted block.  A probe of ``gamma`` or of the first term's DC
-    ``scale`` is an O(n^2) assembly of ``X'X``, a new O(P^3) leading factor
-    and its O(P^2) border (and O(M P) for ``X'y`` and the residual); a DC
-    ``decay`` probe adds its blocks, O(P^2) from ``G`` and O(M P) per
-    resonant term.  A feature-space probe of a resonant-pole field keeps the
-    leading factor: it adds its M x 2 ``Phi L_t``, one recursion over the
-    input, O(N + M), its blocks, O(M P), and the border, O(P^2), so no
-    factorization of order P.  Every feature-space probe is scored as
-    :func:`marginal_likelihood` scores it, with no M x M array and no M x P
-    one besides the regressor's entries.  In the dual a probe of a
-    resonant-pole field costs O(N + M^2): that ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma)
-    on a factorization of ``gamma I`` plus the other terms' M x M Grams, made
-    once per coordinate.  Such a probe is scored by the full factorization
-    instead where that rest cannot be factorized, where the full Gram could
-    overflow, or where the update's value is not finite or lost six digits to
-    cancellation, so it scores ``+inf`` where a non-finite Gram makes
-    :func:`marginal_likelihood` raise.  The best probe of a dual resonant
-    coordinate is scored again by the full factorization before it is
-    accepted: every accepted objective value is the one
-    :func:`marginal_likelihood` returns.
+    pole): each term's unit-scale arrays of its latest 16 keys, one sweep of
+    a coordinate, are kept in ``phi._cache`` (see
+    :func:`~beyondnyq.regressor._cached`), which later probes, calls and
+    fits on ``phi`` reuse, and a coordinate resolves the kernel term it
+    moves once, so that a probe builds only that term.  In the output space
+    (dual, n >= M) slot ``t`` holds term t's Grams, so a probe of ``gamma``
+    or of a DC ``scale`` is one O(M^3) factorization, and a DC ``decay``
+    probe adds its O(M^2 P) Gram the first time.  A revisited DC ``decay``
+    (the next sweep's scan grid, and its bracket and golden steps where its
+    pick repeats) costs the O(M^2) sum and the Cholesky.  In the feature
+    space (n < M) slot ``(s, t)`` keeps each term pair's unit blocks
+    ``(Phi L_s)'(Phi L_t)``, a DC term's from ``G = Phi'Phi``, and the
+    ``"lead"`` slot the Cholesky factor of the first term's shifted block.
+    A probe of ``gamma`` or of the first term's DC ``scale`` is an O(n^2)
+    assembly of ``X'X``, a new O(P^3) leading factor and its O(P^2) border
+    (and O(M P) for ``X'y`` and the residual); a DC ``decay`` probe adds its
+    blocks, O(P^2) from ``G`` and O(M P) per resonant term.  A feature-space
+    probe of a resonant-pole field keeps the leading factor: it adds its M x
+    2 ``Phi L_t``, one recursion over the input, O(N + M), its blocks, O(M
+    P), and the border, O(P^2), so no factorization of order P.  Every
+    feature-space probe is scored as :func:`marginal_likelihood` scores it,
+    with no M x M array and no M x P one besides the regressor's entries.
+
+    In the dual a probe of a resonant-pole field costs O(N + M^2): that
+    ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma) on
+    a factorization of ``gamma I`` plus the other terms' M x M Grams.  That
+    rest is factored once per resonant term per sweep, since the term's
+    coordinates sort next to each other and leave it as it is.  A scan
+    grid's K points are scored by one call, whose M x 2K triangular solve
+    replaces K solves of M x 2, with the values of K calls.  Such a probe is
+    scored by the full factorization instead where that rest cannot be
+    factorized, where the full Gram could overflow, or where the update's
+    value is not finite or lost six digits to cancellation, so it scores
+    ``+inf`` where a non-finite Gram makes :func:`marginal_likelihood`
+    raise.  The best probe of a dual resonant coordinate is scored again by
+    the full factorization before it is accepted: every accepted objective
+    value is the one :func:`marginal_likelihood` returns.
 
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
@@ -761,16 +790,10 @@ def optimize_hyperparameters(
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
 
-    def rest_for(name: str, point: tuple[KernelSpec, float]) -> _Rest | None:
-        """The factored M x M rest at ``point`` when coordinate ``name`` moves a
-        resonant term in the dual; None in the feature space, for other
-        coordinates and when the rest cannot be factorized."""
-        if feature or name == "gamma":
-            return None
+    def rest_for(index: int, point: tuple[KernelSpec, float]) -> _Rest | None:
+        """The factored M x M rest at ``point`` that leaves out term ``index``,
+        or None where it cannot be factorized."""
         spec, g = point
-        index = _address(spec, name)[0]
-        if not isinstance(_terms(spec)[index], ResonantPole):
-            return None
         rest = _output_gram(phi, spec, skip=index)
         # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
         # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
@@ -792,16 +815,6 @@ def optimize_hyperparameters(
             failure = exc
             return math.inf
 
-    def objective(vals: dict[str, float], point: tuple[KernelSpec, float], rest: _Rest | None = None) -> float:
-        value = math.nan
-        if rest is not None:
-            value = _rank2_evidence(rest, _terms(point[0])[rest.index].regressor_factor(phi))
-        if not math.isfinite(value):
-            value = factorized(point)
-        if on_evaluation is not None:
-            on_evaluation(dict(vals), value)
-        return value
-
     names = sorted(eta0.values)
     # fail fast on bounds that violate kernel parameter ranges
     for name in names:
@@ -811,12 +824,17 @@ def optimize_hyperparameters(
     # the accepted point, as values and as the kernel and weight they name
     best = dict(eta0.values)
     point = kernel_and_gamma(template, best, gamma)
-    best_value = objective(best, point)
+    best_value = factorized(point)
+    if on_evaluation is not None:
+        on_evaluation(dict(best), best_value)
     evaluations = 1
     if not math.isfinite(best_value):
         raise InvalidStartError(
             f"objective is {best_value} at the initial hyperparameters"
         ) from failure
+    # the dual's factored rest and the term it leaves out: it holds while
+    # only that term moves, so the coordinates of one resonant term share it
+    rest, rest_term = None, None
 
     improved = True
     while improved:
@@ -827,29 +845,59 @@ def optimize_hyperparameters(
             lo, hi = eta0.bounds[name]
             rule = _rule(name)
             a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
-            rest = rest_for(name, point)
+            # the term this coordinate moves, resolved once: a probe builds
+            # only that term
+            spec, g = point
+            terms = _terms(spec)
+            index, field = (None, "") if name == "gamma" else _address(spec, name)
+
+            def candidate(x: float) -> tuple[KernelSpec, float]:
+                """The accepted point with this coordinate at ``x``."""
+                if index is None:
+                    return spec, x
+                moved = terms[:index] + (_moved(terms[index], field, x),) + terms[index + 1 :]
+                return (KernelSum(terms=moved) if isinstance(spec, KernelSum) else moved[0]), g
+
+            resonant = not feature and index is not None and isinstance(terms[index], ResonantPole)
+            if resonant and rest_term != index:
+                rest, rest_term = rest_for(index, point), index
+            scorer = rest if resonant else None
             # the coordinate's best probe: its value, and its x with its point
             coord_best_f, coord_best = best_value, (best[name], point)
 
-            def probe(t: float) -> float:
+            def probes(ts: list[float]) -> list[float]:
+                """The objective at the coordinate values ``ts``, in order, as
+                far as the budget goes; a dual resonant coordinate's are
+                scored together by one rank-2 call."""
                 nonlocal evaluations, coord_best_f, coord_best
-                if evaluations >= budget:
+                xs = [min(max(math.exp(t) if rule.log_space else t, lo), hi) for t in ts[: budget - evaluations]]
+                points = [candidate(x) for x in xs]
+                values = [math.nan] * len(xs)
+                if scorer is not None and xs:
+                    w = np.hstack([_terms(p[0])[index].regressor_factor(phi) for p in points])
+                    values = _rank2_evidence(scorer, w)
+                scores = []
+                for x, p, value in zip(xs, points, values):
+                    f = value if math.isfinite(value) else factorized(p)
+                    if on_evaluation is not None:
+                        on_evaluation({**best, name: x}, f)
+                    evaluations += 1
+                    if f < coord_best_f:
+                        coord_best_f, coord_best = f, (x, p)
+                    scores.append(f)
+                if len(scores) < len(ts):
                     raise _BudgetSpent
-                x = min(max(math.exp(t) if rule.log_space else t, lo), hi)
-                spec, g = point
-                candidate = (spec, x) if name == "gamma" else (apply_hyperparameters(spec, {name: x}), g)
-                f = objective({**best, name: x}, candidate, rest)
-                evaluations += 1
-                if f < coord_best_f:
-                    coord_best_f, coord_best = f, (x, candidate)
-                return f
+                return scores
+
+            def probe(t: float) -> float:
+                return probes([t])[0]
 
             try:
                 # coarse uniform scan first: the objective can be multimodal in
                 # a coordinate (resonance frequencies especially), and pure
                 # golden-section would slide into whichever basin touches the start
                 grid = [a + (b - a) * k / (rule.scan - 1) for k in range(rule.scan)]
-                pick = int(np.argmin([probe(t) for t in grid]))
+                pick = int(np.argmin(probes(grid)))
                 ga, gb = grid[max(pick - 1, 0)], grid[min(pick + 1, rule.scan - 1)]
                 x1, x2 = gb - _GOLDEN * (gb - ga), ga + _GOLDEN * (gb - ga)
                 f1, f2 = probe(x1), probe(x2)
@@ -864,7 +912,7 @@ def optimize_hyperparameters(
                         f1 = probe(x1)
             except _BudgetSpent:
                 pass
-            if rest is not None and coord_best_f < best_value:
+            if scorer is not None and coord_best_f < best_value:
                 # accept on the value marginal_likelihood gives, not the
                 # rank-2 one: they differ by rounding, and where the full
                 # Gram is too ill-conditioned to factorize, by +inf
@@ -872,6 +920,8 @@ def optimize_hyperparameters(
             if coord_best_f < best_value:
                 improved |= coord_best_f < best_value - 1e-9 * abs(best_value)
                 (best[name], point), best_value = coord_best, coord_best_f
+                if index != rest_term:
+                    rest = rest_term = None
 
     if on_evaluation is not None:
         # terminal trace entry: the accepted point and its objective

@@ -182,11 +182,16 @@ def build_regressor(
     return RegressorMatrix(u.samples[: (output_length - 1) * factor + 1], factor, order)
 
 
+# a slot keeps the arrays of its latest _HISTORY keys where that many fit in
+# _HISTORY_BYTES (an M x M Gram up to M = 512), else only its latest array
+_HISTORY = 16
+_HISTORY_BYTES = 32 << 20
+
+
 def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """The array in ``slot`` of ``phi._cache`` where its key is ``key``, else
-    ``compute()`` stored there read-only as the slot's latest; the one
-    reuse-or-compute rule for every slot, so the cache never outgrows the
-    kernel terms and their pairs.
+    """The array in ``slot`` of ``phi._cache`` under the hashable ``key``,
+    else ``compute()`` stored there read-only; the one reuse-or-compute rule
+    for every slot.
 
     * ``"gram"``: the symmetric ``G = Phi'Phi`` (:func:`_full_gram`), which
       least squares and the feature-space blocks share.
@@ -197,17 +202,36 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
       L_t)`` keyed by both unit terms.
     * ``"lead"``: the lower Cholesky factor of the first term's shifted
       feature-space block, keyed by its unit term, scale and ``gamma``.
+
+    A slot is a dict from key to array in the order of last use, and holds
+    the latest 16 keys where 16 of its arrays fit in 32 MiB, else only the
+    latest: one tuner sweep of a coordinate (a scan, its bracket and golden
+    steps, and the accepted point) revisits its keys in the next sweep, but
+    a P x P block at P = 1000 is held once.  The oldest array is dropped
+    before its successor is computed.  A slot's dict is never changed once
+    stored, only replaced, so threads sharing a regressor never see one
+    change under them.
     """
-    cached = phi._cache.get(slot)
-    if cached is None or cached[0] != key:
-        # drop the stale array before computing its successor, so that the
-        # two are never both held (tuner probes replace P x P arrays)
-        phi._cache.pop(slot, None)
-        del cached
-        array = compute()
-        array.flags.writeable = False
-        cached = phi._cache[slot] = key, array
-    return cached[1]
+    held = phi._cache.get(slot, {})
+    array = held.get(key)
+    if array is not None:
+        if next(reversed(held)) != key:
+            phi._cache[slot] = {**{k: a for k, a in held.items() if k != key}, key: array}
+        return array
+    phi._cache[slot] = _latest(held, max((a.nbytes for a in held.values()), default=0))
+    # the dropped arrays are freed here, before their successor exists
+    del held
+    array = compute()
+    array.flags.writeable = False
+    phi._cache[slot] = {**_latest(phi._cache.get(slot, {}), array.nbytes), key: array}
+    return array
+
+
+def _latest(held: dict, nbytes: int) -> dict:
+    """The entries of ``held`` that stay beside one more array in a slot of
+    arrays of ``nbytes`` each: its latest 15, or none where 16 would not fit."""
+    keep = _HISTORY - 1 if _HISTORY * nbytes <= _HISTORY_BYTES else 0
+    return dict(list(held.items())[-keep:]) if keep else {}
 
 
 def _mirror(a: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 import json
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from beyondnyq.estimator import (
     predict_fast_output,
     regularized_fir,
     save_model,
+    tuning_budget,
     tuning_start,
 )
 from beyondnyq.kernels import (
@@ -352,6 +355,11 @@ def spy_unit_pieces(monkeypatch, rows):
     return computed
 
 
+def cached_arrays(phi):
+    """Every array that the regressor's cache holds, over all its slots."""
+    return [array for held in phi._cache.values() for array in held.values()]
+
+
 def on_fresh_regressor(problem):
     """``problem`` on a new regressor of the same entries and samples, which
     holds no kernel pieces yet."""
@@ -392,7 +400,7 @@ class TestSharedPieces:
         assert [unit for _, unit in computed].count(SHARED_DC) == (1 if shared else 2)
         # a stored piece is read-only: a Gram factored in place by mistake
         # raises instead of changing every later fit
-        assert dc.phi._cache and not any(piece.flags.writeable for _, piece in dc.phi._cache.values())
+        assert dc.phi._cache and not any(piece.flags.writeable for piece in cached_arrays(dc.phi))
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
     def test_tuner_then_fit_matches_fresh_regressor(self, order):
@@ -410,25 +418,45 @@ class TestSharedPieces:
             assert_same_fit(fit_with_evidence(fit), fit_with_evidence(on_fresh_regressor(fit)))
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
-    def test_tuner_cache_stays_bounded(self, order):
+    def test_tuner_cache_stays_bounded(self, monkeypatch, order):
         """After a tune of a three-term kernel, the regressor's cache holds,
         in the dual, a slot per term index and, in the feature space, one per
         resonant term, one per index pair ``s <= t``, ``G`` and the leading
-        factor, each read-only: no slot is keyed by a probe's unit term,
-        which would add one per probe."""
-        problem = make_problem(34, n=90, factor=3, order=order, kernel=SHARED_PK)
+        factor: no slot is keyed by a probe's unit term.  Each slot holds at
+        most 16 read-only arrays, though the tune computed more than 16 DC
+        arrays."""
+        computed = spy_unit_pieces(monkeypatch, 30)
+        # the DC decay's pick moves between sweeps here: more than 16 keys
+        problem = make_problem(38, n=90, factor=3, order=order, kernel=SHARED_PK)
         eta0 = tuning_start(SHARED_PK, problem.gamma, 3)
-        optimize_hyperparameters(problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=60)
+        optimize_hyperparameters(problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=600)
+        assert len({unit for _, unit in computed if isinstance(unit, DiagonalCorrelated)}) > 16
         pairs = {(s, t) for s in range(3) for t in range(s, 3)}
         expected = {1, 2, "gram", "lead"} | pairs if order < 30 else {0, 1, 2}
         assert set(problem.phi._cache) == expected
-        assert not any(array.flags.writeable for _, array in problem.phi._cache.values())
+        assert all(1 <= len(held) <= 16 for held in problem.phi._cache.values())
+        assert not any(array.flags.writeable for array in cached_arrays(problem.phi))
+
+    def test_dual_tune_computes_each_dc_piece_once(self, monkeypatch):
+        """A tuner sweep of the DC ``decay`` revisits the scan grid of the
+        sweep before, and its bracket and golden steps where its pick
+        repeats: the slot's history of 16 keys serves every revisit, so a
+        dual pk tune computes each distinct DC unit Gram once."""
+        computed = spy_unit_pieces(monkeypatch, 30)
+        problem = make_problem(34, n=90, factor=3, order=40, kernel=SHARED_PK)
+        eta0 = tuning_start(SHARED_PK, problem.gamma, 3)
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=tuning_budget(eta0, 600)
+        )
+        dc = [unit for _, unit in computed if isinstance(unit, DiagonalCorrelated)]
+        assert len(dc) == len(set(dc)) == 16
 
     @SPACES
     def test_threads_alternating_match_serial(self, order, shared):
         """Two threads that fit dc and pk in turn on one regressor, one
-        starting with each, get the bits of serial fits: where the two
-        spaces differ (mixed) they replace each other's DC piece throughout."""
+        starting with each, get the bits of serial fits: each reads the
+        slots' histories while the other replaces them, and where the two
+        spaces differ (mixed) each fit's DC array has a slot of its own."""
         dc = make_problem(35, n=90, factor=3, order=order, kernel=SHARED_DC)
         problems = (dc, RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma))
         serial = [fit_with_evidence(on_fresh_regressor(problem)) for problem in problems]
@@ -442,6 +470,39 @@ class TestSharedPieces:
             for first, fits in enumerate(pool.map(alternate, (0, 1))):
                 for k, fit in enumerate(fits):
                     assert_same_fit(fit, serial[(first + k) % 2])
+
+    def test_threads_churning_one_slot_match_serial(self):
+        """Four threads that fit 24 DC decays each, in different orders, on
+        one dual regressor (so slot 0 evicts all the time), with a short
+        switch interval: every fit has the bits of a fit on a fresh
+        regressor, and no slot ever holds more than 16 arrays."""
+        base = make_problem(36, n=90, factor=3, order=40, kernel=SHARED_DC)
+        decays = np.linspace(0.8, 0.98, 24)
+        kernels = [replace(SHARED_DC, decay=float(decay)) for decay in decays]
+        serial = [fit_with_evidence(on_fresh_regressor(replace(base, kernel=kernel))) for kernel in kernels]
+        barrier = threading.Barrier(4)
+
+        def churn(shift):
+            barrier.wait()
+            fits = []
+            for round_ in range(3):
+                for k in np.roll(np.arange(24), 5 * shift + round_):
+                    fits.append((k, fit_with_evidence(replace(base, kernel=kernels[k]))))
+                    assert all(len(held) <= 16 for held in list(base.phi._cache.values()))
+            return fits
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(churn, shift) for shift in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for fits in results:
+            assert len(fits) == 72
+            for k, fit in fits:
+                assert_same_fit(fit, serial[k])
 
     @pytest.mark.parametrize("tune, per_order", [(False, 1), (True, 2)], ids=["untuned", "tuned"])
     def test_monte_carlo_dc_pieces_per_order(self, monkeypatch, tune, per_order):
@@ -616,7 +677,7 @@ class TestBlockGram:
         assert products == [(12, 12)]
         assert_same_fit(fit_with_evidence(pk), alone)
         assert products == [(12, 12), (12, 2), (12, 2), (2, 2), (2, 2), (2, 2)]
-        assert not any(block.flags.writeable for _, block in dc.phi._cache.values())
+        assert not any(block.flags.writeable for block in cached_arrays(dc.phi))
 
     def tune(self, problem, eta0, budget=60):
         trace = []
@@ -1057,13 +1118,13 @@ class TestOptimizeHyperparameters:
         )
         assert "gamma" not in result.values
 
-    def test_budget_cuts_the_unbounded_trace(self):
+    def test_budget_cuts_the_unbounded_trace(self, order=12):
         """Every budget stops the search after exactly that many evaluations
         (or at its natural stop), wherever the cut falls: in a scan, between
         the bracketing probes, in the golden steps or between coordinates.
         What it traced is a prefix of the unbounded run's trace, and the
         terminal entry is the point it returns."""
-        problem = make_problem(7, n=90, factor=3, order=12)
+        problem = make_problem(7, n=90, factor=3, order=order)
         template = KernelSum(
             terms=(DiagonalCorrelated(scale=1.0, decay=0.9, correlation=0.5), ResonantPole(decay=0.9, frequency=0.8))
         )
@@ -1084,6 +1145,12 @@ class TestOptimizeHyperparameters:
             evaluations, (values, _), result = run(budget)
             assert evaluations == unbounded[: min(budget, natural)]
             assert values == result
+
+    def test_budget_cut_inside_a_dual_scan(self):
+        """The same in the dual, where the resonant frequency's scan is one
+        rank-2 call: a cut inside it scores only the grid points that the
+        budget leaves, with the unbounded run's points and values."""
+        self.test_budget_cuts_the_unbounded_trace(order=40)
 
     @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
     @pytest.mark.parametrize(
@@ -1164,8 +1231,9 @@ class TestTunerFastEvidence:
         score = estimator._rank2_evidence
 
         def spy(rest, w):
-            rank2.append(score(rest, w))
-            return rank2[-1]
+            values = score(rest, w)
+            rank2.extend(values)
+            return values
 
         monkeypatch.setattr(estimator, "_rank2_evidence", spy)
         trace = []
@@ -1258,6 +1326,104 @@ class TestTunerFastEvidence:
         )
         eta0 = HyperparameterVector({"terms.1.frequency": 1.3}, {"terms.1.frequency": (0.5, 2.9)})
         return problem, template, eta0, 1e-300, False
+
+    def test_rest_factored_once_per_resonant_term_per_sweep(self, monkeypatch):
+        """A resonant term's coordinates (here ``terms.1.frequency`` and
+        ``.sigma1``, then ``terms.2.decay`` and ``.sigma2``) sort next to
+        each other and leave its rest, the other terms plus ``gamma I``, as
+        it is: two sweeps factor each term's rest once per sweep, 4 rests
+        where one per coordinate made 8.  Every other ``_dual_factor`` call
+        is a full scoring's."""
+        problem, template, eta0, gamma = self.well_conditioned()
+        calls = {"_dual_factor": 0, "_solve": 0}
+
+        def counted(name):
+            function = getattr(estimator, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(estimator, name, counted(name))
+        # a sweep is gamma and terms.0.scale (15 each), the frequency (33) and 3 x 15
+        trace = []
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, template, eta0, gamma=gamma, budget=1 + 2 * 108,
+            on_evaluation=lambda values, ml: trace.append(values),
+        )
+        assert len(trace) == 2 + 2 * 108
+        assert calls["_dual_factor"] - calls["_solve"] == 4
+
+    def test_batch_matches_single_candidates(self):
+        """K candidates scored by one call get the values of K one-candidate
+        calls, and each is the evidence of its full kernel."""
+        problem, template, _, gamma = self.well_conditioned()
+        phi, y = problem.phi, problem.y_l.samples
+        assert not estimator._in_feature_space(template.terms, *phi.entries.shape)
+        rest_gram = estimator._output_gram(phi, template, skip=1)
+        bound = float(np.max(np.diagonal(rest_gram)))
+        lower, alpha, logdet = estimator._dual_factor(rest_gram, gamma, y)
+        rest = estimator._Rest(1, lower, alpha, float(alpha @ alpha), logdet, bound)
+        poles = [replace(template.terms[1], frequency=f) for f in np.linspace(0.5, 1.1, 9)]
+        w = np.hstack([pole.regressor_factor(phi) for pole in poles])
+        batch = estimator._rank2_evidence(rest, w)
+        singles = [estimator._rank2_evidence(rest, w[:, 2 * k : 2 * k + 2])[0] for k in range(len(poles))]
+        assert batch == pytest.approx(singles, rel=1e-12)
+        for pole, value in zip(poles, batch):
+            kernel = KernelSum(terms=(template.terms[0], pole, template.terms[2]))
+            assert value == pytest.approx(marginal_likelihood(phi, problem.y_l, kernel, gamma), rel=1e-9)
+
+    def test_mixed_batch_nan_rules(self):
+        """In one batch exactly the candidates whose full Gram could
+        overflow, whose ``det C`` is not positive (NaN from a ``V'V`` that
+        overflows) or whose quadratic form cancels are NaN; the others get
+        the dense evidence of ``R + W W'``."""
+        m, scale = 8, 1e-100
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=m)
+        # R = scale^2 I, factored as scale I
+        alpha = y / scale
+        rest = estimator._Rest(1, scale * np.eye(m), alpha, float(alpha @ alpha), 2 * m * math.log(scale), scale**2)
+        candidates = {
+            "plain": rng.normal(size=(m, 2)) * scale,
+            "overflow": rng.normal(size=(m, 2)) * 1e200,
+            "det": rng.normal(size=(m, 2)) * 1e60,
+            # V's first column 1e4 alpha / |alpha|: the form keeps 1e-8 of alpha'alpha
+            "cancel": np.column_stack((1e4 * scale * y / np.linalg.norm(y), scale * np.eye(m)[0])),
+            "plain too": rng.normal(size=(m, 2)) * scale,
+        }
+        values = dict(zip(candidates, estimator._rank2_evidence(rest, np.hstack(list(candidates.values())))))
+        assert [name for name, value in values.items() if math.isnan(value)] == ["overflow", "det", "cancel"]
+        for name in ("plain", "plain too"):
+            w = candidates[name]
+            full = scale**2 * np.eye(m) + w @ w.T
+            dense = y @ np.linalg.solve(full, y) + np.linalg.slogdet(full)[1]
+            assert values[name] == pytest.approx(dense, rel=1e-9)
+            assert values[name] == estimator._rank2_evidence(rest, w)[0]
+
+    def test_nan_candidates_rescored_by_full_factorization(self, monkeypatch):
+        """A scan batch where some candidates overflow: each NaN candidate's
+        evaluation is the full factorization's value (inf where that
+        raises), and each other one the rank-2 value."""
+        problem, template, eta0, gamma, _ = self.overflowing_update()
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, rank2 = self.trace_with_rank2_spy(monkeypatch, problem, template, eta0, gamma, 40)
+            # one resonant coordinate: every probe is a rank-2 candidate
+            probes = trace[1:-1]
+            assert len(rank2) == len(probes) >= 15
+            scan = [math.isnan(value) for value in rank2[:7]]
+            assert any(scan) and not all(scan)
+            for (values, value), scored in zip(probes, rank2):
+                if not math.isnan(scored):
+                    assert value == scored
+                    continue
+                try:
+                    assert value == self.evidence(problem, template, values, gamma)
+                except NumericalError:
+                    assert value == math.inf
 
     @pytest.mark.parametrize("case", ["overflowing_update", "unfactorizable_rest"])
     def test_inf_exactly_where_marginal_likelihood_raises(self, monkeypatch, case):

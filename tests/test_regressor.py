@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from beyondnyq.regressor import (
     _CERTIFICATE_FACTOR,
+    _HISTORY,
+    _HISTORY_BYTES,
     RegressorMatrix,
+    _cached,
     _certified_factor,
     _gram,
     build_regressor,
@@ -537,3 +540,40 @@ class TestLeading:
             phi.leading(0)
         with pytest.raises(TypeError, match="order"):
             phi.leading(2.0)
+
+
+class TestCache:
+    """``_cached`` keeps a slot's latest 16 keys, in the order of last use,
+    where 16 of its arrays fit in 32 MiB, and only the latest array where
+    they do not."""
+
+    def fill(self, phi, keys, nbytes, computed):
+        def compute(key):
+            computed.append(key)
+            return np.zeros(nbytes // 8)
+
+        return [_cached(phi, "slot", key, lambda: compute(key)) for key in keys]
+
+    def test_history_of_latest_keys(self):
+        phi = build_regressor(random_noise(30, 0.1, 1.0, seed=19), factor=3, order=10)
+        computed = []
+        self.fill(phi, range(20), 8, computed)
+        assert list(phi._cache["slot"]) == list(range(4, 20))
+        # a hit moves its key to the end, so the oldest key goes next
+        self.fill(phi, [4, 20, 4, 5], 8, computed)
+        assert computed == list(range(21)) + [5]
+        assert list(phi._cache["slot"]) == list(range(7, 21)) + [4, 5]
+        assert not any(array.flags.writeable for array in phi._cache["slot"].values())
+
+    @pytest.mark.parametrize("extra, kept", [(0, _HISTORY), (8, 1)], ids=["at-cap", "over-cap"])
+    def test_byte_cap(self, extra, kept):
+        """16 arrays of 2 MiB fill the 32 MiB cap; 16 a word larger pass it,
+        so that slot keeps only its latest array, and recomputes each
+        revisited key."""
+        phi = build_regressor(random_noise(30, 0.1, 1.0, seed=19), factor=3, order=10)
+        computed = []
+        arrays = self.fill(phi, list(range(_HISTORY)) * 2, _HISTORY_BYTES // _HISTORY + extra, computed)
+        assert len(phi._cache["slot"]) == kept
+        assert len(computed) == (_HISTORY if kept == _HISTORY else 2 * _HISTORY)
+        assert arrays[-1] is phi._cache["slot"][_HISTORY - 1]
+
