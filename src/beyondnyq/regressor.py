@@ -182,8 +182,7 @@ def build_regressor(
     return RegressorMatrix(u.samples[: (output_length - 1) * factor + 1], factor, order)
 
 
-# a slot keeps the arrays of its latest _HISTORY keys where that many fit in
-# _HISTORY_BYTES (an M x M Gram up to M = 512), else only its latest array
+# the arrays a slot of _cached keeps, and the bytes they may take together
 _HISTORY = 16
 _HISTORY_BYTES = 32 << 20
 
@@ -204,13 +203,13 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
       feature-space block, keyed by its unit term, scale and ``gamma``.
 
     A slot is a dict from key to array in the order of last use, and holds
-    the latest 16 keys where 16 of its arrays fit in 32 MiB, else only the
-    latest: one tuner sweep of a coordinate (a scan, its bracket and golden
-    steps, and the accepted point) revisits its keys in the next sweep, but
-    a P x P block at P = 1000 is held once.  The oldest array is dropped
-    before its successor is computed.  A slot's dict is never changed once
-    stored, only replaced, so threads sharing a regressor never see one
-    change under them.
+    the latest 16 keys where 16 of its arrays fit in 32 MiB (an M x M Gram
+    up to M = 512), else only the latest: one tuner sweep of a coordinate
+    (a scan, its bracket and golden steps, and the accepted point) revisits
+    its keys in the next sweep, but a P x P block at P = 1000 is held once.
+    The oldest array is dropped before its successor is computed.  A slot's
+    dict is never changed once stored, only replaced, so threads sharing a
+    regressor never see one change under them.
     """
     held = phi._cache.get(slot, {})
     array = held.get(key)
