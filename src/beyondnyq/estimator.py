@@ -17,10 +17,11 @@ spline and 2 per resonant pole.
 
 * feature space iff ``n < M``: the n x n ``X'X + gamma I`` gives ``w``, the
   model ``theta = sum_t L_t w_t`` and the evidence (through the push-through
-  and Sylvester determinant identities).  ``X'X`` comes from the regressor's
-  ``G = Phi'Phi`` for every term but a resonant pole, at a cost that does
-  not grow with M, and its Cholesky factor borders the first term's, which
-  the regressor keeps for later fits and probes;
+  and Sylvester determinant identities).  Every block of ``X'X`` is ``L_s' G
+  L_t`` from the regressor's ``G = Phi'Phi``, at a cost that does not grow
+  with M once ``G`` is built, and its Cholesky factor borders the first
+  term's, which the regressor keeps for later fits and probes.  A kernel of
+  resonant poles alone may solve here at P >= M, where ``G`` is P x P;
 * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``.
 
 Both give the same model and evidence up to rounding; ``X'X + gamma I`` is
@@ -37,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -89,9 +89,9 @@ def _in_feature_space(terms: tuple, m: int, order: int) -> bool:
     return sum(term.width(order) for term in terms) < m
 
 
-def _unit_piece(phi: RegressorMatrix, unit: KernelSpec, feature: bool) -> np.ndarray:
+def _unit_piece(phi: RegressorMatrix, unit: KernelSpec) -> np.ndarray:
     factored = unit.regressor_factor(phi)
-    return factored if feature else factored @ factored.T
+    return factored @ factored.T
 
 
 def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
@@ -103,7 +103,7 @@ def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None
         if index == skip:
             continue
         unit, scale = term.unit()
-        piece = _cached(phi, index, (unit, False), lambda: _unit_piece(phi, unit, False))
+        piece = _cached(phi, index, unit, lambda: _unit_piece(phi, unit))
         if gram is None:
             gram = np.multiply(piece, scale)
         elif scale == 1.0:
@@ -114,25 +114,16 @@ def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None
     return np.zeros((phi.output_length, phi.output_length)) if gram is None else gram
 
 
-def _block(phi: RegressorMatrix, left: tuple, right: tuple) -> np.ndarray:
-    """The unit block ``(Phi L_s)'(Phi L_t)`` for ``left = (unit_s, F_s)``
-    and ``right = (unit_t, F_t)``, ``F`` a narrow term's ``Phi L`` or None
-    for a term whose blocks come from ``G``.  Two narrow terms give
-    ``F_s'F_t``, O(M w_s w_t).  Otherwise the wide side's ``factor`` is applied
-    to the rows of ``G L_t`` (``factor`` of ``G``, O(P^2) for a DC term) or of
-    ``Phi'F``, O(M P) for a narrow side; a diagonal block (``left is
-    right``) keeps its upper triangle, mirrored, so it is bitwise symmetric."""
-    (unit_s, piece_s), (unit_t, piece_t) = left, right
-    if piece_s is not None and piece_t is not None:
-        return piece_s.T @ piece_t
-    if piece_s is not None:
-        return unit_t.factor((phi.entries.T @ piece_s).T)
-    if piece_t is not None:
-        return unit_s.factor((phi.entries.T @ piece_t).T).T
+def _block(phi: RegressorMatrix, unit_s: KernelSpec, unit_t: KernelSpec, diagonal: bool) -> np.ndarray:
+    """The unit block ``(Phi L_s)'(Phi L_t) = L_s' G L_t`` from the
+    regressor's ``G = Phi'Phi``: term t's ``factor`` applied to the rows of
+    ``G``, then term s's to the rows of ``(G L_t)'``, O(P^2) per DC term and
+    per resonant pole.  A diagonal block keeps its upper triangle, mirrored,
+    so it is bitwise symmetric."""
     # G L_t copied in transposed order, so that factor's recursion runs in
     # place on it and no third P x P array is held
     block = unit_s.factor(np.ascontiguousarray(unit_t.factor(_full_gram(phi)).T)).T
-    if left is not right:
+    if not diagonal:
         return block
     # Tikhonov's factor returns its argument, here the read-only G
     return _mirror(block if block.flags.writeable else block.copy())
@@ -143,27 +134,17 @@ def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> np.ndarray:
 
     Block ``(s, t)`` of ``A`` is ``sqrt(scale_s scale_t)`` times the unit
     block in slot ``(s, t)`` of ``phi._cache`` (:func:`_block`), so ``X`` is
-    never built: a new ``gamma`` or DC ``scale`` costs the O(n^2) assembly, a
-    new DC ``decay`` its blocks from ``G``, and a new resonant pole its
-    ``Phi L_t`` and O(M P) cross blocks.
+    never built: a new ``gamma`` or DC ``scale`` costs the O(n^2) assembly,
+    and a new DC ``decay`` or resonant pole its O(P^2) blocks from ``G``.
     """
-    order = phi.order
-    sides = []
-    for index, term in enumerate(_terms(spec)):
-        unit, scale = term.unit()
-        # a factor at least as wide as the order (DC, Tikhonov, stable
-        # spline) costs less as L_t' G L_t than as Phi L_t; a resonant pole
-        # keeps its M x 2 Phi L_t from the samples
-        piece = None if term.width(order) >= order else _cached(
-            phi, index, (unit, True), lambda: _unit_piece(phi, unit, True)
-        )
-        sides.append((scale, (unit, piece)))
-    edges = np.cumsum([0] + [term.width(order) for term in _terms(spec)])
+    terms = _terms(spec)
+    units = [term.unit() for term in terms]
+    edges = np.cumsum([0] + [term.width(phi.order) for term in terms])
     gram = np.empty((edges[-1], edges[-1]))
-    for s, (scale_s, side_s) in enumerate(sides):
-        for t in range(s, len(sides)):
-            scale_t, side_t = sides[t]
-            block = _cached(phi, (s, t), (side_s[0], side_t[0]), lambda: _block(phi, side_s, side_t))
+    for s, (unit_s, scale_s) in enumerate(units):
+        for t in range(s, len(units)):
+            unit_t, scale_t = units[t]
+            block = _cached(phi, (s, t), (unit_s, unit_t), lambda: _block(phi, unit_s, unit_t, s == t))
             rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
             # a diagonal block gets its scale exactly, and a unit scale
             # (1.0) copies the block's bits
@@ -227,38 +208,20 @@ def _lower_cholesky(a: np.ndarray, shifted: np.ndarray, gamma: float) -> np.ndar
     return lower
 
 
-def _shifted_cholesky(gram: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``gram + gamma I``, and its log-determinant.
-
-    Adds ``gamma`` to the diagonal of ``gram`` in place, so callers pass a
-    Gram they own.  Raises :class:`NumericalError` as :func:`_lower_cholesky`
-    does.
-    """
-    gram.flat[:: gram.shape[0] + 1] += gamma
-    lower = _lower_cholesky(gram, gram, gamma)
-    return lower, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-
-
-def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(L, L^{-1} y, log det S)`` for the M x M output-space ``S = gram +
-    gamma I = L L'``, factored in place by :func:`_shifted_cholesky`."""
-    lower, logdet = _shifted_cholesky(gram, gamma)
-    return lower, scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False), logdet
-
-
-class _Bordered(NamedTuple):
+class _Factor(NamedTuple):
     """The lower Cholesky factor ``[[lead, 0], [border, corner]]`` of a
-    feature-space ``A = X'X + gamma I``: ``lead`` (k x k) factors the first
-    term's block and ``corner`` the Schur complement of the other n - k
-    columns.  Only the lower triangles of ``lead`` and ``corner`` are read."""
+    shifted Gram ``S``: ``lead`` (k x k) factors its leading block and
+    ``corner`` the Schur complement of the other n - k columns.  The dual's
+    factor, and a feature-space one of a single term, have no border (n =
+    k).  Only the lower triangles of ``lead`` and ``corner`` are read."""
 
     lead: np.ndarray
     border: np.ndarray  # (n - k) x k
     corner: np.ndarray  # (n - k) x (n - k)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A^{-1} rhs`` by forward and back substitution, one pair of BLAS
-        trsv calls per diagonal block: faster than ``cho_solve`` for one
+        """``S^{-1} rhs`` by forward and back substitution, one pair of BLAS
+        trsv calls per diagonal block: faster than LAPACK's potrs for one
         right-hand side, whose trsm OpenBLAS runs slowly, and without
         ``solve_triangular``'s checks (the same bits)."""
         trsv, k = scipy.linalg.blas.dtrsv, len(self.lead)
@@ -269,9 +232,20 @@ class _Bordered(NamedTuple):
         return np.concatenate((trsv(self.lead, top - self.border.T @ bottom, lower=1, trans=1), bottom))
 
 
+def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(L, L^{-1} y, log det S)`` for the M x M output-space ``S = gram +
+    gamma I = L L'``, ``L`` lower.  Adds ``gamma`` to the diagonal of
+    ``gram`` in place, so callers pass a Gram they own.  Raises
+    :class:`NumericalError` as :func:`_lower_cholesky` does."""
+    gram.flat[:: gram.shape[0] + 1] += gamma
+    lower = _lower_cholesky(gram, gram, gamma)
+    a = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
+    return lower, a, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+
+
 def _bordered_cholesky(
     phi: RegressorMatrix, gram: np.ndarray, gamma: float, first: KernelSpec
-) -> tuple[_Bordered, float]:
+) -> tuple[_Factor, float]:
     """The factor of the feature-space ``gram + gamma I`` and its
     log-determinant, in two steps.  Adds ``gamma`` to the diagonal of
     ``gram`` in place.
@@ -294,7 +268,7 @@ def _bordered_cholesky(
         border = scipy.linalg.solve_triangular(lead, gram[:k, k:], lower=True, check_finite=False).T
         corner = _lower_cholesky(gram[k:, k:] - border @ border.T, gram, gamma)
     diagonal = np.concatenate((np.diagonal(lead), np.diagonal(corner)))
-    return _Bordered(lead, border, corner), 2.0 * float(np.sum(np.log(diagonal)))
+    return _Factor(lead, border, corner), 2.0 * float(np.sum(np.log(diagonal)))
 
 
 class _Solution(NamedTuple):
@@ -335,9 +309,7 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
     if not _in_feature_space(terms, *phi.entries.shape):
         gram = _output_gram(phi, spec)
         lower, a, logdet = _dual_factor(gram, gamma, y)
-        # no finite scans: y comes from a SlowSignal's finite samples, and
-        # _shifted_cholesky has checked the factor's diagonal
-        solve = partial(scipy.linalg.cho_solve, (lower, True), check_finite=False)
+        solve = _Factor(lower, np.empty((0, len(lower))), np.empty((0, 0))).solve
         return _Solution(
             float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, solve, y))
         )
@@ -371,23 +343,24 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
     Tikhonov term, 2P per stable spline, 2 per resonant pole):
 
     * feature space iff n < M: ``X = Phi L`` is never built.  ``X'X`` has one
-      unit block ``(Phi L_s)'(Phi L_t)`` per term pair.  A term whose factor
-      is at least as wide as the order (DC, Tikhonov, stable spline) takes
-      its blocks from ``G = Phi'Phi``, built once per regressor in O(F M P +
-      P^2) and shared with least squares: ``L_t' G L_t`` is two applications
-      of its factor, O(P^2).  A resonant pole's M x 2 ``Phi L_t`` is one
-      recursion over the input samples, O(N + M), and its block with a wide
-      term ``L_s'(Phi' Phi L_t)`` costs O(M P).  The Cholesky factor of the
-      first term's k x k shifted block, O(k^3), is kept on the regressor per
-      unit term, scale and ``gamma``; the other n - k columns border it in
-      O(k^2 (n - k) + (n - k)^3).  ``X'y = [L_t'(Phi'y)]`` and the residual
-      ``y - Phi theta`` cost O(M P).
+      unit block ``(Phi L_s)'(Phi L_t) = L_s' G L_t`` per term pair, from
+      ``G = Phi'Phi``, built once per regressor in O(F M P + P^2) and shared
+      with least squares: two applications of the terms' factors, O(P^2)
+      for a DC term or a resonant pole.  So a kernel of resonant poles
+      alone, whose 2 columns per pole keep it in this space at any order,
+      builds the P x P ``G`` even at P > M: O(F M P + P^2) time and 8 P^2
+      bytes, where its M x 2 ``Phi L_t`` would take O(N + M).  The
+      Cholesky factor of the first term's k x k shifted block, O(k^3), is
+      kept on the regressor per unit term, scale and ``gamma``; the other n
+      - k columns border it in O(k^2 (n - k) + (n - k)^3).  ``X'y =
+      [L_t'(Phi'y)]`` and the residual ``y - Phi theta`` cost O(M P).
     * output space (dual) otherwise: ``X`` costs O(N + M) per resonant pole
       and O(N + M P) per DC term, each one recursion over the input samples
       (``regressor_factor``), and O(M P) per other term; ``Phi K Phi' = X X'``
       costs O(M^2 n) and its Cholesky factor O(M^3).
 
-    Either way the solve is refined up to three times, O(n^2) or O(M^2) each.
+    Either way the solve goes through the same triangular factor type and
+    is refined up to three times, O(n^2) or O(M^2) each.
 
     The arrays come from ``problem.phi._cache`` (see
     :func:`~beyondnyq.regressor._cached`), so the fits on that regressor
@@ -429,14 +402,15 @@ def marginal_likelihood(
 
     * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
       per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``
-      from the unit blocks in the ``(s, t)`` slots of ``phi._cache``, O(P^2)
-      per wide term's block from ``G = Phi'Phi`` and O(M P) per block with
-      a resonant pole, its bordered Cholesky factor, plus the refined solve
-      and the residual, O(M P + n^2).  A call that changes only a resonant
-      term since the last one on ``phi`` reuses the first term's factor and
-      so costs O(N + M P + n^2) for a DC term of k = P columns and a few
-      resonant ones; a new ``gamma`` or DC ``scale`` adds that factor,
-      O(P^3);
+      from the unit blocks ``L_s' G L_t`` in the ``(s, t)`` slots of
+      ``phi._cache``, O(P^2) per DC or resonant block from ``G = Phi'Phi``
+      (O(F M P + P^2) once per regressor, also for a kernel of resonant
+      poles alone at P > M), its bordered Cholesky factor, plus the refined
+      solve and the residual, O(M P + n^2).  A call that changes only a
+      resonant term since the last one on ``phi`` reuses the first term's
+      factor and so costs O(M P + P^2 + n^2) for a DC term of k = P columns
+      and a few resonant ones; a new ``gamma`` or DC ``scale`` adds that
+      factor, O(P^3);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
@@ -624,7 +598,7 @@ _DECADES = _FieldRule(True, 7, 2, lambda value, omega_max: (value * 1e-2, value 
 _RATES = _FieldRule(False, 7, 2, _rate_bounds)
 # resonance frequencies carve narrow evidence dips, so they get a dense scan and
 # a third sweep; a resonant probe costs O(N + M^2) in the dual (rank-2 update),
-# not O(M^3), and O(N + M P + n^2) in the feature space (bordered factor)
+# not O(M^3), and O(M P + P^2 + n^2) in the feature space (bordered factor)
 _FIELD_RULES = {
     "gamma": _FieldRule(True, 7, 2, lambda value, omega_max: (min(1e-9, value), max(1e3, value))),
     "scale": _DECADES,
@@ -750,21 +724,22 @@ def optimize_hyperparameters(
     (the next sweep's scan grid, and its bracket and golden steps where its
     pick repeats) costs the O(M^2) sum and the Cholesky.  In the feature
     space (n < M) slot ``(s, t)`` keeps each term pair's unit blocks
-    ``(Phi L_s)'(Phi L_t)``, a DC term's from ``G = Phi'Phi``, and the
+    ``(Phi L_s)'(Phi L_t) = L_s' G L_t``, all from ``G = Phi'Phi``, and the
     ``"lead"`` slot the Cholesky factor of the first term's shifted block.
     A probe of ``gamma`` or of the first term's DC ``scale`` is an O(n^2)
     assembly of ``X'X``, a new O(P^3) leading factor and its O(P^2) border
     (and O(M P) for ``X'y`` and the residual); a DC ``decay`` probe adds its
-    blocks, O(P^2) from ``G`` and O(M P) per resonant term.  A feature-space
-    probe of a resonant-pole field keeps the leading factor: it adds its M x
-    2 ``Phi L_t``, one recursion over the input, O(N + M), its blocks, O(M
-    P), and the border, O(P^2), so no factorization of order P.  Every
+    blocks, O(P^2) each.  A feature-space probe of a resonant-pole field
+    keeps the leading factor: it adds its blocks, O(P^2) each, and the
+    border, O(P^2), so no factorization of order P.  A tune of resonant
+    poles alone builds the P x P ``G`` once, at P > M too.  Every
     feature-space probe is scored as :func:`marginal_likelihood` scores it,
     with no M x M array and no M x P one besides the regressor's entries.
 
-    In the dual a probe of a resonant-pole field costs O(N + M^2): that
-    ``Phi L_t`` and a rank-2 update (Woodbury and the determinant lemma) on
-    a factorization of ``gamma I`` plus the other terms' M x M Grams.  That
+    In the dual a probe of a resonant-pole field costs O(N + M^2): its M x 2
+    ``Phi L_t``, one recursion over the input, and a rank-2 update (Woodbury
+    and the determinant lemma) on a factorization of ``gamma I`` plus the
+    other terms' M x M Grams.  That
     rest is factored once per resonant term per sweep, since the term's
     coordinates sort next to each other and leave it as it is.  A scan
     grid's K points are scored by one call, whose M x 2K triangular solve

@@ -22,14 +22,16 @@ DC or Tikhonov term, 2P per stable spline, 2 per resonant pole.  It also owns
 its tunables and its JSON type tag.  A fit of M outputs solves in the feature
 space iff these n columns number fewer than M.
 
-Dual fits, and resonant poles in the feature space, take ``Phi L`` from
-``regressor_factor``.  A DC term and a resonant pole are first-order
-recursions over the lag, and ``Phi`` windows the input at every F-th
-instant, so one recursion over the regressor's N input samples gives every
-row: O(N + M P) for a DC term, one scaled gather of the M x P result, and
-O(N + M) for a resonant pole.  The other terms take ``factor`` of the
-regressor's entries.  In the feature space a term at least as wide as the
-order never forms ``Phi L``: its blocks apply ``factor`` to ``Phi'Phi``.
+Dual fits take ``Phi L`` from ``regressor_factor``: each term's Gram
+``Phi K Phi'``, and a resonant probe's rank-2 update.  A DC term and a
+resonant pole are first-order recursions over the lag, and ``Phi`` windows
+the input at every F-th instant, so one recursion over the regressor's N
+input samples gives every row: O(N + M P) for a DC term, one scaled gather
+of the M x P result, and O(N + M) for a resonant pole.  The other terms
+take ``factor`` of the regressor's entries.  The feature space never forms
+``Phi L``: every block ``L_s' G L_t`` applies the terms' ``factor`` to ``G =
+Phi'Phi``, O(P^2) for a DC term or a resonant pole, so a kernel of resonant
+poles alone builds the P x P ``G`` even at P > M.
 
 Sums of these kernels stay positive semidefinite; resonant-pole kernels are
 rank-2 Gram matrices and may be singular, which is why estimation never

@@ -194,11 +194,10 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
 
     * ``"gram"``: the symmetric ``G = Phi'Phi`` (:func:`_full_gram`), which
       least squares and the feature-space blocks share.
-    * ``t``, a term index: term t's unit piece keyed by the unit term and
-      the space: in the feature space a resonant pole's M x 2 ``Phi L_t``
-      (True), in the dual any term's ``Phi K_t Phi'`` (False).
+    * ``t``, a term index: term t's dual unit Gram ``Phi K_t Phi'`` keyed by
+      the unit term.
     * ``(s, t)``, ``s <= t``: the feature-space unit block ``(Phi L_s)'(Phi
-      L_t)`` keyed by both unit terms.
+      L_t) = L_s' G L_t`` keyed by both unit terms.
     * ``"lead"``: the lower Cholesky factor of the first term's shifted
       feature-space block, keyed by its unit term, scale and ``gamma``.
 
@@ -248,31 +247,33 @@ def _mirror(a: np.ndarray) -> np.ndarray:
 def _full_gram(phi: RegressorMatrix) -> np.ndarray:
     """``G = Phi'Phi`` (P x P, symmetric, read-only) from :func:`_gram`,
     built once per regressor in its ``"gram"`` slot."""
-    return _cached(phi, "gram", (), lambda: _mirror(_gram(phi)))
+    return _cached(phi, "gram", (), lambda: _gram(phi))
 
 
 def _gram(phi: RegressorMatrix) -> np.ndarray:
-    """The upper triangle of ``Phi'Phi`` (P x P, Fortran order), in
-    O(F M P + P^2).  The strict lower triangle is partly written: the first
-    ``min(F, P)`` rows and each later block of F rows are written in full
-    from their diagonal on, and every other entry below it is left zero.
+    """``Phi'Phi`` (P x P, bitwise symmetric), in O(F M P + P^2).
 
     Shifting a row of ``Phi`` by F lags gives the row before it, and the
     first row shifted in is zero, so ``G[i+F, j+F] = G[i, j] - a_i a_j``
     with ``a = Phi[M-1]``, the one row that leaves the sum.  The first
-    ``min(F, P)`` rows are ``Phi[:, :F]' Phi``; each later block of F rows
-    is the block above it, one column block to the left, minus one outer
-    product.
+    ``min(F, P)`` rows are ``Phi[:, :F]' Phi`` with their leading block
+    mirrored, and the first F columns their transpose; each later block of
+    F rows is the block above it, one column block to the left, minus one
+    outer product.  Every step maps a symmetric pair of entries to a
+    symmetric pair, so the result is symmetric bit for bit.
     """
     entries, f = phi.entries, phi.factor
     p = entries.shape[1]
-    gram = np.zeros((p, p), order="F")
-    gram[:f] = entries[:, :f].T @ entries
+    gram = np.empty((p, p), order="F")
+    # filled through its transpose, whose rows are contiguous: G is symmetric
+    g = gram.T
+    g[:f] = entries[:, :f].T @ entries
+    _mirror(g[:f, :f])
+    g[f:, :f] = g[:f, f:].T
     last = entries[-1]
     for start in range(f, p, f):
-        stop = min(start + f, p)
-        rows, cols = slice(start - f, stop - f), slice(start - f, p - f)
-        gram[start:stop, start:] = gram[rows, cols] - np.outer(last[rows], last[cols])
+        rows = slice(start - f, min(start, p - f))
+        g[start : start + f, f:] = g[rows, : p - f] - np.outer(last[rows], last[: p - f])
     return gram
 
 

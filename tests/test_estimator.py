@@ -43,6 +43,7 @@ from beyondnyq.kernels import (
     ResonantPole,
     StableSpline,
     Tikhonov,
+    _Kernel,
 )
 from beyondnyq.regressor import build_regressor, least_squares_fir
 from beyondnyq.signals import FastSignal, FirModel, SlowSignal, random_noise
@@ -258,7 +259,7 @@ class TestFactoredGram:
             expected = np.zeros((30, 30))
             for term in spec.terms:
                 unit, scale = term.unit()
-                expected += scale * estimator._unit_piece(problem.phi, unit, False)
+                expected += scale * estimator._unit_piece(problem.phi, unit)
             assert np.array_equal(estimator._output_gram(problem.phi, spec), expected)
         pole = ResonantPole(decay=0.9, frequency=0.7)
         assert np.array_equal(estimator._output_gram(problem.phi, pole, skip=0), np.zeros((30, 30)))
@@ -334,21 +335,20 @@ SHARED_PK = KernelSum(
 
 def spy_unit_pieces(monkeypatch, rows):
     """Record ``(order, unit term)`` for every term's own array computed on a
-    regressor of ``rows`` outputs: its unit piece (any term's Gram in the
-    dual, a resonant pole's ``Phi L_t`` in the feature space) or, for a
-    feature-space term with no piece, its diagonal block from ``G``."""
+    regressor of ``rows`` outputs: its unit piece (its Gram) in the dual, or
+    its diagonal block from ``G`` in the feature space."""
     computed = []
     unit_piece, block = estimator._unit_piece, estimator._block
 
-    def spy(phi, unit, feature):
+    def spy(phi, unit):
         if phi.output_length == rows:
             computed.append((phi.order, unit))
-        return unit_piece(phi, unit, feature)
+        return unit_piece(phi, unit)
 
-    def spy_block(phi, left, right):
-        if phi.output_length == rows and left is right and left[1] is None:
-            computed.append((phi.order, left[0]))
-        return block(phi, left, right)
+    def spy_block(phi, unit_s, unit_t, diagonal):
+        if phi.output_length == rows and diagonal:
+            computed.append((phi.order, unit_s))
+        return block(phi, unit_s, unit_t, diagonal)
 
     monkeypatch.setattr(estimator, "_unit_piece", spy)
     monkeypatch.setattr(estimator, "_block", spy_block)
@@ -421,8 +421,8 @@ class TestSharedPieces:
     def test_tuner_cache_stays_bounded(self, monkeypatch, order):
         """After a tune of a three-term kernel, the regressor's cache holds,
         in the dual, a slot per term index and, in the feature space, one per
-        resonant term, one per index pair ``s <= t``, ``G`` and the leading
-        factor: no slot is keyed by a probe's unit term.  Each slot holds at
+        index pair ``s <= t``, ``G`` and the leading factor (no term slot):
+        no slot is keyed by a probe's unit term.  Each slot holds at
         most 16 read-only arrays, though the tune computed more than 16 DC
         arrays."""
         computed = spy_unit_pieces(monkeypatch, 30)
@@ -432,7 +432,7 @@ class TestSharedPieces:
         optimize_hyperparameters(problem.phi, problem.y_l, SHARED_PK, eta0, gamma=problem.gamma, budget=600)
         assert len({unit for _, unit in computed if isinstance(unit, DiagonalCorrelated)}) > 16
         pairs = {(s, t) for s in range(3) for t in range(s, 3)}
-        expected = {1, 2, "gram", "lead"} | pairs if order < 30 else {0, 1, 2}
+        expected = {"gram", "lead"} | pairs if order < 30 else {0, 1, 2}
         assert set(problem.phi._cache) == expected
         assert all(1 <= len(held) <= 16 for held in problem.phi._cache.values())
         assert not any(array.flags.writeable for array in cached_arrays(problem.phi))
@@ -611,8 +611,8 @@ def spy_blocks(monkeypatch):
     products = []
     block = estimator._block
 
-    def spy(phi, left, right):
-        computed = block(phi, left, right)
+    def spy(phi, unit_s, unit_t, diagonal):
+        computed = block(phi, unit_s, unit_t, diagonal)
         products.append(computed.shape)
         return computed
 
@@ -678,6 +678,24 @@ class TestBlockGram:
         assert_same_fit(fit_with_evidence(pk), alone)
         assert products == [(12, 12), (12, 2), (12, 2), (2, 2), (2, 2), (2, 2)]
         assert not any(block.flags.writeable for block in cached_arrays(dc.phi))
+
+    def test_fits_take_every_block_from_gram(self, monkeypatch):
+        """dc then pk in the feature space build every block from ``G``: no
+        term's ``regressor_factor`` runs, and no term slot is cached."""
+        dc = make_problem(32, n=90, factor=3, order=12, kernel=SHARED_DC)
+        pk = RegularizedProblem(phi=dc.phi, y_l=dc.y_l, kernel=SHARED_PK, gamma=dc.gamma)
+        factored = []
+        for cls in (_Kernel, DiagonalCorrelated, ResonantPole):
+
+            def spy(self, phi, original=cls.regressor_factor):
+                factored.append(self)
+                return original(self, phi)
+
+            monkeypatch.setattr(cls, "regressor_factor", spy)
+        fit_with_evidence(dc)
+        fit_with_evidence(pk)
+        assert factored == []
+        assert not any(isinstance(slot, int) for slot in dc.phi._cache)
 
     def tune(self, problem, eta0, budget=60):
         trace = []
@@ -754,9 +772,9 @@ def bordered(problem):
 
 
 class TestGramBlocks:
-    """Terms whose factor is at least as wide as the order take their blocks
-    from ``G = Phi'Phi``, and the feature-space Cholesky borders the first
-    term's factor, which the regressor keeps."""
+    """Every term takes its blocks from ``G = Phi'Phi``, and the
+    feature-space Cholesky borders the first term's factor, which the
+    regressor keeps."""
 
     @pytest.mark.parametrize("shape", ["P<F", "n=M-1"])
     @pytest.mark.parametrize("name", sorted(GRAM_KERNELS))
@@ -820,7 +838,7 @@ class TestGramBlocks:
         assert sizes == [4] * 20
 
     def test_nonfinite_trailing_block_fails_and_scores_inf(self):
-        """A resonant term whose ``Phi L_t`` overflows makes the bordered
+        """A resonant term whose blocks overflow makes the bordered
         step fail with the diagnostics of the whole shifted Gram; the DC
         factor it borders stays as it was, and the tuner scores such a
         probe +inf and goes on."""

@@ -323,21 +323,23 @@ class TestGram:
         rows=st.integers(2, 60),
         order_share=st.floats(0.0, 1.0),
     )
-    # at M = 30: P < F, P = F, P a multiple of F, and P not one
-    @example(seed=5, factor=5, rows=30, order_share=2 / 28)  # P = 3
-    @example(seed=2, factor=2, rows=30, order_share=1 / 28)  # P = 2
-    @example(seed=3, factor=3, rows=30, order_share=11 / 28)  # P = 12
-    @example(seed=4, factor=4, rows=30, order_share=9 / 28)  # P = 10
+    # at M = 30: P < F, P = F, P a multiple of F, and P not one; P = M and P > M
+    @example(seed=5, factor=5, rows=30, order_share=2 / 58)  # P = 3
+    @example(seed=2, factor=2, rows=30, order_share=1 / 58)  # P = 2
+    @example(seed=3, factor=3, rows=30, order_share=11 / 58)  # P = 12
+    @example(seed=4, factor=4, rows=30, order_share=9 / 58)  # P = 10
+    @example(seed=6, factor=3, rows=30, order_share=29 / 58)  # P = 30
+    @example(seed=7, factor=1, rows=30, order_share=44 / 58)  # P = 45
     def test_matches_dense_gram(self, seed, factor, rows, order_share):
-        """The upper triangle of ``_gram`` is ``entries' entries`` to
-        1e-13 relative, for any P below M, at, below and above F."""
-        order = 1 + round(order_share * (rows - 2))
-        u = FastSignal(samples=np.random.default_rng(seed).normal(size=(rows - 1) * factor + 1), period=0.1)
-        phi = build_regressor(u, factor, order)
-        assert phi.output_length == rows
+        """``_gram`` is ``entries' entries`` to 1e-13 relative and bitwise
+        symmetric, for any P up to 2M - 1, at, below and above F."""
+        order = 1 + round(order_share * (2 * rows - 2))
+        samples = np.random.default_rng(seed).normal(size=max(order, (rows - 1) * factor + 1))
+        phi = build_regressor(FastSignal(samples=samples, period=0.1), factor, order, rows)
         dense = phi.entries.T @ phi.entries
         gram = _gram(phi)
-        assert np.linalg.norm(np.triu(gram) - np.triu(dense)) <= 1e-13 * np.linalg.norm(dense)
+        assert np.array_equal(gram, gram.T)
+        assert np.linalg.norm(gram - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 class TestRankCertificate:
