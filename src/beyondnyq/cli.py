@@ -61,7 +61,6 @@ from .estimator import (
     kernel_and_gamma,
     load_model,
     optimize_hyperparameters,
-    predict_fast_output,
     save_model,
     tuning_start,
 )
@@ -69,7 +68,7 @@ from .kernels import KernelSpec, kernel_spec_from_json, kernel_spec_to_json
 from .regressor import RegressorMatrix, build_regressor, least_squares_fir
 from .signals import (
     FastSignal, FirModel, SlowSignal, _integer, _known_keys, _number, _pair, _positive, _write_csv, _write_json,
-    downsample, fir_frf, read_signal_csv,
+    fir_frf, read_signal_csv,
 )
 from .sim import monte_carlo_config_from_json, run_monte_carlo, write_records_csv, write_summary_csv
 
@@ -167,8 +166,8 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
     return plan
 
 
-def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, SlowSignal, RegressorMatrix]:
-    """The data files' input and slow output, and the regressor of the config's ``order``."""
+def _read_data(config: dict, period: float, factor: int) -> tuple[SlowSignal, RegressorMatrix]:
+    """The data files' slow output, and the regressor of the config's ``order`` on their input."""
     data = _object(_require(config, "data", "config"), "data", ("input_csv", "output_csv"))
     input_path = _path("data.input_csv", _require(data, "input_csv", "data"))
     output_path = _path("data.output_csv", _require(data, "output_csv", "data"))
@@ -184,7 +183,7 @@ def _read_data(config: dict, period: float, factor: int) -> tuple[FastSignal, Sl
             f"{(len(y) - 1) * factor + 1} input samples, got {len(u)}"
         )
     order = _integer_setting("order", _require(config, "order", "config"), 1)
-    return u, y, build_regressor(u, factor, order, len(y))
+    return y, build_regressor(u, factor, order, len(y))
 
 
 def _write_frf_csv(model: FirModel, path: Path, omegas: np.ndarray) -> None:
@@ -211,7 +210,7 @@ def _frf_grid(config: dict, period: float) -> np.ndarray:
 def cmd_identify(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
     plan = _estimator_plan(config)
-    u, y_l, phi = _read_data(config, period, factor)
+    y_l, phi = _read_data(config, period, factor)
     order = phi.order
     omegas = _frf_grid(config, period)
 
@@ -229,7 +228,7 @@ def cmd_identify(config: dict, out_dir: Path) -> int:
                       else f"the input cannot tell the {order} coefficients apart")
             print(f"{name}: no unique model of order {order}: {reason}", file=sys.stderr)
         else:
-            predicted = downsample(predict_fast_output(model, u), factor).samples[: len(y_l)]
+            predicted = phi.entries @ model.theta
             model_file = out_dir / f"model_{name}.json"
             save_model(model, model_file)
             _write_csv(out_dir / f"theta_{name}.csv", ("index", "value"), enumerate(model.theta.tolist()))
@@ -281,7 +280,7 @@ def cmd_frf(config: dict, out_dir: Path) -> int:
 
 def cmd_tune(config: dict, out_dir: Path) -> int:
     period, factor = _sampling(config)
-    _, y_l, phi = _read_data(config, period, factor)
+    y_l, phi = _read_data(config, period, factor)
 
     tune = _object(_require(config, "tune", "config"), "tune", ("estimator", "init", "bounds", "budget"))
     estimator = _require(tune, "estimator", "tune")

@@ -24,10 +24,9 @@ space iff these n columns number fewer than M.
 
 Dual fits take ``Phi L`` from ``regressor_factor``: each term's Gram
 ``Phi K Phi'``, and a resonant probe's rank-2 update.  A DC term and a
-resonant pole are first-order recursions over the lag, and ``Phi`` windows
-the input at every F-th instant, so one recursion over the regressor's N
-input samples gives every row: O(N + M P) for a DC term, one scaled gather
-of the M x P result, and O(N + M) for a resonant pole.  The other terms
+resonant pole are first-order recursions over the lag, which the regressor
+applies to its samples (:meth:`~beyondnyq.regressor.RegressorMatrix.filtered`):
+O(N + M P) for a DC term and O(N + M) for a resonant pole.  The other terms
 take ``factor`` of the regressor's entries.  The feature space never forms
 ``Phi L``: every block ``L_s' G L_t`` applies the terms' ``factor`` to ``G =
 Phi'Phi``, O(P^2) for a DC term or a resonant pole, so a kernel of resonant
@@ -49,9 +48,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
-import scipy.linalg.blas
 
-from .regressor import _first_order, _windows
+from .regressor import _first_order
 from .signals import _integer, _known_keys, _number
 
 __all__ = [
@@ -156,25 +154,12 @@ class DiagonalCorrelated(_Kernel):
         return factored
 
     def regressor_factor(self, phi) -> np.ndarray:
-        """``Phi D U S`` from the regressor's samples, O(N + M P).
-
-        Entry ``(m, j)`` is ``d_j s_j sum_{i >= j} rho^(i-j) u(mF - i)`` with the
-        pole ``rho = c sqrt(decay)``, so one recursion over the input, read at
-        ``mF - j``, gives every row (:meth:`RegressorMatrix.filtered`): a row
-        whose window the order cuts subtracts ``d_j s_j rho^(P-j) w(mF - P)``,
-        a rank-1 update in place.
-        """
-        order = phi.order
-        half, weights = self._diagonals(order)
-        weights *= half
-        filtered, cut = phi.filtered(np.longdouble(self.correlation) * np.sqrt(np.longdouble(self.decay)))
-        factored = np.multiply(_windows(filtered, phi.factor, order, phi.output_length), weights, order="C")
-        if len(cut):
-            lags = np.arange(order, 0, -1)
-            powers = weights * self.correlation**lags * self.decay ** (lags / 2.0)
-            # BLAS ger on the cut rows, transposed to Fortran order: no M x P temporary
-            scipy.linalg.blas.dger(-1.0, powers, cut, a=factored[len(factored) - len(cut) :].T, overwrite_a=True)
-        return factored
+        """``Phi D U S`` from the regressor's samples, O(N + M P): entry ``(m,
+        j)`` is ``d_j s_j sum_{i >= j} rho^(i-j) u(mF - i)`` with the pole ``rho
+        = c sqrt(decay)`` (:meth:`RegressorMatrix.filtered`)."""
+        half, weights = self._diagonals(phi.order)
+        pole = np.longdouble(self.correlation) * np.sqrt(np.longdouble(self.decay))
+        return phi.filtered(pole, half * weights)
 
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
         """``D U S w``: ``U x`` is the forward recursion ``x_i + c (U x)_(i-1)``."""
@@ -264,23 +249,14 @@ class ResonantPole(_Kernel):
         return phi @ self._columns(phi.shape[1])
 
     def regressor_factor(self, phi) -> np.ndarray:
-        """``Phi L`` from the regressor's samples, O(N + M).
-
-        Row m is ``sigma1 Re s_m`` and ``sigma2 Im s_m`` for ``s_m = sum_{i < P}
-        rho^i u(mF - i)`` with the complex pole ``rho = sqrt(decay) e^(j w)``:
-        one recursion over the input read at ``mF``
-        (:meth:`RegressorMatrix.filtered`), minus ``rho^P w(mF - P)`` on the
-        rows whose window the order cuts.
-        """
-        order = phi.order
+        """``Phi L`` from the regressor's samples, O(N + M): row m is ``sigma1
+        Re s_m`` and ``sigma2 Im s_m`` for ``s_m = sum_{i < P} rho^i u(mF - i)``
+        with the complex pole ``rho = sqrt(decay) e^(j w)``
+        (:meth:`RegressorMatrix.filtered`)."""
         radius, angle = np.sqrt(np.longdouble(self.decay)), np.longdouble(self.frequency)
-        filtered, cut = phi.filtered(radius * (np.cos(angle) + 1j * np.sin(angle)))
-        sums = filtered[:: phi.factor]
-        if len(cut):
-            power = radius**order * (np.cos(angle * order) + 1j * np.sin(angle * order))
-            sums[len(sums) - len(cut) :] -= complex(power) * cut
+        sums = phi.filtered(radius * (np.cos(angle) + 1j * np.sin(angle)), (1.0,))
         # each complex sum viewed as the pair (Re, Im)
-        return np.multiply(sums[:, None].view(float), (self.sigma1, self.sigma2))
+        return np.multiply(sums.view(float), (self.sigma1, self.sigma2))
 
     def factor_times(self, w: np.ndarray, order: int) -> np.ndarray:
         return self._columns(order) @ w

@@ -1,10 +1,8 @@
 """Multirate regressor construction and least squares.
 
-The regressor matrix ``Phi`` (M x P) maps FIR coefficients ``theta`` to the
-decimated model output: row ``m`` holds the input samples
-``u(m*F), u(m*F - 1), ..., u(m*F - P + 1)`` with zeros before time 0, so that
-``Phi @ theta`` equals the convolution of ``u`` with ``theta`` kept at every
-``F``-th sample.
+The regressor matrix ``Phi`` (M x P, :class:`RegressorMatrix`, the one owner
+of its row layout) maps FIR coefficients ``theta`` to the decimated model
+output.
 
 A unique unregularized fit needs ``Phi`` to have full column rank, which fails
 whenever the model order reaches the number of output samples (``P >= M``) and
@@ -39,6 +37,13 @@ __all__ = ["RegressorMatrix", "build_regressor", "least_squares_fir"]
 @dataclass(frozen=True, eq=False)
 class RegressorMatrix:
     """M x P matrix with ``entries[m, i] = u(m*F - i)`` (zero for ``m*F < i``).
+
+    Row m holds ``u(mF), u(mF - 1), ..., u(mF - P + 1)``, with zeros before
+    time 0, so ``Phi @ theta`` is the fast FIR's output as the slow sampler
+    sees it: the convolution of ``u`` with ``theta`` kept at every F-th
+    sample.  A row with ``mF >= P`` is cut: its window stops before time 0.
+    Only this module knows that layout; kernels and commands use
+    :attr:`entries` and :meth:`filtered`.
 
     Built from the finite input samples ``u(0), ..., u((M-1) F)`` that its rows
     window, the factor ``F`` and the order ``P``: ``M = floor((N - 1) / F) +
@@ -96,35 +101,49 @@ class RegressorMatrix:
             object.__setattr__(lower, name, value)
         return lower
 
-    def filtered(self, pole) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, cut)`` for the samples filtered by ``w(t) = u(t) + pole
-        w(t-1)`` (``w(-1) = 0``), so that for every row m and column j
+    def filtered(self, pole, weights) -> np.ndarray:
+        """The M x len(weights) array with entry ``(m, j)``
 
-            ``sum_{i=j}^{P-1} pole^(i-j) u(mF - i) = w(mF - j) - pole^(P-j) w(mF - P)``
+            ``weights[j] sum_{i=j}^{P-1} pole^(i-j) u(mF - i)``
 
-        (``w`` is zero before time 0).  ``cut`` holds ``w(mF - P)`` for the
-        last ``len(cut)`` rows, whose window the order cuts (``mF >= P``); on
-        the others that term is 0.
+        (``u`` zero before time 0): ``Phi L`` for a factor ``L`` whose
+        columns are a first-order recursion over the lag.  ``pole`` is a
+        real or complex ``np.longdouble``, and the result is complex for a
+        complex one.
 
-        ``pole`` is a real or complex ``np.longdouble``.  The recursion runs
-        once over the samples at the pole rounded to double
+        The samples filtered by ``w(t) = u(t) + pole w(t-1)`` (``w(-1) = 0``)
+        give every entry as ``w(mF - j) - pole^(P-j) w(mF - P)``, where the
+        second term is 0 on the rows that are not cut (``mF < P``).  The
+        recursion runs once over the N samples at the pole rounded to double
         (:func:`_first_order`, O(N)).  A second solve adds the first-order
         effect of that rounding, ``pole - rounded`` where the long double is
         wider than a double: without it the powers of the pole drift by up to
-        ``k eps`` at lag ``k``, ``P eps`` across a window.
+        ``k eps`` at lag ``k``, ``P eps`` across a window.  The windows of
+        ``w``, scaled by ``weights``, are gathered into the result, O(M
+        len(weights)), and the cut rows subtract ``weights[j] pole^(P-j) w(mF
+        - P)`` by one rank-1 BLAS ``ger`` in place (``zgeru`` for a complex
+        pole), with the powers running products of the long double pole.
         """
-        real = not np.iscomplexobj(pole)
+        real = not isinstance(pole, (complex, np.complexfloating))
         rounded = float(pole) if real else complex(pole)
         low = float(pole - rounded) if real else complex(pole - rounded)
         w = _first_order(rounded, self.samples.astype(type(rounded)))
         if low:
-            # (L - low S)^{-1} u = w + low L^{-1} S w to first order, S the delay
-            delayed = np.zeros_like(w)
-            delayed[1:] = w[:-1]
-            w += low * _first_order(rounded, delayed)
-        rows, order = self.entries.shape
-        first = -(-order // self.factor)  # the first row with mF >= P
-        return w, w[first * self.factor - order :: self.factor][: max(rows - first, 0)]
+            # (L - low S)^{-1} u = w + low S L^{-1} w to first order, S the delay
+            w[1:] += low * _first_order(rounded, w.copy())[:-1]
+        (rows, order), width = self.entries.shape, len(weights)
+        result = np.multiply(_windows(w, self.factor, width, rows), weights, order="C")
+        first = -(-order // self.factor)  # the first cut row
+        if first < rows:
+            # pole^(P-j) for j < width, running products from pole^(P-width+1)
+            powers = np.full(width, pole)
+            powers[0] **= order - width + 1
+            powers = (np.multiply.accumulate(powers, out=powers)[::-1] * weights).astype(w.dtype)
+            cut = w[first * self.factor - order :: self.factor][: rows - first]  # w(mF - P)
+            ger = scipy.linalg.blas.dger if real else scipy.linalg.blas.zgeru
+            # the cut rows transposed to Fortran order, so ger updates them in place
+            ger(-1.0, powers, cut, a=result[first:].T, overwrite_a=True)
+        return result
 
     def check_output(self, y_l: SlowSignal) -> None:
         """Raise ``ValueError`` unless ``y_l`` is this matrix's output: ``M``
@@ -135,13 +154,16 @@ class RegressorMatrix:
             raise ValueError(f"output downsampling factor {y_l.factor} does not match the regressor's {self.factor}")
 
 
-def _windows(x: np.ndarray, factor: int, order: int, rows: int) -> np.ndarray:
-    """The read-only ``rows x order`` view ``x(mF - i)`` (zero for ``mF < i``):
-    row m is the reversed ``order``-sample window that ends at ``x(mF)``,
-    every F-th window of a strided view of ``x`` padded with ``order - 1``
-    leading zeros."""
-    padded = np.concatenate((np.zeros(order - 1, dtype=x.dtype), x))
-    return np.lib.stride_tricks.sliding_window_view(padded, order)[: rows * factor : factor, ::-1]
+def _windows(x: np.ndarray, factor: int, width: int, rows: int) -> np.ndarray:
+    """The read-only ``rows x width`` view ``x(mF - i)`` (zero for ``mF < i``)
+    of the contiguous 1-D ``x``: row m is the reversed ``width``-sample window
+    that ends at ``x(mF)``, a strided view of ``x`` padded with ``width - 1``
+    leading zeros (none at width 1)."""
+    if width > 1:
+        x = np.concatenate((np.zeros(width - 1, dtype=x.dtype), x))
+    view = np.ndarray((rows, width), x.dtype, x, (width - 1) * x.itemsize, (factor * x.itemsize, -x.itemsize))
+    view.flags.writeable = False
+    return view
 
 
 def _first_order(pole, x: np.ndarray, uplo: str = "L") -> np.ndarray:

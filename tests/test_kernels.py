@@ -325,6 +325,59 @@ def relative_error(actual, expected):
     return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
 
 
+def long_filtered(phi, pole, weights):
+    """``weights[j] sum_{i=j}^{P-1} pole^(i-j) u(mF - i)`` in long double: the
+    sums over the regressor's windows, Horner-wise from the last column."""
+    entries = phi.entries.astype(np.clongdouble if np.iscomplexobj(pole) else np.longdouble)
+    sums = np.empty_like(entries)
+    total = np.zeros(len(entries), dtype=entries.dtype)
+    for j in range(entries.shape[1] - 1, -1, -1):
+        total = sums[:, j] = entries[:, j] + pole * total
+    return sums[:, : len(weights)] * np.asarray(weights, dtype=np.longdouble)
+
+
+class TestFiltered:
+    """``RegressorMatrix.filtered``, which the DC and resonant factors call:
+    one recursion over the samples, and a rank-1 update of the cut rows,
+    against the windows' sums in long double."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        phi=regressors(),
+        decay=st.sampled_from(DECAYS),
+        correlation=st.sampled_from(CORRELATIONS),
+        frequency=st.sampled_from((None, 0.0, 0.4 * 2 * math.pi * 0.1, 2.0 * 2 * math.pi * 0.1, 3.0)),
+        full_width=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        phi=build_regressor(FastSignal(samples=np.random.default_rng(5).normal(size=300), period=0.1), 3, 120, 100),
+        decay=math.exp(-0.05), correlation=-math.exp(-0.01), frequency=None, full_width=True, seed=0,
+    )
+    @example(
+        phi=build_regressor(FastSignal(samples=np.random.default_rng(1).normal(size=700), period=0.1), 1, 700),
+        decay=1.0 - 1e-9, correlation=0.5, frequency=0.0, full_width=False, seed=0,
+    )
+    def test_matches_long_double_sums(self, phi, decay, correlation, frequency, full_width, seed):
+        """A real pole ``c sqrt(decay)`` (negative for a negative correlation)
+        or, where a frequency is drawn, the complex ``sqrt(decay) e^(j w)``;
+        weights of widths 1 and P; orders on both sides of ``(M-1) F + 1``,
+        where rows stop being cut.  Within 1e-14 of the largest sum; without
+        the correction for the pole's rounding to double, the second example
+        is off by 2e-14 (7e-16 with it)."""
+        radius = np.sqrt(np.longdouble(decay))
+        if frequency is None:
+            pole = np.longdouble(correlation) * radius
+        else:
+            pole = radius * (np.cos(np.longdouble(frequency)) + 1j * np.sin(np.longdouble(frequency)))
+        width = phi.order if full_width else 1
+        weights = np.random.default_rng(seed).uniform(0.5, 2.0, width)
+        fast = phi.filtered(pole, weights)
+        assert fast.shape == (phi.output_length, width)
+        assert fast.dtype == (float if frequency is None else complex)
+        assert relative_error(fast, long_filtered(phi, pole, weights)) <= 1e-14
+
+
 class TestRegressorFactor:
     """DC and resonant terms compute ``Phi L`` from the regressor's samples
     by one recursion; the dense ``factor(entries)`` and a long double
@@ -376,8 +429,9 @@ class TestRegressorFactor:
         assert np.array_equal(spec.regressor_factor(phi), spec.factor(phi.entries))
 
     def test_dc_cut_rows_update_in_place(self):
-        """The rank-1 update of the cut rows makes no M x P temporary: the
-        factor's peak allocation is the factor plus O(N + P)."""
+        """``filtered``'s rank-1 update of the cut rows makes no M x P
+        temporary: the DC factor's peak allocation is the factor plus O(N +
+        P)."""
         phi = build_regressor(FastSignal(samples=np.random.default_rng(4).normal(size=3000), period=0.1), 3, 150)
         spec = DiagonalCorrelated(decay=0.95, correlation=0.99)
         spec.regressor_factor(phi)  # warm up lazily built state

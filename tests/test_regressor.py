@@ -20,6 +20,7 @@ from beyondnyq.regressor import (
     _cached,
     _certified_factor,
     _gram,
+    _windows,
     build_regressor,
     least_squares_fir,
 )
@@ -579,3 +580,28 @@ class TestCache:
         assert len(computed) == (_HISTORY if kept == _HISTORY else 2 * _HISTORY)
         assert arrays[-1] is phi._cache["slot"][_HISTORY - 1]
 
+
+class TestWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        factor=st.sampled_from((1, 2, 3, 5)),
+        n=st.integers(1, 200),
+        complex_input=st.booleans(),
+        full_width=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_sliding_window_view(self, factor, n, complex_input, full_width, data):
+        """The strided view is every F-th reversed window of the input padded
+        with ``width - 1`` leading zeros, as ``sliding_window_view`` gives it,
+        for widths 1 and P and real and complex inputs; it is read-only and
+        has the input's dtype."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_input else 0.0)
+        rows = data.draw(st.integers(1, (n - 1) // factor + 1))
+        width = data.draw(st.integers(1, n)) if full_width else 1
+        padded = np.concatenate((np.zeros(width - 1, dtype=x.dtype), x))
+        expected = np.lib.stride_tricks.sliding_window_view(padded, width)[: rows * factor : factor, ::-1]
+        view = _windows(x, factor, width, rows)
+        assert view.dtype == x.dtype and view.shape == (rows, width)
+        assert np.array_equal(view, expected)
+        assert not view.flags.writeable
