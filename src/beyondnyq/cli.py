@@ -139,6 +139,11 @@ def _sampling(config: dict) -> tuple[float, int]:
     return period, factor
 
 
+def _gamma(config: dict) -> float:
+    """The config's regularization weight ``gamma``, 1e-5 where it names none."""
+    return _positive("gamma", config.get("gamma", 1e-5))
+
+
 def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
     """Resolve (name, kernel, gamma) for each configured estimator.
 
@@ -160,7 +165,7 @@ def _estimator_plan(config: dict) -> list[tuple[str, KernelSpec | None, float]]:
             continue
         if name not in kernels:
             raise ConfigError(f"estimator {name!r} has no kernel under 'kernels'")
-        plan.append((name, kernel_spec_from_json(kernels[name]), _positive("gamma", config.get("gamma", 1e-5))))
+        plan.append((name, kernel_spec_from_json(kernels[name]), _gamma(config)))
     if not plan:
         raise ConfigError("no estimators configured")
     return plan
@@ -288,7 +293,7 @@ def cmd_tune(config: dict, out_dir: Path) -> int:
     if not isinstance(estimator, str) or estimator not in kernels:
         raise ConfigError(f"tune.estimator {estimator!r} has no kernel under 'kernels'")
     template = kernel_spec_from_json(kernels[estimator])
-    gamma = _positive("gamma", config.get("gamma", 1e-5))
+    gamma = _gamma(config)
     budget = _integer_setting("tune.budget", tune.get("budget", 100), 1)
 
     init_obj = _object(_require(tune, "init", "tune"), "tune.init")

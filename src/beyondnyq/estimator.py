@@ -44,6 +44,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .errors import InvalidStartError, NumericalError
 from .kernels import KernelSpec, KernelSum, ResonantPole, _terms
@@ -183,26 +184,22 @@ def _failure_diagnostics(shifted: np.ndarray, gamma: float) -> dict[str, float]:
 
 
 def _lower_cholesky(a: np.ndarray, shifted: np.ndarray, gamma: float) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, a new array whose lower triangle alone
-    is meaningful; ``a`` is ``shifted``, the Gram plus ``gamma I``, or a
-    block of it.  Raises :class:`NumericalError` with the diagnostics of
+    """Lower Cholesky factor of ``a`` by LAPACK's potrf, a new array whose
+    lower triangle alone is meaningful; ``a`` is ``shifted``, the Gram plus
+    ``gamma I``, or a block of it.  The one place where a factorization
+    fails: raises :class:`NumericalError` with the diagnostics of
     ``shifted`` where ``a`` is not positive definite in floating point or
     holds non-finite entries."""
-    n = shifted.shape[0]
-    try:
-        # skipping the finite scan matters because hyperparameter search
-        # factorizes thousands of these; LAPACK factors inf/NaN entries
-        # without complaint, so non-finite input is caught on the factor's
-        # diagonal below, which any non-finite lower-triangle entry reaches
-        lower, _ = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    # skipping the finite scan matters because hyperparameter search
+    # factorizes thousands of these; potrf factors inf/NaN entries without
+    # complaint, so non-finite input is caught on the factor's diagonal,
+    # which any non-finite lower-triangle entry reaches
+    lower, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+    if info > 0 or not np.all(np.isfinite(np.diagonal(lower))):
+        n = shifted.shape[0]
+        reason = f"leading minor {info} is not positive definite" if info > 0 else "its factor is not finite"
         raise NumericalError(
-            f"Cholesky factorization of the {n}x{n} regularized Gram matrix failed: {exc}",
-            diagnostics=_failure_diagnostics(shifted, gamma),
-        ) from exc
-    if not np.all(np.isfinite(np.diagonal(lower))):
-        raise NumericalError(
-            f"Cholesky factor of the {n}x{n} regularized Gram matrix is not finite",
+            f"Cholesky factorization of the {n}x{n} regularized Gram matrix failed: {reason}",
             diagnostics=_failure_diagnostics(shifted, gamma),
         )
     return lower
@@ -210,14 +207,16 @@ def _lower_cholesky(a: np.ndarray, shifted: np.ndarray, gamma: float) -> np.ndar
 
 class _Factor(NamedTuple):
     """The lower Cholesky factor ``[[lead, 0], [border, corner]]`` of a
-    shifted Gram ``S``: ``lead`` (k x k) factors its leading block and
-    ``corner`` the Schur complement of the other n - k columns.  The dual's
-    factor, and a feature-space one of a single term, have no border (n =
-    k).  Only the lower triangles of ``lead`` and ``corner`` are read."""
+    shifted Gram ``S``, and ``log det S``: ``lead`` (k x k) factors its
+    leading block and ``corner`` the Schur complement of the other n - k
+    columns.  The dual's factor, and a feature-space one of a single term,
+    have no border (n = k).  Only the lower triangles of ``lead`` and
+    ``corner`` are read."""
 
     lead: np.ndarray
     border: np.ndarray  # (n - k) x k
     corner: np.ndarray  # (n - k) x (n - k)
+    logdet: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``S^{-1} rhs`` by forward and back substitution, one pair of BLAS
@@ -232,43 +231,37 @@ class _Factor(NamedTuple):
         return np.concatenate((trsv(self.lead, top - self.border.T @ bottom, lower=1, trans=1), bottom))
 
 
-def _dual_factor(gram: np.ndarray, gamma: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(L, L^{-1} y, log det S)`` for the M x M output-space ``S = gram +
-    gamma I = L L'``, ``L`` lower.  Adds ``gamma`` to the diagonal of
-    ``gram`` in place, so callers pass a Gram they own.  Raises
-    :class:`NumericalError` as :func:`_lower_cholesky` does."""
-    gram.flat[:: gram.shape[0] + 1] += gamma
-    lower = _lower_cholesky(gram, gram, gamma)
-    a = scipy.linalg.solve_triangular(lower, y, lower=True, check_finite=False)
-    return lower, a, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+def _shifted_factor(
+    gram: np.ndarray, gamma: float, phi: RegressorMatrix | None = None, first: KernelSpec | None = None
+) -> _Factor:
+    """The factor of ``S = gram + gamma I``; the one place where a Gram is
+    shifted and factored.  Adds ``gamma`` to the diagonal of ``gram`` in
+    place, so callers pass a Gram they own.
 
-
-def _bordered_cholesky(
-    phi: RegressorMatrix, gram: np.ndarray, gamma: float, first: KernelSpec
-) -> tuple[_Factor, float]:
-    """The factor of the feature-space ``gram + gamma I`` and its
-    log-determinant, in two steps.  Adds ``gamma`` to the diagonal of
-    ``gram`` in place.
-
-    The first term's k x k shifted block is factored once per unit term,
-    scale and ``gamma``, in the ``"lead"`` slot of ``phi._cache``, O(k^3 / 3),
-    so pk after dc, and a tuner probe that leaves the first term alone, skip
-    it.  The other n - k columns border it: one triangular solve, O(k^2 (n -
-    k)), and the Cholesky factor of their Schur complement.  Raises
-    :class:`NumericalError` with the diagnostics of the whole shifted Gram
-    where either step fails.
+    Without ``first`` the whole of ``S`` is factored, O(n^3): the dual's M x
+    M ``Phi K Phi' + gamma I`` and the tuner's rest (:func:`_rest`).  Given
+    ``first``, the first term of the feature-space ``X'X`` on ``phi``, its k
+    x k shifted block is factored once per unit term, scale and ``gamma``,
+    in the ``"lead"`` slot of ``phi._cache``, O(k^3 / 3), so pk after dc,
+    and a tuner probe that leaves the first term alone, skip it.  The other
+    n - k columns border it: one triangular solve, O(k^2 (n - k)), and the
+    factor of their Schur complement, O((n - k)^3).  Raises
+    :class:`NumericalError` with the diagnostics of the whole of ``S``
+    where a step fails.
     """
-    gram.flat[:: gram.shape[0] + 1] += gamma
-    k = first.width(phi.order)
-    unit, scale = first.unit()
-    lead = _cached(phi, "lead", (unit, scale, gamma), lambda: _lower_cholesky(gram[:k, :k], gram, gamma))
+    gram.flat[:: len(gram) + 1] += gamma
+    if first is None:
+        k, lead = len(gram), _lower_cholesky(gram, gram, gamma)
+    else:
+        k, (unit, scale) = first.width(phi.order), first.unit()
+        lead = _cached(phi, "lead", (unit, scale, gamma), lambda: _lower_cholesky(gram[:k, :k], gram, gamma))
     if k == len(gram):
         border, corner = np.empty((0, k)), np.empty((0, 0))
     else:
         border = scipy.linalg.solve_triangular(lead, gram[:k, k:], lower=True, check_finite=False).T
         corner = _lower_cholesky(gram[k:, k:] - border @ border.T, gram, gamma)
     diagonal = np.concatenate((np.diagonal(lead), np.diagonal(corner)))
-    return _Factor(lead, border, corner), 2.0 * float(np.sum(np.log(diagonal)))
+    return _Factor(lead, border, corner, 2.0 * float(np.sum(np.log(diagonal))))
 
 
 class _Solution(NamedTuple):
@@ -308,19 +301,20 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
     terms = _terms(spec)
     if not _in_feature_space(terms, *phi.entries.shape):
         gram = _output_gram(phi, spec)
-        lower, a, logdet = _dual_factor(gram, gamma, y)
-        solve = _Factor(lower, np.empty((0, len(lower))), np.empty((0, 0))).solve
+        factor = _shifted_factor(gram, gamma)
+        a = scipy.linalg.solve_triangular(factor.lead, y, lower=True, check_finite=False)
         return _Solution(
-            float(a @ a + logdet), lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, solve, y))
+            float(a @ a + factor.logdet),
+            lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, factor.solve, y)),
         )
     gram = _feature_gram(phi, spec)
-    factor, logdet = _bordered_cholesky(phi, gram, gamma, terms[0])
+    factor = _shifted_factor(gram, gamma, phi, terms[0])
     w = _refined_solve(gram, factor.solve, _factor_rows(spec, phi.entries.T @ y))
     theta = _feature_theta(spec, w, phi.order)
     residual = y - phi.entries @ theta
     m, n = len(y), len(w)
     quadratic = (residual @ residual + gamma * (w @ w)) / gamma
-    return _Solution(float(quadratic + (m - n) * math.log(gamma) + logdet), lambda: theta)
+    return _Solution(float(quadratic + (m - n) * math.log(gamma) + factor.logdet), lambda: theta)
 
 
 def _feature_theta(spec: KernelSpec, w: np.ndarray, order: int) -> np.ndarray:
@@ -349,18 +343,16 @@ def fit_with_evidence(problem: RegularizedProblem) -> tuple[FirModel, float]:
       for a DC term or a resonant pole.  So a kernel of resonant poles
       alone, whose 2 columns per pole keep it in this space at any order,
       builds the P x P ``G`` even at P > M: O(F M P + P^2) time and 8 P^2
-      bytes, where its M x 2 ``Phi L_t`` would take O(N + M).  The
-      Cholesky factor of the first term's k x k shifted block, O(k^3), is
-      kept on the regressor per unit term, scale and ``gamma``; the other n
-      - k columns border it in O(k^2 (n - k) + (n - k)^3).  ``X'y =
+      bytes, where its M x 2 ``Phi L_t`` would take O(N + M).  ``X'y =
       [L_t'(Phi'y)]`` and the residual ``y - Phi theta`` cost O(M P).
     * output space (dual) otherwise: ``X`` costs O(N + M) per resonant pole
       and O(N + M P) per DC term, each one recursion over the input samples
       (``regressor_factor``), and O(M P) per other term; ``Phi K Phi' = X X'``
-      costs O(M^2 n) and its Cholesky factor O(M^3).
+      costs O(M^2 n).
 
-    Either way the solve goes through the same triangular factor type and
-    is refined up to three times, O(n^2) or O(M^2) each.
+    Either way :func:`_shifted_factor` builds the Cholesky factor, which in
+    the feature space borders the first term's kept one, and the solve is
+    refined up to three times, O(n^2) or O(M^2) each.
 
     The arrays come from ``problem.phi._cache`` (see
     :func:`~beyondnyq.regressor._cached`), so the fits on that regressor
@@ -397,20 +389,20 @@ def marginal_likelihood(
 
     Lower is better.  The ``gamma I`` shift is included inside the
     log-determinant so the objective stays finite for rank-deficient kernels.
-    One Cholesky factorization gives both terms, in the space
-    :func:`fit_with_evidence` uses and with its value, bit for bit:
+    One Cholesky factor (:func:`_shifted_factor`) gives both terms, in the
+    space :func:`fit_with_evidence` uses and with its value, bit for bit:
 
     * feature space iff n < M factor columns (P per DC or Tikhonov term, 2P
       per stable spline, 2 per resonant pole): the n x n ``X'X + gamma I``
       from the unit blocks ``L_s' G L_t`` in the ``(s, t)`` slots of
       ``phi._cache``, O(P^2) per DC or resonant block from ``G = Phi'Phi``
       (O(F M P + P^2) once per regressor, also for a kernel of resonant
-      poles alone at P > M), its bordered Cholesky factor, plus the refined
-      solve and the residual, O(M P + n^2).  A call that changes only a
-      resonant term since the last one on ``phi`` reuses the first term's
-      factor and so costs O(M P + P^2 + n^2) for a DC term of k = P columns
-      and a few resonant ones; a new ``gamma`` or DC ``scale`` adds that
-      factor, O(P^3);
+      poles alone at P > M), its factor, plus the refined solve and the
+      residual, O(M P + n^2).  A call that changes only a resonant term
+      since the last one on ``phi`` reuses the first term's factor and so
+      costs O(M P + P^2 + n^2) for a DC term of k = P columns and a few
+      resonant ones; a new ``gamma`` or DC ``scale`` adds that factor,
+      O(P^3);
     * output space (dual) otherwise: the M x M ``Phi K Phi' + gamma I``,
       O(M^2 n + M^3), with the quadratic form from one triangular solve.
     """
@@ -424,12 +416,27 @@ class _Rest(NamedTuple):
     need no factorization.  The feature space has none: its probes are full scorings
     of the n x n ``X'X``, n < M."""
 
-    index: int  # the term left out
     lower: np.ndarray  # Cholesky factor of R (lower triangle)
     alpha: np.ndarray  # lower^{-1} y
     energy: float  # alpha'alpha
     logdet: float  # log det R
     bound: float  # the largest diagonal entry of R - gamma I
+
+
+def _rest(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float, index: int) -> _Rest | None:
+    """The factored dual rest of ``spec`` at ``gamma`` that leaves out term
+    ``index``, or None where it cannot be factorized: the sum of the other
+    terms' Grams from ``phi._cache``, O(M^2) each, and its factor, O(M^3)."""
+    gram = _output_gram(phi, spec, skip=index)
+    # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
+    # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
+    bound = float(np.max(np.diagonal(gram)))
+    try:
+        factor = _shifted_factor(gram, gamma)
+    except NumericalError:
+        return None
+    alpha = scipy.linalg.solve_triangular(factor.lead, y, lower=True, check_finite=False)
+    return _Rest(factor.lead, alpha, float(alpha @ alpha), factor.logdet, bound)
 
 
 # the rank-2 quadratic form is a difference alpha'alpha - beta'C^{-1}beta; a
@@ -710,47 +717,20 @@ def optimize_hyperparameters(
     is raised, chained (``__cause__``) to the factorization's
     :class:`NumericalError` when that was the reason.
 
-    A full scoring uses :func:`marginal_likelihood`'s space and arithmetic.
-    Cost per probe, for M outputs, N input samples, order P and n factor
-    columns (P per DC or Tikhonov term, 2P per stable spline, 2 per resonant
-    pole): each term's unit-scale arrays of its latest 16 keys, one sweep of
-    a coordinate, are kept in ``phi._cache`` (see
-    :func:`~beyondnyq.regressor._cached`), which later probes, calls and
-    fits on ``phi`` reuse, and a coordinate resolves the kernel term it
-    moves once, so that a probe builds only that term.  In the output space
-    (dual, n >= M) slot ``t`` holds term t's Grams, so a probe of ``gamma``
-    or of a DC ``scale`` is one O(M^3) factorization, and a DC ``decay``
-    probe adds its O(M^2 P) Gram the first time.  A revisited DC ``decay``
-    (the next sweep's scan grid, and its bracket and golden steps where its
-    pick repeats) costs the O(M^2) sum and the Cholesky.  In the feature
-    space (n < M) slot ``(s, t)`` keeps each term pair's unit blocks
-    ``(Phi L_s)'(Phi L_t) = L_s' G L_t``, all from ``G = Phi'Phi``, and the
-    ``"lead"`` slot the Cholesky factor of the first term's shifted block.
-    A probe of ``gamma`` or of the first term's DC ``scale`` is an O(n^2)
-    assembly of ``X'X``, a new O(P^3) leading factor and its O(P^2) border
-    (and O(M P) for ``X'y`` and the residual); a DC ``decay`` probe adds its
-    blocks, O(P^2) each.  A feature-space probe of a resonant-pole field
-    keeps the leading factor: it adds its blocks, O(P^2) each, and the
-    border, O(P^2), so no factorization of order P.  A tune of resonant
-    poles alone builds the P x P ``G`` once, at P > M too.  Every
-    feature-space probe is scored as :func:`marginal_likelihood` scores it,
-    with no M x M array and no M x P one besides the regressor's entries.
-
-    In the dual a probe of a resonant-pole field costs O(N + M^2): its M x 2
-    ``Phi L_t``, one recursion over the input, and a rank-2 update (Woodbury
-    and the determinant lemma) on a factorization of ``gamma I`` plus the
-    other terms' M x M Grams.  That
-    rest is factored once per resonant term per sweep, since the term's
-    coordinates sort next to each other and leave it as it is.  A scan
-    grid's K points are scored by one call, whose M x 2K triangular solve
-    replaces K solves of M x 2, with the values of K calls.  Such a probe is
-    scored by the full factorization instead where that rest cannot be
-    factorized, where the full Gram could overflow, or where the update's
-    value is not finite or lost six digits to cancellation, so it scores
-    ``+inf`` where a non-finite Gram makes :func:`marginal_likelihood`
-    raise.  The best probe of a dual resonant coordinate is scored again by
-    the full factorization before it is accepted: every accepted objective
-    value is the one :func:`marginal_likelihood` returns.
+    Every probe is scored as :func:`marginal_likelihood` scores it
+    (:func:`_solve`, from the arrays that ``phi._cache`` keeps, see
+    :func:`~beyondnyq.regressor._cached`), and a coordinate resolves the
+    kernel term it moves once, so that a probe builds only that term.  The
+    one exception is a resonant-pole field in the dual: its probes are
+    scored by a rank-2 update (:func:`_rank2_evidence`, one call per scan
+    grid) on the rest of that term (:func:`_rest`), factored once per
+    resonant term per sweep, since the term's coordinates sort next to each
+    other and leave it as it is.  Such a probe is scored by the full
+    factorization instead where the rest cannot be factorized or the
+    update gives NaN, so it scores ``+inf`` where :func:`marginal_likelihood`
+    raises, and the coordinate's best probe is scored again by the full
+    factorization before it is accepted: every accepted objective value is
+    the one :func:`marginal_likelihood` returns.
 
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
@@ -764,20 +744,6 @@ def optimize_hyperparameters(
     feature = _in_feature_space(_terms(template), *phi.entries.shape)
     # the latest factorization failure; a failed start chains it into InvalidStartError
     failure: NumericalError | None = None
-
-    def rest_for(index: int, point: tuple[KernelSpec, float]) -> _Rest | None:
-        """The factored M x M rest at ``point`` that leaves out term ``index``,
-        or None where it cannot be factorized."""
-        spec, g = point
-        rest = _output_gram(phi, spec, skip=index)
-        # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
-        # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
-        bound = float(np.max(np.diagonal(rest)))
-        try:
-            lower, alpha, logdet = _dual_factor(rest, g, y)
-        except NumericalError:
-            return None
-        return _Rest(index, lower, alpha, float(alpha @ alpha), logdet, bound)
 
     def factorized(point: tuple[KernelSpec, float]) -> float:
         """The evidence as :func:`marginal_likelihood` computes it, bit for bit."""
@@ -835,7 +801,7 @@ def optimize_hyperparameters(
 
             resonant = not feature and index is not None and isinstance(terms[index], ResonantPole)
             if resonant and rest_term != index:
-                rest, rest_term = rest_for(index, point), index
+                rest, rest_term = _rest(phi, y, *point, index), index
             scorer = rest if resonant else None
             # the coordinate's best probe: its value, and its x with its point
             coord_best_f, coord_best = best_value, (best[name], point)

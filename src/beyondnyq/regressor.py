@@ -221,7 +221,8 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
     * ``(s, t)``, ``s <= t``: the feature-space unit block ``(Phi L_s)'(Phi
       L_t) = L_s' G L_t`` keyed by both unit terms.
     * ``"lead"``: the lower Cholesky factor of the first term's shifted
-      feature-space block, keyed by its unit term, scale and ``gamma``.
+      feature-space block, keyed by its unit term, scale and ``gamma``;
+      written only by :func:`~beyondnyq.estimator._shifted_factor`.
 
     A slot is a dict from key to array in the order of last use, and holds
     the latest 16 keys where 16 of its arrays fit in 32 MiB (an M x M Gram

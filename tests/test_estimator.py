@@ -765,10 +765,8 @@ def bordered(problem):
     """``(A + gamma I, factor, log det)`` of the feature-space fit of ``problem``."""
     gram = estimator._feature_gram(problem.phi, problem.kernel)
     shifted = gram + problem.gamma * np.eye(len(gram))
-    factor, logdet = estimator._bordered_cholesky(
-        problem.phi, gram, problem.gamma, estimator._terms(problem.kernel)[0]
-    )
-    return shifted, factor, logdet
+    factor = estimator._shifted_factor(gram, problem.gamma, problem.phi, estimator._terms(problem.kernel)[0])
+    return shifted, factor, factor.logdet
 
 
 class TestGramBlocks:
@@ -813,6 +811,25 @@ class TestGramBlocks:
         rhs = np.random.default_rng(63).normal(size=len(shifted))
         expected = np.linalg.solve(shifted, rhs)
         assert np.linalg.norm(factor.solve(rhs) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("name", sorted(GRAM_KERNELS) + ["dual"])
+    def test_factor_logdet_matches_slogdet(self, name):
+        """The factor's ``logdet`` is ``log det(gram + gamma I)`` to 1e-12
+        relative, for every feature-space kernel here (bordered or not) and
+        for a dual Gram (one block, no border)."""
+        kernel, order = (SHARED_PK, 40) if name == "dual" else (GRAM_KERNELS[name], 16)
+        n = sum(term.width(order) for term in estimator._terms(kernel))
+        rows = 30 if name == "dual" else n + 1
+        phi = random_regressor(np.random.default_rng(65), order, rows)
+        feature = estimator._in_feature_space(estimator._terms(kernel), rows, order)
+        assert feature == (name != "dual")
+        gamma = 1e-2
+        gram = estimator._feature_gram(phi, kernel) if feature else estimator._output_gram(phi, kernel)
+        shifted = gram + gamma * np.eye(len(gram))
+        factor = estimator._shifted_factor(gram, gamma, *((phi, estimator._terms(kernel)[0]) if feature else ()))
+        np.testing.assert_array_equal(gram, shifted)
+        assert feature or len(factor.lead) == rows
+        assert factor.logdet == pytest.approx(np.linalg.slogdet(shifted)[1], rel=1e-12)
 
     def test_pk_after_dc_factors_only_the_border(self, monkeypatch):
         """dc factors its shifted 12 x 12 Gram once; pk after it, whose first
@@ -1350,10 +1367,10 @@ class TestTunerFastEvidence:
         ``.sigma1``, then ``terms.2.decay`` and ``.sigma2``) sort next to
         each other and leave its rest, the other terms plus ``gamma I``, as
         it is: two sweeps factor each term's rest once per sweep, 4 rests
-        where one per coordinate made 8.  Every other ``_dual_factor`` call
-        is a full scoring's."""
+        where one per coordinate made 8.  Every other ``_shifted_factor``
+        call is a full scoring's."""
         problem, template, eta0, gamma = self.well_conditioned()
-        calls = {"_dual_factor": 0, "_solve": 0}
+        calls = {"_shifted_factor": 0, "_solve": 0}
 
         def counted(name):
             function = getattr(estimator, name)
@@ -1373,7 +1390,17 @@ class TestTunerFastEvidence:
             on_evaluation=lambda values, ml: trace.append(values),
         )
         assert len(trace) == 2 + 2 * 108
-        assert calls["_dual_factor"] - calls["_solve"] == 4
+        assert calls["_shifted_factor"] - calls["_solve"] == 4
+
+    def test_unfactorizable_rest_is_none(self):
+        """Where ``gamma I`` plus the other terms' Grams cannot be factorized,
+        there is no rest, for each term left out, while the full Gram of all
+        three terms factorizes."""
+        problem, template, _, gamma, _ = self.unfactorizable_rest()
+        phi, y = problem.phi, problem.y_l.samples
+        assert not estimator._in_feature_space(template.terms, *phi.entries.shape)
+        assert [estimator._rest(phi, y, template, gamma, index) for index in range(3)] == [None] * 3
+        assert math.isfinite(marginal_likelihood(phi, problem.y_l, template, gamma))
 
     def test_batch_matches_single_candidates(self):
         """K candidates scored by one call get the values of K one-candidate
@@ -1381,10 +1408,7 @@ class TestTunerFastEvidence:
         problem, template, _, gamma = self.well_conditioned()
         phi, y = problem.phi, problem.y_l.samples
         assert not estimator._in_feature_space(template.terms, *phi.entries.shape)
-        rest_gram = estimator._output_gram(phi, template, skip=1)
-        bound = float(np.max(np.diagonal(rest_gram)))
-        lower, alpha, logdet = estimator._dual_factor(rest_gram, gamma, y)
-        rest = estimator._Rest(1, lower, alpha, float(alpha @ alpha), logdet, bound)
+        rest = estimator._rest(phi, y, template, gamma, 1)
         poles = [replace(template.terms[1], frequency=f) for f in np.linspace(0.5, 1.1, 9)]
         w = np.hstack([pole.regressor_factor(phi) for pole in poles])
         batch = estimator._rank2_evidence(rest, w)
@@ -1404,7 +1428,7 @@ class TestTunerFastEvidence:
         y = rng.normal(size=m)
         # R = scale^2 I, factored as scale I
         alpha = y / scale
-        rest = estimator._Rest(1, scale * np.eye(m), alpha, float(alpha @ alpha), 2 * m * math.log(scale), scale**2)
+        rest = estimator._Rest(scale * np.eye(m), alpha, float(alpha @ alpha), 2 * m * math.log(scale), scale**2)
         candidates = {
             "plain": rng.normal(size=(m, 2)) * scale,
             "overflow": rng.normal(size=(m, 2)) * 1e200,
