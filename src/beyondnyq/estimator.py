@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Generator, Mapping, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -98,20 +98,22 @@ def _unit_piece(phi: RegressorMatrix, unit: KernelSpec) -> np.ndarray:
 def _output_gram(phi: RegressorMatrix, spec: KernelSpec, skip: int | None = None) -> np.ndarray:
     """``Phi K Phi'`` summed over the terms of ``spec`` but ``skip``, in
     term order, from the unit Grams in the term slots of ``phi._cache``; a
-    new array, zero where every term is skipped."""
+    new array, zero where every term is skipped.  An entry that overflows is
+    inf, which the factorization reports (:func:`_lower_cholesky`)."""
     gram = None
-    for index, term in enumerate(_terms(spec)):
-        if index == skip:
-            continue
-        unit, scale = term.unit()
-        piece = _cached(phi, index, unit, lambda: _unit_piece(phi, unit))
-        if gram is None:
-            gram = np.multiply(piece, scale)
-        elif scale == 1.0:
-            # 1.0 * piece is piece exactly: the sum's bits with no temporary
-            gram += piece
-        else:
-            gram += scale * piece
+    with np.errstate(over="ignore"):
+        for index, term in enumerate(_terms(spec)):
+            if index == skip:
+                continue
+            unit, scale = term.unit()
+            piece = _cached(phi, index, unit, lambda: _unit_piece(phi, unit))
+            if gram is None:
+                gram = np.multiply(piece, scale)
+            elif scale == 1.0:
+                # 1.0 * piece is piece exactly: the sum's bits with no temporary
+                gram += piece
+            else:
+                gram += scale * piece
     return np.zeros((phi.output_length, phi.output_length)) if gram is None else gram
 
 
@@ -136,23 +138,26 @@ def _feature_gram(phi: RegressorMatrix, spec: KernelSpec) -> np.ndarray:
     Block ``(s, t)`` of ``A`` is ``sqrt(scale_s scale_t)`` times the unit
     block in slot ``(s, t)`` of ``phi._cache`` (:func:`_block`), so ``X`` is
     never built: a new ``gamma`` or DC ``scale`` costs the O(n^2) assembly,
-    and a new DC ``decay`` or resonant pole its O(P^2) blocks from ``G``.
+    and a new DC ``decay`` or resonant pole its O(P^2) blocks from ``G``.  An
+    entry that overflows is inf, which the factorization reports
+    (:func:`_lower_cholesky`).
     """
     terms = _terms(spec)
     units = [term.unit() for term in terms]
     edges = np.cumsum([0] + [term.width(phi.order) for term in terms])
     gram = np.empty((edges[-1], edges[-1]))
-    for s, (unit_s, scale_s) in enumerate(units):
-        for t in range(s, len(units)):
-            unit_t, scale_t = units[t]
-            block = _cached(phi, (s, t), (unit_s, unit_t), lambda: _block(phi, unit_s, unit_t, s == t))
-            rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
-            # a diagonal block gets its scale exactly, and a unit scale
-            # (1.0) copies the block's bits
-            weight = scale_s if s == t else math.sqrt(scale_s) * math.sqrt(scale_t)
-            np.multiply(block, weight, out=gram[rows, cols])
-            if s != t:
-                gram[cols, rows] = gram[rows, cols].T
+    with np.errstate(over="ignore"):
+        for s, (unit_s, scale_s) in enumerate(units):
+            for t in range(s, len(units)):
+                unit_t, scale_t = units[t]
+                block = _cached(phi, (s, t), (unit_s, unit_t), lambda: _block(phi, unit_s, unit_t, s == t))
+                rows, cols = slice(edges[s], edges[s + 1]), slice(edges[t], edges[t + 1])
+                # a diagonal block gets its scale exactly, and a unit scale
+                # (1.0) copies the block's bits
+                weight = scale_s if s == t else math.sqrt(scale_s) * math.sqrt(scale_t)
+                np.multiply(block, weight, out=gram[rows, cols])
+                if s != t:
+                    gram[cols, rows] = gram[rows, cols].T
     return gram
 
 
@@ -239,7 +244,7 @@ def _shifted_factor(
     place, so callers pass a Gram they own.
 
     Without ``first`` the whole of ``S`` is factored, O(n^3): the dual's M x
-    M ``Phi K Phi' + gamma I`` and the tuner's rest (:func:`_rest`).  Given
+    M ``Phi K Phi' + gamma I``, or its tuner's rest (:func:`_dual`).  Given
     ``first``, the first term of the feature-space ``X'X`` on ``phi``, its k
     x k shifted block is factored once per unit term, scale and ``gamma``,
     in the ``"lead"`` slot of ``phi._cache``, O(k^3 / 3), so pk after dc,
@@ -262,6 +267,32 @@ def _shifted_factor(
         corner = _lower_cholesky(gram[k:, k:] - border @ border.T, gram, gamma)
     diagonal = np.concatenate((np.diagonal(lead), np.diagonal(corner)))
     return _Factor(lead, border, corner, 2.0 * float(np.sum(np.log(diagonal))))
+
+
+class _Dual(NamedTuple):
+    """The dual's M x M ``S = gamma I`` plus the Grams of a kernel's terms
+    (all of them, or all but one: the tuner's rest), factored, with what the
+    evidence and the rank-2 update read off the factor."""
+
+    shifted: np.ndarray  # S
+    factor: _Factor  # its Cholesky factor, with no border
+    alpha: np.ndarray  # L^{-1} y, L = factor.lead
+    energy: float  # alpha'alpha = y'S^{-1}y
+    bound: float  # the largest diagonal entry of S - gamma I
+
+
+def _dual(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float, skip: int | None = None) -> _Dual:
+    """The factored dual of ``spec`` at ``gamma`` without term ``skip``: the
+    other terms' Grams from ``phi._cache`` summed, O(M^2) each, shifted and
+    factored, O(M^3); the one place where a dual Gram is summed and factored.
+    Raises :class:`NumericalError` where it cannot be factorized."""
+    gram = _output_gram(phi, spec, skip)
+    # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
+    # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
+    bound = float(np.max(np.diagonal(gram)))
+    factor = _shifted_factor(gram, gamma)
+    alpha = scipy.linalg.solve_triangular(factor.lead, y, lower=True, check_finite=False)
+    return _Dual(gram, factor, alpha, float(alpha @ alpha), bound)
 
 
 class _Solution(NamedTuple):
@@ -290,22 +321,21 @@ def _solve(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float) 
 
     The space comes from the shapes (:func:`_in_feature_space`).  In the output space
     (dual) ``S = Phi K Phi' + gamma I`` gives the evidence ``a'a + log det S``
-    with ``a = L^{-1} y`` and the model ``K Phi' S^{-1} y``.  In the feature
-    space ``X = [Phi L_t]`` has n < M columns and ``A = X'X + gamma I`` gives
-    ``w = A^{-1} X'y`` with ``X'y = [L_t'(Phi'y)]`` and the model ``theta =
-    sum_t L_t w_t``; the push-through and Sylvester determinant identities
-    turn the dual evidence into ``(||y - Phi theta||^2 + gamma ||w||^2) /
-    gamma + (M - n) log gamma + log det A``.  Its quadratic term comes from
-    the residual, never as ``y'y - y'X w``, a difference that cancels.
+    with ``a = L^{-1} y`` and the model ``K Phi' S^{-1} y`` (:func:`_dual`).
+    In the feature space ``X = [Phi L_t]`` has n < M columns and ``A = X'X +
+    gamma I`` gives ``w = A^{-1} X'y`` with ``X'y = [L_t'(Phi'y)]`` and the
+    model ``theta = sum_t L_t w_t``; the push-through and Sylvester
+    determinant identities turn the dual evidence into ``(||y - Phi
+    theta||^2 + gamma ||w||^2) / gamma + (M - n) log gamma + log det A``.
+    Its quadratic term comes from the residual, never as ``y'y - y'X w``, a
+    difference that cancels.
     """
     terms = _terms(spec)
     if not _in_feature_space(terms, *phi.entries.shape):
-        gram = _output_gram(phi, spec)
-        factor = _shifted_factor(gram, gamma)
-        a = scipy.linalg.solve_triangular(factor.lead, y, lower=True, check_finite=False)
+        dual = _dual(phi, y, spec, gamma)
         return _Solution(
-            float(a @ a + factor.logdet),
-            lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(gram, factor.solve, y)),
+            dual.energy + dual.factor.logdet,
+            lambda: _kernel_times(spec, phi.entries.T @ _refined_solve(dual.shifted, dual.factor.solve, y)),
         )
     gram = _feature_gram(phi, spec)
     factor = _shifted_factor(gram, gamma, phi, terms[0])
@@ -410,33 +440,17 @@ def marginal_likelihood(
     return _solve(phi, y_l.samples, kernel, problem.gamma).evidence
 
 
-class _Rest(NamedTuple):
-    """The dual's M x M ``R = gamma I`` plus every kernel term's Gram but one,
-    factored once per sweep of that term's coordinates so that their probes
-    need no factorization.  The feature space has none: its probes are full scorings
-    of the n x n ``X'X``, n < M."""
-
-    lower: np.ndarray  # Cholesky factor of R (lower triangle)
-    alpha: np.ndarray  # lower^{-1} y
-    energy: float  # alpha'alpha
-    logdet: float  # log det R
-    bound: float  # the largest diagonal entry of R - gamma I
-
-
-def _rest(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float, index: int) -> _Rest | None:
-    """The factored dual rest of ``spec`` at ``gamma`` that leaves out term
-    ``index``, or None where it cannot be factorized: the sum of the other
-    terms' Grams from ``phi._cache``, O(M^2) each, and its factor, O(M^3)."""
-    gram = _output_gram(phi, spec, skip=index)
-    # the pieces are Grams, so |entry (i, j)| <= (entry (i, i) + entry (j, j)) / 2
-    # for each: no partial sum of the full Gram exceeds this plus 2 max|W|^2
-    bound = float(np.max(np.diagonal(gram)))
+def _rest(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float, index: int) -> _Dual | None:
+    """The dual rest ``R`` of ``spec`` at ``gamma``, ``gamma I`` plus every
+    term's Gram but term ``index``'s, as a :class:`_Dual`, or None where it
+    cannot be factorized.  The tuner factors it once per sweep of that
+    term's coordinates, so that their probes need no factorization
+    (:func:`_rank2_evidence`).  The feature space has none: its probes are
+    full scorings of the n x n ``X'X``, n < M."""
     try:
-        factor = _shifted_factor(gram, gamma)
+        return _dual(phi, y, spec, gamma, skip=index)
     except NumericalError:
         return None
-    alpha = scipy.linalg.solve_triangular(factor.lead, y, lower=True, check_finite=False)
-    return _Rest(factor.lead, alpha, float(alpha @ alpha), factor.logdet, bound)
 
 
 # the rank-2 quadratic form is a difference alpha'alpha - beta'C^{-1}beta; a
@@ -444,13 +458,14 @@ def _rest(phi: RegressorMatrix, y: np.ndarray, spec: KernelSpec, gamma: float, i
 _CANCELLATION = 1e-6
 
 
-def _rank2_evidence(rest: _Rest, w: np.ndarray) -> list[float]:
+def _rank2_evidence(rest: _Dual, w: np.ndarray) -> list[float]:
     """Evidence at the dual's ``R + W_k W_k'`` for each candidate k, whose M
     x 2 ``W_k`` are the column pairs of the M x 2K ``w``, from one triangular
-    solve, O(M^2 K); a resonant pole's ``W = Phi L_t`` costs O(N + M) from
-    the regressor's N input samples, so a dual probe is O(N + M^2).
+    solve on the factor of the rest ``R`` (:func:`_rest`), O(M^2 K); a
+    resonant pole's ``W = Phi L_t`` costs O(N + M) from the regressor's N
+    input samples, so a dual probe is O(N + M^2).
 
-    With ``V = lower^{-1} W_k``, ``C = I + V'V`` and ``beta = V' alpha``,
+    With ``V = L^{-1} W_k``, ``C = I + V'V`` and ``beta = V' alpha``,
     Woodbury and the determinant lemma give
     ``alpha'alpha - beta' C^{-1} beta + log det R + log det C``.  A
     candidate's value is NaN where an entry of its full Gram could overflow,
@@ -459,7 +474,8 @@ def _rank2_evidence(rest: _Rest, w: np.ndarray) -> list[float]:
     algebra runs on all K at once, and ``V'V`` and ``V' alpha`` are stacked
     products of each candidate's own columns, so a candidate gets the value
     of a call of its own wherever the solve treats its columns alone (as
-    OpenBLAS's does: the same bits).
+    OpenBLAS's does: the same bits), so the tuner may score a scan grid, or
+    a golden bracket's two points, in one call.
     """
     k = w.shape[1] // 2
     top = np.max(np.abs(w).reshape(len(w), k, 2), axis=(0, 2))
@@ -468,7 +484,7 @@ def _rank2_evidence(rest: _Rest, w: np.ndarray) -> list[float]:
         # a candidate whose Gram could overflow is zeroed, so that no inf or
         # NaN enters the solve
         v = scipy.linalg.solve_triangular(
-            rest.lower, np.where(np.repeat(fits, 2), w, 0.0), lower=True, check_finite=False
+            rest.factor.lead, np.where(np.repeat(fits, 2), w, 0.0), lower=True, check_finite=False
         )
         pairs = v.T.reshape(k, 2, len(w))
         gram = pairs @ pairs.transpose(0, 2, 1)
@@ -479,7 +495,8 @@ def _rank2_evidence(rest: _Rest, w: np.ndarray) -> list[float]:
     # det > 0 also rejects NaN; a quadratic form at or below the threshold
     # lost its digits to the difference, as a nearly singular rest does
     good = fits & (det > 0.0) & (quad > _CANCELLATION * rest.energy)
-    return [q + rest.logdet + math.log(x) if ok else math.nan for q, x, ok in zip(quad.tolist(), det.tolist(), good)]
+    logdet = rest.factor.logdet
+    return [q + logdet + math.log(x) if ok else math.nan for q, x, ok in zip(quad.tolist(), det.tolist(), good)]
 
 
 @dataclass(frozen=True)
@@ -670,8 +687,33 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 6
 
 
-class _BudgetSpent(Exception):
-    """Raised by a tuner probe once the evaluation budget is spent."""
+def _line_search(a: float, b: float, scan: int) -> Generator[list[float], list[float], None]:
+    """The probes of one coordinate sweep over ``[a, b]``, the one statement
+    of the tuner's search pattern: a generator that yields batches of
+    coordinate values and is sent each batch's objective values, in order.
+
+    The batches are a uniform scan of ``scan`` points; the two points that
+    split the scan's best point and its neighbours in golden ratio; then one
+    point per golden-section step, ``_GOLDEN_STEPS`` of them: ``scan + 2 +
+    _GOLDEN_STEPS`` probes per sweep.  The scan comes first because the
+    objective can be multimodal in a coordinate (resonance frequencies
+    especially), and golden-section alone would slide into whichever basin
+    touches the start.
+    """
+    grid = [a + (b - a) * k / (scan - 1) for k in range(scan)]
+    pick = int(np.argmin((yield grid)))
+    ga, gb = grid[max(pick - 1, 0)], grid[min(pick + 1, scan - 1)]
+    x1, x2 = gb - _GOLDEN * (gb - ga), ga + _GOLDEN * (gb - ga)
+    f1, f2 = yield [x1, x2]
+    for _ in range(_GOLDEN_STEPS):
+        if f1 > f2:
+            ga, x1, f1 = x1, x2, f2
+            x2 = ga + _GOLDEN * (gb - ga)
+            (f2,) = yield [x2]
+        else:
+            gb, x2, f2 = x2, x1, f1
+            x1 = gb - _GOLDEN * (gb - ga)
+            (f1,) = yield [x1]
 
 
 def tuning_budget(eta0: HyperparameterVector, cap: int) -> int:
@@ -679,16 +721,30 @@ def tuning_budget(eta0: HyperparameterVector, cap: int) -> int:
     cost``, with three sweeps where ``eta0`` has a resonance frequency and
     two otherwise, capped by ``cap``.  ``cost`` is the budget share of one
     coordinate sweep: 31 evaluations per frequency, 13 per other coordinate.
-    The optimizer spends 33 and 15 (a scan of 25 or 7 points, 2 bracketing
-    probes and 6 golden steps), so this share falls 2 short per coordinate,
-    and the last sweep is cut short: the benchmark pk kernel's 538
-    evaluations stop inside ``terms.2.decay`` of the third sweep, and the dc
-    kernel's 79 stop 3 probes into ``scale`` of the second.  A search that
-    improves nothing in a sweep stops earlier.
+    The optimizer spends :func:`_line_search`'s per-sweep count, 2 more per
+    coordinate, so the last sweep is cut short: the benchmark pk kernel's
+    538 evaluations stop inside ``terms.2.decay`` of the third sweep, and
+    the dc kernel's 79 stop 3 probes into ``scale`` of the second.  A search
+    that improves nothing in a sweep stops earlier.
     """
     sweeps = max(_rule(name).sweeps for name in eta0.values)
     cost = sum(_rule(name).scan + _GOLDEN_STEPS for name in eta0.values)
     return min(cap, sweeps * cost + 1)
+
+
+def _probe(spec: KernelSpec, gamma: float, index: int | None, field: str, x: float) -> tuple[KernelSpec, float]:
+    """The tuner's point ``(spec, gamma)`` with one coordinate at ``x``:
+    ``gamma`` where ``index`` is None, else ``field`` of term ``index``, the
+    one term that is rebuilt (:func:`_moved`)."""
+    if index is None:
+        return spec, x
+    terms = _terms(spec)
+    moved = terms[:index] + (_moved(terms[index], field, x),) + terms[index + 1 :]
+    return (KernelSum(terms=moved) if isinstance(spec, KernelSum) else moved[0]), gamma
+
+
+def _unobserved(values: dict[str, float], value: float) -> None:
+    """The ``on_evaluation`` of a tune that nothing observes."""
 
 
 def optimize_hyperparameters(
@@ -703,42 +759,48 @@ def optimize_hyperparameters(
 ) -> HyperparameterVector:
     """Budgeted coordinate-wise golden-section search on the evidence objective.
 
+    The contract:
+
+    * the result is never worse than ``eta0``: a probe is accepted only when
+      it improves the objective, and ``budget=1`` returns the start;
+    * at most ``budget`` evaluations, the start's included;
+    * a point whose shifted Gram cannot be factorized (singular or
+      non-finite in floating point, a :class:`NumericalError` in
+      :func:`marginal_likelihood`) scores ``+inf``: a probe there is never
+      accepted and the search goes on.  If the start point's objective is
+      not finite, :class:`InvalidStartError` is raised, chained
+      (``__cause__``) to the factorization's :class:`NumericalError` when
+      that was the reason;
+    * every accepted objective value is the one :func:`marginal_likelihood`
+      returns, bit for bit.
+
+    Parameters are swept in a fixed order (sorted names), so the search is
+    deterministic, until a sweep improves nothing or the budget is spent.
     Scale-type parameters (``gamma``, ``scale``, ``sigma1``, ``sigma2``) are
-    searched in log space, the rest in their bounded linear space.
-    Candidates are accepted only when they improve the objective, so the
-    result is never worse than ``eta0``; with
-    ``budget=1`` the start point is returned unchanged.  The sweep order is
-    fixed (sorted parameter names), making the search deterministic.
-
-    A point whose shifted Gram cannot be factorized (singular or non-finite
-    in floating point, a :class:`NumericalError` in :func:`marginal_likelihood`)
-    scores ``+inf``: a probe there is never accepted and the search goes on.
-    If the start point's objective is not finite, :class:`InvalidStartError`
-    is raised, chained (``__cause__``) to the factorization's
-    :class:`NumericalError` when that was the reason.
-
-    Every probe is scored as :func:`marginal_likelihood` scores it
-    (:func:`_solve`, from the arrays that ``phi._cache`` keeps, see
-    :func:`~beyondnyq.regressor._cached`), and a coordinate resolves the
-    kernel term it moves once, so that a probe builds only that term.  The
-    one exception is a resonant-pole field in the dual: its probes are
-    scored by a rank-2 update (:func:`_rank2_evidence`, one call per scan
-    grid) on the rest of that term (:func:`_rest`), factored once per
-    resonant term per sweep, since the term's coordinates sort next to each
-    other and leave it as it is.  Such a probe is scored by the full
-    factorization instead where the rest cannot be factorized or the
-    update gives NaN, so it scores ``+inf`` where :func:`marginal_likelihood`
-    raises, and the coordinate's best probe is scored again by the full
-    factorization before it is accepted: every accepted objective value is
-    the one :func:`marginal_likelihood` returns.
+    searched in log space, the rest in their bounded linear space; each
+    coordinate's probes are :func:`_line_search`'s.  A probe is scored as
+    :func:`marginal_likelihood` scores it (:func:`_solve`, from the arrays
+    that ``phi._cache`` keeps, see :func:`~beyondnyq.regressor._cached`),
+    and a coordinate resolves the kernel term it moves once, so that a probe
+    builds only that term.  The one exception is a resonant-pole field in
+    the dual: a batch of its probes is scored by one rank-2 call
+    (:func:`_rank2_evidence`) on the rest of that term (:func:`_rest`),
+    factored once per resonant term per sweep, since the term's coordinates
+    sort next to each other and leave it as it is.  Such a probe is scored
+    by the full factorization instead where the rest cannot be factorized or
+    the update gives NaN, so it scores ``+inf`` where
+    :func:`marginal_likelihood` raises, and the coordinate's best probe is
+    scored again by the full factorization before it is accepted.
 
     ``gamma`` is tuned only if present in ``eta0``; otherwise the fixed value
     passed as ``gamma`` is used throughout.  ``on_evaluation`` observes every
-    objective evaluation (for trace files), including ``inf`` ones; the
-    second scoring of a coordinate's best probe is not a new evaluation.
+    objective evaluation (for trace files), including ``inf`` ones, and
+    then the accepted point and its objective; the second scoring of a
+    coordinate's best probe is not a new evaluation.
     """
     budget, gamma = _integer("budget", budget), _positive("gamma", gamma)
     phi.check_output(y_l)
+    on_evaluation = _unobserved if on_evaluation is None else on_evaluation
 
     y = y_l.samples
     feature = _in_feature_space(_terms(template), *phi.entries.shape)
@@ -766,8 +828,7 @@ def optimize_hyperparameters(
     best = dict(eta0.values)
     point = kernel_and_gamma(template, best, gamma)
     best_value = factorized(point)
-    if on_evaluation is not None:
-        on_evaluation(dict(best), best_value)
+    on_evaluation(dict(best), best_value)
     evaluations = 1
     if not math.isfinite(best_value):
         raise InvalidStartError(
@@ -785,74 +846,39 @@ def optimize_hyperparameters(
                 break
             lo, hi = eta0.bounds[name]
             rule = _rule(name)
-            a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
             # the term this coordinate moves, resolved once: a probe builds
             # only that term
-            spec, g = point
-            terms = _terms(spec)
-            index, field = (None, "") if name == "gamma" else _address(spec, name)
-
-            def candidate(x: float) -> tuple[KernelSpec, float]:
-                """The accepted point with this coordinate at ``x``."""
-                if index is None:
-                    return spec, x
-                moved = terms[:index] + (_moved(terms[index], field, x),) + terms[index + 1 :]
-                return (KernelSum(terms=moved) if isinstance(spec, KernelSum) else moved[0]), g
-
-            resonant = not feature and index is not None and isinstance(terms[index], ResonantPole)
+            index, field = (None, "") if name == "gamma" else _address(point[0], name)
+            resonant = not feature and index is not None and isinstance(_terms(point[0])[index], ResonantPole)
             if resonant and rest_term != index:
                 rest, rest_term = _rest(phi, y, *point, index), index
             scorer = rest if resonant else None
             # the coordinate's best probe: its value, and its x with its point
             coord_best_f, coord_best = best_value, (best[name], point)
-
-            def probes(ts: list[float]) -> list[float]:
-                """The objective at the coordinate values ``ts``, in order, as
-                far as the budget goes; a dual resonant coordinate's are
-                scored together by one rank-2 call."""
-                nonlocal evaluations, coord_best_f, coord_best
-                xs = [min(max(math.exp(t) if rule.log_space else t, lo), hi) for t in ts[: budget - evaluations]]
-                points = [candidate(x) for x in xs]
+            a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
+            search = _line_search(a, b, rule.scan)
+            batch = next(search)
+            # one batch of probes per pass, cut to the budget left, scored and
+            # reported in order; the coordinate ends where the budget does
+            while True:
+                xs = [min(max(math.exp(t) if rule.log_space else t, lo), hi) for t in batch[: budget - evaluations]]
+                points = [_probe(*point, index, field, x) for x in xs]
                 values = [math.nan] * len(xs)
-                if scorer is not None and xs:
+                if scorer is not None:
                     w = np.hstack([_terms(p[0])[index].regressor_factor(phi) for p in points])
                     values = _rank2_evidence(scorer, w)
-                scores = []
-                for x, p, value in zip(xs, points, values):
-                    f = value if math.isfinite(value) else factorized(p)
-                    if on_evaluation is not None:
-                        on_evaluation({**best, name: x}, f)
-                    evaluations += 1
+                scores = [value if math.isfinite(value) else factorized(p) for value, p in zip(values, points)]
+                for x, p, f in zip(xs, points, scores):
+                    on_evaluation({**best, name: x}, f)
                     if f < coord_best_f:
                         coord_best_f, coord_best = f, (x, p)
-                    scores.append(f)
-                if len(scores) < len(ts):
-                    raise _BudgetSpent
-                return scores
-
-            def probe(t: float) -> float:
-                return probes([t])[0]
-
-            try:
-                # coarse uniform scan first: the objective can be multimodal in
-                # a coordinate (resonance frequencies especially), and pure
-                # golden-section would slide into whichever basin touches the start
-                grid = [a + (b - a) * k / (rule.scan - 1) for k in range(rule.scan)]
-                pick = int(np.argmin(probes(grid)))
-                ga, gb = grid[max(pick - 1, 0)], grid[min(pick + 1, rule.scan - 1)]
-                x1, x2 = gb - _GOLDEN * (gb - ga), ga + _GOLDEN * (gb - ga)
-                f1, f2 = probe(x1), probe(x2)
-                for _ in range(_GOLDEN_STEPS):
-                    if f1 > f2:
-                        ga, x1, f1 = x1, x2, f2
-                        x2 = ga + _GOLDEN * (gb - ga)
-                        f2 = probe(x2)
-                    else:
-                        gb, x2, f2 = x2, x1, f1
-                        x1 = gb - _GOLDEN * (gb - ga)
-                        f1 = probe(x1)
-            except _BudgetSpent:
-                pass
+                evaluations += len(xs)
+                if evaluations >= budget:
+                    break
+                try:
+                    batch = search.send(scores)
+                except StopIteration:
+                    break
             if scorer is not None and coord_best_f < best_value:
                 # accept on the value marginal_likelihood gives, not the
                 # rank-2 one: they differ by rounding, and where the full
@@ -864,9 +890,8 @@ def optimize_hyperparameters(
                 if index != rest_term:
                     rest = rest_term = None
 
-    if on_evaluation is not None:
-        # terminal trace entry: the accepted point and its objective
-        on_evaluation(dict(best), best_value)
+    # terminal trace entry: the accepted point and its objective
+    on_evaluation(dict(best), best_value)
     return HyperparameterVector(values=best, bounds=eta0.bounds)
 
 

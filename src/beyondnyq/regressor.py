@@ -217,7 +217,8 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
     * ``"gram"``: the symmetric ``G = Phi'Phi`` (:func:`_full_gram`), which
       least squares and the feature-space blocks share.
     * ``t``, a term index: term t's dual unit Gram ``Phi K_t Phi'`` keyed by
-      the unit term.
+      the unit term, which :func:`~beyondnyq.estimator._dual` scales and sums
+      into the shifted Gram of a ``_Dual``.
     * ``(s, t)``, ``s <= t``: the feature-space unit block ``(Phi L_s)'(Phi
       L_t) = L_s' G L_t`` keyed by both unit terms.
     * ``"lead"``: the lower Cholesky factor of the first term's shifted
@@ -227,8 +228,8 @@ def _cached(phi: RegressorMatrix, slot, key: tuple, compute: Callable[[], np.nda
     A slot is a dict from key to array in the order of last use, and holds
     the latest 16 keys where 16 of its arrays fit in 32 MiB (an M x M Gram
     up to M = 512), else only the latest: one tuner sweep of a coordinate
-    (a scan, its bracket and golden steps, and the accepted point) revisits
-    its keys in the next sweep, but a P x P block at P = 1000 is held once.
+    (:func:`~beyondnyq.estimator._line_search`'s probes and the accepted
+    point) revisits its keys in the next sweep, but a P x P block at P = 1000 is held once.
     The oldest array is dropped before its successor is computed.  A slot's
     dict is never changed once stored, only replaced, so threads sharing a
     regressor never see one change under them.

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -992,6 +993,48 @@ class TestNonFiniteGram:
         assert diagnostics["nonfinite_entries"] > 0
         assert all(math.isfinite(value) for value in diagnostics.values())
 
+    @pytest.mark.parametrize("order", [12, 40], ids=["feature", "dual"])
+    def test_no_warning_before_the_error(self, order):
+        """The overflow is reported by the typed error alone: no numpy
+        warning from the Gram's scaled sums precedes it, in either space."""
+        kernel = DiagonalCorrelated(scale=1e308, decay=0.9, correlation=0.3)
+        problem = make_problem(18, n=90, factor=3, order=order, kernel=kernel)
+        assert estimator._in_feature_space((kernel,), problem.phi.output_length, order) == (order == 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                fit_with_evidence(problem)
+
+
+class TestLineSearch:
+    def drive(self, a, b, scan, f):
+        """The batches a sweep yields when each is sent ``f`` of its points."""
+        search, batches = estimator._line_search(a, b, scan), []
+        batch = next(search)
+        while True:
+            batches.append(batch)
+            try:
+                batch = search.send([f(t) for t in batch])
+            except StopIteration:
+                return batches
+
+    @pytest.mark.parametrize("scan", [7, 25])
+    def test_batches(self, scan):
+        """On a unimodal function a sweep yields the scan, the two
+        bracketing points as one batch, then one point per golden step, and
+        stops: ``scan + 2 + _GOLDEN_STEPS`` probes."""
+        batches = self.drive(0.0, 1.0, scan, lambda t: (t - 0.3) ** 2)
+        assert [len(batch) for batch in batches] == [scan, 2] + [1] * estimator._GOLDEN_STEPS
+        assert sum(map(len, batches)) == scan + 2 + estimator._GOLDEN_STEPS
+        assert batches[0] == pytest.approx(np.linspace(0.0, 1.0, scan), abs=1e-15)
+        # the golden steps close in on the minimum, inside the scan's
+        # neighbours of its best point
+        step = 1.0 / (scan - 1)
+        best = round(0.3 / step) * step
+        later = [t for batch in batches[1:] for t in batch]
+        assert all(best - step <= t <= best + step for t in later)
+        assert abs(later[-1] - 0.3) < step * estimator._GOLDEN ** estimator._GOLDEN_STEPS
+
 
 class TestOptimizeHyperparameters:
     def setup_problem(self, seed=18):
@@ -1392,6 +1435,28 @@ class TestTunerFastEvidence:
         assert len(trace) == 2 + 2 * 108
         assert calls["_shifted_factor"] - calls["_solve"] == 4
 
+    @pytest.mark.parametrize("name", ["gamma", "terms.1.frequency"])
+    def test_budget_ends_inside_bracket(self, name):
+        """A budget that ends between the two bracketing points, for a
+        coordinate scored in full and for a dual resonant one whose pair is
+        one rank-2 batch: the trace holds exactly ``budget`` evaluations and
+        the terminal entry, and its last probe is the pair's first point."""
+        problem, template, full, gamma = self.well_conditioned()
+        eta0 = HyperparameterVector({name: full.values[name]}, {name: full.bounds[name]})
+        rule, (lo, hi) = estimator._rule(name), eta0.bounds[name]
+        budget = 1 + rule.scan + 1
+        trace = []
+        optimize_hyperparameters(
+            problem.phi, problem.y_l, template, eta0, gamma=gamma, budget=budget,
+            on_evaluation=lambda values, ml: trace.append((values, ml)),
+        )
+        assert len(trace) == budget + 1
+        a, b = (math.log(lo), math.log(hi)) if rule.log_space else (lo, hi)
+        search = estimator._line_search(a, b, rule.scan)
+        next(search)
+        first = search.send([ml for _, ml in trace[1 : 1 + rule.scan]])[0]
+        assert trace[-2][0][name] == min(max(math.exp(first) if rule.log_space else first, lo), hi)
+
     def test_unfactorizable_rest_is_none(self):
         """Where ``gamma I`` plus the other terms' Grams cannot be factorized,
         there is no rest, for each term left out, while the full Gram of all
@@ -1428,7 +1493,8 @@ class TestTunerFastEvidence:
         y = rng.normal(size=m)
         # R = scale^2 I, factored as scale I
         alpha = y / scale
-        rest = estimator._Rest(scale * np.eye(m), alpha, float(alpha @ alpha), 2 * m * math.log(scale), scale**2)
+        factor = estimator._Factor(scale * np.eye(m), np.empty((0, m)), np.empty((0, 0)), 2 * m * math.log(scale))
+        rest = estimator._Dual(scale**2 * np.eye(m), factor, alpha, float(alpha @ alpha), scale**2)
         candidates = {
             "plain": rng.normal(size=(m, 2)) * scale,
             "overflow": rng.normal(size=(m, 2)) * 1e200,
